@@ -20,7 +20,7 @@ from .fields import QQ, FieldError, field_from_string, field_to_string
 from .complexes import ComplexError, fold_periodic
 from .torsion import (TorsionError, NotNarrowError, milnor_torsion,
                       periodic_torsion, quantum_torsion)
-from .spectral import SpectralError, page1, page2_rate, collapsing_page, PAGE3
+from .spectral import SpectralError, PAGE3
 from .threefold import ThreefoldError, dichotomy_class, EXHAUSTIVE_BOUND
 from .models import ModelError
 from .superpotential import (PotentialError, Representation, build_potential,
@@ -98,16 +98,16 @@ def cmd_torsion(args):
 
 def cmd_spectral(args):
     inst = _instance(args.file)
-    pg1 = page1(inst.pearl, inst.bases)
-    collapse = collapsing_page(inst.pearl, inst.bases)
+    S = inst.spectrum
+    pg1 = S.page1
     out = {"v": schemas.VERSION, "kind": "spectral",
            "page1_ranks": pg1.ranks,
            "page2_ranks": pg1.homology_ranks(),
            "d1star": [schemas.matrix_to_json(pg1.d1star[k]) for k in range(3)],
-           "collapse": collapse,
+           "collapse": S.collapse,
            "rate": None}
-    if collapse == PAGE3:
-        out["rate"] = inst.field.format(page2_rate(inst.pearl, inst.bases))
+    if S.collapse == PAGE3:
+        out["rate"] = inst.field.format(S.rate)
     _emit(out, args.output)
     return 0
 

@@ -17,7 +17,7 @@ from .linalg import Matrix, IntegerMatrix
 from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
                         integral_homology, admissible_characteristic)
 from .threefold import ThreefoldHomology, TripleForm
-from .spectral import Contraction, page1, page2_rate, collapsing_page, PAGE2, PAGE3
+from .spectral import Contraction, Spectrum, PAGE2, PAGE3
 
 RETRY_BOUND = 32
 
@@ -135,12 +135,9 @@ def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
     Ui = [_int_inverse(u) for u in U]
 
     def conj(d, k):
-        A = Matrix.from_int_rows(QQ, Ui[k - 1], nrows=ranks[k - 1], ncols=ranks[k - 1])
-        D = Matrix.from_int_rows(QQ, d, nrows=ranks[k - 1], ncols=ranks[k])
-        B = Matrix.from_int_rows(QQ, U[k], nrows=ranks[k], ncols=ranks[k])
-        out = A * D * B
-        return IntegerMatrix([[int(x) for x in row] for row in out.rows],
-                             ranks[k - 1], ranks[k])
+        m, n = ranks[k - 1], ranks[k]
+        return (IntegerMatrix(Ui[k - 1], m, m) * IntegerMatrix(d, m, n)
+                * IntegerMatrix(U[k], n, n))
 
     C = BasedChainComplex(None, ranks, [conj(d1, 1), conj(d2, 2), conj(d3, 3)])
     got, _reps = integral_homology(C)
@@ -258,10 +255,10 @@ def _lift_d1(morse_F, H, delta, field, rng):
     return [sol["d1_0"], sol["d1_1"], sol["d1_2"]]
 
 
-def _solve_d2(morse_F, d1, field, rng, rate_target=None, contraction=None,
-              h0=None):
+def _solve_d2(morse_F, d1, field, rng, rate_target=None, contraction=None):
     """Sample d2 : C_0 -> C_3 completing d1 to a pearl differential; when
-    rate_target is given, also pin the induced page-2 rate."""
+    rate_target is given, also pin the induced page-2 rate, computed in the
+    contraction of the Morse part."""
     ranks = morse_F.ranks
     dM = [morse_F.boundary(k) for k in range(5)]
     sysm = _AffineSystem(field)
@@ -269,7 +266,7 @@ def _solve_d2(morse_F, d1, field, rng, rate_target=None, contraction=None,
     sysm.equation([(dM[3], "d2", None)], -(d1[1] * d1[0]))
     sysm.equation([(None, "d2", dM[1])], -(d1[2] * d1[1]))
     if rate_target is not None:
-        con, c = contraction, h0
+        con, c = contraction, contraction.H[0]
         x2 = dM[2].solve(-(d1[0] * c))
         if x2 is None:
             return None
@@ -343,6 +340,30 @@ def _check_spec_homology(morse, H: ThreefoldHomology):
         raise ModelError("complex does not realize the requested torsion")
 
 
+def _lift_pearl(morse_F, H, delta, field, rng, page, rate=None,
+                contraction=None):
+    """Retry chain-level lifts until one is a pearl complex whose page-1
+    differential is exactly delta and which collapses at the given page (with
+    page-2 rate exactly rate, when one is given)."""
+    for _ in range(RETRY_BOUND):
+        d1 = _lift_d1(morse_F, H, delta, field, rng)
+        if d1 is None:
+            continue
+        d2 = _solve_d2(morse_F, d1, field, rng, rate, contraction)
+        if d2 is None:
+            continue
+        P = TwistedPearlComplex(field, morse_F.ranks, morse_F.boundaries[1:],
+                                d1, d2)
+        if validate_pearl(P):
+            continue
+        S = Spectrum(P, H)
+        if not all(a == bmat for a, bmat in zip(S.page1.d1star, delta)):
+            continue
+        if S.collapse == page and (rate is None or S.rate == rate):
+            return P
+    raise ModelError("chain-level lift failed within the retry bound")
+
+
 def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
                           field: Field, seed: int = 0) -> TwistedPearlComplex:
     """A pearl complex over the field whose page-1 differential is exactly
@@ -369,25 +390,7 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
     if c is None:
         raise ModelError("not page-2 narrow: the induced page-1 complex is "
                          "never exact")
-    delta = [delta0, c, delta2]
-    morse_F = morse.to_field(F)
-    for _ in range(RETRY_BOUND):
-        d1 = _lift_d1(morse_F, H, delta, F, rng)
-        if d1 is None:
-            continue
-        d2 = _solve_d2(morse_F, d1, F, rng)
-        if d2 is None:
-            continue
-        P = TwistedPearlComplex(F, morse.ranks, morse_F.boundaries[1:], d1, d2)
-        if validate_pearl(P):
-            continue
-        pg = page1(P, H)
-        if not all(a == bmat for a, bmat in zip(pg.d1star, delta)):
-            continue
-        if collapsing_page(P, H) != PAGE2:
-            continue
-        return P
-    raise ModelError("chain-level lift failed within the retry bound")
+    return _lift_pearl(morse.to_field(F), H, [delta0, c, delta2], F, rng, PAGE2)
 
 
 def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
@@ -415,27 +418,8 @@ def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
         F, morse.ranks, morse_F.boundaries[1:],
         [Matrix.zeros(F, morse.ranks[k + 1], morse.ranks[k]) for k in range(3)],
         Matrix.zeros(F, morse.ranks[3], morse.ranks[0]))
-    con = Contraction(zero_pearl, H)
-    for _ in range(RETRY_BOUND):
-        d1 = _lift_d1(morse_F, H, delta, F, rng)
-        if d1 is None:
-            continue
-        d2 = _solve_d2(morse_F, d1, F, rng, rate_target=rF, contraction=con,
-                       h0=H[0])
-        if d2 is None:
-            continue
-        P = TwistedPearlComplex(F, morse.ranks, morse_F.boundaries[1:], d1, d2)
-        if validate_pearl(P):
-            continue
-        pg = page1(P, H)
-        if not all(a == bmat for a, bmat in zip(pg.d1star, delta)):
-            continue
-        if collapsing_page(P, H) != PAGE3:
-            continue
-        if page2_rate(P, H) != rF:
-            continue
-        return P
-    raise ModelError("chain-level lift failed within the retry bound")
+    return _lift_pearl(morse_F, H, delta, F, rng, PAGE3, rF,
+                       Contraction(zero_pearl, H))
 
 
 def _random_matrix(field, rng, m, n):

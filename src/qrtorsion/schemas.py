@@ -219,14 +219,18 @@ def report_to_json(rep: VerificationReport, field: Field = None):
 
 
 def load(path):
+    """The JSON object in the file; every document is an object."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise SchemaError(f"malformed JSON at line {e.lineno}, column "
                           f"{e.colno}: {e.msg}")
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}")
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def dump(doc, path=None):

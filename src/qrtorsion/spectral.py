@@ -7,17 +7,20 @@ is an independent path to the same scalar.  The power of the page variable is
 never materialized: each d_i carries a fixed power, so the bookkeeping is the
 degree index alone.
 
+Each spectral object is computed once per instance by a Spectrum, and no
+intermediate result crosses between the compared paths: the closed-form rate
+builds its own Contraction, and the direct fold path reads nothing from here.
+
 Degrees are 0..3 throughout (pearl complexes of 3-folds, minimal Maslov
 number two).
 """
 
 from __future__ import annotations
 
-import random
+from functools import cached_property
 
-from .fields import Field, SignClass
 from .linalg import Matrix
-from .complexes import ComplexError, TwistedPearlComplex, validate_pearl
+from .complexes import TwistedPearlComplex, validate_pearl
 from .torsion import _image_basis, _lift
 
 
@@ -56,15 +59,6 @@ class PageOne:
 
     def is_exact(self):
         return all(r == 0 for r in self.homology_ranks())
-
-
-class PageTwo:
-    """Survivor ranks on page two and the induced rate on the two 3-fold
-    survivor slots (degree 0 to degree 3) when both have rank one."""
-
-    def __init__(self, surviving_ranks, rate):
-        self.surviving_ranks = list(surviving_ranks)
-        self.rate = rate
 
 
 class Contraction:
@@ -126,48 +120,50 @@ class Contraction:
         return self.s[k] * self.b_coords(k)
 
 
+def _check_valid(P: TwistedPearlComplex):
+    bad = validate_pearl(P)
+    if bad:
+        raise SpectralError("invalid pearl complex: " + "; ".join(bad))
+
+
+def _d1star(P: TwistedPearlComplex, H, con: Contraction):
+    return [con.pi(k + 1) * P.d1_map(k) * H[k] for k in range(3)]
+
+
+def _require_survivors(pg1: PageOne):
+    hr = pg1.homology_ranks()
+    if hr != [1, 0, 0, 1]:
+        raise WrongPageError(f"page-1 homology ranks {hr} "
+                             "do not match the page-3 survivor pattern")
+
+
 def page1(P: TwistedPearlComplex, H, rng=None) -> PageOne:
     """First page: Morse homology with the projection of d1.
 
     The projection is well defined because d1 anticommutes with d_M, so d1 of
     a cycle is again a cycle.
     """
-    bad = validate_pearl(P)
-    if bad:
-        raise SpectralError("invalid pearl complex: " + "; ".join(bad))
-    con = Contraction(P, H, rng)
-    d1star = [con.pi(k + 1) * P.d1_map(k) * H[k] for k in range(3)]
+    _check_valid(P)
+    d1star = _d1star(P, H, Contraction(P, H, rng))
     for k in range(2):
         if not (d1star[k + 1] * d1star[k]).is_zero():
             raise SpectralError("page-1 differential does not square to zero")
     return PageOne([H[k].ncols for k in range(4)], d1star, H)
 
 
-def page2_rate(P: TwistedPearlComplex, H, rng=None):
-    """The page-2 differential on the two survivor slots, computed from the
-    literal filtration quotients Z^2 / (Z^1 + B^1).
-
-    Requires the 3-fold narrow page-3 pattern: page-1 homology of ranks
-    (1, 0, 0, 1).  Returns the rate as a scalar.
-    """
+def _rate_from_page1(P: TwistedPearlComplex, pg1: PageOne):
+    """The page-2 rate from the literal filtration quotients, given page 1."""
     F = P.field
-    pg1 = page1(P, H, rng)
-    if pg1.homology_ranks() != [1, 0, 0, 1]:
-        raise WrongPageError(f"page-1 homology ranks {pg1.homology_ranks()} "
-                             "do not match the page-3 survivor pattern")
+    H = pg1.bases
+    _require_survivors(pg1)
     r0, r1, r2, r3 = P.ranks
     # E^2 at the degree-0 slot: pairs (x0, x2) with d1 x0 + d_M x2 = 0,
     # modulo d_M-cycles in C_2 and the boundary pairs (d_M y1, d1 y1 + d_M y3).
     big = Matrix.hstack_all(F, [P.d1_map(0), P.dM(2)], nrows=r1)
     V = big.kernel_basis()                      # columns in C_0 + C_2
     z2 = P.dM(2).kernel_basis()
-    Wcols = []
-    Wcols.append(Matrix.block(F, [[Matrix.zeros(F, r0, z2.ncols)], [z2]],
-                              [r0, r2], [z2.ncols]))
-    bdry = Matrix.block(F, [[P.dM(1), Matrix.zeros(F, r0, r3)],
-                            [P.d1_map(1), P.dM(3)]], [r0, r2], [r1, r3])
-    Wcols.append(bdry)
-    W = Matrix.hstack_all(F, Wcols, nrows=r0 + r2)
+    W = Matrix.block(F, [[None, P.dM(1), None], [z2, P.d1_map(1), P.dM(3)]],
+                     [r0, r2], [z2.ncols, r1, r3])
     dimE2 = V.rank() - W.rank()
     if dimE2 != 1:
         raise WrongPageError(f"E^2 at the bottom slot has rank {dimE2}, expected 1")
@@ -191,16 +187,27 @@ def page2_rate(P: TwistedPearlComplex, H, rng=None):
     return rate
 
 
+def page2_rate(P: TwistedPearlComplex, H, rng=None):
+    """The page-2 differential on the two survivor slots, computed from the
+    literal filtration quotients Z^2 / (Z^1 + B^1).
+
+    Requires the 3-fold narrow page-3 pattern: page-1 homology of ranks
+    (1, 0, 0, 1).  Returns the rate as a scalar.
+    """
+    return _rate_from_page1(P, page1(P, H, rng))
+
+
 def closed_form_r(P: TwistedPearlComplex, H, rng=None):
     """The same rate read off the adapted-basis block matrices: extract the
     blocks alpha (top row of d2 at the degree-0 class), M1 (boundary rows of
     d1 at the degree-0 class) and M6 (top row of d1 on the section columns of
-    C_2), and return alpha - M6 M1."""
-    pg1 = page1(P, H)
-    if pg1.homology_ranks() != [1, 0, 0, 1]:
-        raise WrongPageError(f"page-1 homology ranks {pg1.homology_ranks()} "
-                             "do not match the page-3 survivor pattern")
+    C_2), and return alpha - M6 M1.
+
+    The page-1 ranks are checked from this path's own contraction, so it
+    shares no intermediate result with page2_rate."""
+    _check_valid(P)
     con = Contraction(P, H, rng)
+    _require_survivors(PageOne(con.hdims, _d1star(P, H, con), H))
     alpha = con.pi(3) * P.d2 * H[0]
     M1 = con.b_coords(1) * P.d1_map(0) * H[0]
     M6 = con.pi(3) * P.d1_map(2) * con.s[1]
@@ -211,21 +218,41 @@ def closed_form_r(P: TwistedPearlComplex, H, rng=None):
     return rate
 
 
-def collapsing_page(P: TwistedPearlComplex, H) -> str:
-    """Classify the collapse: Page2 when the first page is exact, Page3 when
-    only the two survivor slots remain and the page-2 rate is invertible,
-    NotNarrow otherwise."""
-    pg1 = page1(P, H)
-    hr = pg1.homology_ranks()
-    if all(r == 0 for r in hr):
-        return PAGE2
-    if hr == [1, 0, 0, 1]:
+class Spectrum:
+    """The spectral sequence of one pearl complex in fixed homology bases:
+    page 1 computed once, on construction; the literal page-2 rate and the
+    collapse page read from it, and the closed-form rate from closed_form_r,
+    each on first use."""
+
+    def __init__(self, P: TwistedPearlComplex, H):
+        self.P = P
+        self.page1 = page1(P, H)
+
+    @cached_property
+    def rate(self):
+        """The literal page-2 rate; WrongPageError off the page-3 pattern."""
+        return _rate_from_page1(self.P, self.page1)
+
+    @cached_property
+    def collapse(self) -> str:
+        """Page2 when page 1 is exact, Page3 when only the two survivor slots
+        remain and the page-2 rate is invertible, NotNarrow otherwise."""
+        if self.page1.is_exact():
+            return PAGE2
         try:
-            page2_rate(P, H)
-            return PAGE3
+            self.rate
         except WrongPageError:
             return NOT_NARROW
-    return NOT_NARROW
+        return PAGE3
+
+    @cached_property
+    def closed_form_rate(self):
+        return closed_form_r(self.P, self.page1.bases)
+
+
+def collapsing_page(P: TwistedPearlComplex, H) -> str:
+    """Classify the collapse of the spectral sequence (see Spectrum)."""
+    return Spectrum(P, H).collapse
 
 
 class MinimalModel:
@@ -249,73 +276,42 @@ class MinimalModel:
         return self.model.d2
 
 
-def _offsets(ranks):
-    out = [0]
-    for r in ranks:
-        out.append(out[-1] + r)
-    return out
-
-
-def _total_map(field, src_ranks, dst_ranks, blocks):
-    """Assemble a sum-of-degrees map from graded blocks.
-
-    ``blocks`` is a list of (src_degree, dst_degree, Matrix).
-    """
-    so = _offsets(src_ranks)
-    do = _offsets(dst_ranks)
-    M = Matrix.zeros(field, do[-1], so[-1])
-    for sd, dd, blk in blocks:
-        if blk.nrows != dst_ranks[dd] or blk.ncols != src_ranks[sd]:
-            raise SpectralError("graded block shape mismatch")
-        for i in range(blk.nrows):
-            row = M.rows[do[dd] + i]
-            for j in range(blk.ncols):
-                row[so[sd] + j] = blk.rows[i][j]
-    return M
-
-
-def _block_of(M, src_ranks, dst_ranks, sd, dd):
-    so = _offsets(src_ranks)
-    do = _offsets(dst_ranks)
-    return M.submatrix(range(do[dd], do[dd + 1]), range(so[sd], so[sd + 1]))
-
-
 def minimal_model(P: TwistedPearlComplex, H, rng=None) -> MinimalModel:
     """Homological perturbation of the contraction onto Morse homology by the
     disc maps; yields the minimal pearl complex with its comparison data.
 
     Every stored identity is verified exactly at construction time.
     """
-    bad = validate_pearl(P)
-    if bad:
-        raise SpectralError("invalid pearl complex: " + "; ".join(bad))
+    _check_valid(P)
     F = P.field
     con = Contraction(P, H, rng)
     cr = P.ranks
     hr = con.hdims
-    iota = _total_map(F, hr, cr, [(k, k, H[k]) for k in range(4)])
-    pi = _total_map(F, cr, hr, [(k, k, con.pi(k)) for k in range(4)])
-    K = _total_map(F, cr, cr, [(k, k + 1, con.K(k)) for k in range(3)])
-    dM = _total_map(F, cr, cr, [(k, k - 1, P.dM(k)) for k in range(1, 4)])
-    pert = _total_map(F, cr, cr, [(k, k + 1, P.d1_map(k)) for k in range(3)]
-                      + [(0, 3, P.d2)])
-    n = sum(cr)
-    ident = Matrix.identity(F, n)
+
+    def graded(blocks, src, dst):
+        """Sum-of-degrees map from {(src_degree, dst_degree): block}."""
+        return Matrix.block(F, [[blocks.get((s, d)) for s in range(4)]
+                                for d in range(4)], dst, src)
+
+    iota = graded({(k, k): H[k] for k in range(4)}, hr, cr)
+    pi = graded({(k, k): con.pi(k) for k in range(4)}, cr, hr)
+    K = graded({(k, k + 1): con.K(k) for k in range(3)}, cr, cr)
+    dM = graded({(k, k - 1): P.dM(k) for k in range(1, 4)}, cr, cr)
+    pert = graded({(k, k + 1): P.d1_map(k) for k in range(3)} | {(0, 3): P.d2},
+                  cr, cr)
+    ident = Matrix.identity(F, sum(cr))
+
+    def geometric(X):
+        """(1 - X)^{-1}, a finite sum because X raises degree."""
+        total, power = ident, X
+        while not power.is_zero():
+            total, power = total + power, power * X
+        return total
+
     # the perturbation series wants the opposite homotopy convention
     K = -K
-    # geometric series (1 - K t)^{-1}, finite because K t raises degree
-    KT = K * pert
-    series = ident
-    power = KT
-    while not power.is_zero():
-        series = series + power
-        power = power * KT
-    TK = pert * K
-    series_tk = ident
-    power = TK
-    while not power.is_zero():
-        series_tk = series_tk + power
-        power = power * TK
+    series = geometric(K * pert)
+    series_tk = geometric(pert * K)
     delta = pi * pert * series * iota
     psi = series * iota
     phi = pi * series_tk
@@ -323,20 +319,25 @@ def minimal_model(P: TwistedPearlComplex, H, rng=None) -> MinimalModel:
 
     d_full = dM + pert
     # graded content of the perturbed differential
-    delta1 = [_block_of(delta, hr, hr, k, k + 1) for k in range(3)]
-    delta2 = _block_of(delta, hr, hr, 0, 3)
+    off = [sum(hr[:k]) for k in range(5)]
+
+    def block_of(sd, dd):
+        return delta.submatrix(range(off[dd], off[dd + 1]),
+                               range(off[sd], off[sd + 1]))
+
+    delta1 = [block_of(k, k + 1) for k in range(3)]
+    delta2 = block_of(0, 3)
     model_c = TwistedPearlComplex(F, hr, [Matrix.zeros(F, hr[k - 1], hr[k])
                                           for k in range(1, 4)], delta1, delta2)
     if validate_pearl(model_c):
         raise SpectralError("perturbed differential does not square to zero")
     # allowed blocks only: degree +1 and +3
-    check = _total_map(F, hr, hr, [(k, k + 1, delta1[k]) for k in range(3)]
-                       + [(0, 3, delta2)])
+    check = graded({(k, k + 1): delta1[k] for k in range(3)} | {(0, 3): delta2},
+                   hr, hr)
     if not (delta - check).is_zero():
         raise SpectralError("perturbed differential has unexpected graded blocks")
     # comparison identities, all exact
-    nh = sum(hr)
-    if not (phi * psi == Matrix.identity(F, nh)):
+    if not (phi * psi == Matrix.identity(F, sum(hr))):
         raise SpectralError("phi psi is not the identity on the model")
     if not (phi * d_full - delta * phi).is_zero():
         raise SpectralError("phi is not a chain map")

@@ -13,10 +13,15 @@ from __future__ import annotations
 from .fields import Field
 from .laurent import LaurentPolynomial
 from .linalg import Matrix
+from .spectral import PAGE2, PAGE3
 
 
 class PotentialError(Exception):
     pass
+
+
+class DualityError(PotentialError):
+    """The disc differentials fail an identity they satisfy by construction."""
 
 
 class DiscSystem:
@@ -116,7 +121,7 @@ def d1_from_discs(D: DiscSystem, phi: Representation):
     """The two disc differentials determined by the divisor axiom: as a row
     (degree 2 to degree 3) and a column (degree 0 to degree 1), both with
     i-th weight sum_A m0(A) * phi(dA) * (dA)_i.  Their transpose relation is
-    asserted, and the row equals log_gradient of the potential."""
+    checked, and so is the row's equality with log_gradient of the potential."""
     F = phi.field
     if phi.b != D.b:
         raise PotentialError("representation size mismatch")
@@ -128,15 +133,11 @@ def d1_from_discs(D: DiscSystem, phi: Representation):
                 weights[i] = F.add(weights[i], F.mul(F.from_int(e), val))
     row = Matrix(F, [list(weights)], nrows=1, ncols=D.b)
     col = Matrix(F, [[w] for w in weights], nrows=D.b, ncols=1)
-    assert row.transpose() == col, "disc differentials lost their duality"
-    grad = log_gradient(build_potential(D), phi)
-    assert list(row.rows[0]) == grad, \
-        "disc differential disagrees with the potential gradient"
+    if row.transpose() != col:
+        raise DualityError("disc differentials lost their duality")
+    if list(row.rows[0]) != log_gradient(build_potential(D), phi):
+        raise DualityError("disc differential disagrees with the potential gradient")
     return row, col
-
-
-PAGE2_NAME = "Page2"
-PAGE3_NAME = "Page3"
 
 
 def classify_representation(D: DiscSystem, phi: Representation,
@@ -155,11 +156,11 @@ def classify_representation(D: DiscSystem, phi: Representation,
         notes.append("potential is constant: gradient and discriminant vanish "
                      "identically")
     consistent = None
-    if collapse == PAGE3_NAME:
+    if collapse == PAGE3:
         consistent = critical
         if not critical:
             notes.append("page-3 collapse requires a critical representation")
-    elif collapse == PAGE2_NAME:
+    elif collapse == PAGE2:
         consistent = not critical
         if critical:
             notes.append("page-2 collapse requires a noncritical representation")

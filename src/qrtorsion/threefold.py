@@ -157,7 +157,7 @@ def symplectic_slice(I: TripleForm, v, field: Field):
     """Determinant of the alternating pairing induced by v on the complement
     obtained by dropping v's pivot coordinate; None when degenerate.
 
-    A successful slice forces b odd, which is asserted.
+    A successful slice forces b odd, which is checked.
     """
     if all(field.is_zero(x) for x in v):
         raise ThreefoldError("slice vector must be nonzero")
@@ -168,7 +168,8 @@ def symplectic_slice(I: TripleForm, v, field: Field):
     det = sub.determinant()
     if field.is_zero(det):
         return None
-    assert I.b % 2 == 1, "nondegenerate alternating forms need even dimension"
+    if I.b % 2 == 0:
+        raise ThreefoldError("nondegenerate alternating forms need even dimension")
     return det
 
 
@@ -251,6 +252,7 @@ def dichotomy_class(I: TripleForm, field: Field, trials: int = 200,
         return ZERO_FORM
     found = find_slice(I, field, trials, seed)
     if found is not None:
-        assert I.b % 2 == 1
+        if I.b % 2 == 0:
+            raise ThreefoldError("a slice exists only for odd b")
         return SLICED_ODD_B
     return INCOMPATIBLE

@@ -9,16 +9,18 @@ agreement, as sign classes, is the verified content of the torsion theorems.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .fields import Field, SignClass
 from .linalg import Matrix
 from .complexes import BasedChainComplex, TwistedPearlComplex, validate_pearl
 from .torsion import milnor_torsion, quantum_torsion, NotNarrowError
-from .spectral import (page1, page2_rate, closed_form_r, collapsing_page,
-                       PAGE2, PAGE3, NOT_NARROW, SpectralError, WrongPageError)
+from .spectral import Spectrum, PAGE2, PAGE3, SpectralError, WrongPageError
 from .threefold import (ThreefoldHomology, TripleForm, symplectic_slice,
                         find_slice)
-from .superpotential import (DiscSystem, Representation, build_potential,
-                             log_gradient, d1_from_discs, classify_representation)
+from .superpotential import (DiscSystem, Representation, DualityError,
+                             build_potential, d1_from_discs,
+                             classify_representation)
 
 
 class VerifierError(Exception):
@@ -43,6 +45,12 @@ class Instance:
         self.discs = discs
         self.representation = representation
         self.ident = ident
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """The spectral sequence in the distinguished bases, computed on first
+        use; only the formula path reads it."""
+        return Spectrum(self.pearl, self.bases)
 
 
 class VerificationReport:
@@ -85,7 +93,7 @@ def e1_milnor_torsion(inst: Instance) -> SignClass:
     reversed; that regrading flips every degree parity, which inverts the
     torsion, so the inverse is returned.
     """
-    pg1 = page1(inst.pearl, inst.bases)
+    pg1 = inst.spectrum.page1
     if not pg1.is_exact():
         raise WrongPageError("page-1 complex is not acyclic")
     C = _e1_complex(pg1, inst.field)
@@ -101,7 +109,7 @@ def torsion_via_page2_formula(inst: Instance) -> SignClass:
     torsion path."""
     F = inst.field
     b = inst.homology.b
-    pg1 = page1(inst.pearl, inst.bases)
+    pg1 = inst.spectrum.page1
     if not pg1.is_exact():
         raise WrongPageError("not a page-2 instance")
     rates = [pg1.d1star[0].rows[i][0] for i in range(b)]
@@ -126,9 +134,10 @@ def torsion_via_page3_formula(inst: Instance) -> SignClass:
     """The page-3 torsion formula: torsion ratio times det A over the page-2
     rate, with the rate cross-checked against its closed form."""
     F = inst.field
-    A = page1(inst.pearl, inst.bases).d1star[1]
-    r = page2_rate(inst.pearl, inst.bases)
-    r_cf = closed_form_r(inst.pearl, inst.bases)
+    S = inst.spectrum
+    A = S.page1.d1star[1]
+    r = S.rate
+    r_cf = S.closed_form_rate
     if r != r_cf:
         raise VerifierError("page-2 rate disagrees with its closed form")
     ratio = torsion_ratio(inst.homology, F)
@@ -144,7 +153,7 @@ class QForm:
 
 def q_form(A: Matrix, r, field: Field) -> QForm:
     """The pairing Q = r * A^{-1}: the unique solution of Q A = r Id.  Its
-    determinant identity det Q = r^b / det A is pure algebra and asserted;
+    determinant identity det Q = r^b / det A is pure algebra and checked;
     antisymmetry is the geometric constraint and only reported."""
     b = A.nrows
     detA = A.determinant()
@@ -155,8 +164,8 @@ def q_form(A: Matrix, r, field: Field) -> QForm:
         for j in range(b):
             Q.rows[i][j] = field.mul(r, Q.rows[i][j])
     detQ = Q.determinant()
-    assert detQ == field.div(field.pow(r, b), detA), \
-        "determinant identity for Q failed"
+    if detQ != field.div(field.pow(r, b), detA):
+        raise VerifierError("determinant identity for Q failed")
     anti = (Q + Q.transpose()).is_zero()
     return QForm(Q, detQ, anti)
 
@@ -170,11 +179,12 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
     notes = []
     collapse = None
     direct = formula = None
-    A_det = r_val = Q_det = None
+    A_det = r_val = Q_det = qf = None
 
     flags["pearl_valid"] = not validate_pearl(inst.pearl)
     try:
-        collapse = collapsing_page(inst.pearl, inst.bases)
+        S = inst.spectrum
+        collapse = S.collapse
     except SpectralError as e:
         notes.append(f"collapse classification failed: {e}")
         flags["narrow"] = False
@@ -210,12 +220,10 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
         flags["b_parity"] = b % 2 == 0
         flags["dichotomy_consistent"] = inst.form.is_zero_over(F)
         try:
-            pg1 = page1(inst.pearl, inst.bases)
-            A = pg1.d1star[1]
+            A = S.page1.d1star[1]
             A_det = A.determinant()
-            r_val = page2_rate(inst.pearl, inst.bases)
-            flags["rate_cross_check"] = r_val == closed_form_r(inst.pearl,
-                                                               inst.bases)
+            r_val = S.rate
+            flags["rate_cross_check"] = r_val == S.closed_form_rate
             formula = torsion_via_page3_formula(inst)
             qf = q_form(A, r_val, F)
             Q_det = qf.det
@@ -225,7 +233,7 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
             rhs = SignClass(F, F.div(F.mul(F.pow(ratio, b),
                                            F.pow(A_det, b - 1)), Q_det))
             flags["power_identity"] = direct.pow(b) == rhs
-        except (VerifierError, WrongPageError, SpectralError, AssertionError) as e:
+        except (VerifierError, WrongPageError, SpectralError) as e:
             notes.append(str(e))
             for name in ("rate_cross_check", "q_antisymmetric",
                          "q_det_identity", "power_identity"):
@@ -238,19 +246,17 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
         implied["w_constant"] = W.is_constant()
         try:
             row, col = d1_from_discs(inst.discs, phi)
-            pg1 = page1(inst.pearl, inst.bases)
-            flags["disc_differential_match"] = (row == pg1.d1star[2]
-                                                and col == pg1.d1star[0])
-        except AssertionError as e:
+            flags["disc_differential_match"] = (row == S.page1.d1star[2]
+                                                and col == S.page1.d1star[0])
+        except DualityError as e:
             notes.append(str(e))
             flags["disc_differential_match"] = False
         rep = classify_representation(inst.discs, phi, collapse)
         flags["representation_page_consistent"] = bool(rep.consistent_with_page)
         notes.extend(rep.notes)
-        if collapse == PAGE3 and "q_antisymmetric" in flags and Q_det is not None:
+        if qf is not None:
             # symmetrized-product identity: Q_ij + Q_ji must match the
             # n = 3 signed torus-weighted Hessian of the potential
-            qf = q_form(page1(inst.pearl, inst.bases).d1star[1], r_val, F)
             ok = True
             for i in range(b):
                 Wi = W.partial(i)

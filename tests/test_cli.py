@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qrtorsion.cli import main
 
 
@@ -54,6 +56,17 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "line" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("verb", [["verify"], ["spectral"], ["torsion", "quantum"],
+                                  ["classify"], ["potential", "eval", "--at", "1"]],
+                         ids=lambda v: v[0])
+def test_non_object_json_exits_2(tmp_path, capsys, verb):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, *verb, str(path))
+    assert code == 2 and out == ""
+    assert "expected a JSON object" in json.loads(err)["error"]
 
 
 def test_inadmissible_characteristic_exits_2(capsys):
@@ -136,3 +149,23 @@ def test_batch_corrupt_flags_everything(capsys):
     doc = json.loads(out)
     assert doc["detected"] == 8
     assert sum(doc["failure_histogram"].values()) >= 8
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--page", "2"],
+     "627a65f1eed5e7a3573771da379a30b39248dbcba6874b6730e0b8704d368217"),
+    (["--page", "3"],
+     "0956c5a399b5d89db3f8824f7c74480acfdc327fed34e5ba0a4b3ff046c83030"),
+    (["--page", "2", "--corrupt"],
+     "da1b29d80a4f318c6d3c5efa5df9eba2f306cc20ccbd1ad44e20850f7e1c172d"),
+    (["--page", "3", "--corrupt"],
+     "4747cc5c832771c20bc8b0c1deb3ed1c3a1a5160e49e428e1c429cf22c210196"),
+    (["--page", "3", "--field", "Q", "--b", "4", "--count", "10"],
+     "abb073752274249455e69d90851735e4f9b287fdd648266d32e14581bc3cd929"),
+], ids=["page2", "page3", "page2-corrupt", "page3-corrupt", "page3-Q-b4"])
+def test_batch_digest_pinned(capsys, argv, digest):
+    # a refactor that changes one of these changes behaviour
+    code, out, _ = run(capsys, "batch", "--count", "20", "--field", "F5",
+                       "--seed", "7", *argv)
+    assert code == 0
+    assert json.loads(out)["digest"] == digest

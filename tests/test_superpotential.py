@@ -6,8 +6,8 @@ from qrtorsion.fields import QQ, GF
 from qrtorsion.superpotential import (DiscSystem, Representation,
                                       PotentialError, build_potential,
                                       log_gradient, discriminant,
-                                      d1_from_discs, classify_representation,
-                                      PAGE2_NAME, PAGE3_NAME)
+                                      d1_from_discs, classify_representation)
+from qrtorsion.spectral import PAGE2, PAGE3
 
 
 def kirby(b, discs):
@@ -75,14 +75,14 @@ def test_disc_differential_duality_random():
 def test_classify_representation():
     D = kirby(1, [([1], 1), ([-1], 1)])
     crit = classify_representation(D, Representation(QQ, [QQ.from_int(1)]),
-                                   collapse=PAGE3_NAME)
+                                   collapse=PAGE3)
     assert crit.is_critical and crit.consistent_with_page
     assert crit.discriminant_value == QQ.from_int(2)
     wide = classify_representation(D, Representation(QQ, [QQ.from_int(2)]),
-                                   collapse=PAGE2_NAME)
+                                   collapse=PAGE2)
     assert not wide.is_critical and wide.consistent_with_page
     bad = classify_representation(D, Representation(QQ, [QQ.from_int(2)]),
-                                  collapse=PAGE3_NAME)
+                                  collapse=PAGE3)
     assert bad.consistent_with_page is False and bad.notes
 
 

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import qrtorsion
 from qrtorsion.fields import QQ, GF, SignClass
 from qrtorsion.threefold import ThreefoldHomology, TripleForm
 from qrtorsion.models import realize_morse, homology_bases, random_pearl
@@ -46,6 +51,27 @@ def test_q_form_identity():
     assert qf.antisymmetric
     # det Q = r^b / det A
     assert qf.det == F.from_int(4)
+
+
+def test_q_form_determinant_check_survives_optimize():
+    # python -O strips asserts; the check must not be one
+    code = textwrap.dedent("""
+        from qrtorsion.fields import QQ
+        from qrtorsion.linalg import Matrix
+        from qrtorsion.verifier import VerifierError, q_form
+        Matrix.determinant = lambda self: QQ.one()
+        A = Matrix.from_int_rows(QQ, [[0, 1], [-1, 0]], 2, 2)
+        try:
+            q_form(A, QQ.from_int(2), QQ)
+        except VerifierError as e:
+            print(e)
+    """)
+    src = os.path.dirname(os.path.dirname(qrtorsion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "determinant identity for Q failed"
 
 
 def test_verify_page2_report():
@@ -95,3 +121,64 @@ def test_verify_with_discs():
     rep = verify_main_theorem(inst)
     assert rep.all_pass
     assert rep.implied.get("w_constant") is True
+
+
+def _spectral_counters(monkeypatch):
+    """Record the Contractions built inside each page1 and closed_form_r
+    call, and every Contraction built at all."""
+    from qrtorsion import spectral
+    calls = {"page1": [], "closed_form_r": [], "built": []}
+    real_init = spectral.Contraction.__init__
+
+    def init(self, *args, **kwargs):
+        calls["built"].append(self)
+        real_init(self, *args, **kwargs)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            start = len(calls["built"])
+            out = fn(*args, **kwargs)
+            calls[name].append(calls["built"][start:])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(spectral.Contraction, "__init__", init)
+    for name in ("page1", "closed_form_r"):
+        monkeypatch.setattr(spectral, name, counting(name, getattr(spectral, name)))
+    return calls
+
+
+def test_verify_computes_each_spectral_object_once(monkeypatch):
+    page2 = generate_instance(2, 3, GF(5), 1, surplus=(1, 1, 1, 1))
+    page3 = generate_instance(3, 2, GF(5), 1, surplus=(1, 1, 1, 1))
+    calls = _spectral_counters(monkeypatch)
+    assert verify_main_theorem(page2).all_pass
+    assert len(calls["page1"]) == 1
+
+    for recorded in calls.values():
+        recorded.clear()
+    assert verify_main_theorem(page3).all_pass
+    assert len(calls["page1"]) == 1
+    assert len(calls["built"]) == 2
+    # the closed form builds its own contraction, independent of page 1's
+    [[behind_page1]], [[behind_closed_form]] = (calls["page1"],
+                                                calls["closed_form_r"])
+    assert behind_closed_form is not behind_page1
+
+
+def test_disc_check_failure_is_flagged_and_size_mismatch_raises(monkeypatch):
+    from qrtorsion import superpotential
+    from qrtorsion.superpotential import PotentialError
+    inst = generate_instance(3, 2, QQ, 4)
+    inst.discs = DiscSystem(2, [([0, 0], 1)])
+    inst.representation = Representation(QQ, [QQ.one(), QQ.one()])
+    with monkeypatch.context() as m:
+        m.setattr(superpotential, "log_gradient",
+                  lambda W, phi: [QQ.one()] * phi.b)
+        rep = verify_main_theorem(inst)
+    assert rep.flags["disc_differential_match"] is False
+    assert "disc differential disagrees with the potential gradient" in rep.notes
+    # a representation of the wrong size is bad input, not a failed check
+    inst.representation = Representation(QQ, [QQ.one()])
+    with pytest.raises(PotentialError, match="size mismatch"):
+        verify_main_theorem(inst)
