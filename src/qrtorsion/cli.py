@@ -168,16 +168,24 @@ def cmd_verify(args):
 
 
 def cmd_batch(args):
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     F = field_from_string(args.field)
     master = random.Random(args.seed)
     seeds = [master.getrandbits(32) for _ in range(args.count)]
     surplus = (2, 2, 2, 2) if args.corrupt else (0, 0, 0, 0)
     digest = hashlib.sha256()
-    passed = detected = 0
+    passed = detected = unmutatable = 0
     histogram = {}
     for idx, s in enumerate(seeds):
         inst = generate_instance(args.page, args.b, F, s, surplus=surplus)
         if args.corrupt:
+            if inst.pearl.d2.is_zero():
+                # nothing to mutate: neither verified nor hashed
+                unmutatable += 1
+                if args.verbose:
+                    print(f"[{idx}] {inst.ident}: unmutatable")
+                continue
             inst = mutate_d2(inst, seed=s ^ 0x5EED)
         rep = verify_main_theorem(inst)
         text = schemas.dump(schemas.report_to_json(rep, F))
@@ -194,11 +202,12 @@ def cmd_batch(args):
                   f"{'pass' if rep.all_pass else 'FAIL'}")
     summary = {"v": schemas.VERSION, "kind": "batch",
                "count": args.count, "passed": passed,
-               "failed": args.count - passed,
+               "failed": args.count - passed - unmutatable,
                "failure_histogram": histogram,
                "digest": digest.hexdigest()}
     if args.corrupt:
         summary["detected"] = detected
+        summary["unmutatable"] = unmutatable
     _emit(summary, args.output)
     if args.corrupt:
         return 0

@@ -63,12 +63,7 @@ class Field:
         return a == self.zero()
 
     def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
+        raise NotImplementedError
 
     def parse(self, s: str):
         raise NotImplementedError
@@ -108,6 +103,11 @@ class RationalField(Field):
 
     def is_zero(self, a):
         return a == 0
+
+    def pow(self, a, n):
+        if n < 0 and a == 0:
+            raise FieldError("division by zero")
+        return Fraction(a) ** n
 
     def parse(self, s):
         return Fraction(s)
@@ -165,6 +165,12 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def pow(self, a, n):
+        a %= self.p
+        if n < 0 and a == 0:
+            raise FieldError("division by zero")
+        return pow(a, n, self.p)
 
     def parse(self, s):
         return int(s) % self.p

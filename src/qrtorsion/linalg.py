@@ -1,7 +1,9 @@
 """Exact dense linear algebra over a field, plus integer Smith normal form.
 
-Matrices are small (homology-sized), so plain Gaussian elimination over exact
-scalars is the right tool.  0 x n and n x 0 matrices are legal everywhere; the
+Plain Gaussian elimination over exact scalars.  Most matrices are
+homology-sized, but the page-2 Leibniz system is (b^3 + b^2 + b) x b^2
+(819 x 81 at b = 9), so ``rref`` runs on bare values and skips the zeros of
+each pivot row.  0 x n and n x 0 matrices are legal everywhere; the
 determinant of the 0 x 0 matrix is 1 (empty-product convention).
 """
 
@@ -179,34 +181,58 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns)."""
+        """Reduced row echelon form; returns (R, pivot_columns).
+
+        The pivot of each column is its first nonzero entry at or below the
+        current row.  Entries are bare values under native operators: over
+        F_p the input is reduced once and every updated entry once more;
+        over Q it is plain Fraction arithmetic.  Only the pivot row's
+        nonzero entries are walked, since the rest leave the other rows
+        unchanged.
+        """
         F = self.field
-        R = self.copy()
+        p = F.char
+        nrows, ncols = self.nrows, self.ncols
+        rows = [[a % p for a in r] for r in self.rows] if p else \
+            [list(r) for r in self.rows]
+        zero, one = F.zero(), F.one()
         pivots = []
         pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, self.nrows):
-                if not F.is_zero(R.rows[i][pc]):
-                    pivot_row = i
-                    break
+        for pc in range(ncols):
+            if pr == nrows:
+                break
+            pivot_row = next((i for i in range(pr, nrows) if rows[i][pc]), None)
             if pivot_row is None:
                 continue
-            R.rows[pr], R.rows[pivot_row] = R.rows[pivot_row], R.rows[pr]
-            inv = F.inv(R.rows[pr][pc])
-            R.rows[pr] = [F.mul(inv, a) for a in R.rows[pr]]
-            for i in range(self.nrows):
-                if i == pr:
+            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+            prow = rows[pr]
+            # rows pr.. are zero left of pc, so the pivot row is too
+            if p:
+                inv = pow(prow[pc], -1, p)
+                nz = [(j, prow[j] * inv % p) for j in range(pc + 1, ncols)
+                      if prow[j]]
+            else:
+                inv = one / prow[pc]
+                nz = [(j, prow[j] * inv) for j in range(pc + 1, ncols)
+                      if prow[j]]
+            prow[pc] = one
+            for j, v in nz:
+                prow[j] = v
+            for i in range(nrows):
+                row = rows[i]
+                c = row[pc]
+                if not c or i == pr:
                     continue
-                c = R.rows[i][pc]
-                if F.is_zero(c):
-                    continue
-                R.rows[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(R.rows[i], R.rows[pr])]
+                row[pc] = zero
+                if p:
+                    for j, v in nz:
+                        row[j] = (row[j] - c * v) % p
+                else:
+                    for j, v in nz:
+                        row[j] -= c * v
             pivots.append(pc)
             pr += 1
-            if pr == self.nrows:
-                break
-        return R, pivots
+        return Matrix(F, rows, nrows, ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])

@@ -67,9 +67,13 @@ class Page3Spec:
         self.r = int(r)
 
 
-def _unimodular(rng, n: int):
-    """Random integer matrix of determinant +-1 via elementary row sums."""
+def _unimodular(rng, n: int, inverse=False):
+    """Random integer matrix U of determinant +-1 via elementary row sums;
+    with inverse=True, the pair (U, U^-1).  Each row operation
+    row_i += c row_j on U is undone on the right of U^-1 by the column
+    operation col_j -= c col_i."""
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Ui = [list(row) for row in U]
     for _ in range(3 * n):
         i, j = rng.randrange(n) if n else 0, rng.randrange(n) if n else 0
         if n == 0 or i == j:
@@ -77,22 +81,8 @@ def _unimodular(rng, n: int):
         c = rng.choice([-2, -1, 1, 2])
         for k in range(n):
             U[i][k] += c * U[j][k]
-    return U
-
-
-def _int_inverse(U):
-    n = len(U)
-    M = Matrix.from_int_rows(QQ, U, nrows=n, ncols=n)
-    inv = M.inverse()
-    out = []
-    for row in inv.rows:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise ModelError("matrix is not unimodular")
-            r.append(int(x))
-        out.append(r)
-    return out
+            Ui[k][j] -= c * Ui[k][i]
+    return (U, Ui) if inverse else U
 
 
 def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
@@ -131,8 +121,7 @@ def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
         d3[b + t + p21 + a][1 + a] = 1
     rng = random.Random(seed)
     ranks = [r0, r1, r2, r3]
-    U = [_unimodular(rng, n) for n in ranks]
-    Ui = [_int_inverse(u) for u in U]
+    U, Ui = zip(*(_unimodular(rng, n, inverse=True) for n in ranks))
 
     def conj(d, k):
         m, n = ranks[k - 1], ranks[k]
@@ -203,21 +192,32 @@ class _AffineSystem:
                 self.rhs.append(C.rows[p][q])
 
     def sample(self, rng=None):
-        """A random solution, or None when the system is infeasible."""
+        """A random solution, or None when the system is infeasible.
+
+        One elimination of [M | rhs] gives both the particular solution (the
+        rhs column at the pivots) and the kernel: each free column j spans
+        e_j - sum over pivots of R[row][j] e_pivot, and draws one
+        coefficient in ascending order of j.
+        """
         F = self.field
-        M = Matrix(F, self.rows) if self.rows else Matrix.zeros(F, 0, self.size)
-        target = Matrix(F, [[x] for x in self.rhs]) if self.rhs else \
-            Matrix.zeros(F, 0, 1)
-        x0 = M.solve(target)
-        if x0 is None:
+        size = self.size
+        aug = Matrix(F, [row + [x] for row, x in zip(self.rows, self.rhs)],
+                     len(self.rows), size + 1)
+        R, pivots = aug.rref()
+        if pivots and pivots[-1] == size:
             return None
-        vec = [x0.rows[i][0] for i in range(self.size)]
+        vec = [F.zero()] * size
+        for pi, pc in enumerate(pivots):
+            vec[pc] = R.rows[pi][size]
         if rng is not None:
-            K = M.kernel_basis()
-            for c in range(K.ncols):
+            pivot_set = set(pivots)
+            for j in range(size):
+                if j in pivot_set:
+                    continue
                 coef = F.from_int(rng.randint(-4, 4))
-                for i in range(self.size):
-                    vec[i] = F.add(vec[i], F.mul(coef, K.rows[i][c]))
+                vec[j] = F.add(vec[j], coef)
+                for pi, pc in enumerate(pivots):
+                    vec[pc] = F.sub(vec[pc], F.mul(coef, R.rows[pi][j]))
         out = {}
         for name, (m, n) in self.shapes.items():
             off = self.offsets[name]
@@ -285,51 +285,56 @@ def solve_leibniz_derivation(I: TripleForm, r, field: Field, rng=None):
     """The degree-1 component of a derivation extending the rate vector:
     antisymmetric c with, writing the form values as structure constants,
       sum_m I(i,m,k) c_mj = r_i d_jk - d_ij r_k      (duality pairing)
-      sum_k I(i,j,k) c_mk = r_i d_jm - r_j d_im      (degree-2 products)
       c r = 0                                        (squares to zero)
     Returns a sampled solution or None when the constraints are infeasible.
+
+    The degree-2 product equations sum_k I(i,j,k) c_mk = r_i d_jm - r_j d_im
+    are implied and left out.  Read the pairing row (i,j,k) as (i,m,j):
+    sum_m' I(i,m',j) c_m'm = r_i d_mj - d_im r_j.  Since I(i,m',j) =
+    -I(i,j,m') and c_m'm = -c_mm', it differs from the product row (i,j,m)
+    by a combination of antisymmetry rows, whose right-hand side is 0.  The
+    augmented row space is therefore the same, and so is its (unique) RREF,
+    the particular solution, the kernel basis and the draws that sample
+    makes from rng.  The system is (b^3 + b^2 + b) x b^2.
     """
+    sol = _leibniz_system(I, r, field).sample(rng)
+    return None if sol is None else sol["c"]
+
+
+def _leibniz_system(I: TripleForm, r, field: Field) -> _AffineSystem:
+    """The linear system of solve_leibniz_derivation, unknown c row-major."""
     b = I.b
     F = field
     rF = [F.from_int(x) for x in r]
+    zero, one = F.zero(), F.one()
+    # form[i][k][m] = I(i+1, m+1, k+1), one lookup per value
+    form = [[[F.from_int(I.value(i, m, k)) for m in range(1, b + 1)]
+             for k in range(1, b + 1)] for i in range(1, b + 1)]
     sysm = _AffineSystem(F)
     sysm.unknown("c", b, b)
-    rows = []
-    rhs = []
-    def coeff_row():
-        return [F.zero()] * (b * b)
-    for i in range(1, b + 1):
-        for j in range(1, b + 1):
-            for k in range(1, b + 1):
-                row = coeff_row()
-                for m in range(1, b + 1):
-                    row[(m - 1) * b + (j - 1)] = F.from_int(I.value(i, m, k))
-                rows.append(row)
-                rhs.append(F.sub(F.mul(rF[i - 1], _kronecker(F, j, k)),
-                                 F.mul(_kronecker(F, i, j), rF[k - 1])))
-            for m in range(1, b + 1):
-                row = coeff_row()
-                for k in range(1, b + 1):
-                    row[(m - 1) * b + (k - 1)] = F.from_int(I.value(i, j, k))
-                rows.append(row)
-                rhs.append(F.sub(F.mul(rF[i - 1], _kronecker(F, j, m)),
-                                 F.mul(rF[j - 1], _kronecker(F, i, m))))
+    rows = sysm.rows
+    rhs = sysm.rhs
     for i in range(b):
         for j in range(b):
-            row = coeff_row()
-            row[i * b + j] = F.one()
-            row[j * b + i] = F.add(row[j * b + i], F.one())
-            rows.append(row)
-            rhs.append(F.zero())
-        row = coeff_row()
+            for k in range(b):
+                row = [zero] * (b * b)
+                for m, v in enumerate(form[i][k]):
+                    row[m * b + j] = v
+                rows.append(row)
+                rhs.append(F.sub(rF[i] if j == k else zero,
+                                 rF[k] if i == j else zero))
+    for i in range(b):
         for j in range(b):
-            row[i * b + j] = rF[j]
+            row = [zero] * (b * b)
+            row[i * b + j] = one
+            row[j * b + i] = F.add(row[j * b + i], one)
+            rows.append(row)
+            rhs.append(zero)
+        row = [zero] * (b * b)
+        row[i * b:(i + 1) * b] = rF
         rows.append(row)
-        rhs.append(F.zero())
-    sysm.rows = rows
-    sysm.rhs = rhs
-    sol = sysm.sample(rng)
-    return None if sol is None else sol["c"]
+        rhs.append(zero)
+    return sysm
 
 
 def _check_spec_homology(morse, H: ThreefoldHomology):

@@ -142,6 +142,24 @@ def test_batch_empty(capsys):
     assert doc["count"] == 0 and doc["passed"] == 0
 
 
+def test_batch_negative_count_exits_2(capsys):
+    code, out, err = run(capsys, "batch", "--page", "2", "--count", "-1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "--count" in json.loads(err)["error"]
+
+
+def test_batch_corrupt_skips_unmutatable(capsys):
+    # instance 60 of this corpus has d2 = 0, so there is nothing to mutate
+    code, out, _ = run(capsys, "batch", "--page", "2", "--count", "61",
+                       "--seed", "16", "--field", "F5", "--corrupt")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["unmutatable"] == 1
+    assert doc["failed"] == doc["count"] - doc["passed"] - doc["unmutatable"]
+    assert doc["detected"] == doc["failed"]
+
+
 def test_batch_corrupt_flags_everything(capsys):
     code, out, _ = run(capsys, "batch", "--page", "3", "--count", "8",
                        "--seed", "3", "--corrupt")

@@ -21,6 +21,23 @@ def test_prime_field_arithmetic():
         F.inv(F.zero())
 
 
+def test_pow_uses_builtin_exponentiation():
+    big = 10 ** 18
+    assert QQ.pow(QQ.one(), big) == 1
+    assert QQ.pow(QQ.from_int(-1), big + 1) == -1
+    assert QQ.pow(QQ.parse("2/3"), -2) == QQ.parse("9/4")
+    assert QQ.pow(QQ.zero(), 0) == 1
+    F = GF(7)
+    assert F.pow(3, big) == pow(3, big, 7)
+    assert F.pow(3, -big) == F.inv(pow(3, big, 7))
+    assert F.pow(-4, 2) == 2                  # raw residues are reduced
+    for field in (QQ, F):
+        with pytest.raises(FieldError):
+            field.pow(field.zero(), -big)
+    with pytest.raises(FieldError):
+        F.pow(14, -1)
+
+
 def test_characteristic_two_rejected():
     with pytest.raises(FieldError):
         GF(2)

@@ -1,0 +1,220 @@
+"""Differential tests of the elimination kernel against sympy's DomainMatrix,
+and of the page-2 Leibniz system against the full system it replaced.
+
+sympy and hypothesis are test-only dependencies; the library never imports
+them.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+from sympy import GF as SGF, QQ as SQQ
+from sympy.polys.matrices import DomainMatrix
+
+from qrtorsion.fields import QQ, GF
+from qrtorsion.generate import canonical_form, _transpose_apply
+from qrtorsion.linalg import Matrix
+from qrtorsion.models import _AffineSystem, _leibniz_system, _unimodular
+from qrtorsion.threefold import TripleForm
+
+FIELDS = [QQ, GF(5), GF(7)]
+
+
+def _to_sympy(A):
+    F = A.field
+    if F.char:
+        K = SGF(F.char)
+        rows = [[K(int(a)) for a in r] for r in A.rows]
+    else:
+        K = SQQ
+        rows = [[K(a.numerator, a.denominator) for a in r] for r in A.rows]
+    return DomainMatrix(rows, (A.nrows, A.ncols), K)
+
+
+def _from_sympy(D, F):
+    M = D.to_Matrix()
+    if F.char:
+        return [[int(M[i, j]) % F.char for j in range(M.cols)]
+                for i in range(M.rows)]
+    return [[Fraction(int(M[i, j].p), int(M[i, j].q)) for j in range(M.cols)]
+            for i in range(M.rows)]
+
+
+@st.composite
+def matrices(draw, max_dim=6):
+    F = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    # sparse-ish small integers; over F_p they are raw, not canonical residues
+    ints = st.one_of(st.just(0), st.integers(-40, 40))
+    if F.char:
+        entry = ints
+    else:
+        entry = st.builds(Fraction, ints, st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return Matrix(F, rows, m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_rank_kernel_match_sympy(A):
+    R, pivots = A.rref()
+    SR, spivots = _to_sympy(A).rref()
+    assert pivots == list(spivots)
+    assert R.rows == _from_sympy(SR, A.field)
+    assert A.rank() == _to_sympy(A).rank()
+    K = A.kernel_basis()
+    assert (K.nrows, K.ncols) == (A.ncols, A.ncols - len(pivots))
+    assert (A * K).is_zero()
+    if K.ncols:
+        # same kernel: the row spaces of the two bases have one RREF
+        assert K.transpose().rref()[0].rows == \
+            _from_sympy(_to_sympy(A).nullspace().rref()[0], A.field)
+        for j in set(range(A.ncols)) - set(pivots):
+            assert sum(K.rows[j]) == 1      # free columns carry a unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_matches_sympy(data):
+    A = data.draw(matrices())
+    b = data.draw(st.lists(st.integers(-40, 40), min_size=A.nrows,
+                           max_size=A.nrows))
+    F = A.field
+    B = Matrix(F, [[F.from_int(x)] for x in b], A.nrows, 1)
+    SR, spivots = _to_sympy(A.hstack(B)).rref()
+    X = A.solve(B)
+    if spivots and spivots[-1] == A.ncols:
+        assert X is None
+        return
+    R = _from_sympy(SR, F)
+    want = [[F.zero()] for _ in range(A.ncols)]
+    for pi, pc in enumerate(spivots):
+        want[pc] = [R[pi][A.ncols]]
+    assert X.rows == want
+    assert A * X == B
+
+
+# -- the Leibniz system against the full one ---------------------------------
+
+def _full_leibniz_rows(I, r, F):
+    """The system with the degree-2 product family, as it was first built:
+    rows (i, j, k) of the pairing family, then for each (i, j) the product
+    rows (i, j, m), then antisymmetry and c r = 0."""
+    b = I.b
+    rF = [F.from_int(x) for x in r]
+    delta = lambda a, c: F.one() if a == c else F.zero()
+    rows, rhs = [], []
+    for i in range(1, b + 1):
+        for j in range(1, b + 1):
+            for k in range(1, b + 1):
+                row = [F.zero()] * (b * b)
+                for m in range(1, b + 1):
+                    row[(m - 1) * b + (j - 1)] = F.from_int(I.value(i, m, k))
+                rows.append(row)
+                rhs.append(F.sub(F.mul(rF[i - 1], delta(j, k)),
+                                 F.mul(delta(i, j), rF[k - 1])))
+            for m in range(1, b + 1):
+                row = [F.zero()] * (b * b)
+                for k in range(1, b + 1):
+                    row[(m - 1) * b + (k - 1)] = F.from_int(I.value(i, j, k))
+                rows.append(row)
+                rhs.append(F.sub(F.mul(rF[i - 1], delta(j, m)),
+                                 F.mul(rF[j - 1], delta(i, m))))
+    for i in range(b):
+        for j in range(b):
+            row = [F.zero()] * (b * b)
+            row[i * b + j] = F.one()
+            row[j * b + i] = F.add(row[j * b + i], F.one())
+            rows.append(row)
+            rhs.append(F.zero())
+        row = [F.zero()] * (b * b)
+        for j in range(b):
+            row[i * b + j] = rF[j]
+        rows.append(row)
+        rhs.append(F.zero())
+    return rows, rhs
+
+
+def _nonzero_rref(rows, rhs, F):
+    aug = Matrix(F, [row + [x] for row, x in zip(rows, rhs)])
+    R, pivots = aug.rref()
+    return R.rows[:len(pivots)], pivots
+
+
+def _check_same_system(I, r, F):
+    b = I.b
+    new = _leibniz_system(I, r, F)
+    assert len(new.rows) == b ** 3 + b * b + b
+    old_rows, old_rhs = _full_leibniz_rows(I, r, F)
+    assert _nonzero_rref(new.rows, new.rhs, F) == \
+        _nonzero_rref(old_rows, old_rhs, F)
+    old = _AffineSystem(F)
+    old.unknown("c", b, b)
+    old.rows, old.rhs = old_rows, old_rhs
+    a, c = new.sample(random.Random(b)), old.sample(random.Random(b))
+    assert (a is None) == (c is None)
+    if a is not None:
+        assert a["c"] == c["c"]
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
+@pytest.mark.parametrize("b", [3, 5, 7])
+def test_leibniz_system_matches_full_system_on_transported_forms(b, F):
+    rng = random.Random(100 + b)
+    for _ in range(2):
+        U = _unimodular(rng, b)
+        I = canonical_form(b).apply_unimodular(U)
+        r = _transpose_apply(U, [1] + [0] * (b - 1))
+        _check_same_system(I, r, F)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
+def test_leibniz_system_matches_full_system_on_random_forms(F):
+    rng = random.Random(4)
+    for b in (3, 4, 5):
+        for _ in range(4):
+            I = TripleForm(b)
+            for i in range(1, b + 1):
+                for j in range(i + 1, b + 1):
+                    for k in range(j + 1, b + 1):
+                        I.set(i, j, k, rng.choice([0, 0, 1, -1, 2, 3]))
+            r = [rng.randint(-3, 3) for _ in range(b)]
+            _check_same_system(I, r, F)
+            # a zero rate keeps the system feasible, with a nonzero kernel
+            _check_same_system(I, [0] * b, F)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_affine_sample_matches_solve_plus_kernel(data):
+    """One elimination of [M | rhs] samples what solve and kernel_basis did:
+    same particular solution, same kernel basis, same draws."""
+    A = data.draw(matrices())
+    F = A.field
+    rhs = [F.from_int(x) for x in data.draw(st.lists(
+        st.integers(-40, 40), min_size=A.nrows, max_size=A.nrows))]
+    seed = data.draw(st.integers(0, 2 ** 32))
+    sysm = _AffineSystem(F)
+    sysm.unknown("x", A.ncols, 1)
+    sysm.rows, sysm.rhs = [list(r) for r in A.rows], rhs
+    mine = random.Random(seed)
+    got = sysm.sample(mine)
+    x0 = A.solve(Matrix(F, [[x] for x in rhs], A.nrows, 1))
+    if x0 is None:
+        assert got is None
+        return
+    rng = random.Random(seed)
+    K = A.kernel_basis()
+    vec = [x0.rows[i][0] for i in range(A.ncols)]
+    for c in range(K.ncols):
+        coef = F.from_int(rng.randint(-4, 4))
+        vec = [F.add(v, F.mul(coef, K.rows[i][c])) for i, v in enumerate(vec)]
+    assert got["x"].rows == [[v] for v in vec]
+    assert mine.getstate() == rng.getstate()
