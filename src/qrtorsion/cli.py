@@ -4,7 +4,8 @@ Verbs: torsion, spectral, classify, generate, potential, verify, batch.
 All reports are JSON with sorted keys, so output is byte-identical for
 identical (command line, input files, seed).  Errors go to standard
 error as {"error": ..., "where": ...}; exit codes are 0 for success or
-an all-pass verification, 1 for a verification failure, 2 for bad input.
+an all-pass verification, 1 for a verification failure, 2 for bad input,
+3 for an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -283,14 +284,14 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except NotNarrowError:
-        json.dump({"error": "torsion undefined, complex not narrow",
-                   "where": args.verb}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        message, code = "torsion undefined, complex not narrow", 2
     except INPUT_ERRORS as e:
-        json.dump({"error": str(e), "where": args.verb}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        message, code = str(e), 2
+    except Exception as e:
+        message, code = f"internal error: {type(e).__name__}: {e}", 3
+    json.dump({"error": message, "where": args.verb}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

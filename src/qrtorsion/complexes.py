@@ -8,6 +8,8 @@ d2 (degree +3) come from the minimal Maslov number being two on a 3-fold.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .fields import Field, QQ
 from .linalg import IntegerMatrix, Matrix, smith_normal_form
 
@@ -118,13 +120,9 @@ def integral_homology(C: BasedChainComplex):
         invf = [a for a in dq if a > 1]
         free_ranks.append(zk - rank_im)
         torsion.append(invf)
-        # free-part representatives: Z * U^{-1} columns past the image rank.
-        # U^{-1} is recovered by solving over Q (entries are integers).
-        Uinv = sq.U.to_field(QQ).inverse()
-        Uinv_int = IntegerMatrix([[_as_int(x) for x in row] for row in Uinv.rows], zk, zk)
-        pick = IntegerMatrix([[1 if (i == rank_im + j) else 0 for j in range(zk - rank_im)]
-                              for i in range(zk)], zk, zk - rank_im)
-        reps.append(Z * (Uinv_int * pick))
+        # free-part representatives: Z * U^{-1} columns past the image rank
+        free = IntegerMatrix([r[rank_im:] for r in sq.Uinv.rows], zk, zk - rank_im)
+        reps.append(Z * free)
     return IntegralHomology(free_ranks, torsion), reps
 
 
@@ -134,25 +132,28 @@ def _as_int(x):
     return x.numerator
 
 
+def admissibility_error(invariant_factors, field: Field):
+    """Why the field characteristic is inadmissible for homology with these
+    invariant factors, or None when it is 0 or an odd prime dividing none."""
+    p = field.char
+    if p == 2:
+        return "characteristic two is not supported"
+    bad = [a for a in invariant_factors if p and a % p == 0]
+    return f"characteristic {p} divides invariant factor {bad[0]}" if bad else None
+
+
 def admissible_characteristic(H: IntegralHomology, field: Field) -> bool:
-    """True iff the field characteristic is 0, or an odd prime dividing no
-    invariant factor of the homology."""
-    if field.char == 0:
-        return True
-    if field.char == 2:
-        return False
-    for t in H.torsion:
-        for a in t:
-            if a % field.char == 0:
-                return False
-    return True
+    """True iff :func:`admissibility_error` finds nothing in any degree."""
+    return admissibility_error([a for t in H.torsion for a in t], field) is None
 
 
 class TwistedPearlComplex:
     """Morse complex (degrees 0..3) over a field with disc corrections.
 
     dM[k] : C_k -> C_{k-1} (k=1..3), d1[k] : C_k -> C_{k+1} (k=0..2),
-    d2 : C_0 -> C_3.
+    d2 : C_0 -> C_3.  A pearl is immutable once built: nothing changes its
+    matrices afterwards (``generate.mutate_d2`` builds a new pearl), so the
+    d^2 = 0 check is computed once, as :attr:`defects`.
     """
 
     TOP = 3
@@ -186,27 +187,33 @@ class TwistedPearlComplex:
         cols = self.ranks[k] if 0 <= k <= 3 else 0
         return Matrix.zeros(self.field, rows, cols)
 
+    @cached_property
+    def defects(self) -> tuple[str, ...]:
+        """The graded components of d^2 = 0 that fail, checked on first use;
+        empty iff valid."""
+        bad = []
+        # d_M^2 = 0 is enforced by BasedChainComplex; check the two disc identities.
+        for k in range(4):
+            # (d_M d1 + d1 d_M) : C_k -> C_k
+            t = self.dM(k + 1) * self.d1_map(k)
+            t = t + self.d1_map(k - 1) * self.dM(k)
+            if not t.is_zero():
+                bad.append(f"d_M d1 + d1 d_M != 0 in degree {k}")
+        for k in range(2):
+            # (d1^2 + d_M d2 + d2 d_M) : C_k -> C_{k+2}
+            t = self.d1_map(k + 1) * self.d1_map(k)
+            if k == 0:
+                t = t + self.dM(3) * self.d2
+            if k == 1:
+                t = t + self.d2 * self.dM(1)
+            if not t.is_zero():
+                bad.append(f"d1^2 + d_M d2 + d2 d_M != 0 in degree {k}")
+        return tuple(bad)
+
 
 def validate_pearl(P: TwistedPearlComplex) -> list[str]:
     """Names of the graded components of d^2 = 0 that fail; empty iff valid."""
-    bad = []
-    # d_M^2 = 0 is enforced by BasedChainComplex; re-check the two disc identities.
-    for k in range(4):
-        # (d_M d1 + d1 d_M) : C_k -> C_k
-        t = P.dM(k + 1) * P.d1_map(k)
-        t = t + P.d1_map(k - 1) * P.dM(k)
-        if not t.is_zero():
-            bad.append(f"d_M d1 + d1 d_M != 0 in degree {k}")
-    for k in range(2):
-        # (d1^2 + d_M d2 + d2 d_M) : C_k -> C_{k+2}
-        t = P.d1_map(k + 1) * P.d1_map(k)
-        if k == 0:
-            t = t + P.dM(3) * P.d2
-        if k == 1:
-            t = t + P.d2 * P.dM(1)
-        if not t.is_zero():
-            bad.append(f"d1^2 + d_M d2 + d2 d_M != 0 in degree {k}")
-    return bad
+    return list(P.defects)
 
 
 class PeriodicComplex:

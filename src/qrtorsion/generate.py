@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from .fields import Field, field_to_string
+from .complexes import admissibility_error
 from .threefold import ThreefoldHomology, TripleForm
 from .models import (Page2Spec, Page3Spec, ModelError, realize_morse,
                      homology_bases, lift_derivation_page2,
@@ -50,13 +51,10 @@ def _transpose_apply(U, v):
     return [sum(U[i][j] * v[i] for i in range(n)) for j in range(n)]
 
 
-def check_admissible(field: Field, torsion):
-    p = field.char
-    if p:
-        for a in torsion:
-            if a % p == 0:
-                raise GenerateError(
-                    f"characteristic {p} divides invariant factor {a}")
+def check_admissible(field: Field, H: ThreefoldHomology):
+    error = admissibility_error(H.torsion, field)
+    if error:
+        raise GenerateError(error)
 
 
 def generate_instance(page: int, b: int, field: Field, seed: int,
@@ -67,14 +65,13 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
     pairing for page 3) is hidden behind a seeded unimodular change of
     homology basis, so repeated calls explore genuinely different data.
     """
-    torsion = [int(a) for a in torsion]
-    check_admissible(field, torsion)
+    H = ThreefoldHomology(b, torsion)
+    check_admissible(field, H)
     master = random.Random(seed)
     morse_seed = master.getrandbits(32)
     transport = random.Random(master.getrandbits(32))
     lift_seed = master.getrandbits(32)
     rate_pick = random.Random(master.getrandbits(32))
-    H = ThreefoldHomology(b, torsion)
     morse = realize_morse(H, surplus, seed=morse_seed)
     F = field
     if page == 2:

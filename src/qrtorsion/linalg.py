@@ -3,17 +3,30 @@
 Plain Gaussian elimination over exact scalars.  Most matrices are
 homology-sized, but the page-2 Leibniz system is (b^3 + b^2 + b) x b^2
 (819 x 81 at b = 9), so ``rref`` runs on bare values and skips the zeros of
-each pivot row.  0 x n and n x 0 matrices are legal everywhere; the
-determinant of the 0 x 0 matrix is 1 (empty-product convention).
+each pivot row.  Products and determinants run on integers (residues, or
+rows and columns cleared of denominators), the determinant by Bareiss's
+fraction-free elimination.  0 x n and n x 0 matrices are legal everywhere;
+the determinant of the 0 x 0 matrix is 1 (empty-product convention).
 """
 
 from __future__ import annotations
 
-from .fields import Field, FieldError
+from fractions import Fraction
+from math import lcm, prod
+from operator import mul
+
+from .fields import Field
 
 
 class LinAlgError(Exception):
     pass
+
+
+def _clear_denominators(values):
+    """(integers, d) with integers = d * values, d the lcm of the
+    denominators of the rationals (or ints) in ``values``."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 class Matrix:
@@ -50,13 +63,6 @@ class Matrix:
         rows = [[field.from_int(x) for x in r] for r in int_rows]
         return cls(field, rows, nrows, ncols)
 
-    @classmethod
-    def column(cls, field, entries):
-        return cls(field, [[e] for e in entries], len(entries), 1)
-
-    def copy(self):
-        return Matrix(self.field, [list(r) for r in self.rows], self.nrows, self.ncols)
-
     # -- basic algebra -----------------------------------------------------
 
     def __eq__(self, other):
@@ -84,26 +90,24 @@ class Matrix:
         return Matrix(F, [[F.neg(a) for a in r] for r in self.rows], self.nrows, self.ncols)
 
     def __mul__(self, other):
+        """Matrix product on bare values: over F_p one ``% p`` per entry of
+        integer dot products; over Q integer dot products of rows and
+        columns cleared of denominators, one Fraction per entry."""
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.ncols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         F = self.field
-        z = F.zero()
-        out = Matrix.zeros(F, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if F.is_zero(a):
-                    continue
-                rk = other.rows[k]
-                for j in range(other.ncols):
-                    b = rk[j]
-                    if b != z:
-                        oi[j] = F.add(oi[j], F.mul(a, b))
-        return out
+        p = F.char
+        cols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
+        if p:
+            rows = [[sum(map(mul, r, c)) % p for c in cols] for r in self.rows]
+        else:
+            A = [_clear_denominators(r) for r in self.rows]
+            B = [_clear_denominators(c) for c in cols]
+            rows = [[Fraction(sum(map(mul, a, b)), da * db) for b, db in B]
+                    for a, da in A]
+        return Matrix(F, rows, self.nrows, other.ncols)
 
     def scale(self, c):
         F = self.field
@@ -125,9 +129,6 @@ class Matrix:
 
     # -- slicing / stacking ------------------------------------------------
 
-    def col(self, j):
-        return Matrix(self.field, [[r[j]] for r in self.rows], self.nrows, 1)
-
     def cols(self, js):
         return Matrix(self.field, [[r[j] for j in js] for r in self.rows], self.nrows, len(js))
 
@@ -141,12 +142,6 @@ class Matrix:
             raise LinAlgError("row count mismatch in hstack")
         rows = [r1 + r2 for r1, r2 in zip(self.rows, other.rows)]
         return Matrix(self.field, rows, self.nrows, self.ncols + other.ncols)
-
-    def vstack(self, other):
-        self._check_shape(other)
-        if other.ncols != self.ncols:
-            raise LinAlgError("column count mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows, self.nrows + other.nrows, self.ncols)
 
     @classmethod
     def hstack_all(cls, field, mats, nrows=None):
@@ -237,9 +232,6 @@ class Matrix:
     def rank(self):
         return len(self.rref()[1])
 
-    def pivot_columns(self):
-        return self.rref()[1]
-
     def kernel_basis(self):
         """Matrix whose columns form a basis of the kernel."""
         F = self.field
@@ -254,36 +246,19 @@ class Matrix:
 
     def column_space_basis(self):
         """Columns of self at the rref pivot set: a basis of the image."""
-        return self.cols(self.pivot_columns())
+        return self.cols(self.rref()[1])
 
     def determinant(self):
+        """Bareiss on integers: over F_p the residues themselves, over Q the
+        rows cleared of denominators, whose product then divides the result."""
         if self.nrows != self.ncols:
             raise LinAlgError("determinant of non-square matrix")
-        F = self.field
-        n = self.nrows
-        if n == 0:
-            return F.one()
-        M = [list(r) for r in self.rows]
-        det = F.one()
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if not F.is_zero(M[i][c]):
-                    piv = i
-                    break
-            if piv is None:
-                return F.zero()
-            if piv != c:
-                M[c], M[piv] = M[piv], M[c]
-                det = F.neg(det)
-            det = F.mul(det, M[c][c])
-            inv = F.inv(M[c][c])
-            for i in range(c + 1, n):
-                f = F.mul(M[i][c], inv)
-                if F.is_zero(f):
-                    continue
-                M[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(M[i], M[c])]
-        return det
+        p = self.field.char
+        if p:
+            return IntegerMatrix(self.rows, self.nrows, self.ncols).determinant() % p
+        rows = [_clear_denominators(r) for r in self.rows]
+        det = IntegerMatrix([a for a, _ in rows], self.nrows, self.ncols).determinant()
+        return Fraction(det, prod(d for _, d in rows))
 
     def solve(self, b: "Matrix"):
         """Some X with self @ X = b, or None when there is no solution."""
@@ -353,15 +328,9 @@ class IntegerMatrix:
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise LinAlgError("shape mismatch")
-        out = IntegerMatrix.zeros(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            for k in range(self.ncols):
-                a = self.rows[i][k]
-                if a == 0:
-                    continue
-                for j in range(other.ncols):
-                    out.rows[i][j] += a * other.rows[k][j]
-        return out
+        cols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
+        return IntegerMatrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows],
+                             self.nrows, other.ncols)
 
     def __neg__(self):
         return IntegerMatrix([[-a for a in r] for r in self.rows], self.nrows, self.ncols)
@@ -406,12 +375,14 @@ class IntegerMatrix:
 
 
 class SmithDecomposition:
-    """U @ A @ V = D with U, V unimodular and D diagonal with a divisibility chain."""
+    """U @ A @ V = D with U, V unimodular and D diagonal with a divisibility
+    chain; Uinv is the inverse of U."""
 
-    __slots__ = ("U", "D", "V")
+    __slots__ = ("U", "Uinv", "D", "V")
 
-    def __init__(self, U, D, V):
+    def __init__(self, U, Uinv, D, V):
         self.U = U
+        self.Uinv = Uinv
         self.D = D
         self.V = V
 
@@ -430,17 +401,21 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
     Pivoting picks the smallest-absolute-value nonzero entry (rows swapped
-    before columns) so the output is deterministic.
+    before columns) so the output is deterministic.  Each row operation on U
+    is undone on Uinv by the inverse column operation, so U @ Uinv = I.
     """
     D = A.copy()
     U = IntegerMatrix.identity(A.nrows)
+    Uinv = IntegerMatrix.identity(A.nrows)
     V = IntegerMatrix.identity(A.ncols)
     n, m = A.nrows, A.ncols
 
     def row_op(i, j, q):
-        # row_i -= q * row_j in D and U
+        # row_i -= q * row_j in D and U; col_j += q * col_i in Uinv
         for M in (D, U):
             M.rows[i] = [a - q * b for a, b in zip(M.rows[i], M.rows[j])]
+        for r in Uinv.rows:
+            r[j] += q * r[i]
 
     def col_op(i, j, q):
         # col_i -= q * col_j in D and V
@@ -451,6 +426,8 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     def swap_rows(i, j):
         for M in (D, U):
             M.rows[i], M.rows[j] = M.rows[j], M.rows[i]
+        for r in Uinv.rows:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for M in (D, V):
@@ -460,6 +437,8 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     def negate_row(i):
         for M in (D, U):
             M.rows[i] = [-a for a in M.rows[i]]
+        for r in Uinv.rows:
+            r[i] = -r[i]
 
     def diagonalize(t0):
         t = t0
@@ -524,4 +503,4 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             break
         col_op(bad, bad + 1, -1)  # col_bad += col_{bad+1}
         diagonalize(bad)
-    return SmithDecomposition(U, D, V)
+    return SmithDecomposition(U, Uinv, D, V)

@@ -11,7 +11,8 @@ import json
 
 from .fields import Field, field_from_string, field_to_string
 from .linalg import Matrix
-from .complexes import BasedChainComplex, TwistedPearlComplex, PeriodicComplex
+from .complexes import (BasedChainComplex, TwistedPearlComplex, PeriodicComplex,
+                        admissibility_error)
 from .threefold import ThreefoldHomology, TripleForm
 from .superpotential import DiscSystem, Representation
 from .verifier import Instance, VerificationReport
@@ -29,12 +30,19 @@ def _require(doc, key, where):
     return doc[key]
 
 
+def _list(value, where, length):
+    if not isinstance(value, list) or len(value) != length:
+        raise SchemaError(f"{where} must be a list of {length} items")
+    return value
+
+
 def matrix_to_json(M: Matrix):
     return [[M.field.format(x) for x in row] for row in M.rows]
 
 
 def matrix_from_json(field: Field, data, nrows, ncols, where):
-    if len(data) != nrows or any(len(r) != ncols for r in data):
+    if (not isinstance(data, list) or len(data) != nrows
+            or any(not isinstance(r, list) or len(r) != ncols for r in data)):
         raise SchemaError(f"matrix in {where} must be {nrows}x{ncols}")
     try:
         rows = [[field.parse(x) for x in r] for r in data]
@@ -98,13 +106,12 @@ def pearl_to_json(P: TwistedPearlComplex):
 
 def pearl_from_json(doc) -> TwistedPearlComplex:
     F = field_from_doc(doc, "pearl")
-    ranks = [int(r) for r in _require(doc, "ranks", "pearl")]
-    if len(ranks) != 4:
-        raise SchemaError("pearl complexes have degrees 0..3")
+    ranks = [int(r) for r in _list(_require(doc, "ranks", "pearl"),
+                                   "pearl ranks (degrees 0..3)", 4)]
     dM = [matrix_from_json(F, m, ranks[k], ranks[k + 1], f"dM_{k + 1}")
-          for k, m in enumerate(_require(doc, "dM", "pearl"))]
+          for k, m in enumerate(_list(_require(doc, "dM", "pearl"), "dM", 3))]
     d1 = [matrix_from_json(F, m, ranks[k + 1], ranks[k], f"d1_{k}")
-          for k, m in enumerate(_require(doc, "d1", "pearl"))]
+          for k, m in enumerate(_list(_require(doc, "d1", "pearl"), "d1", 3))]
     d2 = matrix_from_json(F, _require(doc, "d2", "pearl"), ranks[3], ranks[0],
                           "d2")
     return TwistedPearlComplex(F, ranks, dM, d1, d2)
@@ -191,6 +198,12 @@ def instance_from_json(doc) -> Instance:
     pearl = pearl_from_json(pearl_doc)
     homology = homology_from_json(_require(doc, "homology", "instance"))
     form = form_from_json(_require(doc, "form", "instance"))
+    if form.b != homology.b:
+        raise SchemaError(f"form.b = {form.b} differs from homology.b = "
+                          f"{homology.b}")
+    error = admissibility_error(homology.torsion, F)
+    if error:
+        raise SchemaError(f"inadmissible field {field_to_string(F)}: {error}")
     bases = bases_from_json(F, pearl.ranks, _require(doc, "bases", "instance"))
     discs = discs_from_json(doc["discs"]) if "discs" in doc else None
     representation = None

@@ -159,10 +159,7 @@ def q_form(A: Matrix, r, field: Field) -> QForm:
     detA = A.determinant()
     if field.is_zero(detA):
         raise VerifierError("singular degree-1 differential on page 3")
-    Q = A.inverse()
-    for i in range(b):
-        for j in range(b):
-            Q.rows[i][j] = field.mul(r, Q.rows[i][j])
+    Q = A.inverse().scale(r)
     detQ = Q.determinant()
     if detQ != field.div(field.pow(r, b), detA):
         raise VerifierError("determinant identity for Q failed")

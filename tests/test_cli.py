@@ -76,6 +76,59 @@ def test_inadmissible_characteristic_exits_2(capsys):
     assert "invariant factor 5" in json.loads(err)["error"]
 
 
+def _edited_instance(tmp_path, capsys, edit, field="Q"):
+    path = str(tmp_path / "inst.json")
+    run(capsys, "generate", "--page", "3", "--b", "2", "--field", field,
+        "--seed", "4", "-o", path)
+    doc = json.load(open(path))
+    edit(doc)
+    open(path, "w").write(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("value", [None, 7, "x", {"0": []}, [[], []]],
+                         ids=repr)
+def test_verify_non_list_disc_maps_exit_2(tmp_path, capsys, value):
+    path = _edited_instance(tmp_path, capsys,
+                            lambda doc: doc["pearl"].update(d1=value))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2 and out == ""
+    assert "d1" in json.loads(err)["error"]
+
+
+def test_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):
+    from qrtorsion import cli
+
+    def broken(inst):
+        raise RuntimeError("boom")
+
+    path = _edited_instance(tmp_path, capsys, lambda doc: None)
+    monkeypatch.setattr(cli, "verify_main_theorem", broken)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "internal error: RuntimeError: boom",
+                               "where": "verify"}
+
+
+def test_verify_inconsistent_instance_exits_2(tmp_path, capsys):
+    path = _edited_instance(tmp_path, capsys,
+                            lambda doc: doc["form"].update(b=3))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2 and out == ""
+    assert "form.b = 3 differs from homology.b = 2" in json.loads(err)["error"]
+
+    path = _edited_instance(tmp_path, capsys,
+                            lambda doc: doc["homology"].update(torsion=[5]),
+                            field="Fp:5")
+    for verb in ("verify", "spectral"):
+        code, out, err = run(capsys, verb, path)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            "inadmissible field Fp:5: characteristic 5 divides invariant "
+            "factor 5")
+
+
 def test_verify_failure_exits_1(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     run(capsys, "generate", "--page", "3", "--b", "2", "--seed", "4",

@@ -64,6 +64,7 @@ def test_smith_normal_form_random():
                            for _ in range(m)], m, n)
         snf = smith_normal_form(A)
         assert snf.U * A * snf.V == snf.D
+        assert snf.U * snf.Uinv == IntegerMatrix.identity(m)
         diag = [snf.D.rows[i][i] for i in range(min(m, n))]
         for i in range(len(diag) - 1):
             if diag[i + 1]:

@@ -1,5 +1,6 @@
-"""Differential tests of the elimination kernel against sympy's DomainMatrix,
-and of the page-2 Leibniz system against the full system it replaced.
+"""Differential tests of the elimination kernel, products and determinants
+against sympy's DomainMatrix, and of the page-2 Leibniz system against the
+full system it replaced.
 
 sympy and hypothesis are test-only dependencies; the library never imports
 them.
@@ -99,6 +100,92 @@ def test_solve_matches_sympy(data):
         want[pc] = [R[pi][A.ncols]]
     assert X.rows == want
     assert A * X == B
+
+
+def _matrix(draw, F, m, n):
+    """Raw small integers over F_p (not canonical residues); over Q small
+    fractions mixed with plain ints."""
+    ints = st.one_of(st.just(0), st.integers(-40, 40))
+    entry = ints if F.char else st.one_of(
+        st.builds(Fraction, ints, st.integers(1, 6)), ints)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return Matrix(F, rows, m, n)
+
+
+def _assert_canonical(F, values):
+    for x in values:
+        if F.char:
+            assert type(x) is int and 0 <= x < F.char
+        else:
+            assert type(x) is Fraction
+
+
+def _sympy_scalar(K, F, x):
+    x = K.to_sympy(x)
+    if F.char:
+        return int(x) % F.char
+    return Fraction(int(x.p), int(x.q))
+
+
+def _sympy_product(A, B):
+    F = A.field
+    if not (A.nrows and A.ncols and B.ncols):
+        return [[F.zero()] * B.ncols for _ in range(A.nrows)]
+    return _from_sympy(_to_sympy(A).matmul(_to_sympy(B)), F)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matmul_matches_sympy(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    m, k, n = (data.draw(st.integers(0, 6)) for _ in range(3))
+    A, B = _matrix(data.draw, F, m, k), _matrix(data.draw, F, k, n)
+    P = A * B
+    assert (P.nrows, P.ncols) == (m, n)
+    assert P.rows == _sympy_product(A, B)
+    _assert_canonical(F, [x for r in P.rows for x in r])
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+@pytest.mark.parametrize("m,k,n", [(0, 3, 0), (3, 0, 2), (0, 0, 0), (2, 0, 0)])
+def test_matmul_through_empty_dimensions(F, m, k, n):
+    A = Matrix(F, [[F.from_int(i + j + 1) for j in range(k)]
+                   for i in range(m)], m, k)
+    B = Matrix(F, [[F.from_int(i - j) for j in range(n)]
+                   for i in range(k)], k, n)
+    P = A * B
+    assert (P.nrows, P.ncols) == (m, n)
+    assert P == Matrix.zeros(F, m, n)
+    _assert_canonical(F, [x for r in P.rows for x in r])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_determinant_matches_sympy(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(0, 6))
+    A = _matrix(data.draw, F, n, n)
+    det = A.determinant()
+    _assert_canonical(F, [det])
+    if n == 0:
+        assert det == F.one()
+        return
+    S = _to_sympy(A)
+    assert det == _sympy_scalar(S.domain, F, S.det())
+
+
+def test_non_canonical_residues_and_plain_ints():
+    F = GF(7)
+    A = Matrix(F, [[9, -1], [15, 22]], 2, 2)
+    assert (A * A).rows == [[3, 4], [3, 0]]
+    assert A.determinant() == 3
+    A = Matrix(QQ, [[1, Fraction(1, 2)], [3, 4]], 2, 2)
+    assert (A * A).rows == [[Fraction(5, 2), Fraction(5, 2)],
+                            [Fraction(15), Fraction(35, 2)]]
+    assert A.determinant() == Fraction(5, 2)
+    _assert_canonical(QQ, [x for r in (A * A).rows for x in r] +
+                      [A.determinant()])
 
 
 # -- the Leibniz system against the full one ---------------------------------

@@ -166,6 +166,28 @@ def test_verify_computes_each_spectral_object_once(monkeypatch):
     assert behind_closed_form is not behind_page1
 
 
+def test_verify_checks_the_pearl_once(monkeypatch):
+    from qrtorsion.complexes import TwistedPearlComplex
+    from qrtorsion.schemas import instance_from_json, instance_to_json
+    defects = TwistedPearlComplex.defects.func.__code__
+    inside = []
+    product = Matrix.__mul__
+
+    def counting(self, other):
+        if sys._getframe(1).f_code is defects:
+            inside.append((self.nrows, self.ncols, other.ncols))
+        return product(self, other)
+
+    # a pearl read back from JSON, as `verify` sees it, has not been checked
+    inst = instance_from_json(instance_to_json(
+        generate_instance(3, 2, QQ, 1, surplus=(1, 1, 1, 1))))
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    assert verify_main_theorem(inst).all_pass
+    # one check of d^2 = 0 takes 12 products: 2 in each of the four degrees
+    # of d_M d1 + d1 d_M, 2 in each of the two of d1^2 + d_M d2 + d2 d_M
+    assert len(inside) == 12
+
+
 def test_disc_check_failure_is_flagged_and_size_mismatch_raises(monkeypatch):
     from qrtorsion import superpotential
     from qrtorsion.superpotential import PotentialError
