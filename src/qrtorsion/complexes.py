@@ -8,9 +8,11 @@ d2 (degree +3) come from the minimal Maslov number being two on a 3-fold.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
-from .fields import Field, QQ
+from .fields import Field
 from .linalg import IntegerMatrix, Matrix, smith_normal_form
 
 
@@ -22,7 +24,9 @@ class BasedChainComplex:
     """Bounded complex with integer or field boundary matrices.
 
     ``boundaries[k]`` is d_k : C_k -> C_{k-1} for k = 1..n (index 0 is None).
-    Over the integers pass ``field=None`` and IntegerMatrix boundaries.
+    Over the integers pass ``field=None`` and IntegerMatrix boundaries.  A
+    complex is not mutated after it is built, so the integral homology is
+    computed once, as :attr:`homology`.
     """
 
     def __init__(self, field, ranks, boundaries):
@@ -56,6 +60,34 @@ class BasedChainComplex:
             return IntegerMatrix.zeros(rows, cols)
         return Matrix.zeros(self.field, rows, cols)
 
+    @cached_property
+    def homology(self) -> tuple[IntegralHomology, tuple[IntegerMatrix, ...]]:
+        """(homology, representatives) of an integral complex, computed on
+        first use and shared by every caller; see :func:`integral_homology`."""
+        if self.field is not None:
+            raise ComplexError("integral_homology needs integer coefficients")
+        free_ranks, torsion, reps = [], [], []
+        for k in range(self.top_degree + 1):
+            dk = self.boundary(k)
+            # U d_k V = D: the columns of V past rank(d_k) base its kernel Z,
+            # and the rows of V^-1 d_{k+1} past it are the boundaries in Z
+            s = smith_normal_form(dk)
+            rank_dk = sum(1 for a in s.diagonal if a != 0)
+            zk = dk.ncols - rank_dk
+            W = s.Vinv * self.boundary(k + 1)
+            if any(a != 0 for r in W.rows[:rank_dk] for a in r):
+                raise ComplexError("image does not lie in the kernel (d^2 != 0?)")
+            Z = IntegerMatrix([r[rank_dk:] for r in s.V.rows], dk.ncols, zk)
+            sq = smith_normal_form(IntegerMatrix(W.rows[rank_dk:], zk, W.ncols))
+            dq = sq.diagonal
+            rank_im = sum(1 for a in dq if a != 0)
+            free_ranks.append(zk - rank_im)
+            torsion.append([a for a in dq if a > 1])
+            # free-part representatives: Z * U^{-1} columns past the image rank
+            free = IntegerMatrix([r[rank_im:] for r in sq.Uinv.rows], zk, zk - rank_im)
+            reps.append(Z * free)
+        return IntegralHomology(free_ranks, torsion), tuple(reps)
+
     def to_field(self, field: Field) -> "BasedChainComplex":
         """Reduce an integral complex modulo the field (or inject into Q)."""
         if self.field is not None:
@@ -65,71 +97,25 @@ class BasedChainComplex:
                                   for k in range(1, self.top_degree + 1)])
 
 
+@dataclass
 class IntegralHomology:
     """Per-degree free ranks and invariant factors (divisibility chains)."""
 
-    def __init__(self, free_ranks, torsion):
-        self.free_ranks = list(free_ranks)
-        self.torsion = [list(t) for t in torsion]
+    free_ranks: list
+    torsion: list
 
     def torsion_order(self, k) -> int:
-        out = 1
-        for a in (self.torsion[k] if k < len(self.torsion) else []):
-            out *= a
-        return out
-
-    def __repr__(self):
-        return f"IntegralHomology(b={self.free_ranks}, tor={self.torsion})"
-
-    def __eq__(self, other):
-        return (isinstance(other, IntegralHomology)
-                and other.free_ranks == self.free_ranks and other.torsion == self.torsion)
+        return prod(self.torsion[k]) if k < len(self.torsion) else 1
 
 
 def integral_homology(C: BasedChainComplex):
     """Homology of an integral complex: ranks, invariant factors, and integral
-    cycle representatives whose classes base the free part in every degree.
+    cycle representatives whose classes base the free part in every degree;
+    :attr:`BasedChainComplex.homology`, computed once per complex.
 
     Representatives stay a basis after reduction modulo any admissible prime.
     """
-    if C.field is not None:
-        raise ComplexError("integral_homology needs integer coefficients")
-    n = C.top_degree
-    free_ranks, torsion, reps = [], [], []
-    for k in range(n + 1):
-        dk = C.boundary(k)
-        dk1 = C.boundary(k + 1)
-        # integral kernel of d_k via SNF: columns of V at zero invariant factors
-        s = smith_normal_form(dk)
-        diag = s.diagonal
-        rank_dk = sum(1 for a in diag if a != 0)
-        kernel_cols = list(range(rank_dk, dk.ncols))
-        Z = IntegerMatrix([[s.V.rows[i][j] for j in kernel_cols] for i in range(dk.ncols)],
-                          dk.ncols, len(kernel_cols))
-        zk = Z.ncols
-        # boundaries in kernel coordinates (integral since Z is a lattice basis)
-        ZQ = Z.to_field(QQ)
-        BQ = dk1.to_field(QQ)
-        Y = ZQ.solve(BQ)
-        if Y is None:
-            raise ComplexError("image does not lie in the kernel (d^2 != 0?)")
-        Yint = IntegerMatrix([[_as_int(x) for x in row] for row in Y.rows], zk, dk1.ncols)
-        sq = smith_normal_form(Yint)
-        dq = sq.diagonal
-        rank_im = sum(1 for a in dq if a != 0)
-        invf = [a for a in dq if a > 1]
-        free_ranks.append(zk - rank_im)
-        torsion.append(invf)
-        # free-part representatives: Z * U^{-1} columns past the image rank
-        free = IntegerMatrix([r[rank_im:] for r in sq.Uinv.rows], zk, zk - rank_im)
-        reps.append(Z * free)
-    return IntegralHomology(free_ranks, torsion), reps
-
-
-def _as_int(x):
-    if x.denominator != 1:
-        raise ComplexError("expected an integral solution")
-    return x.numerator
+    return C.homology
 
 
 def admissibility_error(invariant_factors, field: Field):

@@ -11,6 +11,7 @@ the determinant of the 0 x 0 matrix is 1 (empty-product convention).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -318,9 +319,6 @@ class IntegerMatrix:
             m.rows[i][i] = 1
         return m
 
-    def copy(self):
-        return IntegerMatrix([list(r) for r in self.rows], self.nrows, self.ncols)
-
     def __eq__(self, other):
         return (isinstance(other, IntegerMatrix) and other.nrows == self.nrows
                 and other.ncols == self.ncols and other.rows == self.rows)
@@ -332,15 +330,8 @@ class IntegerMatrix:
         return IntegerMatrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows],
                              self.nrows, other.ncols)
 
-    def __neg__(self):
-        return IntegerMatrix([[-a for a in r] for r in self.rows], self.nrows, self.ncols)
-
     def is_zero(self):
         return all(a == 0 for r in self.rows for a in r)
-
-    def transpose(self):
-        return IntegerMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                              for j in range(self.ncols)], self.ncols, self.nrows)
 
     def to_field(self, field) -> Matrix:
         return Matrix.from_int_rows(field, self.rows, self.nrows, self.ncols)
@@ -374,27 +365,21 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.nrows}x{self.ncols}: [{body}])"
 
 
+@dataclass(slots=True)
 class SmithDecomposition:
     """U @ A @ V = D with U, V unimodular and D diagonal with a divisibility
-    chain; Uinv is the inverse of U."""
+    chain; Uinv and Vinv are the inverses of U and V."""
 
-    __slots__ = ("U", "Uinv", "D", "V")
-
-    def __init__(self, U, Uinv, D, V):
-        self.U = U
-        self.Uinv = Uinv
-        self.D = D
-        self.V = V
+    U: IntegerMatrix
+    Uinv: IntegerMatrix
+    D: IntegerMatrix
+    V: IntegerMatrix
+    Vinv: IntegerMatrix
 
     @property
     def diagonal(self):
         n = min(self.D.nrows, self.D.ncols)
         return [self.D.rows[i][i] for i in range(n)]
-
-    @property
-    def invariant_factors(self):
-        """Nontrivial invariant factors (entries > 1)."""
-        return [d for d in self.diagonal if d > 1]
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
@@ -402,12 +387,14 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
 
     Pivoting picks the smallest-absolute-value nonzero entry (rows swapped
     before columns) so the output is deterministic.  Each row operation on U
-    is undone on Uinv by the inverse column operation, so U @ Uinv = I.
+    is undone on Uinv by the inverse column operation, so U @ Uinv = I, and
+    each column operation on V by the inverse row operation on Vinv.
     """
-    D = A.copy()
+    D = IntegerMatrix(A.rows, A.nrows, A.ncols)
     U = IntegerMatrix.identity(A.nrows)
     Uinv = IntegerMatrix.identity(A.nrows)
     V = IntegerMatrix.identity(A.ncols)
+    Vinv = IntegerMatrix.identity(A.ncols)
     n, m = A.nrows, A.ncols
 
     def row_op(i, j, q):
@@ -418,10 +405,11 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             r[j] += q * r[i]
 
     def col_op(i, j, q):
-        # col_i -= q * col_j in D and V
+        # col_i -= q * col_j in D and V; row_j += q * row_i in Vinv
         for M in (D, V):
             for r in M.rows:
                 r[i] -= q * r[j]
+        Vinv.rows[j] = [a + q * b for a, b in zip(Vinv.rows[j], Vinv.rows[i])]
 
     def swap_rows(i, j):
         for M in (D, U):
@@ -433,6 +421,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
         for M in (D, V):
             for r in M.rows:
                 r[i], r[j] = r[j], r[i]
+        Vinv.rows[i], Vinv.rows[j] = Vinv.rows[j], Vinv.rows[i]
 
     def negate_row(i):
         for M in (D, U):
@@ -503,4 +492,4 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             break
         col_op(bad, bad + 1, -1)  # col_bad += col_{bad+1}
         diagonalize(bad)
-    return SmithDecomposition(U, Uinv, D, V)
+    return SmithDecomposition(U, Uinv, D, V, Vinv)

@@ -85,6 +85,14 @@ def _unimodular(rng, n: int, inverse=False):
     return (U, Ui) if inverse else U
 
 
+def _check_spec_homology(morse, H: ThreefoldHomology):
+    got, _ = integral_homology(morse)
+    if got.free_ranks != [1, H.b, H.b, 1]:
+        raise ModelError("complex does not realize the requested Betti numbers")
+    if got.torsion != [[], H.torsion, [], []]:
+        raise ModelError("complex does not realize the requested torsion")
+
+
 def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
                   ) -> BasedChainComplex:
     """Integral complex of ranks (1, b, b, 1) plus the given rank surplus,
@@ -129,9 +137,7 @@ def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
                 * IntegerMatrix(U[k], n, n))
 
     C = BasedChainComplex(None, ranks, [conj(d1, 1), conj(d2, 2), conj(d3, 3)])
-    got, _reps = integral_homology(C)
-    if got.free_ranks != [1, b, b, 1] or got.torsion != [[], tor, [], []]:
-        raise ModelError("internal error: realized homology mismatch")
+    _check_spec_homology(C, H)
     return C
 
 
@@ -141,12 +147,7 @@ def homology_bases(morse: BasedChainComplex, field: Field):
     H, reps = integral_homology(morse)
     if not admissible_characteristic(H, field):
         raise ModelError("characteristic divides the integral torsion")
-    out = []
-    for k in range(4):
-        R = reps[k]
-        out.append(Matrix.from_int_rows(field, R.rows, nrows=morse.ranks[k],
-                                        ncols=R.ncols))
-    return out
+    return [R.to_field(field) for R in reps]
 
 
 class _AffineSystem:
@@ -277,10 +278,6 @@ def _solve_d2(morse_F, d1, field, rng, rate_target=None, contraction=None):
     return None if sol is None else sol["d2"]
 
 
-def _kronecker(field, i, j):
-    return field.one() if i == j else field.zero()
-
-
 def solve_leibniz_derivation(I: TripleForm, r, field: Field, rng=None):
     """The degree-1 component of a derivation extending the rate vector:
     antisymmetric c with, writing the form values as structure constants,
@@ -335,14 +332,6 @@ def _leibniz_system(I: TripleForm, r, field: Field) -> _AffineSystem:
         rows.append(row)
         rhs.append(zero)
     return sysm
-
-
-def _check_spec_homology(morse, H: ThreefoldHomology):
-    got, _ = integral_homology(morse)
-    if got.free_ranks != [1, H.b, H.b, 1]:
-        raise ModelError("complex does not realize the requested Betti numbers")
-    if got.torsion != [[], H.torsion, [], []]:
-        raise ModelError("complex does not realize the requested torsion")
 
 
 def _lift_pearl(morse_F, H, delta, field, rng, page, rate=None,
@@ -411,10 +400,8 @@ def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
     if F.is_zero(rF):
         raise ModelError("rate vanishes over the field")
     Qp = Matrix.from_int_rows(F, spec.Qprime, nrows=b, ncols=b)
-    rI = Matrix(F, [[F.mul(rF, _kronecker(F, i, j)) for j in range(b)]
-                    for i in range(b)])
     try:
-        A = rI * Qp.inverse()
+        A = Qp.inverse().scale(rF)
     except Exception as e:
         raise ModelError("pairing matrix is singular over the field") from e
     delta = [Matrix.zeros(F, b, 1), A, Matrix.zeros(F, 1, b)]

@@ -24,16 +24,41 @@ class SchemaError(Exception):
     pass
 
 
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    return value
+
+
 def _require(doc, key, where):
-    if key not in doc:
+    if key not in _object(doc, where):
         raise SchemaError(f"missing key '{key}' in {where}")
     return doc[key]
 
 
-def _list(value, where, length):
-    if not isinstance(value, list) or len(value) != length:
-        raise SchemaError(f"{where} must be a list of {length} items")
+def _list(value, where, length=None):
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        raise SchemaError(f"{where} must be a list"
+                          + (f" of {length} items" if length is not None else ""))
     return value
+
+
+def _int(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{where} must be an integer, got {value!r}") from e
+
+
+def _ints(values, where):
+    return [_int(x, where) for x in _list(values, where)]
+
+
+def _scalars(field: Field, values, where):
+    try:
+        return [field.parse(x) for x in values]
+    except Exception as e:
+        raise SchemaError(f"bad scalar in {where}: {e}") from e
 
 
 def matrix_to_json(M: Matrix):
@@ -44,10 +69,7 @@ def matrix_from_json(field: Field, data, nrows, ncols, where):
     if (not isinstance(data, list) or len(data) != nrows
             or any(not isinstance(r, list) or len(r) != ncols for r in data)):
         raise SchemaError(f"matrix in {where} must be {nrows}x{ncols}")
-    try:
-        rows = [[field.parse(x) for x in r] for r in data]
-    except Exception as e:
-        raise SchemaError(f"bad scalar in {where}: {e}") from e
+    rows = [_scalars(field, r, where) for r in data]
     return Matrix(field, rows, nrows=nrows, ncols=ncols)
 
 
@@ -70,10 +92,9 @@ def complex_to_json(C: BasedChainComplex):
 
 def complex_from_json(doc) -> BasedChainComplex:
     F = field_from_doc(doc, "complex")
-    ranks = [int(r) for r in _require(doc, "ranks", "complex")]
-    data = _require(doc, "boundaries", "complex")
-    if len(data) != len(ranks) - 1:
-        raise SchemaError("complex needs one boundary per positive degree")
+    ranks = _ints(_require(doc, "ranks", "complex"), "complex ranks")
+    data = _list(_require(doc, "boundaries", "complex"),
+                 "complex boundaries (one per positive degree)", len(ranks) - 1)
     bnds = [matrix_from_json(F, data[k - 1], ranks[k - 1], ranks[k],
                              f"boundary d_{k}")
             for k in range(1, len(ranks))]
@@ -81,11 +102,11 @@ def complex_from_json(doc) -> BasedChainComplex:
 
 
 def bases_from_json(field, ranks, data, where="bases"):
-    if len(data) != len(ranks):
-        raise SchemaError(f"{where} must list one matrix per degree")
+    _list(data, f"{where} (one matrix per degree)", len(ranks))
     out = []
     for k, mat in enumerate(data):
-        ncols = len(mat[0]) if mat else 0
+        ncols = len(mat[0]) if isinstance(mat, list) and mat and \
+            isinstance(mat[0], list) else 0
         out.append(matrix_from_json(field, mat, ranks[k], ncols,
                                     f"{where}[{k}]"))
     return out
@@ -106,8 +127,8 @@ def pearl_to_json(P: TwistedPearlComplex):
 
 def pearl_from_json(doc) -> TwistedPearlComplex:
     F = field_from_doc(doc, "pearl")
-    ranks = [int(r) for r in _list(_require(doc, "ranks", "pearl"),
-                                   "pearl ranks (degrees 0..3)", 4)]
+    ranks = _ints(_list(_require(doc, "ranks", "pearl"),
+                        "pearl ranks (degrees 0..3)", 4), "pearl ranks")
     dM = [matrix_from_json(F, m, ranks[k], ranks[k + 1], f"dM_{k + 1}")
           for k, m in enumerate(_list(_require(doc, "dM", "pearl"), "dM", 3))]
     d1 = [matrix_from_json(F, m, ranks[k + 1], ranks[k], f"d1_{k}")
@@ -126,8 +147,8 @@ def periodic_to_json(P: PeriodicComplex):
 
 def periodic_from_json(doc) -> PeriodicComplex:
     F = field_from_doc(doc, "periodic complex")
-    n_odd = int(_require(doc, "n_odd", "periodic complex"))
-    n_even = int(_require(doc, "n_even", "periodic complex"))
+    n_odd = _int(_require(doc, "n_odd", "periodic complex"), "n_odd")
+    n_even = _int(_require(doc, "n_even", "periodic complex"), "n_even")
     d_oe = matrix_from_json(F, _require(doc, "d_oe", "periodic"), n_even,
                             n_odd, "d_oe")
     d_eo = matrix_from_json(F, _require(doc, "d_eo", "periodic"), n_odd,
@@ -141,14 +162,14 @@ def form_to_json(I: TripleForm):
 
 
 def form_from_json(doc) -> TripleForm:
-    b = int(_require(doc, "b", "triple form"))
+    b = _int(_require(doc, "b", "triple form"), "triple form b")
     entries = []
-    for e in doc.get("entries", []):
-        ijk = _require(e, "ijk", "form entry")
+    for e in _list(doc.get("entries", []), "form entries"):
+        ijk = _ints(_require(e, "ijk", "form entry"), "form entry ijk")
         if len(ijk) != 3:
             raise SchemaError("form entries index three generators")
-        entries.append((tuple(int(x) for x in ijk), int(_require(e, "v",
-                                                                 "form entry"))))
+        entries.append((tuple(ijk), _int(_require(e, "v", "form entry"),
+                                         "form entry v")))
     return TripleForm(b, entries)
 
 
@@ -157,8 +178,8 @@ def homology_to_json(H: ThreefoldHomology):
 
 
 def homology_from_json(doc) -> ThreefoldHomology:
-    return ThreefoldHomology(int(_require(doc, "b", "homology")),
-                             [int(t) for t in doc.get("torsion", [])])
+    return ThreefoldHomology(_int(_require(doc, "b", "homology"), "homology b"),
+                             _ints(doc.get("torsion", []), "homology torsion"))
 
 
 def discs_to_json(D: DiscSystem):
@@ -167,10 +188,10 @@ def discs_to_json(D: DiscSystem):
 
 
 def discs_from_json(doc) -> DiscSystem:
-    b = int(_require(doc, "b", "disc system"))
-    discs = [( [int(x) for x in _require(e, "d", "disc")],
-              int(_require(e, "m0", "disc")))
-             for e in doc.get("discs", [])]
+    b = _int(_require(doc, "b", "disc system"), "disc system b")
+    discs = [(_ints(_require(e, "d", "disc"), "disc d"),
+              _int(_require(e, "m0", "disc"), "disc m0"))
+             for e in _list(doc.get("discs", []), "disc system discs")]
     return DiscSystem(b, discs)
 
 
@@ -193,7 +214,7 @@ def instance_to_json(inst: Instance):
 
 def instance_from_json(doc) -> Instance:
     F = field_from_doc(doc, "instance")
-    pearl_doc = dict(_require(doc, "pearl", "instance"))
+    pearl_doc = dict(_object(_require(doc, "pearl", "instance"), "pearl"))
     pearl_doc.setdefault("field", field_to_string(F))
     pearl = pearl_from_json(pearl_doc)
     homology = homology_from_json(_require(doc, "homology", "instance"))
@@ -206,10 +227,14 @@ def instance_from_json(doc) -> Instance:
         raise SchemaError(f"inadmissible field {field_to_string(F)}: {error}")
     bases = bases_from_json(F, pearl.ranks, _require(doc, "bases", "instance"))
     discs = discs_from_json(doc["discs"]) if "discs" in doc else None
+    if discs is not None and discs.b != homology.b:
+        raise SchemaError(f"discs.b = {discs.b} differs from homology.b = "
+                          f"{homology.b}")
     representation = None
     if "representation" in doc:
-        representation = Representation(F, [F.parse(s)
-                                            for s in doc["representation"]])
+        representation = Representation(F, _scalars(
+            F, _list(doc["representation"], "representation"),
+            "representation"))
     return Instance(homology, form, F, pearl, bases, discs, representation,
                     doc.get("id"))
 

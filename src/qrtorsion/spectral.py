@@ -17,6 +17,7 @@ number two).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import Matrix
@@ -255,17 +256,17 @@ def collapsing_page(P: TwistedPearlComplex, H) -> str:
     return Spectrum(P, H).collapse
 
 
+@dataclass
 class MinimalModel:
     """Pearl complex on the homology (vanishing Morse part) together with the
     comparison quasi-isomorphisms to and from the original complex and the
     chain homotopy tying them together."""
 
-    def __init__(self, model, phi, psi, homotopy, hdims):
-        self.model = model          # TwistedPearlComplex with d_M = 0
-        self.phi = phi              # total matrix: original -> model
-        self.psi = psi              # total matrix: model -> original
-        self.homotopy = homotopy    # total matrix on the original complex
-        self.hdims = hdims
+    model: TwistedPearlComplex  # with d_M = 0
+    phi: Matrix                 # total matrix: original -> model
+    psi: Matrix                 # total matrix: model -> original
+    homotopy: Matrix            # total matrix on the original complex
+    hdims: list
 
     @property
     def delta1(self):

@@ -10,6 +10,9 @@ potential, which is the consistency identity checked here and in the tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any
+
 from .fields import Field
 from .laurent import LaurentPolynomial
 from .linalg import Matrix
@@ -62,15 +65,16 @@ class Representation:
         return out
 
 
+@dataclass
 class WideNarrowReport:
-    def __init__(self, is_critical, gradient, discriminant_value, w_constant,
-                 consistent_with_page, notes):
-        self.is_critical = is_critical
-        self.gradient = gradient
-        self.discriminant_value = discriminant_value
-        self.w_constant = w_constant
-        self.consistent_with_page = consistent_with_page
-        self.notes = notes
+    """Critical-point report; gradient and discriminant are field values."""
+
+    is_critical: bool
+    gradient: list
+    discriminant_value: Any
+    w_constant: bool
+    consistent_with_page: bool | None
+    notes: list
 
 
 def build_potential(D: DiscSystem) -> LaurentPolynomial:

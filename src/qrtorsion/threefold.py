@@ -11,6 +11,7 @@ complement (possible only for odd b), or the triple form vanishes.
 from __future__ import annotations
 
 import random
+from math import prod
 
 from .fields import Field, FieldError, PrimeField
 from .linalg import Matrix
@@ -46,10 +47,7 @@ class ThreefoldHomology:
         return [1, self.b, self.b, 1]
 
     def torsion_order(self):
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
+        return prod(self.torsion)
 
 
 class TripleForm:

@@ -9,7 +9,9 @@ agreement, as sign classes, is the verified content of the torsion theorems.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
 
 from .fields import Field, SignClass
 from .linalg import Matrix
@@ -53,18 +55,20 @@ class Instance:
         return Spectrum(self.pearl, self.bases)
 
 
+@dataclass
 class VerificationReport:
-    def __init__(self, collapse, torsion_direct, torsion_formula, A_det, r,
-                 Q_det, flags, implied, notes):
-        self.collapse = collapse
-        self.torsion_direct = torsion_direct
-        self.torsion_formula = torsion_formula
-        self.A_det = A_det
-        self.r = r
-        self.Q_det = Q_det
-        self.flags = flags
-        self.implied = implied
-        self.notes = notes
+    """Outcome of :func:`verify_main_theorem`; A_det, r and Q_det are field
+    values (None off the page-3 branch)."""
+
+    collapse: str | None
+    torsion_direct: SignClass | None
+    torsion_formula: SignClass | None
+    A_det: Any
+    r: Any
+    Q_det: Any
+    flags: dict
+    implied: dict
+    notes: list
 
     @property
     def all_pass(self) -> bool:
@@ -144,11 +148,11 @@ def torsion_via_page3_formula(inst: Instance) -> SignClass:
     return SignClass(F, F.mul(ratio, F.div(A.determinant(), r)))
 
 
+@dataclass
 class QForm:
-    def __init__(self, Q, det, antisymmetric):
-        self.Q = Q
-        self.det = det
-        self.antisymmetric = antisymmetric
+    Q: Matrix
+    det: Any
+    antisymmetric: bool
 
 
 def q_form(A: Matrix, r, field: Field) -> QForm:

@@ -119,6 +119,12 @@ def test_verify_inconsistent_instance_exits_2(tmp_path, capsys):
     assert "form.b = 3 differs from homology.b = 2" in json.loads(err)["error"]
 
     path = _edited_instance(tmp_path, capsys,
+                            lambda doc: doc.update(discs={"b": 3, "discs": []}))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2 and out == ""
+    assert "discs.b = 3 differs from homology.b = 2" in json.loads(err)["error"]
+
+    path = _edited_instance(tmp_path, capsys,
                             lambda doc: doc["homology"].update(torsion=[5]),
                             field="Fp:5")
     for verb in ("verify", "spectral"):
@@ -127,6 +133,51 @@ def test_verify_inconsistent_instance_exits_2(tmp_path, capsys):
         assert json.loads(err)["error"] == (
             "inadmissible field Fp:5: characteristic 5 divides invariant "
             "factor 5")
+
+
+WRONG_TYPES = [None, 7, -1, "x", [], {}, [[1]]]
+INSTANCE_FIELDS = ["bases", "homology", "form", "discs", "representation",
+                   "pearl", "homology.b", "homology.torsion", "form.b",
+                   "form.entries", "discs.b", "discs.discs", "bases.1"]
+
+
+@pytest.fixture(scope="module")
+def page3_f5_instance(tmp_path_factory):
+    """A page-3 F5 instance document carrying discs and a representation."""
+    path = str(tmp_path_factory.mktemp("inst") / "inst.json")
+    assert main(["generate", "--page", "3", "--b", "2", "--field", "Fp:5",
+                 "--seed", "4", "-o", path]) == 0
+    doc = json.load(open(path))
+    doc["discs"] = {"b": 2, "discs": [{"d": [0, 0], "m0": 1}]}
+    doc["representation"] = ["1", "1"]
+    return doc
+
+
+@pytest.mark.parametrize("field", INSTANCE_FIELDS)
+def test_wrong_json_types_exit_0_or_2(tmp_path, capsys, page3_f5_instance,
+                                      field):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(page3_f5_instance))
+    for verb in ("verify", "spectral"):
+        assert run(capsys, verb, str(path))[0] == 0
+    # wrong types are bad input (exit 2); a few replacements, such as []
+    # for form.entries, still describe a valid instance (exit 0)
+    *parents, key = field.split(".")
+    bad = []
+    for value in WRONG_TYPES:
+        doc = json.loads(json.dumps(page3_f5_instance))
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[int(key) if isinstance(target, list) else key] = value
+        path.write_text(json.dumps(doc))
+        for verb in ("verify", "spectral"):
+            code, out, err = run(capsys, verb, str(path))
+            if code not in (0, 2) or code == 2 and out:
+                bad.append((value, verb, code, err))
+            elif code == 2:
+                assert "error" in json.loads(err)
+    assert not bad
 
 
 def test_verify_failure_exits_1(tmp_path, capsys):

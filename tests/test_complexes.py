@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+from qrtorsion import linalg
 from qrtorsion.fields import QQ, GF
-from qrtorsion.linalg import IntegerMatrix, Matrix
+from qrtorsion.linalg import IntegerMatrix, Matrix, smith_normal_form
 from qrtorsion.complexes import (BasedChainComplex, ComplexError,
                                  TwistedPearlComplex, fold_periodic,
                                  integral_homology, validate_pearl,
                                  admissible_characteristic)
 from qrtorsion.threefold import ThreefoldHomology
-from qrtorsion.models import realize_morse
+from qrtorsion.models import realize_morse, _unimodular
 from util import random_acyclic
 
 
@@ -53,6 +54,97 @@ def test_integral_homology_matches_realize_morse():
         H, _ = integral_homology(C)
         assert H.free_ranks == [1, 3, 3, 1]
         assert H.torsion == [[], tor, [], []]
+
+
+def _q_solve_homology(C):
+    """integral_homology as first written, kept as the reference: the
+    boundaries' coordinates in the kernel basis come from a solve over Q."""
+    free_ranks, torsion, reps = [], [], []
+    for k in range(C.top_degree + 1):
+        dk, dk1 = C.boundary(k), C.boundary(k + 1)
+        s = smith_normal_form(dk)
+        rank_dk = sum(1 for a in s.diagonal if a != 0)
+        zk = dk.ncols - rank_dk
+        Z = IntegerMatrix([r[rank_dk:] for r in s.V.rows], dk.ncols, zk)
+        Y = Z.to_field(QQ).solve(dk1.to_field(QQ))
+        assert Y is not None
+        assert all(x.denominator == 1 for r in Y.rows for x in r)
+        sq = smith_normal_form(IntegerMatrix(
+            [[x.numerator for x in r] for r in Y.rows], zk, dk1.ncols))
+        rank_im = sum(1 for a in sq.diagonal if a != 0)
+        free_ranks.append(zk - rank_im)
+        torsion.append([a for a in sq.diagonal if a > 1])
+        reps.append(Z * IntegerMatrix([r[rank_im:] for r in sq.Uinv.rows],
+                                      zk, zk - rank_im))
+    return free_ranks, torsion, reps
+
+
+def _random_integral_complex(rng):
+    """Free summands, torsion blocks (not in divisibility order) and unit
+    birth pairs in up to five degrees, behind a unimodular basis change."""
+    n = rng.randint(1, 4)
+    free = [rng.randint(0, 2) for _ in range(n + 1)]
+    # the entries of d_k: sources in degree k, targets in degree k - 1
+    vals = [[]] + [[rng.choice([1, 2, 3, 4, 6, 9, 10])
+                    for _ in range(rng.randint(0, 3))] for _ in range(n)]
+    size = [len(v) for v in vals] + [0]
+    ranks = [free[k] + size[k] + size[k + 1] for k in range(n + 1)]
+    pairs = [_unimodular(rng, r, inverse=True) for r in ranks]
+    bnds = []
+    for k in range(1, n + 1):
+        m, c = ranks[k - 1], ranks[k]
+        d = IntegerMatrix.zeros(m, c)
+        for a, v in enumerate(vals[k]):
+            d.rows[free[k - 1] + size[k - 1] + a][free[k] + a] = v
+        bnds.append(IntegerMatrix(pairs[k - 1][1], m, m) * d
+                    * IntegerMatrix(pairs[k][0], c, c))
+    return BasedChainComplex(None, ranks, bnds)
+
+
+def _check_against_q_solve(C):
+    H, reps = integral_homology(C)
+    free_ranks, torsion, want = _q_solve_homology(C)
+    assert (H.free_ranks, H.torsion) == (free_ranks, torsion)
+    assert list(reps) == want
+
+
+def test_integral_homology_matches_q_solve_on_random_complexes():
+    rng = random.Random(8)
+    for _ in range(150):
+        _check_against_q_solve(_random_integral_complex(rng))
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3, 5])
+def test_integral_homology_matches_q_solve_on_morse_complexes(b):
+    for tor, shape in [([], (0, 0, 0, 0)), ([3], (1, 1, 1, 1)),
+                       ([2, 6], (0, 2, 2, 0)), ([5, 25], (2, 3, 3, 2))]:
+        for seed in range(3):
+            C = realize_morse(ThreefoldHomology(b, tor), shape, seed=seed)
+            _check_against_q_solve(C)
+
+
+def test_integral_homology_is_computed_once_on_integers(monkeypatch):
+    C = realize_morse(ThreefoldHomology(3, [3]), (1, 1, 1, 1), seed=2)
+    fresh = BasedChainComplex(None, C.ranks, C.boundaries[1:])
+    built, snf = [], []
+    real_init, real_snf = Matrix.__init__, linalg.smith_normal_form
+
+    def init(self, field, *args, **kwargs):
+        built.append(field)
+        real_init(self, field, *args, **kwargs)
+
+    def counting(A):
+        snf.append(A)
+        return real_snf(A)
+
+    monkeypatch.setattr(Matrix, "__init__", init)
+    monkeypatch.setattr("qrtorsion.complexes.smith_normal_form", counting)
+    first = integral_homology(fresh)
+    # two Smith forms per degree (d_k, then the boundaries in ker d_k), and
+    # no matrix over a field
+    assert len(snf) == 2 * 4 and built == []
+    assert integral_homology(fresh) is first and len(snf) == 8
+    assert first == integral_homology(C)
 
 
 def test_random_acyclic_is_acyclic():

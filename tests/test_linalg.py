@@ -65,6 +65,7 @@ def test_smith_normal_form_random():
         snf = smith_normal_form(A)
         assert snf.U * A * snf.V == snf.D
         assert snf.U * snf.Uinv == IntegerMatrix.identity(m)
+        assert snf.V * snf.Vinv == IntegerMatrix.identity(n)
         diag = [snf.D.rows[i][i] for i in range(min(m, n))]
         for i in range(len(diag) - 1):
             if diag[i + 1]:

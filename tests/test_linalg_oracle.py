@@ -1,6 +1,6 @@
 """Differential tests of the elimination kernel, products and determinants
-against sympy's DomainMatrix, and of the page-2 Leibniz system against the
-full system it replaced.
+against sympy's DomainMatrix, of Smith normal form against sympy's over ZZ,
+and of the page-2 Leibniz system against the full system it replaced.
 
 sympy and hypothesis are test-only dependencies; the library never imports
 them.
@@ -14,12 +14,13 @@ import pytest
 pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
-from sympy import GF as SGF, QQ as SQQ
+from sympy import GF as SGF, QQ as SQQ, ZZ as SZZ, Matrix as SMatrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
 from qrtorsion.fields import QQ, GF
 from qrtorsion.generate import canonical_form, _transpose_apply
-from qrtorsion.linalg import Matrix
+from qrtorsion.linalg import IntegerMatrix, Matrix, smith_normal_form
 from qrtorsion.models import _AffineSystem, _leibniz_system, _unimodular
 from qrtorsion.threefold import TripleForm
 
@@ -186,6 +187,27 @@ def test_non_canonical_residues_and_plain_ints():
     assert A.determinant() == Fraction(5, 2)
     _assert_canonical(QQ, [x for r in (A * A).rows for x in r] +
                       [A.determinant()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_smith_normal_form_matches_sympy(data):
+    m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-40, 40))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    A = IntegerMatrix(rows, m, n)
+    s = smith_normal_form(A)
+    assert s.U * A * s.V == s.D
+    assert all(s.D.rows[i][j] == 0 for i in range(m) for j in range(n)
+               if i != j)
+    assert s.U * s.Uinv == IntegerMatrix.identity(m)
+    assert s.V * s.Vinv == IntegerMatrix.identity(n)
+    if not (m and n):
+        assert s.diagonal == []
+        return
+    S = sympy_snf(SMatrix(rows), domain=SZZ)
+    assert s.diagonal == [abs(int(S[i, i])) for i in range(min(m, n))]
 
 
 # -- the Leibniz system against the full one ---------------------------------

@@ -166,6 +166,23 @@ def test_verify_computes_each_spectral_object_once(monkeypatch):
     assert behind_closed_form is not behind_page1
 
 
+@pytest.mark.parametrize("page, b", [(2, 3), (3, 2)])
+def test_generate_computes_the_integral_homology_once(monkeypatch, page, b):
+    from qrtorsion import complexes
+    calls = []
+    real = complexes.smith_normal_form
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", counting)
+    generate_instance(page, b, GF(5), 1, torsion=[3], surplus=(1, 1, 1, 1))
+    # realize_morse's check, the lift's check and both homology_bases calls
+    # share one computation: two Smith forms in each of the four degrees
+    assert len(calls) == 8
+
+
 def test_verify_checks_the_pearl_once(monkeypatch):
     from qrtorsion.complexes import TwistedPearlComplex
     from qrtorsion.schemas import instance_from_json, instance_to_json
