@@ -245,10 +245,6 @@ class Matrix:
                 out.rows[pc][idx] = F.neg(R.rows[pi][j])
         return out
 
-    def column_space_basis(self):
-        """Columns of self at the rref pivot set: a basis of the image."""
-        return self.cols(self.rref()[1])
-
     def determinant(self):
         """Bareiss on integers: over F_p the residues themselves, over Q the
         rows cleared of denominators, whose product then divides the result."""

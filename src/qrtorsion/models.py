@@ -338,24 +338,36 @@ def _lift_pearl(morse_F, H, delta, field, rng, page, rate=None,
                 contraction=None):
     """Retry chain-level lifts until one is a pearl complex whose page-1
     differential is exactly delta and which collapses at the given page (with
-    page-2 rate exactly rate, when one is given)."""
+    page-2 rate exactly rate, when one is given).  On running out of
+    attempts, the error names the condition that rejected the last one."""
     for _ in range(RETRY_BOUND):
         d1 = _lift_d1(morse_F, H, delta, field, rng)
         if d1 is None:
+            rejected = "no d1 induces the page-1 differential"
             continue
         d2 = _solve_d2(morse_F, d1, field, rng, rate, contraction)
         if d2 is None:
+            rejected = "no d2 completes d1 to a pearl differential"
             continue
         P = TwistedPearlComplex(field, morse_F.ranks, morse_F.boundaries[1:],
                                 d1, d2)
-        if validate_pearl(P):
+        bad = validate_pearl(P)
+        if bad:
+            rejected = "invalid pearl complex: " + "; ".join(bad)
             continue
         S = Spectrum(P, H)
         if not all(a == bmat for a, bmat in zip(S.page1.d1star, delta)):
+            rejected = "induced page-1 differential differs from the target"
             continue
-        if S.collapse == page and (rate is None or S.rate == rate):
-            return P
-    raise ModelError("chain-level lift failed within the retry bound")
+        if S.collapse != page:
+            rejected = f"collapses at {S.collapse}, not {page}"
+            continue
+        if rate is not None and S.rate != rate:
+            rejected = "page-2 rate differs from the target"
+            continue
+        return P
+    raise ModelError("chain-level lift failed within the retry bound; the "
+                     f"last attempt was rejected: {rejected}")
 
 
 def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,

@@ -44,10 +44,10 @@ def _list(value, where, length=None):
 
 
 def _int(value, where):
-    try:
-        return int(value)
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{where} must be an integer, got {value!r}") from e
+    # a JSON integer only: not a float such as 1.0, a string or a bool
+    if type(value) is not int:
+        raise SchemaError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _ints(values, where):
@@ -80,14 +80,6 @@ def field_from_doc(doc, where="document") -> Field:
         raise
     except Exception as e:
         raise SchemaError(f"bad field spec in {where}: {e}") from e
-
-
-def complex_to_json(C: BasedChainComplex):
-    return {"v": VERSION, "kind": "complex",
-            "field": field_to_string(C.field),
-            "ranks": list(C.ranks),
-            "boundaries": [matrix_to_json(C.boundaries[k])
-                           for k in range(1, C.top_degree + 1)]}
 
 
 def complex_from_json(doc) -> BasedChainComplex:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .linalg import Matrix
 from .complexes import TwistedPearlComplex, validate_pearl
-from .torsion import _image_basis, _lift
+from .torsion import _image_and_section
 
 
 class SpectralError(Exception):
@@ -47,16 +47,15 @@ class PageOne:
         self.d1star = list(d1star)
         self.bases = list(bases)
 
+    @cached_property
+    def d1star_ranks(self):
+        """Rank of each d1star_k, computed once."""
+        return [d.rank() for d in self.d1star]
+
     def homology_ranks(self):
         """Ranks of the homology of (E^1, d1star), degree by degree."""
-        out = []
-        for k in range(4):
-            din = self.d1star[k - 1] if k >= 1 else None
-            dout = self.d1star[k] if k <= 2 else None
-            z = self.ranks[k] - (dout.rank() if dout is not None else 0)
-            b = din.rank() if din is not None else 0
-            out.append(z - b)
-        return out
+        r = [0, *self.d1star_ranks, 0]
+        return [self.ranks[k] - r[k + 1] - r[k] for k in range(4)]
 
     def is_exact(self):
         return all(r == 0 for r in self.homology_ranks())
@@ -68,23 +67,22 @@ class Contraction:
     a homotopy K with d_M K + K d_M = 1 - iota pi, K^2 = 0, pi K = 0,
     K iota = 0.
 
-    Built from the adapted bases [h_k | b_k | s(b_{k-1})] of each chain
-    group; pass an rng to randomize the image bases and sections.
+    Built from the adapted bases [h_k | b_k | s_{k-1}] of each chain group,
+    with b_k and s_k read off one elimination of d_M : C_{k+1} -> C_k; pass
+    an rng to randomize the image bases and sections.
     """
 
     def __init__(self, P: TwistedPearlComplex, H, rng=None):
         F = P.field
-        self.field = F
         self.P = P
         self.H = list(H)
         self.hdims = [H[k].ncols for k in range(4)]
         self.b = []        # basis of B_k = im(d_M : C_{k+1} -> C_k), inside C_k
-        self.s = []        # lifts: s[k] has d_M s[k] = b[k], columns in C_{k+1}
+        self.s = []        # sections: d_M s[k] = b[k], columns in C_{k+1}
         for k in range(4):
-            bk = _image_basis(P.dM(k + 1), rng)
+            bk, sk = _image_and_section(P.dM(k + 1), rng)
             self.b.append(bk)
-            self.s.append(_lift(P.dM(k + 1), bk, rng) if bk.ncols else
-                          Matrix.zeros(F, P.ranks[k + 1] if k + 1 <= 3 else 0, 0))
+            self.s.append(sk)
         self.T = []        # adapted basis per degree, and its inverse
         self.Tinv = []
         for k in range(4):
@@ -113,11 +111,7 @@ class Contraction:
 
     def K(self, k) -> Matrix:
         """Homotopy component C_k -> C_{k+1}: send each boundary basis vector
-        to its chosen lift, kill homology and section directions."""
-        F = self.field
-        if k >= 3 or self.b[k].ncols == 0:
-            rows = self.P.ranks[k + 1] if k + 1 <= 3 else 0
-            return Matrix.zeros(F, rows, self.P.ranks[k])
+        to its section, kill homology and section directions."""
         return self.s[k] * self.b_coords(k)
 
 
@@ -165,7 +159,7 @@ def _rate_from_page1(P: TwistedPearlComplex, pg1: PageOne):
     z2 = P.dM(2).kernel_basis()
     W = Matrix.block(F, [[None, P.dM(1), None], [z2, P.d1_map(1), P.dM(3)]],
                      [r0, r2], [z2.ncols, r1, r3])
-    dimE2 = V.rank() - W.rank()
+    dimE2 = V.ncols - W.rank()                  # V's columns are independent
     if dimE2 != 1:
         raise WrongPageError(f"E^2 at the bottom slot has rank {dimE2}, expected 1")
     # representative of the generator: the degree-0 homology class lifted so

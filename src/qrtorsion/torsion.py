@@ -1,9 +1,11 @@
 """Torsion of based chain complexes, in the graded and 2-periodic flavors.
 
 All values live in the unit group of the field modulo sign.  The graded
-torsion multiplies determinants of assembled bases [h_i  b_i  lift(b_{i-1})]
-against the preferred bases; internal image-basis and section choices can be
-randomized to exercise well-definedness.
+torsion multiplies determinants of assembled bases [h_i  b_i  s_{i-1}]
+against the preferred bases, where b_i bases the image of d_{i+1} and the
+section s_i satisfies d_{i+1} s_i = b_i.  Both are read off one reduced row
+echelon form of d_{i+1}: b_i is its pivot columns and s_i the unit columns at
+the same pivots.  They can be randomized to exercise well-definedness.
 """
 
 from __future__ import annotations
@@ -34,26 +36,25 @@ def _random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
             return M
 
 
-def _image_basis(d: Matrix, rng=None) -> Matrix:
-    """Basis of im(d): pivot columns of d, optionally mixed at random."""
-    b = d.column_space_basis()
-    if rng is not None and b.ncols:
-        b = b * _random_invertible(d.field, b.ncols, rng)
-    return b
+def _image_and_section(d: Matrix, rng=None):
+    """(B, S) with B a basis of im(d) and d S = B, from one elimination of d.
 
-
-def _lift(d: Matrix, target: Matrix, rng=None) -> Matrix:
-    """X with d X = target; randomized lifts differ by kernel columns."""
-    X = d.solve(target)
-    if X is None:
-        raise TorsionError("basis of boundaries does not lift")
-    if rng is not None and target.ncols:
+    B is the pivot columns of d and S the unit columns at those pivots.  With
+    an rng both are mixed by one random invertible matrix, and S gains random
+    kernel columns, which leave d S unchanged.
+    """
+    F = d.field
+    pivots = d.rref()[1]
+    B = d.cols(pivots)
+    S = Matrix.identity(F, d.ncols).cols(pivots)
+    if rng is not None and pivots:
+        mix = _random_invertible(F, len(pivots), rng)
+        B, S = B * mix, S * mix
         K = d.kernel_basis()
         if K.ncols:
-            mix = Matrix.from_int_rows(d.field, [[rng.randint(-5, 5) for _ in range(target.ncols)]
-                                                 for _ in range(K.ncols)], K.ncols, target.ncols)
-            X = X + K * mix
-    return X
+            c = [[rng.randint(-5, 5) for _ in pivots] for _ in range(K.ncols)]
+            S = S + K * Matrix.from_int_rows(F, c, K.ncols, len(pivots))
+    return B, S
 
 
 def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
@@ -70,7 +71,8 @@ def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
     n = C.top_degree
     if len(homology_bases) != n + 1:
         raise TorsionError("need one homology basis per degree")
-    img = [_image_basis(C.boundary(k + 1), rng) for k in range(n + 1)]
+    # bs[k] = (B, S) of d_{k+1}: B bases its image in C_k, S lies in C_{k+1}
+    bs = [_image_and_section(C.boundary(k + 1), rng) for k in range(n + 1)]
     value = F.one()
     for k in range(n + 1):
         h = homology_bases[k]
@@ -78,9 +80,8 @@ def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
             raise TorsionError(f"homology basis in degree {k} has wrong length")
         if not (C.boundary(k) * h).is_zero():
             raise TorsionError(f"homology basis in degree {k} contains non-cycles")
-        lift = (_lift(C.boundary(k), img[k - 1], rng) if k > 0
-                else Matrix.zeros(F, C.ranks[k], 0))
-        M = Matrix.hstack_all(F, [h, img[k], lift], nrows=C.ranks[k])
+        below = bs[k - 1][1] if k else Matrix.zeros(F, C.ranks[0], 0)
+        M = Matrix.hstack_all(F, [h, bs[k][0], below], nrows=C.ranks[k])
         if M.ncols != C.ranks[k]:
             raise TorsionError(f"degree {k}: homology basis rank mismatch "
                                f"({M.ncols} basis vectors for rank {C.ranks[k]})")
@@ -143,12 +144,12 @@ def torsion_basis_change(C: BasedChainComplex, homology_bases, new_c, new_h,
 def periodic_torsion(P: PeriodicComplex, rng=None) -> SignClass:
     """Torsion of an acyclic 2-periodic complex in the preferred bases."""
     F = P.field
-    if not P.is_acyclic():
-        raise NotNarrowError("torsion undefined, complex not narrow")
-    b_even = _image_basis(P.d_oe, rng)   # boundaries inside C_even
-    b_odd = _image_basis(P.d_eo, rng)    # boundaries inside C_odd
-    num = Matrix.hstack_all(F, [b_even, _lift(P.d_eo, b_odd, rng)], nrows=P.n_even)
-    den = Matrix.hstack_all(F, [b_odd, _lift(P.d_oe, b_even, rng)], nrows=P.n_odd)
+    b_even, s_odd = _image_and_section(P.d_oe, rng)   # boundaries inside C_even
+    b_odd, s_even = _image_and_section(P.d_eo, rng)   # boundaries inside C_odd
+    num = Matrix.hstack_all(F, [b_even, s_even], nrows=P.n_even)
+    den = Matrix.hstack_all(F, [b_odd, s_odd], nrows=P.n_odd)
+    # both counts are rank(d_oe) + rank(d_eo): the fold is acyclic exactly
+    # when they fill C_even and C_odd
     if num.ncols != P.n_even or den.ncols != P.n_odd:
         raise NotNarrowError("torsion undefined, complex not narrow")
     return SignClass(F, F.div(num.determinant(), den.determinant()))

@@ -135,7 +135,7 @@ def test_verify_inconsistent_instance_exits_2(tmp_path, capsys):
             "factor 5")
 
 
-WRONG_TYPES = [None, 7, -1, "x", [], {}, [[1]]]
+WRONG_TYPES = [None, 7, -1, "x", [], {}, [[1]], 2.9, "2", True, 1.0]
 INSTANCE_FIELDS = ["bases", "homology", "form", "discs", "representation",
                    "pearl", "homology.b", "homology.torsion", "form.b",
                    "form.entries", "discs.b", "discs.discs", "bases.1"]
@@ -178,6 +178,27 @@ def test_wrong_json_types_exit_0_or_2(tmp_path, capsys, page3_f5_instance,
             elif code == 2:
                 assert "error" in json.loads(err)
     assert not bad
+
+
+@pytest.mark.parametrize("field", ["homology.b", "form.b", "pearl.ranks.1",
+                                   "discs.b"])
+@pytest.mark.parametrize("value", [2.9, "2", True, 1.0],
+                         ids=["float", "string", "bool", "integral-float"])
+def test_non_integer_json_numbers_exit_2(tmp_path, capsys, page3_f5_instance,
+                                         field, value):
+    # int() accepts every value here, but none is a JSON integer
+    doc = json.loads(json.dumps(page3_f5_instance))
+    *parents, key = field.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[int(key) if isinstance(target, list) else key] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("verify", "spectral"):
+        code, out, err = run(capsys, verb, str(path))
+        assert code == 2 and out == ""
+        assert "must be an integer" in json.loads(err)["error"]
 
 
 def test_verify_failure_exits_1(tmp_path, capsys):

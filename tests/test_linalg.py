@@ -5,6 +5,7 @@ import pytest
 from qrtorsion.fields import QQ, GF
 from qrtorsion.linalg import (Matrix, IntegerMatrix, LinAlgError,
                               smith_normal_form)
+from qrtorsion.torsion import _image_and_section
 from util import random_invertible
 
 
@@ -25,7 +26,7 @@ def test_rank_kernel_image_dimensions():
             K = A.kernel_basis()
             assert K.ncols == n - r
             assert (A * K).is_zero()
-            assert A.column_space_basis().ncols == r
+            assert _image_and_section(A)[0].ncols == r
 
 
 def test_solve_consistency():

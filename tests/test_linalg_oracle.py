@@ -1,6 +1,7 @@
-"""Differential tests of the elimination kernel, products and determinants
-against sympy's DomainMatrix, of Smith normal form against sympy's over ZZ,
-and of the page-2 Leibniz system against the full system it replaced.
+"""Differential tests of the elimination kernel, the image bases and
+sections read off it, products and determinants against sympy's
+DomainMatrix, of Smith normal form against sympy's over ZZ, and of the page-2
+Leibniz system against the full system it replaced.
 
 sympy and hypothesis are test-only dependencies; the library never imports
 them.
@@ -13,7 +14,7 @@ import pytest
 
 pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import GF as SGF, QQ as SQQ, ZZ as SZZ, Matrix as SMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
@@ -22,6 +23,7 @@ from qrtorsion.fields import QQ, GF
 from qrtorsion.generate import canonical_form, _transpose_apply
 from qrtorsion.linalg import IntegerMatrix, Matrix, smith_normal_form
 from qrtorsion.models import _AffineSystem, _leibniz_system, _unimodular
+from qrtorsion.torsion import _image_and_section
 from qrtorsion.threefold import TripleForm
 
 FIELDS = [QQ, GF(5), GF(7)]
@@ -101,6 +103,25 @@ def test_solve_matches_sympy(data):
         want[pc] = [R[pi][A.ncols]]
     assert X.rows == want
     assert A * X == B
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.one_of(st.none(), st.integers(0, 2 ** 16)))
+@example(Matrix(QQ, [], 0, 3), None)
+@example(Matrix(GF(5), [[], [], []], 3, 0), None)
+@example(Matrix(GF(7), [], 0, 4), 1)
+@example(Matrix(QQ, [[], []], 2, 0), 2)
+def test_image_and_section_match_sympy(d, seed):
+    rng = None if seed is None else random.Random(seed)
+    B, S = _image_and_section(d, rng)
+    r = _to_sympy(d).rank()
+    assert (B.nrows, B.ncols) == (d.nrows, r)
+    assert (S.nrows, S.ncols) == (d.ncols, r)
+    assert B.rank() == r
+    assert (d * S - B).is_zero()
+    if rng is None:
+        # the solve that the pivot read replaced, kept as the reference
+        assert S == d.solve(B)
 
 
 def _matrix(draw, F, m, n):

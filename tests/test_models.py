@@ -9,7 +9,9 @@ from qrtorsion.models import (Page2Spec, Page3Spec, ModelError, realize_morse,
                               homology_bases, lift_derivation_page2,
                               lift_derivation_page3, random_pearl,
                               solve_leibniz_derivation)
-from qrtorsion.spectral import page1, page2_rate, collapsing_page, PAGE2, PAGE3
+from qrtorsion import models
+from qrtorsion.spectral import (page1, page2_rate, collapsing_page, Spectrum,
+                                PAGE2, PAGE3, NOT_NARROW)
 from qrtorsion.torsion import quantum_torsion
 
 
@@ -79,6 +81,37 @@ def test_page3_lift_standard_pairing():
     # A = r * Qprime^{-1} has determinant 1 here, so tau = det A / r = 1/2
     tau = quantum_torsion(P, random.Random(0))
     assert tau == SignClass(QQ, QQ.parse("1/2"))
+
+
+def _negated_page1(self, P, H):
+    Spectrum.__init__(self, P, H)
+    self.page1.d1star = [-d for d in self.page1.d1star]
+
+
+@pytest.mark.parametrize("name, value, rejected", [
+    ("_lift_d1", lambda *args: None, "no d1 induces the page-1 differential"),
+    ("_solve_d2", lambda *args: None,
+     "no d2 completes d1 to a pearl differential"),
+    ("validate_pearl", lambda P: ["d^2 fails"],
+     "invalid pearl complex: d^2 fails"),
+    ("Spectrum", type("S", (Spectrum,), {"__init__": _negated_page1}),
+     "induced page-1 differential differs from the target"),
+    ("Spectrum", type("S", (Spectrum,), {"collapse": NOT_NARROW}),
+     "collapses at NotNarrow, not Page3"),
+    ("Spectrum", type("S", (Spectrum,), {"rate": QQ.from_int(3)}),
+     "page-2 rate differs from the target"),
+], ids=["no-d1", "no-d2", "invalid", "induced-map", "collapse", "rate"])
+def test_retry_exhaustion_names_the_last_rejection(monkeypatch, name, value,
+                                                   rejected):
+    H2 = ThreefoldHomology(2)
+    C = realize_morse(H2, seed=7)
+    spec = Page3Spec(H2, [[0, 2], [-2, 0]], 2)
+    monkeypatch.setattr(models, "RETRY_BOUND", 2)
+    monkeypatch.setattr(models, name, value)
+    with pytest.raises(ModelError) as err:
+        lift_derivation_page3(spec, C, QQ, seed=8)
+    assert str(err.value) == ("chain-level lift failed within the retry "
+                              f"bound; the last attempt was rejected: {rejected}")
 
 
 def test_page3_spec_rejects_odd_rank():

@@ -166,6 +166,26 @@ def test_verify_computes_each_spectral_object_once(monkeypatch):
     assert behind_closed_form is not behind_page1
 
 
+def test_verify_eliminates_each_map_once(monkeypatch):
+    page2 = generate_instance(2, 3, GF(5), 1, surplus=(1, 1, 1, 1))
+    page3 = generate_instance(3, 2, GF(5), 1, surplus=(1, 1, 1, 1))
+    calls = []
+    rref = Matrix.rref
+
+    def counting(self):
+        calls.append((self.nrows, self.ncols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    # each boundary's image basis and section come from one elimination,
+    # and each d1star is ranked once
+    assert verify_main_theorem(page2).all_pass
+    assert len(calls) == 17
+    calls.clear()
+    assert verify_main_theorem(page3).all_pass
+    assert len(calls) == 30
+
+
 @pytest.mark.parametrize("page, b", [(2, 3), (3, 2)])
 def test_generate_computes_the_integral_homology_once(monkeypatch, page, b):
     from qrtorsion import complexes
