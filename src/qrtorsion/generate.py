@@ -13,9 +13,8 @@ import random
 from .fields import Field, field_to_string
 from .complexes import admissibility_error
 from .threefold import ThreefoldHomology, TripleForm
-from .models import (Page2Spec, Page3Spec, ModelError, realize_morse,
-                     homology_bases, lift_derivation_page2,
-                     lift_derivation_page3, _unimodular, RETRY_BOUND)
+from .models import (Page2Spec, Page3Spec, realize_morse, homology_bases,
+                     lift_derivation_page2, lift_derivation_page3, _unimodular)
 from .verifier import Instance
 
 
@@ -39,6 +38,8 @@ def canonical_form(b: int) -> TripleForm:
 
 def standard_symplectic(b: int):
     """Block-diagonal [[0,1],[-1,0]] pairing of even rank b."""
+    if b % 2 == 1:
+        raise GenerateError("even rank required")
     J = [[0] * b for _ in range(b)]
     for i in range(0, b, 2):
         J[i][i + 1] = 1
@@ -49,6 +50,12 @@ def standard_symplectic(b: int):
 def _transpose_apply(U, v):
     n = len(v)
     return [sum(U[i][j] * v[i] for i in range(n)) for j in range(n)]
+
+
+def _draw_rate(rng, high: int, field: Field) -> int:
+    """A rate drawn from 1..high; one that vanishes in the field becomes 1."""
+    r = rng.randint(1, high)
+    return 1 if field.char and r % field.char == 0 else r
 
 
 def check_admissible(field: Field, H: ThreefoldHomology):
@@ -76,53 +83,30 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
     F = field
     if page == 2:
         if b == 1:
-            base_form, base_r = TripleForm(1), None
+            I, r = TripleForm(1), [_draw_rate(rate_pick, 4, F)]
         else:
-            base_form, base_r = canonical_form(b), [1] + [0] * (b - 1)
-        last = None
-        for attempt in range(RETRY_BOUND):
-            if b == 1:
-                I, r = base_form, [rate_pick.randint(1, 4)]
-            else:
-                U = _unimodular(transport, b)
-                I = base_form.apply_unimodular(U)
-                r = _transpose_apply(U, base_r)
-            try:
-                pearl = lift_derivation_page2(Page2Spec(H, I, r), morse, F,
-                                              seed=lift_seed + attempt)
-                break
-            except ModelError as e:
-                last = e
-        else:
-            raise GenerateError(f"page-2 lift failed: {last}")
-        form = I
+            U = _unimodular(transport, b)
+            I = canonical_form(b).apply_unimodular(U)
+            r = _transpose_apply(U, [1] + [0] * (b - 1))
+        pearl = lift_derivation_page2(Page2Spec(H, I, r), morse, F,
+                                      seed=lift_seed)
     elif page == 3:
         J = standard_symplectic(b)
-        last = None
-        for attempt in range(RETRY_BOUND):
-            U = _unimodular(transport, b)
-            # congruence transport keeps the pairing antisymmetric and
-            # invertible over the integers
-            Qp = [[sum(U[a][i] * J[a][c] * U[c][j] for a in range(b)
-                       for c in range(b)) for j in range(b)]
-                  for i in range(b)]
-            r = rate_pick.randint(1, 5)
-            if F.char and r % F.char == 0:
-                r = 1
-            try:
-                pearl = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
-                                              seed=lift_seed + attempt)
-                break
-            except ModelError as e:
-                last = e
-        else:
-            raise GenerateError(f"page-3 lift failed: {last}")
-        form = TripleForm(b)
+        U = _unimodular(transport, b)
+        # congruence transport keeps the pairing antisymmetric and
+        # invertible over the integers
+        Qp = [[sum(U[a][i] * J[a][c] * U[c][j] for a in range(b)
+                   for c in range(b)) for j in range(b)]
+              for i in range(b)]
+        r = _draw_rate(rate_pick, 5, F)
+        pearl = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
+                                      seed=lift_seed)
+        I = TripleForm(b)
     else:
         raise GenerateError("page must be 2 or 3")
     bases = homology_bases(morse, F)
     ident = f"page{page}-b{b}-{field_to_string(F)}-s{seed}"
-    return Instance(H, form, F, pearl, bases, ident=ident)
+    return Instance(H, I, F, pearl, bases, ident=ident)
 
 
 def mutate_d2(inst: Instance, seed: int) -> Instance:

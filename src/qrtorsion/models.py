@@ -6,6 +6,12 @@ unimodular scramble).  The lift_* functions solve, at chain level, for disc
 differentials inducing prescribed homology-level structure: the solution
 space of "chain map with prescribed induced map" is an affine subspace, so
 we assemble one linear system and sample it.
+
+Each lift is drawn once.  Over a field every homology map lifts to a map
+anticommuting with d_M, and d1^2, inducing delta o delta = 0, is then
+null-homotopic through its one C_0 -> C_3 component, d2.  The induced map,
+collapse page and pinned rate are equations of these solves, so the spec
+alone decides whether a lift exists, and a failed check raises ModelError.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
                         integral_homology, admissible_characteristic)
 from .threefold import ThreefoldHomology, TripleForm
 from .spectral import Contraction, Spectrum, PAGE2, PAGE3
-
-RETRY_BOUND = 32
 
 
 class ModelError(Exception):
@@ -223,7 +227,7 @@ class _AffineSystem:
         for name, (m, n) in self.shapes.items():
             off = self.offsets[name]
             out[name] = Matrix(F, [[vec[off + i * n + j] for j in range(n)]
-                                   for i in range(m)])
+                                   for i in range(m)], m, n)
         return out
 
 
@@ -334,40 +338,44 @@ def _leibniz_system(I: TripleForm, r, field: Field) -> _AffineSystem:
     return sysm
 
 
+def _lift_failed(condition):
+    return ModelError(f"chain-level lift failed: {condition}")
+
+
+def _lift_chain(morse_F, H, delta, field, rng, rate=None, contraction=None):
+    """A valid pearl complex lifting delta (pinning the page-2 rate, when one
+    is given).  The spec decides whether each step succeeds (see the module
+    docstring), so a failed step raises ModelError naming its condition."""
+    d1 = _lift_d1(morse_F, H, delta, field, rng)
+    if d1 is None:
+        raise _lift_failed("no d1 induces the page-1 differential")
+    d2 = _solve_d2(morse_F, d1, field, rng, rate, contraction)
+    if d2 is None:
+        raise _lift_failed("no d2 completes d1 to a pearl differential")
+    P = TwistedPearlComplex(field, morse_F.ranks, morse_F.boundaries[1:],
+                            d1, d2)
+    bad = validate_pearl(P)
+    if bad:
+        raise _lift_failed("invalid pearl complex: " + "; ".join(bad))
+    return P
+
+
 def _lift_pearl(morse_F, H, delta, field, rng, page, rate=None,
                 contraction=None):
-    """Retry chain-level lifts until one is a pearl complex whose page-1
-    differential is exactly delta and which collapses at the given page (with
-    page-2 rate exactly rate, when one is given).  On running out of
-    attempts, the error names the condition that rejected the last one."""
-    for _ in range(RETRY_BOUND):
-        d1 = _lift_d1(morse_F, H, delta, field, rng)
-        if d1 is None:
-            rejected = "no d1 induces the page-1 differential"
-            continue
-        d2 = _solve_d2(morse_F, d1, field, rng, rate, contraction)
-        if d2 is None:
-            rejected = "no d2 completes d1 to a pearl differential"
-            continue
-        P = TwistedPearlComplex(field, morse_F.ranks, morse_F.boundaries[1:],
-                                d1, d2)
-        bad = validate_pearl(P)
-        if bad:
-            rejected = "invalid pearl complex: " + "; ".join(bad)
-            continue
-        S = Spectrum(P, H)
-        if not all(a == bmat for a, bmat in zip(S.page1.d1star, delta)):
-            rejected = "induced page-1 differential differs from the target"
-            continue
-        if S.collapse != page:
-            rejected = f"collapses at {S.collapse}, not {page}"
-            continue
-        if rate is not None and S.rate != rate:
-            rejected = "page-2 rate differs from the target"
-            continue
-        return P
-    raise ModelError("chain-level lift failed within the retry bound; the "
-                     f"last attempt was rejected: {rejected}")
+    """_lift_chain, checked to induce exactly delta on page 1 and to collapse
+    at the given page (with page-2 rate exactly rate, when one is given).
+    The checks are equations of the lift's solves, so no redraw can pass
+    one that fails: it raises ModelError naming its condition."""
+    P = _lift_chain(morse_F, H, delta, field, rng, rate, contraction)
+    S = Spectrum(P, H)
+    if not all(a == bmat for a, bmat in zip(S.page1.d1star, delta)):
+        raise _lift_failed("induced page-1 differential differs from the "
+                           "target")
+    if S.collapse != page:
+        raise _lift_failed(f"collapses at {S.collapse}, not {page}")
+    if rate is not None and S.rate != rate:
+        raise _lift_failed("page-2 rate differs from the target")
+    return P
 
 
 def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
@@ -384,18 +392,13 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
         raise ModelError("not page-2 narrow: rate vector vanishes over the field")
     delta0 = Matrix(F, [[x] for x in rF])
     delta2 = Matrix(F, [list(rF)])
-    c = None
-    for _ in range(RETRY_BOUND):
-        c = solve_leibniz_derivation(spec.I, spec.r, F, rng)
-        if c is None:
-            raise ModelError("not page-2 narrow: no derivation satisfies the "
-                             "product constraints")
-        if c.rank() == b - 1:
-            break
-        c = None
+    c = solve_leibniz_derivation(spec.I, spec.r, F, rng)
     if c is None:
+        raise ModelError("not page-2 narrow: no derivation satisfies the "
+                         "product constraints")
+    if c.rank() != b - 1:
         raise ModelError("not page-2 narrow: the induced page-1 complex is "
-                         "never exact")
+                         "not exact")
     return _lift_pearl(morse.to_field(F), H, [delta0, c, delta2], F, rng, PAGE2)
 
 
@@ -428,7 +431,7 @@ def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
 
 def _random_matrix(field, rng, m, n):
     return Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(n)]
-                          for i in range(m)])
+                          for i in range(m)], m, n)
 
 
 def _sample_square_zero(field, rng, outer_in, outer_out, m, n):
@@ -437,8 +440,7 @@ def _sample_square_zero(field, rng, outer_in, outer_out, m, n):
     sysm.unknown("D", m, n)
     sysm.equation([(None, "D", outer_in)], Matrix.zeros(field, m, outer_in.ncols))
     sysm.equation([(outer_out, "D", None)], Matrix.zeros(field, outer_out.nrows, n))
-    sol = sysm.sample(rng)
-    return None if sol is None else sol["D"]
+    return sysm.sample(rng)["D"]
 
 
 def random_pearl(morse: BasedChainComplex, field: Field,
@@ -446,7 +448,8 @@ def random_pearl(morse: BasedChainComplex, field: Field,
     """A random valid pearl structure on the Morse complex: a random
     homology-level structure (the square-zero condition is linear in the
     middle map once the outer maps are drawn) lifted to chain level.  No
-    narrowness promise."""
+    narrowness promise.  Nothing is redrawn: the middle-map system is
+    homogeneous and a square-zero structure always lifts (module docstring)."""
     F = field
     morse_F = morse.to_field(F)
     ranks = morse.ranks
@@ -454,26 +457,14 @@ def random_pearl(morse: BasedChainComplex, field: Field,
     perfect = all(morse_F.boundary(k).is_zero() for k in range(1, 4))
     H = None if perfect else homology_bases(morse, F)
     hd = ranks if perfect else [H[k].ncols for k in range(4)]
-    for _ in range(RETRY_BOUND):
-        d0 = _random_matrix(F, rng, hd[1], hd[0])
-        d2s = _random_matrix(F, rng, hd[3], hd[2])
-        mid = _sample_square_zero(F, rng, d0, d2s, hd[2], hd[1])
-        if mid is None:
-            continue
-        delta = [d0, mid, d2s]
-        if perfect:
-            d2 = _random_matrix(F, rng, ranks[3], ranks[0])
-            P = TwistedPearlComplex(F, ranks, morse_F.boundaries[1:], delta, d2)
-            if not validate_pearl(P):
-                return P
-            continue
-        d1 = _lift_d1(morse_F, H, delta, F, rng)
-        if d1 is None:
-            continue
-        d2 = _solve_d2(morse_F, d1, F, rng)
-        if d2 is None:
-            continue
-        P = TwistedPearlComplex(F, ranks, morse_F.boundaries[1:], d1, d2)
-        if not validate_pearl(P):
-            return P
-    raise ModelError("random pearl sampling failed within the retry bound")
+    d0 = _random_matrix(F, rng, hd[1], hd[0])
+    d2s = _random_matrix(F, rng, hd[3], hd[2])
+    delta = [d0, _sample_square_zero(F, rng, d0, d2s, hd[2], hd[1]), d2s]
+    if not perfect:
+        return _lift_chain(morse_F, H, delta, F, rng)
+    d2 = _random_matrix(F, rng, ranks[3], ranks[0])
+    P = TwistedPearlComplex(F, ranks, morse_F.boundaries[1:], delta, d2)
+    bad = validate_pearl(P)
+    if bad:
+        raise ModelError("invalid pearl complex: " + "; ".join(bad))
+    return P

@@ -312,3 +312,21 @@ def test_batch_digest_pinned(capsys, argv, digest):
                        "--seed", "7", *argv)
     assert code == 0
     assert json.loads(out)["digest"] == digest
+
+
+@pytest.mark.parametrize("field", ["Fp:3", "Fp:5", "Q"])
+@pytest.mark.parametrize("b", range(6))
+@pytest.mark.parametrize("page", [2, 3])
+def test_generate_verify_exit_codes(tmp_path, capsys, page, b, field):
+    # page 2 needs odd b and page 3 even b; any other b is bad input
+    path = str(tmp_path / "inst.json")
+    code, _, err = run(capsys, "generate", "--page", str(page), "--b", str(b),
+                       "--field", field, "--seed", "5", "-o", path)
+    if b % 2 == page % 2:
+        assert code == 2 and err.count("\n") == 1
+        assert "rank required" in json.loads(err)["error"]
+        return
+    assert code == 0, err
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True

@@ -8,8 +8,11 @@ from qrtorsion.threefold import ThreefoldHomology, TripleForm
 from qrtorsion.models import (Page2Spec, Page3Spec, ModelError, realize_morse,
                               homology_bases, lift_derivation_page2,
                               lift_derivation_page3, random_pearl,
-                              solve_leibniz_derivation)
+                              solve_leibniz_derivation, _unimodular)
 from qrtorsion import models
+from qrtorsion.generate import canonical_form, generate_instance, _transpose_apply
+from qrtorsion.linalg import Matrix
+from qrtorsion.verifier import verify_main_theorem
 from qrtorsion.spectral import (page1, page2_rate, collapsing_page, Spectrum,
                                 PAGE2, PAGE3, NOT_NARROW)
 from qrtorsion.torsion import quantum_torsion
@@ -101,17 +104,55 @@ def _negated_page1(self, P, H):
     ("Spectrum", type("S", (Spectrum,), {"rate": QQ.from_int(3)}),
      "page-2 rate differs from the target"),
 ], ids=["no-d1", "no-d2", "invalid", "induced-map", "collapse", "rate"])
-def test_retry_exhaustion_names_the_last_rejection(monkeypatch, name, value,
-                                                   rejected):
+def test_lift_failure_names_the_condition(monkeypatch, name, value, rejected):
     H2 = ThreefoldHomology(2)
     C = realize_morse(H2, seed=7)
     spec = Page3Spec(H2, [[0, 2], [-2, 0]], 2)
-    monkeypatch.setattr(models, "RETRY_BOUND", 2)
     monkeypatch.setattr(models, name, value)
     with pytest.raises(ModelError) as err:
         lift_derivation_page3(spec, C, QQ, seed=8)
-    assert str(err.value) == ("chain-level lift failed within the retry "
-                              f"bound; the last attempt was rejected: {rejected}")
+    assert str(err.value) == f"chain-level lift failed: {rejected}"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("b", [3, 5, 7])
+def test_transported_leibniz_system_has_full_column_rank(field, b):
+    # so c is unique (rank b - 1) and sampling it draws nothing
+    U = _unimodular(random.Random(b), b)
+    I = canonical_form(b).apply_unimodular(U)
+    r = _transpose_apply(U, [1] + [0] * (b - 1))
+    system = models._leibniz_system(I, r, field)
+    M = Matrix(field, system.rows, len(system.rows), b * b)
+    assert M.rank() == b * b
+
+
+@pytest.mark.parametrize("page, b", [(2, 1), (2, 3), (3, 0), (3, 2)])
+def test_generate_lifts_once(monkeypatch, page, b):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lift_d1(*args)
+
+    lift_d1 = models._lift_d1
+    monkeypatch.setattr(models, "_lift_d1", counted)
+    for field in (QQ, GF(5)):
+        calls.clear()
+        generate_instance(page, b, field, seed=2, surplus=(1, 1, 1, 1))
+        assert len(calls) == 1
+
+
+def test_page2_b1_rate_vanishing_mod_p_becomes_1():
+    F3 = GF(3)
+    seed = 4
+    master = random.Random(seed)
+    for _ in range(3):
+        master.getrandbits(32)
+    assert random.Random(master.getrandbits(32)).randint(1, 4) == 3
+    inst = generate_instance(2, 1, F3, seed)
+    assert verify_main_theorem(inst).all_pass
+    d1star = Spectrum(inst.pearl, inst.bases).page1.d1star
+    assert d1star[0] == Matrix(F3, [[F3.one()]], 1, 1)
 
 
 def test_page3_spec_rejects_odd_rank():
@@ -164,3 +205,12 @@ def test_random_pearl_with_morse_part():
     for s in range(5):
         P = random_pearl(C, GF(3), seed=s)
         assert not validate_pearl(P)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_random_pearl_on_b0(field):
+    # ranks (1, 0, 0, 1): the empty middle maps keep their shapes
+    C = realize_morse(ThreefoldHomology(0), seed=1)
+    P = random_pearl(C, field, seed=2)
+    assert [P.d1[k].ncols for k in range(3)] == [1, 0, 0]
+    assert not validate_pearl(P)
