@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 
 from .fields import Field, field_to_string
-from .complexes import admissibility_error
+from .complexes import admissibility_error, TwistedPearlComplex
+from .linalg import IntegerMatrix, Matrix
 from .threefold import ThreefoldHomology, TripleForm
 from .models import (Page2Spec, Page3Spec, realize_morse, homology_bases,
                      lift_derivation_page2, lift_derivation_page3, _unimodular)
@@ -26,14 +27,26 @@ def canonical_form(b: int) -> TripleForm:
     """Block triple form I(1, 2i, 2i+1) = 1 for odd b; zero when b = 1.
 
     Each block contributes a symplectic plane to the slice at the first
-    generator, so the slice pairing is invertible on the complement.
-    """
+    generator, so the slice pairing is invertible on the complement.  Its
+    derivation for the rate vector e_1 is canonical_derivation(b)."""
     if b % 2 == 0:
         raise GenerateError("odd rank required")
     entries = {}
     for i in range(1, (b - 1) // 2 + 1):
         entries[(1, 2 * i, 2 * i + 1)] = 1
     return TripleForm(b, entries)
+
+
+def canonical_derivation(b: int):
+    """The degree-1 derivation c0 of canonical_form(b) for the rate vector
+    e_1: c0(2i, 2i+1) = 1 = -c0(2i+1, 2i) (1-based) per block, else zero.
+    It is antisymmetric, kills e_1 and has rank b - 1."""
+    if b % 2 == 0:
+        raise GenerateError("odd rank required")
+    c = [[0] * b for _ in range(b)]
+    for i in range(1, b, 2):
+        c[i][i + 1], c[i + 1][i] = 1, -1
+    return c
 
 
 def standard_symplectic(b: int):
@@ -50,6 +63,11 @@ def standard_symplectic(b: int):
 def _transpose_apply(U, v):
     n = len(v)
     return [sum(U[i][j] * v[i] for i in range(n)) for j in range(n)]
+
+
+def _congruence(P, M):
+    """The integer matrix P M P^T, for square integer row lists P and M."""
+    return (IntegerMatrix(P) * IntegerMatrix(M) * IntegerMatrix(zip(*P))).rows
 
 
 def _draw_rate(rng, high: int, field: Field) -> int:
@@ -82,22 +100,20 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
     morse = realize_morse(H, surplus, seed=morse_seed)
     F = field
     if page == 2:
-        if b == 1:
-            I, r = TripleForm(1), [_draw_rate(rate_pick, 4, F)]
-        else:
-            U = _unimodular(transport, b)
-            I = canonical_form(b).apply_unimodular(U)
-            r = _transpose_apply(U, [1] + [0] * (b - 1))
-        pearl = lift_derivation_page2(Page2Spec(H, I, r), morse, F,
+        # I = I0 o U and r = U^T r0 carry the derivation c0 to U^-1 c0 U^-T
+        U, Uinv = _unimodular(transport, b, inverse=True)
+        I = canonical_form(b).apply_unimodular(U)
+        r0 = _draw_rate(rate_pick, 4, F) if b == 1 else 1
+        r = _transpose_apply(U, [r0] + [0] * (b - 1))
+        c = _congruence(Uinv, canonical_derivation(b))
+        pearl = lift_derivation_page2(Page2Spec(H, I, r, c), morse, F,
                                       seed=lift_seed)
     elif page == 3:
         J = standard_symplectic(b)
         U = _unimodular(transport, b)
         # congruence transport keeps the pairing antisymmetric and
         # invertible over the integers
-        Qp = [[sum(U[a][i] * J[a][c] * U[c][j] for a in range(b)
-                   for c in range(b)) for j in range(b)]
-              for i in range(b)]
+        Qp = _congruence(list(zip(*U)), J)
         r = _draw_rate(rate_pick, 5, F)
         pearl = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
                                       seed=lift_seed)
@@ -123,8 +139,6 @@ def mutate_d2(inst: Instance, seed: int) -> Instance:
     i, j = random.Random(seed).choice(nz)
     rows = [list(r) for r in P.d2.rows]
     rows[i][j] = F.neg(rows[i][j])
-    from .linalg import Matrix
-    from .complexes import TwistedPearlComplex
     d2 = Matrix(F, rows, nrows=P.d2.nrows, ncols=P.d2.ncols)
     mutated = TwistedPearlComplex(F, P.ranks, [P.dM(k) for k in range(1, 4)],
                                   [P.d1_map(k) for k in range(3)], d2)

@@ -17,6 +17,7 @@ alone decides whether a lift exists, and a failed check raises ModelError.
 from __future__ import annotations
 
 import random
+from operator import mul
 
 from .fields import Field, QQ
 from .linalg import Matrix, IntegerMatrix
@@ -31,19 +32,23 @@ class ModelError(Exception):
 
 
 class Page2Spec:
-    """Odd-b narrow data: a triple form with a slice and the rate vector of
-    the degree-0 derivation."""
+    """Odd-b narrow data: a triple form with a slice, the rate vector of the
+    degree-0 derivation and, optionally, the derivation's integer degree-1
+    component c, which the lift checks and uses in place of a solve."""
 
-    def __init__(self, H: ThreefoldHomology, I: TripleForm, r):
+    def __init__(self, H: ThreefoldHomology, I: TripleForm, r, c=None):
         if H.b % 2 == 0:
             raise ModelError("odd Betti number required")
         if I.b != H.b:
             raise ModelError("form rank does not match the Betti number")
         if len(r) != H.b or all(x == 0 for x in r):
             raise ModelError("rate vector must be nonzero of length b")
+        if c is not None and [len(row) for row in c] != [H.b] * H.b:
+            raise ModelError("derivation matrix must be b x b")
         self.H = H
         self.I = I
         self.r = [int(x) for x in r]
+        self.c = None if c is None else [[int(x) for x in row] for row in c]
 
 
 class Page3Spec:
@@ -288,6 +293,7 @@ def solve_leibniz_derivation(I: TripleForm, r, field: Field, rng=None):
       sum_m I(i,m,k) c_mj = r_i d_jk - d_ij r_k      (duality pairing)
       c r = 0                                        (squares to zero)
     Returns a sampled solution or None when the constraints are infeasible.
+    It serves only specs without a closed-form c (see _checked_derivation).
 
     The degree-2 product equations sum_k I(i,j,k) c_mk = r_i d_jm - r_j d_im
     are implied and left out.  Read the pairing row (i,j,k) as (i,m,j):
@@ -336,6 +342,34 @@ def _leibniz_system(I: TripleForm, r, field: Field) -> _AffineSystem:
         rows.append(row)
         rhs.append(zero)
     return sysm
+
+
+def _checked_derivation(I: TripleForm, r, c, field: Field) -> Matrix:
+    """The integer matrix c over the field, once it satisfies there every
+    equation of solve_leibniz_derivation; else ModelError names the first
+    one it fails.  The pairing sums come from the stored coefficients of I
+    and their six signed permutations: O(|coeffs| b) work, b^3 compares."""
+    b, ok = I.b, field.is_zero
+    fail = "closed-form derivation fails "
+    pairing = [[[0] * b for _ in range(b)] for _ in range(b)]  # [i][k][j]
+    for (x, y, z), v in I.coeffs.items():
+        for (i, m, k), s in (((x, y, z), v), ((y, z, x), v), ((z, x, y), v),
+                             ((y, x, z), -v), ((x, z, y), -v), ((z, y, x), -v)):
+            row, cm = pairing[i - 1][k - 1], c[m - 1]
+            for j in range(b):
+                row[j] += s * cm[j]
+    for i in range(b):
+        for k in range(b):
+            row = pairing[i][k]
+            row[k] -= r[i]
+            row[i] += r[k]
+            if not all(map(ok, row)):
+                raise ModelError(fail + "the duality pairing")
+    if not all(ok(c[i][j] + c[j][i]) for i in range(b) for j in range(i, b)):
+        raise ModelError(fail + "antisymmetry")
+    if not all(ok(sum(map(mul, row, r))) for row in c):
+        raise ModelError(fail + "c r = 0")
+    return Matrix.from_int_rows(field, c, b, b)
 
 
 def _lift_failed(condition):
@@ -392,7 +426,8 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
         raise ModelError("not page-2 narrow: rate vector vanishes over the field")
     delta0 = Matrix(F, [[x] for x in rF])
     delta2 = Matrix(F, [list(rF)])
-    c = solve_leibniz_derivation(spec.I, spec.r, F, rng)
+    c = (solve_leibniz_derivation(spec.I, spec.r, F, rng) if spec.c is None
+         else _checked_derivation(spec.I, spec.r, spec.c, F))
     if c is None:
         raise ModelError("not page-2 narrow: no derivation satisfies the "
                          "product constraints")

@@ -10,7 +10,8 @@ from qrtorsion.models import (Page2Spec, Page3Spec, ModelError, realize_morse,
                               lift_derivation_page3, random_pearl,
                               solve_leibniz_derivation, _unimodular)
 from qrtorsion import models
-from qrtorsion.generate import canonical_form, generate_instance, _transpose_apply
+from qrtorsion.generate import (canonical_form, canonical_derivation,
+                                generate_instance, _congruence, _transpose_apply)
 from qrtorsion.linalg import Matrix
 from qrtorsion.verifier import verify_main_theorem
 from qrtorsion.spectral import (page1, page2_rate, collapsing_page, Spectrum,
@@ -140,6 +141,80 @@ def test_generate_lifts_once(monkeypatch, page, b):
         calls.clear()
         generate_instance(page, b, field, seed=2, surplus=(1, 1, 1, 1))
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("b", [1, 3, 5])
+def test_generate_solves_no_leibniz_system(monkeypatch, b):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = models.solve_leibniz_derivation
+    monkeypatch.setattr(models, "solve_leibniz_derivation", counted)
+    for field in (QQ, GF(5)):
+        assert verify_main_theorem(generate_instance(2, b, field, seed=3)).all_pass
+    assert calls == []
+
+
+def _transported_spec(b, rng):
+    """I = I0 o U, r = U^T e_1 and the closed form U^-1 c0 U^-T, as
+    generate_instance builds them; also U^T c0 U, a mis-transport."""
+    U, Uinv = _unimodular(rng, b, inverse=True)
+    I = canonical_form(b).apply_unimodular(U)
+    r = _transpose_apply(U, [1] + [0] * (b - 1))
+    c0 = canonical_derivation(b)
+    return I, r, _congruence(Uinv, c0), _congruence(list(zip(*U)), c0)
+
+
+@pytest.mark.parametrize("b", [1, 3, 5, 7, 9])
+def test_canonical_derivation_is_exact_and_kills_e1(b):
+    c0 = canonical_derivation(b)
+    assert all(c0[i][j] == -c0[j][i] for i in range(b) for j in range(b))
+    assert [row[0] for row in c0] == [0] * b
+    for field in (QQ, GF(3)):
+        assert Matrix.from_int_rows(field, c0, b, b).rank() == b - 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(101)], ids=str)
+@pytest.mark.parametrize("b", [1, 3, 5, 7, 9])
+def test_closed_form_derivation_equals_the_solve(field, b):
+    rng = random.Random(50 + b)
+    solve_rng = random.Random(0)
+    state = solve_rng.getstate()
+    for _ in range(10):
+        I, r, c, _ = _transported_spec(b, rng)
+        solved = solve_leibniz_derivation(I, r, field, solve_rng)
+        assert solved == models._checked_derivation(I, r, c, field)
+        assert solve_rng.getstate() == state
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("b", [3, 5])
+def test_closed_form_derivation_is_checked(field, b):
+    H = ThreefoldHomology(b)
+    C = realize_morse(H, seed=b)
+    rng = random.Random(b)
+    for _ in range(5):
+        I, r, c, wrong = _transported_spec(b, rng)
+        lift_derivation_page2(Page2Spec(H, I, r, c), C, field, seed=1)
+        bumped = [list(row) for row in c]
+        i, j = rng.randrange(b), rng.randrange(b)
+        bumped[i][j] += 1
+        for bad in (wrong, bumped):
+            with pytest.raises(ModelError) as err:
+                lift_derivation_page2(Page2Spec(H, I, r, bad), C, field, seed=1)
+            assert str(err.value) == \
+                "closed-form derivation fails the duality pairing"
+
+
+def test_closed_form_derivation_antisymmetry_is_checked():
+    H = ThreefoldHomology(1)
+    C = realize_morse(H, seed=1)
+    with pytest.raises(ModelError) as err:
+        lift_derivation_page2(Page2Spec(H, TripleForm(1), [2], [[1]]), C, QQ)
+    assert str(err.value) == "closed-form derivation fails antisymmetry"
 
 
 def test_page2_b1_rate_vanishing_mod_p_becomes_1():
