@@ -35,15 +35,6 @@ INPUT_ERRORS = (schemas.SchemaError, FieldError, ComplexError, TorsionError,
                 VerifierError, GenerateError, LinAlgError, ValueError)
 
 
-class CliFailure(Exception):
-    """Carries an exit code plus the machine-readable error object."""
-
-    def __init__(self, code, message, where):
-        super().__init__(message)
-        self.code = code
-        self.where = where
-
-
 def _emit(doc, path=None):
     text = schemas.dump(doc, path)
     if path is None:
@@ -144,11 +135,12 @@ def cmd_potential(args):
     F = field_from_string(args.field)
     phi = Representation(F, _parse_point(F, args.at))
     W = build_potential(D)
+    # log_gradient rejects a point of the wrong size, for every flavor
+    g = log_gradient(W, phi)
     if args.flavor == "eval":
         val = W.evaluate(F, phi.values)
         _emit({"v": schemas.VERSION, "value": F.format(val)})
     elif args.flavor == "grad":
-        g = log_gradient(W, phi)
         _emit({"v": schemas.VERSION, "gradient": [F.format(x) for x in g]})
     else:
         val = discriminant(W, phi)

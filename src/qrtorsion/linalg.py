@@ -1,8 +1,8 @@
 """Exact dense linear algebra over a field, plus integer Smith normal form.
 
 Plain Gaussian elimination over exact scalars.  Most matrices are
-homology-sized, but the chain-level lift's system (models._lift_d1) is
-larger (263 x 117 for page 2 at b = 9), so ``rref`` runs on bare values and
+homology-sized, but the Leibniz system of a page-2 spec without a closed-form
+derivation is (b^3 + b^2 + b) x b^2, so ``rref`` runs on bare values and
 skips the zeros of each pivot row.  Products and determinants run on integers (residues, or
 rows and columns cleared of denominators), the determinant by Bareiss's
 fraction-free elimination.  0 x n and n x 0 matrices are legal everywhere;

@@ -2,16 +2,28 @@
 
 realize_morse builds an integral chain complex with prescribed 3-fold
 homology (perfect bases, torsion blocks, birth pairs, then a seeded
-unimodular scramble).  The lift_* functions solve, at chain level, for disc
-differentials inducing prescribed homology-level structure: the solution
-space of "chain map with prescribed induced map" is an affine subspace, so
-we assemble one linear system and sample it.
+unimodular scramble).  The lift_* functions and random_pearl lift
+homology-level structure delta (and x : H_0 -> H_3) to disc differentials
+in closed form.  The contraction of the Morse complex onto its homology
+(spectral.Contraction) gives iota = H and pi with d_M iota = 0,
+pi d_M = 0 and pi iota = 1, so
 
-Each lift is drawn once.  Over a field every homology map lifts to a map
-anticommuting with d_M, and d1^2, inducing delta o delta = 0, is then
-null-homotopic through its one C_0 -> C_3 component, d2.  The induced map,
-collapse page and pinned rate are equations of these solves, so the spec
-alone decides whether a lift exists, and a failed check raises ModelError.
+    d1_k = iota delta_k pi_k,    d2 = iota x pi_0
+
+anticommute with d_M, induce delta on page 1, and square to zero with
+delta: d1^2 = iota delta^2 pi = 0, and d_M d2 = d2 d_M = 0.  This is the
+strong-deformation-retract argument behind the homological perturbation
+lemma (Crainic, arXiv:math/0403266).  x is the pinned rate on page 3 and a
+random draw otherwise.
+
+The lift is then conjugated by Phi = 1 + h, for a random h : C_k -> C_{k+2}
+with components h0, h1, so h^2 = 0 and Phi^-1 = 1 - h.  d_M is unchanged,
+d1 becomes d1 + h d_M - d_M h, and d2 becomes
+d2 + h1 d1_0 - d1_2 h0 - h1 d_M h0.  Over a field any two lifts of delta
+differ by such an h d_M - d_M h, so this reaches every lift with nothing
+solved.  validate_pearl and the induced-map, collapse-page and rate checks
+still run on every lift, and a failed one raises ModelError naming its
+condition.
 """
 
 from __future__ import annotations
@@ -159,157 +171,39 @@ def homology_bases(morse: BasedChainComplex, field: Field):
     return [R.to_field(field) for R in reps]
 
 
-class _AffineSystem:
-    """Linear equations sum_t A_t U_t B_t = C in several unknown matrices,
-    solved by flattening row-major; solutions sampled from the affine space."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.shapes = {}
-        self.offsets = {}
-        self.size = 0
-        self.rows = []
-        self.rhs = []
-
-    def unknown(self, name, m, n):
-        self.shapes[name] = (m, n)
-        self.offsets[name] = self.size
-        self.size += m * n
-
-    def equation(self, terms, C: Matrix):
-        """terms: list of (A, name, B); A or B may be None for identity."""
-        F = self.field
-        m_out, n_out = C.nrows, C.ncols
-        for p in range(m_out):
-            for q in range(n_out):
-                row = [F.zero()] * self.size
-                for A, name, B in terms:
-                    m, n = self.shapes[name]
-                    off = self.offsets[name]
-                    for i in range(m):
-                        a = A.rows[p][i] if A is not None else \
-                            (F.one() if p == i else F.zero())
-                        if F.is_zero(a):
-                            continue
-                        for j in range(n):
-                            bb = B.rows[j][q] if B is not None else \
-                                (F.one() if j == q else F.zero())
-                            if F.is_zero(bb):
-                                continue
-                            row[off + i * n + j] = F.add(row[off + i * n + j],
-                                                         F.mul(a, bb))
-                self.rows.append(row)
-                self.rhs.append(C.rows[p][q])
-
-    def sample(self, rng=None):
-        """A random solution, or None when the system is infeasible.
-
-        One elimination of [M | rhs] gives both the particular solution (the
-        rhs column at the pivots) and the kernel: each free column j spans
-        e_j - sum over pivots of R[row][j] e_pivot, and draws one
-        coefficient in ascending order of j.
-        """
-        F = self.field
-        size = self.size
-        aug = Matrix(F, [row + [x] for row, x in zip(self.rows, self.rhs)],
-                     len(self.rows), size + 1)
-        R, pivots = aug.rref()
-        if pivots and pivots[-1] == size:
-            return None
-        vec = [F.zero()] * size
-        for pi, pc in enumerate(pivots):
-            vec[pc] = R.rows[pi][size]
-        if rng is not None:
-            pivot_set = set(pivots)
-            for j in range(size):
-                if j in pivot_set:
-                    continue
-                coef = F.from_int(rng.randint(-4, 4))
-                vec[j] = F.add(vec[j], coef)
-                for pi, pc in enumerate(pivots):
-                    vec[pc] = F.sub(vec[pc], F.mul(coef, R.rows[pi][j]))
-        out = {}
-        for name, (m, n) in self.shapes.items():
-            off = self.offsets[name]
-            out[name] = Matrix(F, [[vec[off + i * n + j] for j in range(n)]
-                                   for i in range(m)], m, n)
-        return out
-
-
-def _lift_d1(morse_F, H, delta, field, rng):
-    """Sample d1 maps anticommuting with the Morse boundary and inducing the
-    prescribed maps delta[k] : H_k -> H_{k+1} on homology."""
-    ranks = morse_F.ranks
-    dM = [morse_F.boundary(k) for k in range(5)]
-    sysm = _AffineSystem(field)
-    for k in range(3):
-        sysm.unknown(f"d1_{k}", ranks[k + 1], ranks[k])
-    # auxiliary boundary witnesses for the homology conditions
-    sysm.unknown("X0", ranks[2], H[0].ncols)
-    sysm.unknown("X1", ranks[3], H[1].ncols)
-    zero = lambda m, n: Matrix.zeros(field, m, n)
-    # anticommutation, one component per degree
-    sysm.equation([(dM[1], "d1_0", None)], zero(ranks[0], ranks[0]))
-    sysm.equation([(dM[2], "d1_1", None), (None, "d1_0", dM[1])],
-                  zero(ranks[1], ranks[1]))
-    sysm.equation([(dM[3], "d1_2", None), (None, "d1_1", dM[2])],
-                  zero(ranks[2], ranks[2]))
-    sysm.equation([(None, "d1_2", dM[3])], zero(ranks[3], ranks[3]))
-    # induced maps on homology, with boundary freedom in degrees 0 and 1
-    sysm.equation([(None, "d1_0", H[0]), (-dM[2], "X0", None)], H[1] * delta[0])
-    sysm.equation([(None, "d1_1", H[1]), (-dM[3], "X1", None)], H[2] * delta[1])
-    sysm.equation([(None, "d1_2", H[2])], H[3] * delta[2])
-    sol = sysm.sample(rng)
-    if sol is None:
-        return None
-    return [sol["d1_0"], sol["d1_1"], sol["d1_2"]]
-
-
-def _solve_d2(morse_F, d1, field, rng, rate_target=None, contraction=None):
-    """Sample d2 : C_0 -> C_3 completing d1 to a pearl differential; when
-    rate_target is given, also pin the induced page-2 rate, computed in the
-    contraction of the Morse part."""
-    ranks = morse_F.ranks
-    dM = [morse_F.boundary(k) for k in range(5)]
-    sysm = _AffineSystem(field)
-    sysm.unknown("d2", ranks[3], ranks[0])
-    sysm.equation([(dM[3], "d2", None)], -(d1[1] * d1[0]))
-    sysm.equation([(None, "d2", dM[1])], -(d1[2] * d1[1]))
-    if rate_target is not None:
-        con, c = contraction, contraction.H[0]
-        x2 = dM[2].solve(-(d1[0] * c))
-        if x2 is None:
-            return None
-        rest = con.pi(3) * d1[2] * x2
-        want = Matrix(field, [[field.sub(rate_target, rest.rows[0][0])]])
-        sysm.equation([(con.pi(3), "d2", c)], want)
-    sol = sysm.sample(rng)
-    return None if sol is None else sol["d2"]
-
-
-def solve_leibniz_derivation(I: TripleForm, r, field: Field, rng=None):
+def solve_leibniz_derivation(I: TripleForm, r, field: Field):
     """The degree-1 component of a derivation extending the rate vector:
     antisymmetric c with, writing the form values as structure constants,
       sum_m I(i,m,k) c_mj = r_i d_jk - d_ij r_k      (duality pairing)
       c r = 0                                        (squares to zero)
-    Returns a sampled solution or None when the constraints are infeasible.
-    It serves only specs without a closed-form c (see _checked_derivation).
+    Returns the solution Matrix.solve finds, or None when the constraints are
+    infeasible.  It serves only specs without a closed-form c (see
+    _checked_derivation).
+
+    The solution is unique whenever a lift can succeed: each column x of
+    the difference of two solutions has sum_m I(i,m,k) x_m = 0, which for a
+    sliced form puts x in span(r), and antisymmetry with c r = 0 then makes
+    the difference vanish.
 
     The degree-2 product equations sum_k I(i,j,k) c_mk = r_i d_jm - r_j d_im
     are implied and left out.  Read the pairing row (i,j,k) as (i,m,j):
     sum_m' I(i,m',j) c_m'm = r_i d_mj - d_im r_j.  Since I(i,m',j) =
     -I(i,j,m') and c_m'm = -c_mm', it differs from the product row (i,j,m)
     by a combination of antisymmetry rows, whose right-hand side is 0.  The
-    augmented row space is therefore the same, and so is its (unique) RREF,
-    the particular solution, the kernel basis and the draws that sample
-    makes from rng.  The system is (b^3 + b^2 + b) x b^2.
+    augmented row space is therefore the same, and so is its (unique) RREF
+    and the solution read off it.  The system is (b^3 + b^2 + b) x b^2.
     """
-    sol = _leibniz_system(I, r, field).sample(rng)
-    return None if sol is None else sol["c"]
+    b = I.b
+    M, rhs = _leibniz_system(I, r, field)
+    x = M.solve(rhs)
+    return None if x is None else Matrix(
+        field, [[x.rows[i * b + j][0] for j in range(b)] for i in range(b)],
+        b, b)
 
 
-def _leibniz_system(I: TripleForm, r, field: Field) -> _AffineSystem:
-    """The linear system of solve_leibniz_derivation, unknown c row-major."""
+def _leibniz_system(I: TripleForm, r, field: Field):
+    """The linear system (M, rhs) of solve_leibniz_derivation, unknown c
+    row-major."""
     b = I.b
     F = field
     rF = [F.from_int(x) for x in r]
@@ -317,10 +211,7 @@ def _leibniz_system(I: TripleForm, r, field: Field) -> _AffineSystem:
     # form[i][k][m] = I(i+1, m+1, k+1), one lookup per value
     form = [[[F.from_int(I.value(i, m, k)) for m in range(1, b + 1)]
              for k in range(1, b + 1)] for i in range(1, b + 1)]
-    sysm = _AffineSystem(F)
-    sysm.unknown("c", b, b)
-    rows = sysm.rows
-    rhs = sysm.rhs
+    rows, rhs = [], []
     for i in range(b):
         for j in range(b):
             for k in range(b):
@@ -328,20 +219,20 @@ def _leibniz_system(I: TripleForm, r, field: Field) -> _AffineSystem:
                 for m, v in enumerate(form[i][k]):
                     row[m * b + j] = v
                 rows.append(row)
-                rhs.append(F.sub(rF[i] if j == k else zero,
-                                 rF[k] if i == j else zero))
+                rhs.append([F.sub(rF[i] if j == k else zero,
+                                  rF[k] if i == j else zero)])
     for i in range(b):
         for j in range(b):
             row = [zero] * (b * b)
             row[i * b + j] = one
             row[j * b + i] = F.add(row[j * b + i], one)
             rows.append(row)
-            rhs.append(zero)
+            rhs.append([zero])
         row = [zero] * (b * b)
         row[i * b:(i + 1) * b] = rF
         rows.append(row)
-        rhs.append(zero)
-    return sysm
+        rhs.append([zero])
+    return Matrix(F, rows, len(rows), b * b), Matrix(F, rhs, len(rhs), 1)
 
 
 def _checked_derivation(I: TripleForm, r, c, field: Field) -> Matrix:
@@ -376,31 +267,42 @@ def _lift_failed(condition):
     return ModelError(f"chain-level lift failed: {condition}")
 
 
-def _lift_chain(morse_F, H, delta, field, rng, rate=None, contraction=None):
-    """A valid pearl complex lifting delta (pinning the page-2 rate, when one
-    is given).  The spec decides whether each step succeeds (see the module
-    docstring), so a failed step raises ModelError naming its condition."""
-    d1 = _lift_d1(morse_F, H, delta, field, rng)
-    if d1 is None:
-        raise _lift_failed("no d1 induces the page-1 differential")
-    d2 = _solve_d2(morse_F, d1, field, rng, rate, contraction)
-    if d2 is None:
-        raise _lift_failed("no d2 completes d1 to a pearl differential")
-    P = TwistedPearlComplex(field, morse_F.ranks, morse_F.boundaries[1:],
-                            d1, d2)
+def _random_matrix(field, rng, m, n):
+    return Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(n)]
+                          for _ in range(m)], m, n)
+
+
+def _lift_chain(morse_F, H, delta, rng, x=None):
+    """The closed-form pearl complex lifting delta, conjugated by
+    Phi = 1 + h (module docstring).  The rng draws h0, then h1, then x
+    unless it is pinned.  validate_pearl checks the result; a failure raises
+    ModelError naming its condition."""
+    F = morse_F.field
+    r = morse_F.ranks
+    pi = Contraction(morse_F, H).pi
+    dM = [morse_F.boundary(k) for k in range(4)]
+    h0 = _random_matrix(F, rng, r[2], r[0])
+    h1 = _random_matrix(F, rng, r[3], r[1])
+    if x is None:
+        x = _random_matrix(F, rng, H[3].ncols, H[0].ncols)
+    d1 = [H[k + 1] * delta[k] * pi(k) for k in range(3)]
+    d2 = H[3] * x * pi(0) + h1 * d1[0] - d1[2] * h0 - h1 * dM[2] * h0
+    d1 = [d1[0] - dM[2] * h0, d1[1] + h0 * dM[1] - dM[3] * h1,
+          d1[2] + h1 * dM[2]]
+    P = TwistedPearlComplex(F, r, morse_F.boundaries[1:], d1, d2)
     bad = validate_pearl(P)
     if bad:
         raise _lift_failed("invalid pearl complex: " + "; ".join(bad))
     return P
 
 
-def _lift_pearl(morse_F, H, delta, field, rng, page, rate=None,
-                contraction=None):
+def _lift_pearl(morse_F, H, delta, rng, page, rate=None):
     """_lift_chain, checked to induce exactly delta on page 1 and to collapse
-    at the given page (with page-2 rate exactly rate, when one is given).
-    The checks are equations of the lift's solves, so no redraw can pass
-    one that fails: it raises ModelError naming its condition."""
-    P = _lift_chain(morse_F, H, delta, field, rng, rate, contraction)
+    at the given page; a given rate is pinned as x and checked to be the
+    page-2 rate.  The closed form meets each check by construction, so a
+    check that fails raises ModelError naming its condition."""
+    x = None if rate is None else Matrix(morse_F.field, [[rate]], 1, 1)
+    P = _lift_chain(morse_F, H, delta, rng, x)
     S = Spectrum(P, H)
     if not all(a == bmat for a, bmat in zip(S.page1.d1star, delta)):
         raise _lift_failed("induced page-1 differential differs from the "
@@ -426,7 +328,7 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
         raise ModelError("not page-2 narrow: rate vector vanishes over the field")
     delta0 = Matrix(F, [[x] for x in rF])
     delta2 = Matrix(F, [list(rF)])
-    c = (solve_leibniz_derivation(spec.I, spec.r, F, rng) if spec.c is None
+    c = (solve_leibniz_derivation(spec.I, spec.r, F) if spec.c is None
          else _checked_derivation(spec.I, spec.r, spec.c, F))
     if c is None:
         raise ModelError("not page-2 narrow: no derivation satisfies the "
@@ -434,7 +336,7 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
     if c.rank() != b - 1:
         raise ModelError("not page-2 narrow: the induced page-1 complex is "
                          "not exact")
-    return _lift_pearl(morse.to_field(F), H, [delta0, c, delta2], F, rng, PAGE2)
+    return _lift_pearl(morse.to_field(F), H, [delta0, c, delta2], rng, PAGE2)
 
 
 def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
@@ -455,51 +357,21 @@ def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
     except Exception as e:
         raise ModelError("pairing matrix is singular over the field") from e
     delta = [Matrix.zeros(F, b, 1), A, Matrix.zeros(F, 1, b)]
-    morse_F = morse.to_field(F)
-    zero_pearl = TwistedPearlComplex(
-        F, morse.ranks, morse_F.boundaries[1:],
-        [Matrix.zeros(F, morse.ranks[k + 1], morse.ranks[k]) for k in range(3)],
-        Matrix.zeros(F, morse.ranks[3], morse.ranks[0]))
-    return _lift_pearl(morse_F, H, delta, F, rng, PAGE3, rF,
-                       Contraction(zero_pearl, H))
-
-
-def _random_matrix(field, rng, m, n):
-    return Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(n)]
-                          for i in range(m)], m, n)
-
-
-def _sample_square_zero(field, rng, outer_in, outer_out, m, n):
-    """Random middle map D (m x n) with D * outer_in = 0 and outer_out * D = 0."""
-    sysm = _AffineSystem(field)
-    sysm.unknown("D", m, n)
-    sysm.equation([(None, "D", outer_in)], Matrix.zeros(field, m, outer_in.ncols))
-    sysm.equation([(outer_out, "D", None)], Matrix.zeros(field, outer_out.nrows, n))
-    return sysm.sample(rng)["D"]
+    return _lift_pearl(morse.to_field(F), H, delta, rng, PAGE3, rF)
 
 
 def random_pearl(morse: BasedChainComplex, field: Field,
                  seed: int = 0) -> TwistedPearlComplex:
-    """A random valid pearl structure on the Morse complex: a random
-    homology-level structure (the square-zero condition is linear in the
-    middle map once the outer maps are drawn) lifted to chain level.  No
-    narrowness promise.  Nothing is redrawn: the middle-map system is
-    homogeneous and a square-zero structure always lifts (module docstring)."""
+    """A random valid pearl structure on the Morse complex: random outer
+    maps delta_0, delta_2 on homology and a random middle map
+    D = ker(delta_2) R ker(delta_0^T)^T, so that delta squares to zero,
+    lifted to chain level by _lift_chain.  No narrowness promise."""
     F = field
-    morse_F = morse.to_field(F)
-    ranks = morse.ranks
+    H = homology_bases(morse, F)
+    hd = [H[k].ncols for k in range(4)]
     rng = random.Random(seed)
-    perfect = all(morse_F.boundary(k).is_zero() for k in range(1, 4))
-    H = None if perfect else homology_bases(morse, F)
-    hd = ranks if perfect else [H[k].ncols for k in range(4)]
     d0 = _random_matrix(F, rng, hd[1], hd[0])
     d2s = _random_matrix(F, rng, hd[3], hd[2])
-    delta = [d0, _sample_square_zero(F, rng, d0, d2s, hd[2], hd[1]), d2s]
-    if not perfect:
-        return _lift_chain(morse_F, H, delta, F, rng)
-    d2 = _random_matrix(F, rng, ranks[3], ranks[0])
-    P = TwistedPearlComplex(F, ranks, morse_F.boundaries[1:], delta, d2)
-    bad = validate_pearl(P)
-    if bad:
-        raise ModelError("invalid pearl complex: " + "; ".join(bad))
-    return P
+    K2, K0 = d2s.kernel_basis(), d0.transpose().kernel_basis()
+    D = K2 * _random_matrix(F, rng, K2.ncols, K0.ncols) * K0.transpose()
+    return _lift_chain(morse.to_field(F), H, [d0, D, d2s], rng)

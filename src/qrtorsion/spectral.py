@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import Matrix
-from .complexes import TwistedPearlComplex, validate_pearl
+from .complexes import BasedChainComplex, TwistedPearlComplex, validate_pearl
 from .torsion import _image_and_section
 
 
@@ -62,33 +62,33 @@ class PageOne:
 
 
 class Contraction:
-    """Deterministic strong deformation retraction of (C_*, d_M) onto its
-    homology: inclusion iota (the given representatives), projection pi, and
-    a homotopy K with d_M K + K d_M = 1 - iota pi, K^2 = 0, pi K = 0,
-    K iota = 0.
+    """Deterministic strong deformation retraction of a Morse complex
+    (C_*, d_M) onto its homology: inclusion iota (the given
+    representatives), projection pi, and a homotopy K with
+    d_M K + K d_M = 1 - iota pi, K^2 = 0, pi K = 0, K iota = 0.
 
     Built from the adapted bases [h_k | b_k | s_{k-1}] of each chain group,
     with b_k and s_k read off one elimination of d_M : C_{k+1} -> C_k; pass
     an rng to randomize the image bases and sections.
     """
 
-    def __init__(self, P: TwistedPearlComplex, H, rng=None):
-        F = P.field
-        self.P = P
+    def __init__(self, C: BasedChainComplex, H, rng=None):
+        F = C.field
+        self.ranks = list(C.ranks)
         self.H = list(H)
         self.hdims = [H[k].ncols for k in range(4)]
         self.b = []        # basis of B_k = im(d_M : C_{k+1} -> C_k), inside C_k
         self.s = []        # sections: d_M s[k] = b[k], columns in C_{k+1}
         for k in range(4):
-            bk, sk = _image_and_section(P.dM(k + 1), rng)
+            bk, sk = _image_and_section(C.boundary(k + 1), rng)
             self.b.append(bk)
             self.s.append(sk)
         self.T = []        # adapted basis per degree, and its inverse
         self.Tinv = []
         for k in range(4):
-            below = self.s[k - 1] if k >= 1 else Matrix.zeros(F, P.ranks[k], 0)
-            Tk = Matrix.hstack_all(F, [H[k], self.b[k], below], nrows=P.ranks[k])
-            if Tk.ncols != P.ranks[k]:
+            below = self.s[k - 1] if k >= 1 else Matrix.zeros(F, C.ranks[k], 0)
+            Tk = Matrix.hstack_all(F, [H[k], self.b[k], below], nrows=C.ranks[k])
+            if Tk.ncols != C.ranks[k]:
                 raise SpectralError(f"homology basis in degree {k} has the wrong rank")
             try:
                 self.Tinv.append(Tk.inverse())
@@ -96,18 +96,18 @@ class Contraction:
                 raise SpectralError(f"degree {k}: homology representatives do not "
                                     "base the Morse homology") from e
             self.T.append(Tk)
-        if not all((P.dM(k) * H[k]).is_zero() for k in range(4)):
+        if not all((C.boundary(k) * H[k]).is_zero() for k in range(4)):
             raise SpectralError("homology representatives must be cycles")
 
     def pi(self, k) -> Matrix:
         """Projection C_k -> H_k along boundaries and section columns."""
-        return self.Tinv[k].submatrix(range(self.hdims[k]), range(self.P.ranks[k]))
+        return self.Tinv[k].submatrix(range(self.hdims[k]), range(self.ranks[k]))
 
     def b_coords(self, k) -> Matrix:
         """Coordinates on the boundary block of C_k."""
         h = self.hdims[k]
         return self.Tinv[k].submatrix(range(h, h + self.b[k].ncols),
-                                      range(self.P.ranks[k]))
+                                      range(self.ranks[k]))
 
     def K(self, k) -> Matrix:
         """Homotopy component C_k -> C_{k+1}: send each boundary basis vector
@@ -139,7 +139,7 @@ def page1(P: TwistedPearlComplex, H, rng=None) -> PageOne:
     a cycle is again a cycle.
     """
     _check_valid(P)
-    d1star = _d1star(P, H, Contraction(P, H, rng))
+    d1star = _d1star(P, H, Contraction(P.base, H, rng))
     for k in range(2):
         if not (d1star[k + 1] * d1star[k]).is_zero():
             raise SpectralError("page-1 differential does not square to zero")
@@ -201,7 +201,7 @@ def closed_form_r(P: TwistedPearlComplex, H, rng=None):
     The page-1 ranks are checked from this path's own contraction, so it
     shares no intermediate result with page2_rate."""
     _check_valid(P)
-    con = Contraction(P, H, rng)
+    con = Contraction(P.base, H, rng)
     _require_survivors(PageOne(con.hdims, _d1star(P, H, con), H))
     alpha = con.pi(3) * P.d2 * H[0]
     M1 = con.b_coords(1) * P.d1_map(0) * H[0]
@@ -279,7 +279,7 @@ def minimal_model(P: TwistedPearlComplex, H, rng=None) -> MinimalModel:
     """
     _check_valid(P)
     F = P.field
-    con = Contraction(P, H, rng)
+    con = Contraction(P.base, H, rng)
     cr = P.ranks
     hr = con.hdims
 

@@ -88,8 +88,11 @@ def build_potential(D: DiscSystem) -> LaurentPolynomial:
 
 def log_gradient(W: LaurentPolynomial, phi: Representation):
     """The vector of z_i * dW/dz_i evaluated at phi; on a monomial this
-    multiplies its value by the exponent, so no division ever happens."""
+    multiplies its value by the exponent, so no division ever happens.
+    PotentialError when the point has the wrong number of coordinates."""
     F = phi.field
+    if phi.b != W.nvars:
+        raise PotentialError("representation size mismatch")
     out = [F.zero()] * phi.b
     for exps, coeff in W.terms.items():
         val = F.mul(F.from_int(coeff), phi.monomial(exps))

@@ -250,6 +250,22 @@ def test_potential_verbs(tmp_path, capsys):
     assert json.loads(out)["discriminant"] == "-2"
 
 
+@pytest.mark.parametrize("flavor", ["eval", "grad", "disc"])
+@pytest.mark.parametrize("discs, at", [
+    ([{"d": [1], "m0": 1}, {"d": [-1], "m0": 1}], "2,3"),
+    ([{"d": [1, 0], "m0": 1}, {"d": [0, -1], "m0": 1}], "3"),
+    ([], "3"),
+], ids=["b1-at-2", "b2-at-1", "b0-at-1"])
+def test_potential_point_size_mismatch_exits_2(tmp_path, capsys, flavor,
+                                               discs, at):
+    path = tmp_path / "w.json"
+    b = len(discs[0]["d"]) if discs else 0
+    path.write_text(json.dumps({"b": b, "discs": discs}))
+    code, out, err = run(capsys, "potential", flavor, str(path), "--at", at)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "representation size mismatch"
+
+
 def test_batch_deterministic_digest(capsys):
     argv = ["batch", "--page", "3", "--count", "5", "--seed", "7"]
     code1, out1, _ = run(capsys, *argv)
@@ -275,14 +291,14 @@ def test_batch_negative_count_exits_2(capsys):
 
 
 def test_batch_corrupt_skips_unmutatable(capsys):
-    # instance 60 of this corpus has d2 = 0, so there is nothing to mutate
-    code, out, _ = run(capsys, "batch", "--page", "2", "--count", "61",
-                       "--seed", "16", "--field", "F5", "--corrupt")
+    # instance 0 of this corpus has d2 = 0, so there is nothing to mutate
+    code, out, _ = run(capsys, "batch", "--page", "2", "--count", "8",
+                       "--seed", "78", "--field", "F5", "--corrupt")
     assert code == 0
     doc = json.loads(out)
     assert doc["unmutatable"] == 1
     assert doc["failed"] == doc["count"] - doc["passed"] - doc["unmutatable"]
-    assert doc["detected"] == doc["failed"]
+    assert doc["detected"] == doc["failed"] > 0
 
 
 def test_batch_corrupt_flags_everything(capsys):
@@ -300,7 +316,7 @@ def test_batch_corrupt_flags_everything(capsys):
     (["--page", "3"],
      "0956c5a399b5d89db3f8824f7c74480acfdc327fed34e5ba0a4b3ff046c83030"),
     (["--page", "2", "--corrupt"],
-     "da1b29d80a4f318c6d3c5efa5df9eba2f306cc20ccbd1ad44e20850f7e1c172d"),
+     "a290c0d38ea9f36640acaeb7a8d22fbe352ed2d5794e43ede140048029005d32"),
     (["--page", "3", "--corrupt"],
      "4747cc5c832771c20bc8b0c1deb3ed1c3a1a5160e49e428e1c429cf22c210196"),
     (["--page", "3", "--field", "Q", "--b", "4", "--count", "10"],

@@ -22,7 +22,7 @@ from sympy.polys.matrices import DomainMatrix
 from qrtorsion.fields import QQ, GF
 from qrtorsion.generate import canonical_form, _transpose_apply
 from qrtorsion.linalg import IntegerMatrix, Matrix, smith_normal_form
-from qrtorsion.models import _AffineSystem, _leibniz_system, _unimodular
+from qrtorsion.models import _leibniz_system, _unimodular
 from qrtorsion.torsion import _image_and_section
 from qrtorsion.threefold import TripleForm
 
@@ -280,18 +280,13 @@ def _nonzero_rref(rows, rhs, F):
 
 def _check_same_system(I, r, F):
     b = I.b
-    new = _leibniz_system(I, r, F)
-    assert len(new.rows) == b ** 3 + b * b + b
+    M, rhs = _leibniz_system(I, r, F)
+    assert M.nrows == rhs.nrows == b ** 3 + b * b + b
     old_rows, old_rhs = _full_leibniz_rows(I, r, F)
-    assert _nonzero_rref(new.rows, new.rhs, F) == \
+    assert _nonzero_rref(M.rows, [x for x, in rhs.rows], F) == \
         _nonzero_rref(old_rows, old_rhs, F)
-    old = _AffineSystem(F)
-    old.unknown("c", b, b)
-    old.rows, old.rhs = old_rows, old_rhs
-    a, c = new.sample(random.Random(b)), old.sample(random.Random(b))
-    assert (a is None) == (c is None)
-    if a is not None:
-        assert a["c"] == c["c"]
+    old = Matrix(F, old_rows, len(old_rows), b * b)
+    assert M.solve(rhs) == old.solve(Matrix(F, [[x] for x in old_rhs]))
 
 
 @pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
@@ -319,32 +314,3 @@ def test_leibniz_system_matches_full_system_on_random_forms(F):
             _check_same_system(I, r, F)
             # a zero rate keeps the system feasible, with a nonzero kernel
             _check_same_system(I, [0] * b, F)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_affine_sample_matches_solve_plus_kernel(data):
-    """One elimination of [M | rhs] samples what solve and kernel_basis did:
-    same particular solution, same kernel basis, same draws."""
-    A = data.draw(matrices())
-    F = A.field
-    rhs = [F.from_int(x) for x in data.draw(st.lists(
-        st.integers(-40, 40), min_size=A.nrows, max_size=A.nrows))]
-    seed = data.draw(st.integers(0, 2 ** 32))
-    sysm = _AffineSystem(F)
-    sysm.unknown("x", A.ncols, 1)
-    sysm.rows, sysm.rhs = [list(r) for r in A.rows], rhs
-    mine = random.Random(seed)
-    got = sysm.sample(mine)
-    x0 = A.solve(Matrix(F, [[x] for x in rhs], A.nrows, 1))
-    if x0 is None:
-        assert got is None
-        return
-    rng = random.Random(seed)
-    K = A.kernel_basis()
-    vec = [x0.rows[i][0] for i in range(A.ncols)]
-    for c in range(K.ncols):
-        coef = F.from_int(rng.randint(-4, 4))
-        vec = [F.add(v, F.mul(coef, K.rows[i][c])) for i, v in enumerate(vec)]
-    assert got["x"].rows == [[v] for v in vec]
-    assert mine.getstate() == rng.getstate()

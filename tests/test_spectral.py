@@ -112,7 +112,7 @@ def test_contraction_side_conditions():
     F = GF(7)
     P = random_pearl(C, F, seed=3)
     H = homology_bases(C, F)
-    con = Contraction(P, H)
+    con = Contraction(C.to_field(F), H)
     for k in range(4):
         K = con.K(k)
         assert (con.pi(k) * H[k]) == Matrix.identity(F, H[k].ncols)
