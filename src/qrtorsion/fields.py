@@ -110,7 +110,10 @@ class RationalField(Field):
         return Fraction(a) ** n
 
     def parse(self, s):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise FieldError(f"zero denominator in {s!r}") from None
 
     def format(self, a):
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)

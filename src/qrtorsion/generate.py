@@ -60,11 +60,6 @@ def standard_symplectic(b: int):
     return J
 
 
-def _transpose_apply(U, v):
-    n = len(v)
-    return [sum(U[i][j] * v[i] for i in range(n)) for j in range(n)]
-
-
 def _congruence(P, M):
     """The integer matrix P M P^T, for square integer row lists P and M."""
     return (IntegerMatrix(P) * IntegerMatrix(M) * IntegerMatrix(zip(*P))).rows
@@ -100,11 +95,12 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
     morse = realize_morse(H, surplus, seed=morse_seed)
     F = field
     if page == 2:
-        # I = I0 o U and r = U^T r0 carry the derivation c0 to U^-1 c0 U^-T
+        # I = I0 o U and r = U^T (r0 e_1) = r0 (row 0 of U) carry the
+        # derivation c0 to U^-1 c0 U^-T
         U, Uinv = _unimodular(transport, b, inverse=True)
         I = canonical_form(b).apply_unimodular(U)
         r0 = _draw_rate(rate_pick, 4, F) if b == 1 else 1
-        r = _transpose_apply(U, [r0] + [0] * (b - 1))
+        r = [r0 * x for x in U[0]]
         c = _congruence(Uinv, canonical_derivation(b))
         pearl = lift_derivation_page2(Page2Spec(H, I, r, c), morse, F,
                                       seed=lift_seed)

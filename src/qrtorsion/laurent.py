@@ -7,7 +7,7 @@ integers unless stated otherwise; evaluation happens in a chosen field.
 
 from __future__ import annotations
 
-from .fields import Field, FieldError
+from .fields import Field
 
 
 class LaurentError(Exception):
@@ -43,21 +43,8 @@ class LaurentPolynomial:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def monomial(cls, nvars, exps, c=1):
         return cls(nvars, {tuple(exps): c})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls.monomial(nvars, exps)
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return all(all(e == 0 for e in exps) for exps in self.terms)
@@ -66,32 +53,12 @@ class LaurentPolynomial:
         return (isinstance(other, LaurentPolynomial) and other.nvars == self.nvars
                 and other.terms == self.terms)
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __add__(self, other):
         if other.nvars != self.nvars:
             raise LaurentError("variable count mismatch")
         out = LaurentPolynomial(self.nvars, self.terms)
         for exps, c in other.terms.items():
             out._add_term(exps, c)
-        return out
-
-    def __neg__(self):
-        return LaurentPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPolynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if other.nvars != self.nvars:
-            raise LaurentError("variable count mismatch")
-        out = LaurentPolynomial(self.nvars)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out._add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return out
 
     def partial(self, i: int) -> "LaurentPolynomial":

@@ -71,9 +71,6 @@ class Matrix:
                 and other.nrows == self.nrows and other.ncols == self.ncols
                 and other.rows == self.rows)
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
-
     def __add__(self, other):
         self._check_shape(other, same=True)
         F = self.field

@@ -208,9 +208,9 @@ def _leibniz_system(I: TripleForm, r, field: Field):
     F = field
     rF = [F.from_int(x) for x in r]
     zero, one = F.zero(), F.one()
-    # form[i][k][m] = I(i+1, m+1, k+1), one lookup per value
-    form = [[[F.from_int(I.value(i, m, k)) for m in range(1, b + 1)]
-             for k in range(1, b + 1)] for i in range(1, b + 1)]
+    form = [[[zero] * b for _ in range(b)] for _ in range(b)]  # [i][k][m]
+    for (i, m, k), s in I.signed_terms():
+        form[i - 1][k - 1][m - 1] = F.from_int(s)
     rows, rhs = [], []
     for i in range(b):
         for j in range(b):
@@ -238,17 +238,15 @@ def _leibniz_system(I: TripleForm, r, field: Field):
 def _checked_derivation(I: TripleForm, r, c, field: Field) -> Matrix:
     """The integer matrix c over the field, once it satisfies there every
     equation of solve_leibniz_derivation; else ModelError names the first
-    one it fails.  The pairing sums come from the stored coefficients of I
-    and their six signed permutations: O(|coeffs| b) work, b^3 compares."""
+    one it fails.  The pairing sums run over TripleForm.signed_terms:
+    O(|coeffs| b) work, b^3 compares."""
     b, ok = I.b, field.is_zero
     fail = "closed-form derivation fails "
     pairing = [[[0] * b for _ in range(b)] for _ in range(b)]  # [i][k][j]
-    for (x, y, z), v in I.coeffs.items():
-        for (i, m, k), s in (((x, y, z), v), ((y, z, x), v), ((z, x, y), v),
-                             ((y, x, z), -v), ((x, z, y), -v), ((z, y, x), -v)):
-            row, cm = pairing[i - 1][k - 1], c[m - 1]
-            for j in range(b):
-                row[j] += s * cm[j]
+    for (i, m, k), s in I.signed_terms():
+        row, cm = pairing[i - 1][k - 1], c[m - 1]
+        for j in range(b):
+            row[j] += s * cm[j]
     for i in range(b):
         for k in range(b):
             row = pairing[i][k]

@@ -104,40 +104,45 @@ class TripleForm:
     def is_zero_over(self, field: Field) -> bool:
         return all(field.is_zero(field.from_int(v)) for v in self.coeffs.values())
 
+    def signed_terms(self):
+        """The nonzero values of the form on ordered triples, as
+        ((i, j, k), value) pairs: each stored coefficient under its six
+        orderings.  Cyclic rotations keep the sign and transpositions flip
+        it; every other method reads the alternating expansion from here."""
+        out = []
+        for (i, j, k), v in self.coeffs.items():
+            out += (((i, j, k), v), ((j, k, i), v), ((k, i, j), v),
+                    ((j, i, k), -v), ((i, k, j), -v), ((k, j, i), -v))
+        return out
+
     def slice_matrix(self, v, field: Field) -> Matrix:
         """The alternating matrix of the pairing (x, y) -> form(v, x, y); v is
-        a length-b column of field scalars and has itself in the kernel."""
+        a length-b column of field scalars and has itself in the kernel.
+        Entries are summed as bare values and reduced once each."""
         if len(v) != self.b:
             raise ThreefoldError("vector length mismatch")
-        M = Matrix.zeros(field, self.b, self.b)
-        for (a, c, d), val in self.coeffs.items():
-            fv = field.from_int(val)
-            for (i, j, k) in ((a, c, d), (c, d, a), (d, a, c)):
-                # cyclic rotations keep the sign; transposes flip it
-                t = field.mul(v[i - 1], fv)
-                M.rows[j - 1][k - 1] = field.add(M.rows[j - 1][k - 1], t)
-                M.rows[k - 1][j - 1] = field.sub(M.rows[k - 1][j - 1], t)
-        return M
+        rows = [[0] * self.b for _ in range(self.b)]
+        for (i, j, k), s in self.signed_terms():
+            rows[j - 1][k - 1] += s * v[i - 1]
+        return Matrix.from_int_rows(field, rows, self.b, self.b)
 
     def apply_unimodular(self, U) -> "TripleForm":
         """Pull the form back along the integer basis change e_i -> sum_j
-        U[j][i] e_j (columns of U are the new basis vectors)."""
+        U[j][i] e_j (columns of U are the new basis vectors): the value at
+        i < j < k is the sum of s U[x][i] U[y][j] U[z][k] over the signed
+        terms ((x, y, z), s), contracted one index at a time."""
         b = self.b
         out = TripleForm(b)
-        for i in range(1, b + 1):
-            for j in range(i + 1, b + 1):
-                for k in range(j + 1, b + 1):
-                    s = 0
-                    for (a, c, d), val in self.coeffs.items():
-                        # expand form(Ue_i, Ue_j, Ue_k) by trilinearity over
-                        # the nonzero coefficients and all index assignments
-                        for (x, y, z), sg in (((a, c, d), 1), ((c, d, a), 1),
-                                              ((d, a, c), 1), ((c, a, d), -1),
-                                              ((a, d, c), -1), ((d, c, a), -1)):
-                            s += sg * val * U[x - 1][i - 1] * U[y - 1][j - 1] \
-                                * U[z - 1][k - 1]
-                    if s:
-                        out.set(i, j, k, s)
+        terms = [(s, U[x - 1], U[y - 1], U[z - 1])
+                 for (x, y, z), s in self.signed_terms()]
+        for i in range(b):
+            ti = [(s * Ux[i], Uy, Uz) for s, Ux, Uy, Uz in terms if Ux[i]]
+            for j in range(i + 1, b):
+                tj = [(a * Uy[j], Uz) for a, Uy, Uz in ti if Uy[j]]
+                for k in range(j + 1, b):
+                    val = sum(a * Uz[k] for a, Uz in tj)
+                    if val:
+                        out.coeffs[i + 1, j + 1, k + 1] = val
         return out
 
 

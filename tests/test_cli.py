@@ -266,6 +266,17 @@ def test_potential_point_size_mismatch_exits_2(tmp_path, capsys, flavor,
     assert json.loads(err)["error"] == "representation size mismatch"
 
 
+@pytest.mark.parametrize("flavor", ["eval", "grad", "disc"])
+@pytest.mark.parametrize("at", ["1/0", "x", "", "0"])
+def test_potential_malformed_point_exits_2(tmp_path, capsys, flavor, at):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"b": 1, "discs": [{"d": [1], "m0": 1},
+                                                  {"d": [-1], "m0": 1}]}))
+    code, out, err = run(capsys, "potential", flavor, str(path), "--at", at)
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+
+
 def test_batch_deterministic_digest(capsys):
     argv = ["batch", "--page", "3", "--count", "5", "--seed", "7"]
     code1, out1, _ = run(capsys, *argv)

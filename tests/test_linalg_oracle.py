@@ -20,7 +20,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
 from qrtorsion.fields import QQ, GF
-from qrtorsion.generate import canonical_form, _transpose_apply
+from qrtorsion.generate import canonical_form
 from qrtorsion.linalg import IntegerMatrix, Matrix, smith_normal_form
 from qrtorsion.models import _leibniz_system, _unimodular
 from qrtorsion.torsion import _image_and_section
@@ -296,7 +296,7 @@ def test_leibniz_system_matches_full_system_on_transported_forms(b, F):
     for _ in range(2):
         U = _unimodular(rng, b)
         I = canonical_form(b).apply_unimodular(U)
-        r = _transpose_apply(U, [1] + [0] * (b - 1))
+        r = list(U[0])  # U^T e_1
         _check_same_system(I, r, F)
 
 

@@ -11,7 +11,7 @@ from qrtorsion.models import (Page2Spec, Page3Spec, ModelError, realize_morse,
                               solve_leibniz_derivation, _unimodular)
 from qrtorsion import models
 from qrtorsion.generate import (canonical_form, canonical_derivation,
-                                generate_instance, _congruence, _transpose_apply)
+                                generate_instance, _congruence)
 from qrtorsion.linalg import Matrix
 from qrtorsion.verifier import verify_main_theorem
 from qrtorsion.spectral import (page1, page2_rate, collapsing_page, Spectrum,
@@ -118,7 +118,7 @@ def test_transported_leibniz_system_has_full_column_rank(field, b):
     # so c is unique (rank b - 1)
     U = _unimodular(random.Random(b), b)
     I = canonical_form(b).apply_unimodular(U)
-    r = _transpose_apply(U, [1] + [0] * (b - 1))
+    r = list(U[0])  # U^T e_1
     M, _ = models._leibniz_system(I, r, field)
     assert M.rank() == b * b
 
@@ -159,7 +159,7 @@ def _transported_spec(b, rng):
     generate_instance builds them; also U^T c0 U, a mis-transport."""
     U, Uinv = _unimodular(rng, b, inverse=True)
     I = canonical_form(b).apply_unimodular(U)
-    r = _transpose_apply(U, [1] + [0] * (b - 1))
+    r = list(U[0])  # U^T e_1
     c0 = canonical_derivation(b)
     return I, r, _congruence(Uinv, c0), _congruence(list(zip(*U)), c0)
 
