@@ -27,26 +27,13 @@ def canonical_form(b: int) -> TripleForm:
     """Block triple form I(1, 2i, 2i+1) = 1 for odd b; zero when b = 1.
 
     Each block contributes a symplectic plane to the slice at the first
-    generator, so the slice pairing is invertible on the complement.  Its
-    derivation for the rate vector e_1 is canonical_derivation(b)."""
+    generator, so the slice pairing is invertible on the complement."""
     if b % 2 == 0:
         raise GenerateError("odd rank required")
     entries = {}
     for i in range(1, (b - 1) // 2 + 1):
         entries[(1, 2 * i, 2 * i + 1)] = 1
     return TripleForm(b, entries)
-
-
-def canonical_derivation(b: int):
-    """The degree-1 derivation c0 of canonical_form(b) for the rate vector
-    e_1: c0(2i, 2i+1) = 1 = -c0(2i+1, 2i) (1-based) per block, else zero.
-    It is antisymmetric, kills e_1 and has rank b - 1."""
-    if b % 2 == 0:
-        raise GenerateError("odd rank required")
-    c = [[0] * b for _ in range(b)]
-    for i in range(1, b, 2):
-        c[i][i + 1], c[i + 1][i] = 1, -1
-    return c
 
 
 def standard_symplectic(b: int):
@@ -58,11 +45,6 @@ def standard_symplectic(b: int):
         J[i][i + 1] = 1
         J[i + 1][i] = -1
     return J
-
-
-def _congruence(P, M):
-    """The integer matrix P M P^T, for square integer row lists P and M."""
-    return (IntegerMatrix(P) * IntegerMatrix(M) * IntegerMatrix(zip(*P))).rows
 
 
 def _draw_rate(rng, high: int, field: Field) -> int:
@@ -95,21 +77,20 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
     morse = realize_morse(H, surplus, seed=morse_seed)
     F = field
     if page == 2:
-        # I = I0 o U and r = U^T (r0 e_1) = r0 (row 0 of U) carry the
-        # derivation c0 to U^-1 c0 U^-T
-        U, Uinv = _unimodular(transport, b, inverse=True)
+        # I = I0 o U and r = U^T (r0 e_1) = r0 (row 0 of U)
+        U = _unimodular(transport, b)
         I = canonical_form(b).apply_unimodular(U)
         r0 = _draw_rate(rate_pick, 4, F) if b == 1 else 1
         r = [r0 * x for x in U[0]]
-        c = _congruence(Uinv, canonical_derivation(b))
-        pearl = lift_derivation_page2(Page2Spec(H, I, r, c), morse, F,
+        pearl = lift_derivation_page2(Page2Spec(H, I, r), morse, F,
                                       seed=lift_seed)
     elif page == 3:
         J = standard_symplectic(b)
         U = _unimodular(transport, b)
         # congruence transport keeps the pairing antisymmetric and
         # invertible over the integers
-        Qp = _congruence(list(zip(*U)), J)
+        Qp = (IntegerMatrix(zip(*U)) * IntegerMatrix(J)
+              * IntegerMatrix(U)).rows
         r = _draw_rate(rate_pick, 5, F)
         pearl = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
                                       seed=lift_seed)

@@ -1,12 +1,13 @@
 """Exact dense linear algebra over a field, plus integer Smith normal form.
 
-Plain Gaussian elimination over exact scalars.  Most matrices are
-homology-sized, but the Leibniz system of a page-2 spec without a closed-form
-derivation is (b^3 + b^2 + b) x b^2, so ``rref`` runs on bare values and
-skips the zeros of each pivot row.  Products and determinants run on integers (residues, or
-rows and columns cleared of denominators), the determinant by Bareiss's
-fraction-free elimination.  0 x n and n x 0 matrices are legal everywhere;
-the determinant of the 0 x 0 matrix is 1 (empty-product convention).
+Plain Gaussian elimination over exact scalars.  Elimination is where
+verification spends its time (the pearl complexes of large instances are
+tens of rows by tens of columns), so ``rref`` runs on bare values under
+native operators and skips the zeros of each pivot row.  Products and
+determinants run on integers (residues, or rows and columns cleared of
+denominators), the determinant by Bareiss's fraction-free elimination.
+0 x n and n x 0 matrices are legal everywhere; the determinant of the 0 x 0
+matrix is 1 (empty-product convention).
 """
 
 from __future__ import annotations

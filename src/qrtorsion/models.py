@@ -32,7 +32,7 @@ import random
 from operator import mul
 
 from .fields import Field, QQ
-from .linalg import Matrix, IntegerMatrix
+from .linalg import Matrix, IntegerMatrix, _clear_denominators
 from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
                         integral_homology, admissible_characteristic)
 from .threefold import ThreefoldHomology, TripleForm
@@ -43,24 +43,25 @@ class ModelError(Exception):
     pass
 
 
-class Page2Spec:
-    """Odd-b narrow data: a triple form with a slice, the rate vector of the
-    degree-0 derivation and, optionally, the derivation's integer degree-1
-    component c, which the lift checks and uses in place of a solve."""
+NO_DERIVATION = ("not page-2 narrow: no derivation satisfies the product "
+                 "constraints")
 
-    def __init__(self, H: ThreefoldHomology, I: TripleForm, r, c=None):
+
+class Page2Spec:
+    """Odd-b narrow data: a triple form with a slice and the rate vector of
+    the degree-0 derivation, which fixes the degree-1 component (see
+    solve_leibniz_derivation)."""
+
+    def __init__(self, H: ThreefoldHomology, I: TripleForm, r):
         if H.b % 2 == 0:
             raise ModelError("odd Betti number required")
         if I.b != H.b:
             raise ModelError("form rank does not match the Betti number")
         if len(r) != H.b or all(x == 0 for x in r):
             raise ModelError("rate vector must be nonzero of length b")
-        if c is not None and [len(row) for row in c] != [H.b] * H.b:
-            raise ModelError("derivation matrix must be b x b")
         self.H = H
         self.I = I
         self.r = [int(x) for x in r]
-        self.c = None if c is None else [[int(x) for x in row] for row in c]
 
 
 class Page3Spec:
@@ -176,89 +177,64 @@ def solve_leibniz_derivation(I: TripleForm, r, field: Field):
     antisymmetric c with, writing the form values as structure constants,
       sum_m I(i,m,k) c_mj = r_i d_jk - d_ij r_k      (duality pairing)
       c r = 0                                        (squares to zero)
-    Returns the solution Matrix.solve finds, or None when the constraints are
-    infeasible.  It serves only specs without a closed-form c (see
-    _checked_derivation).
+    read off one row block of these equations.  Returns the candidate, or
+    None when that block has no solution; _checked_derivation decides
+    whether the candidate satisfies the rest.
 
-    The solution is unique whenever a lift can succeed: each column x of
-    the difference of two solutions has sum_m I(i,m,k) x_m = 0, which for a
-    sliced form puts x in span(r), and antisymmetry with c r = 0 then makes
-    the difference vanish.
+    Let i0 be the first index with r_i0 != 0 in the field and S the slice
+    at e_i0, S[k][m] = I(i0,k,m).  The pairing rows with i = i0 read
+    -S c = R, with R = r_i0 1 - r e_i0^T; the row r^T c = 0 follows from
+    antisymmetry and c r = 0.  So c solves one (b+1) x b system with b
+    right-hand sides.  R has rank >= b - 1, so whenever a derivation exists
+    the alternating S has rank b - 1 and kernel e_i0, and the r^T row kills
+    that kernel.  The solution is then unique, so it is the derivation.
 
     The degree-2 product equations sum_k I(i,j,k) c_mk = r_i d_jm - r_j d_im
-    are implied and left out.  Read the pairing row (i,j,k) as (i,m,j):
-    sum_m' I(i,m',j) c_m'm = r_i d_mj - d_im r_j.  Since I(i,m',j) =
-    -I(i,j,m') and c_m'm = -c_mm', it differs from the product row (i,j,m)
-    by a combination of antisymmetry rows, whose right-hand side is 0.  The
-    augmented row space is therefore the same, and so is its (unique) RREF
-    and the solution read off it.  The system is (b^3 + b^2 + b) x b^2.
+    are implied: read as (i,m,j), the pairing row (i,j,k) differs from the
+    product row (i,j,m) by antisymmetry rows, whose right-hand side is 0.
     """
-    b = I.b
-    M, rhs = _leibniz_system(I, r, field)
-    x = M.solve(rhs)
-    return None if x is None else Matrix(
-        field, [[x.rows[i * b + j][0] for j in range(b)] for i in range(b)],
-        b, b)
-
-
-def _leibniz_system(I: TripleForm, r, field: Field):
-    """The linear system (M, rhs) of solve_leibniz_derivation, unknown c
-    row-major."""
-    b = I.b
-    F = field
+    b, F = I.b, field
     rF = [F.from_int(x) for x in r]
-    zero, one = F.zero(), F.one()
-    form = [[[zero] * b for _ in range(b)] for _ in range(b)]  # [i][k][m]
-    for (i, m, k), s in I.signed_terms():
-        form[i - 1][k - 1][m - 1] = F.from_int(s)
-    rows, rhs = [], []
-    for i in range(b):
-        for j in range(b):
-            for k in range(b):
-                row = [zero] * (b * b)
-                for m, v in enumerate(form[i][k]):
-                    row[m * b + j] = v
-                rows.append(row)
-                rhs.append([F.sub(rF[i] if j == k else zero,
-                                  rF[k] if i == j else zero)])
-    for i in range(b):
-        for j in range(b):
-            row = [zero] * (b * b)
-            row[i * b + j] = one
-            row[j * b + i] = F.add(row[j * b + i], one)
-            rows.append(row)
-            rhs.append([zero])
-        row = [zero] * (b * b)
-        row[i * b:(i + 1) * b] = rF
-        rows.append(row)
-        rhs.append([zero])
-    return Matrix(F, rows, len(rows), b * b), Matrix(F, rhs, len(rhs), 1)
+    i0 = next((i for i, x in enumerate(rF) if not F.is_zero(x)), None)
+    if i0 is None:
+        raise ModelError("not page-2 narrow: rate vector vanishes over the "
+                         "field")
+    zero = F.zero()
+    S = I.slice_matrix([int(i == i0) for i in range(b)], F)
+    minus_R = [[F.sub(rF[k] if j == i0 else zero, rF[i0] if j == k else zero)
+                for j in range(b)] for k in range(b)]
+    return Matrix(F, S.rows + [rF], b + 1, b).solve(
+        Matrix(F, minus_R + [[zero] * b], b + 1, b))
 
 
-def _checked_derivation(I: TripleForm, r, c, field: Field) -> Matrix:
-    """The integer matrix c over the field, once it satisfies there every
-    equation of solve_leibniz_derivation; else ModelError names the first
-    one it fails.  The pairing sums run over TripleForm.signed_terms:
-    O(|coeffs| b) work, b^3 compares."""
-    b, ok = I.b, field.is_zero
-    fail = "closed-form derivation fails "
+def _checked_derivation(I: TripleForm, r, c: Matrix) -> Matrix:
+    """c, once it satisfies over its field every equation of
+    solve_leibniz_derivation; else ModelError names the first one it fails.
+    The entries are cleared of denominators once, C = d c, and each
+    equation is checked as d times itself in integers.  The pairing sums
+    run over TripleForm.signed_terms: O(|coeffs| b) work, b^3 compares."""
+    b, ok = I.b, c.field.is_zero
+    flat, d = _clear_denominators([x for row in c.rows for x in row])
+    C = [flat[i * b:(i + 1) * b] for i in range(b)]
+    rd = [d * x for x in r]
+    fail = NO_DERIVATION + ": the slice solution fails "
     pairing = [[[0] * b for _ in range(b)] for _ in range(b)]  # [i][k][j]
     for (i, m, k), s in I.signed_terms():
-        row, cm = pairing[i - 1][k - 1], c[m - 1]
+        row, cm = pairing[i - 1][k - 1], C[m - 1]
         for j in range(b):
             row[j] += s * cm[j]
     for i in range(b):
         for k in range(b):
             row = pairing[i][k]
-            row[k] -= r[i]
-            row[i] += r[k]
+            row[k] -= rd[i]
+            row[i] += rd[k]
             if not all(map(ok, row)):
                 raise ModelError(fail + "the duality pairing")
-    if not all(ok(c[i][j] + c[j][i]) for i in range(b) for j in range(i, b)):
+    if not all(ok(C[i][j] + C[j][i]) for i in range(b) for j in range(i, b)):
         raise ModelError(fail + "antisymmetry")
-    if not all(ok(sum(map(mul, row, r))) for row in c):
+    if not all(ok(sum(map(mul, row, r))) for row in C):
         raise ModelError(fail + "c r = 0")
-    return Matrix.from_int_rows(field, c, b, b)
+    return c
 
 
 def _lift_failed(condition):
@@ -322,15 +298,12 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
     H = homology_bases(morse, F)
     rng = random.Random(seed)
     rF = [F.from_int(x) for x in spec.r]
-    if all(F.is_zero(x) for x in rF):
-        raise ModelError("not page-2 narrow: rate vector vanishes over the field")
     delta0 = Matrix(F, [[x] for x in rF])
     delta2 = Matrix(F, [list(rF)])
-    c = (solve_leibniz_derivation(spec.I, spec.r, F) if spec.c is None
-         else _checked_derivation(spec.I, spec.r, spec.c, F))
+    c = solve_leibniz_derivation(spec.I, spec.r, F)
     if c is None:
-        raise ModelError("not page-2 narrow: no derivation satisfies the "
-                         "product constraints")
+        raise ModelError(NO_DERIVATION)
+    c = _checked_derivation(spec.I, spec.r, c)
     if c.rank() != b - 1:
         raise ModelError("not page-2 narrow: the induced page-1 complex is "
                          "not exact")

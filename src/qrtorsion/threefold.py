@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from math import prod
 
-from .fields import Field, FieldError, PrimeField
+from .fields import Field, PrimeField
 from .linalg import Matrix
 
 
@@ -117,8 +117,8 @@ class TripleForm:
 
     def slice_matrix(self, v, field: Field) -> Matrix:
         """The alternating matrix of the pairing (x, y) -> form(v, x, y); v is
-        a length-b column of field scalars and has itself in the kernel.
-        Entries are summed as bare values and reduced once each."""
+        a length-b column of integers or field scalars and has itself in the
+        kernel.  Entries are summed as bare values and reduced once each."""
         if len(v) != self.b:
             raise ThreefoldError("vector length mismatch")
         rows = [[0] * self.b for _ in range(self.b)]
@@ -144,16 +144,6 @@ class TripleForm:
                     if val:
                         out.coeffs[i + 1, j + 1, k + 1] = val
         return out
-
-
-def product_h2(I: TripleForm, i: int, j: int):
-    """Product of the i-th and j-th degree-2 basis classes, as integer
-    coordinates in the dual degree-1 basis: the k-th coordinate is the form
-    evaluated at (i, j, k)."""
-    for t in (i, j):
-        if not (1 <= t <= I.b):
-            raise ThreefoldError(f"index {t} out of range 1..{I.b}")
-    return [I.value(i, j, k) for k in range(1, I.b + 1)]
 
 
 def symplectic_slice(I: TripleForm, v, field: Field):
@@ -226,24 +216,6 @@ def find_slice(I: TripleForm, field: Field, trials: int = 200, seed: int = 0):
         if det is not None:
             return v, det
     return None
-
-
-def ring_generated_by_h2(I: TripleForm, field: Field) -> bool:
-    """Whether the degree-2 classes generate the whole ring over the field:
-    their pairwise products must span the degree-1 part (degree 0 is then
-    reached through the duality pairing)."""
-    b = I.b
-    if b == 0:
-        return False
-    cols = []
-    for i in range(1, b + 1):
-        for j in range(i + 1, b + 1):
-            cols.append(Matrix.from_int_rows(
-                field, [[c] for c in product_h2(I, i, j)], nrows=b, ncols=1))
-    if not cols:
-        return False
-    span = Matrix.hstack_all(field, cols, nrows=b)
-    return span.rank() == b
 
 
 def dichotomy_class(I: TripleForm, field: Field, trials: int = 200,

@@ -1,7 +1,7 @@
 """Differential tests of the elimination kernel, the image bases and
 sections read off it, products and determinants against sympy's
 DomainMatrix, of Smith normal form against sympy's over ZZ, and of the page-2
-Leibniz system against the full system it replaced.
+derivation's slice solve against the full Leibniz system.
 
 sympy and hypothesis are test-only dependencies; the library never imports
 them.
@@ -22,9 +22,12 @@ from sympy.polys.matrices import DomainMatrix
 from qrtorsion.fields import QQ, GF
 from qrtorsion.generate import canonical_form
 from qrtorsion.linalg import IntegerMatrix, Matrix, smith_normal_form
-from qrtorsion.models import _leibniz_system, _unimodular
+from qrtorsion.models import (ModelError, NO_DERIVATION, Page2Spec,
+                              lift_derivation_page2, realize_morse,
+                              solve_leibniz_derivation, _checked_derivation,
+                              _unimodular)
 from qrtorsion.torsion import _image_and_section
-from qrtorsion.threefold import TripleForm
+from qrtorsion.threefold import ThreefoldHomology, TripleForm
 
 FIELDS = [QQ, GF(5), GF(7)]
 
@@ -231,7 +234,7 @@ def test_smith_normal_form_matches_sympy(data):
     assert s.diagonal == [abs(int(S[i, i])) for i in range(min(m, n))]
 
 
-# -- the Leibniz system against the full one ---------------------------------
+# -- the slice solve against the full Leibniz system -------------------------
 
 def _full_leibniz_rows(I, r, F):
     """The system with the degree-2 product family, as it was first built:
@@ -272,21 +275,26 @@ def _full_leibniz_rows(I, r, F):
     return rows, rhs
 
 
-def _nonzero_rref(rows, rhs, F):
-    aug = Matrix(F, [row + [x] for row, x in zip(rows, rhs)])
-    R, pivots = aug.rref()
-    return R.rows[:len(pivots)], pivots
+def _slice_derivation(I, r, F):
+    """The derivation the lift accepts: the slice solve once it passes
+    _checked_derivation, else None."""
+    c = solve_leibniz_derivation(I, r, F)
+    try:
+        return None if c is None else _checked_derivation(I, r, c)
+    except ModelError:
+        return None
 
 
-def _check_same_system(I, r, F):
+def _check_same_solution(I, r, F):
+    """The slice solve accepts what the full system solves, and only that;
+    returns the full system's solution."""
     b = I.b
-    M, rhs = _leibniz_system(I, r, F)
-    assert M.nrows == rhs.nrows == b ** 3 + b * b + b
-    old_rows, old_rhs = _full_leibniz_rows(I, r, F)
-    assert _nonzero_rref(M.rows, [x for x, in rhs.rows], F) == \
-        _nonzero_rref(old_rows, old_rhs, F)
-    old = Matrix(F, old_rows, len(old_rows), b * b)
-    assert M.solve(rhs) == old.solve(Matrix(F, [[x] for x in old_rhs]))
+    rows, rhs = _full_leibniz_rows(I, r, F)
+    x = Matrix(F, rows, len(rows), b * b).solve(Matrix(F, [[v] for v in rhs]))
+    full = None if x is None else Matrix(
+        F, [[x.rows[i * b + j][0] for j in range(b)] for i in range(b)], b, b)
+    assert _slice_derivation(I, r, F) == full
+    return full
 
 
 @pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
@@ -297,20 +305,41 @@ def test_leibniz_system_matches_full_system_on_transported_forms(b, F):
         U = _unimodular(rng, b)
         I = canonical_form(b).apply_unimodular(U)
         r = list(U[0])  # U^T e_1
-        _check_same_system(I, r, F)
+        assert _check_same_solution(I, r, F) is not None
 
 
 @pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
 def test_leibniz_system_matches_full_system_on_random_forms(F):
     rng = random.Random(4)
-    for b in (3, 4, 5):
-        for _ in range(4):
+    found = 0
+    for b in (1, 3, 4, 5):
+        for _ in range(8):
             I = TripleForm(b)
             for i in range(1, b + 1):
                 for j in range(i + 1, b + 1):
                     for k in range(j + 1, b + 1):
                         I.set(i, j, k, rng.choice([0, 0, 1, -1, 2, 3]))
             r = [rng.randint(-3, 3) for _ in range(b)]
-            _check_same_system(I, r, F)
-            # a zero rate keeps the system feasible, with a nonzero kernel
-            _check_same_system(I, [0] * b, F)
+            if all(F.is_zero(F.from_int(x)) for x in r):
+                # the solve needs a rate that is nonzero over the field
+                with pytest.raises(ModelError):
+                    solve_leibniz_derivation(I, r, F)
+                continue
+            found += _check_same_solution(I, r, F) is not None
+    assert found
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
+def test_slice_solve_is_checked_against_the_full_system(F):
+    # the slice system at e_3 has a solution but the full system has none,
+    # so only the check after the solve keeps the lift from using it
+    b = 5
+    I = TripleForm(b, {(1, 3, 4): 1, (2, 3, 5): 1})
+    r = [0, 0, -1, -1, 0]
+    assert solve_leibniz_derivation(I, r, F) is not None
+    assert _check_same_solution(I, r, F) is None
+    H = ThreefoldHomology(b)
+    with pytest.raises(ModelError) as err:
+        lift_derivation_page2(Page2Spec(H, I, r), realize_morse(H, seed=1), F)
+    assert str(err.value) == \
+        NO_DERIVATION + ": the slice solution fails the duality pairing"

@@ -8,11 +8,12 @@ from qrtorsion.threefold import ThreefoldHomology, TripleForm
 from qrtorsion.models import (Page2Spec, Page3Spec, ModelError, realize_morse,
                               homology_bases, lift_derivation_page2,
                               lift_derivation_page3, random_pearl,
-                              solve_leibniz_derivation, _unimodular)
+                              solve_leibniz_derivation, _unimodular,
+                              NO_DERIVATION)
 from qrtorsion import models
-from qrtorsion.generate import (canonical_form, canonical_derivation,
-                                generate_instance, _congruence)
-from qrtorsion.linalg import Matrix
+from qrtorsion.generate import (canonical_form, generate_instance,
+                                standard_symplectic)
+from qrtorsion.linalg import IntegerMatrix, Matrix
 from qrtorsion.verifier import verify_main_theorem
 from qrtorsion.spectral import (page1, page2_rate, collapsing_page, Spectrum,
                                 PAGE2, PAGE3, NOT_NARROW)
@@ -115,12 +116,15 @@ def test_lift_failure_names_the_condition(monkeypatch, name, value, rejected):
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(7)], ids=str)
 @pytest.mark.parametrize("b", [3, 5, 7])
 def test_transported_leibniz_system_has_full_column_rank(field, b):
-    # so c is unique (rank b - 1)
+    # the slice S has rank b - 1, so the (b+1) x b system that
+    # solve_leibniz_derivation solves has full column rank: c is unique
     U = _unimodular(random.Random(b), b)
     I = canonical_form(b).apply_unimodular(U)
-    r = list(U[0])  # U^T e_1
-    M, _ = models._leibniz_system(I, r, field)
-    assert M.rank() == b * b
+    r = [field.from_int(x) for x in U[0]]  # U^T e_1
+    i0 = next(i for i, x in enumerate(r) if not field.is_zero(x))
+    S = I.slice_matrix([int(i == i0) for i in range(b)], field)
+    assert S.rank() == b - 1
+    assert Matrix(field, S.rows + [r], b + 1, b).rank() == b
 
 
 @pytest.mark.parametrize("page, b", [(2, 1), (2, 3), (3, 0), (3, 2)])
@@ -140,37 +144,44 @@ def test_generate_lifts_once(monkeypatch, page, b):
 
 
 @pytest.mark.parametrize("b", [1, 3, 5])
-def test_generate_solves_no_leibniz_system(monkeypatch, b):
-    calls = []
+def test_generate_makes_one_small_derivation_solve(monkeypatch, b):
+    calls = []  # the shapes each derivation solve eliminates
+    rref = Matrix.rref
+
+    def recorded(self):
+        calls[-1].append((self.nrows, self.ncols))
+        return rref(self)
 
     def counted(*args):
-        calls.append(args)
-        return solve(*args)
+        calls.append([])
+        with monkeypatch.context() as m:
+            m.setattr(Matrix, "rref", recorded)
+            return solve(*args)
 
     solve = models.solve_leibniz_derivation
     monkeypatch.setattr(models, "solve_leibniz_derivation", counted)
     for field in (QQ, GF(5)):
+        calls.clear()
         assert verify_main_theorem(generate_instance(2, b, field, seed=3)).all_pass
-    assert calls == []
+        assert len(calls) == 1 and calls[0]
+        assert all(m <= b + 1 and n <= 2 * b for m, n in calls[0])
 
 
 def _transported_spec(b, rng):
-    """I = I0 o U, r = U^T e_1 and the closed form U^-1 c0 U^-T, as
-    generate_instance builds them; also U^T c0 U, a mis-transport."""
+    """I = I0 o U and r = U^T e_1, as generate_instance builds them, with the
+    closed-form derivation U^-1 c0 U^-T and U^T c0 U, a mis-transport.  c0,
+    the derivation of I0 for e_1, is standard_symplectic(b - 1) bordered by
+    a zero first row and column."""
     U, Uinv = _unimodular(rng, b, inverse=True)
     I = canonical_form(b).apply_unimodular(U)
     r = list(U[0])  # U^T e_1
-    c0 = canonical_derivation(b)
-    return I, r, _congruence(Uinv, c0), _congruence(list(zip(*U)), c0)
+    c0 = IntegerMatrix([[0] * b] + [[0] + row
+                                    for row in standard_symplectic(b - 1)])
 
+    def congruence(P):
+        return (IntegerMatrix(P) * c0 * IntegerMatrix(zip(*P))).rows
 
-@pytest.mark.parametrize("b", [1, 3, 5, 7, 9])
-def test_canonical_derivation_is_exact_and_kills_e1(b):
-    c0 = canonical_derivation(b)
-    assert all(c0[i][j] == -c0[j][i] for i in range(b) for j in range(b))
-    assert [row[0] for row in c0] == [0] * b
-    for field in (QQ, GF(3)):
-        assert Matrix.from_int_rows(field, c0, b, b).rank() == b - 1
+    return I, r, congruence(Uinv), congruence(list(zip(*U)))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(101)], ids=str)
@@ -180,34 +191,45 @@ def test_closed_form_derivation_equals_the_solve(field, b):
     for _ in range(10):
         I, r, c, _ = _transported_spec(b, rng)
         solved = solve_leibniz_derivation(I, r, field)
-        assert solved == models._checked_derivation(I, r, c, field)
+        assert models._checked_derivation(I, r, solved) == \
+            Matrix.from_int_rows(field, c, b, b)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 @pytest.mark.parametrize("b", [3, 5])
 def test_closed_form_derivation_is_checked(field, b):
-    H = ThreefoldHomology(b)
-    C = realize_morse(H, seed=b)
     rng = random.Random(b)
     for _ in range(5):
         I, r, c, wrong = _transported_spec(b, rng)
-        lift_derivation_page2(Page2Spec(H, I, r, c), C, field, seed=1)
+        models._checked_derivation(I, r, Matrix.from_int_rows(field, c, b, b))
         bumped = [list(row) for row in c]
         i, j = rng.randrange(b), rng.randrange(b)
         bumped[i][j] += 1
         for bad in (wrong, bumped):
             with pytest.raises(ModelError) as err:
-                lift_derivation_page2(Page2Spec(H, I, r, bad), C, field, seed=1)
+                models._checked_derivation(
+                    I, r, Matrix.from_int_rows(field, bad, b, b))
             assert str(err.value) == \
-                "closed-form derivation fails the duality pairing"
+                NO_DERIVATION + ": the slice solution fails the duality pairing"
 
 
 def test_closed_form_derivation_antisymmetry_is_checked():
-    H = ThreefoldHomology(1)
-    C = realize_morse(H, seed=1)
     with pytest.raises(ModelError) as err:
-        lift_derivation_page2(Page2Spec(H, TripleForm(1), [2], [[1]]), C, QQ)
-    assert str(err.value) == "closed-form derivation fails antisymmetry"
+        models._checked_derivation(TripleForm(1), [2], Matrix(QQ, [[QQ.one()]]))
+    assert str(err.value) == \
+        NO_DERIVATION + ": the slice solution fails antisymmetry"
+
+
+def test_checked_derivation_clears_denominators():
+    # scaling the form by 3 scales the derivation by 1/3
+    b, rng = 5, random.Random(8)
+    I, r, c, _ = _transported_spec(b, rng)
+    I3 = TripleForm(b, {key: 3 * v for key, v in I.entries()})
+    third = Matrix(QQ, [[QQ.parse(f"{x}/3") for x in row] for row in c], b, b)
+    assert models._checked_derivation(I3, r, third) == \
+        solve_leibniz_derivation(I3, r, QQ) == third
+    with pytest.raises(ModelError):
+        models._checked_derivation(I, r, third)
 
 
 def test_page2_b1_rate_vanishing_mod_p_becomes_1():

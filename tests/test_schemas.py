@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -64,3 +65,34 @@ def test_load_reports_json_position(tmp_path):
     with pytest.raises(schemas.SchemaError) as err:
         schemas.load(p)
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("page, b, field, digest", [
+    (2, 1, "F7",
+     "8f1d2f9644818b76214447983668e1c146f55e8e296591ffc9b2545188fb631c"),
+    (2, 1, "Q",
+     "d4f836a8a7cc411eaac9a7f1de8107aed1f9ae1ab64cb692b417c5be2bddc2ad"),
+    (2, 3, "F7",
+     "07f2c0736057f09b21f0956768857974b5e999d5a808542be73d862212da29eb"),
+    (2, 3, "Q",
+     "ab6f909b50276e5dbd7ee2e00a6bfece0e339304956d7d04ec1227a2c028352a"),
+    (2, 5, "F7",
+     "2f8f44297bf90c00c0c252c805af79fc6e786a8b052aa099db52d2685555e012"),
+    (2, 5, "Q",
+     "0e1e66eb4fe4f3384c9edac30dea84ebdbb56968e489e78b5ae93e567ea4f907"),
+    (2, 9, "F7",
+     "9f9266e6c2c8286a873891b3aeac7d60d5a0bf35cff9319b3d209cd973244a61"),
+    (2, 9, "Q",
+     "0a80f7940b9c3db32f1134c8e48491cf07f501c2dea155cb65b435fcbe491006"),
+    (3, 4, "Q",
+     "1e9edb3b45d7ea472aa3f73920fd1b822167d3a39ae56f66837b0fe5afc670dd"),
+], ids=lambda v: str(v)[:8])
+def test_instance_json_pinned(page, b, field, digest):
+    # the batch digests hash reports, not instances: this pins the bytes of
+    # the generated instances themselves, seeds 0-3
+    F = QQ if field == "Q" else GF(7)
+    h = hashlib.sha256()
+    for seed in range(4):
+        inst = generate_instance(page, b, F, seed)
+        h.update(schemas.dump(schemas.instance_to_json(inst)).encode())
+    assert h.hexdigest() == digest

@@ -4,8 +4,7 @@ import pytest
 
 from qrtorsion.fields import QQ, GF
 from qrtorsion.threefold import (ThreefoldHomology, ThreefoldError, TripleForm,
-                                 product_h2, symplectic_slice, find_slice,
-                                 ring_generated_by_h2, dichotomy_class,
+                                 symplectic_slice, find_slice, dichotomy_class,
                                  SLICED_ODD_B, ZERO_FORM, INCOMPATIBLE)
 
 
@@ -26,14 +25,6 @@ def test_form_alternation():
     assert I.value(2, 3, 1) == 5
     assert I.value(1, 1, 3) == 0
     assert I.entries() == [((1, 2, 3), 5)]
-
-
-def test_product_h2():
-    I = TripleForm(3, {(1, 2, 3): 2})
-    # a_1 * a_2 pairs against b_3 only
-    assert product_h2(I, 1, 2) == [0, 0, 2]
-    assert product_h2(I, 2, 1) == [0, 0, -2]
-    assert product_h2(I, 1, 1) == [0, 0, 0]
 
 
 def test_slice_matrix_volume_form():
@@ -59,23 +50,6 @@ def test_find_slice_exhaustive_small_field():
     I = TripleForm(3, {(1, 2, 3): 1})
     assert find_slice(I, GF(3)) is not None
     assert find_slice(TripleForm(3), GF(3)) is None
-
-
-def test_ring_span_equivalence():
-    rng = random.Random(7)
-    F = GF(3)
-    agree = 0
-    for _ in range(150):
-        b = rng.choice([3, 5])
-        I = TripleForm(b)
-        for _ in range(rng.randint(0, 4)):
-            i, j, k = sorted(rng.sample(range(1, b + 1), 3))
-            I.set(i, j, k, rng.randint(-2, 2))
-        sliced = find_slice(I, F) is not None
-        spans = ring_generated_by_h2(I, F)
-        assert sliced == spans
-        agree += 1
-    assert agree == 150
 
 
 def test_dichotomy_classes():
