@@ -28,7 +28,7 @@ from .superpotential import (PotentialError, Representation, build_potential,
                              log_gradient, discriminant)
 from .verifier import VerifierError, verify_main_theorem
 from .generate import GenerateError, generate_instance, mutate_d2
-from .linalg import LinAlgError
+from .linalg import LinAlgError, Matrix
 
 INPUT_ERRORS = (schemas.SchemaError, FieldError, ComplexError, TorsionError,
                 SpectralError, ThreefoldError, ModelError, PotentialError,
@@ -70,10 +70,7 @@ def cmd_torsion(args):
         C = schemas.complex_from_json(doc)
         bases = (schemas.bases_from_json(C.field, C.ranks, doc["bases"])
                  if "bases" in doc else
-                 [None] * (C.top_degree + 1))
-        from .linalg import Matrix
-        bases = [b if b is not None else Matrix.zeros(C.field, C.ranks[k], 0)
-                 for k, b in enumerate(bases)]
+                 [Matrix.zeros(C.field, r, 0) for r in C.ranks])
         tau = milnor_torsion(C, bases, rng)
     elif args.flavor == "periodic":
         P = schemas.periodic_from_json(_load_kind(args.file, ("periodic",)))

@@ -1,11 +1,12 @@
 """Exact dense linear algebra over a field, plus integer Smith normal form.
 
-Plain Gaussian elimination over exact scalars.  Elimination is where
-verification spends its time (the pearl complexes of large instances are
-tens of rows by tens of columns), so ``rref`` runs on bare values under
-native operators and skips the zeros of each pivot row.  Products and
-determinants run on integers (residues, or rows and columns cleared of
-denominators), the determinant by Bareiss's fraction-free elimination.
+Elimination is where verification spends its time (the pearl complexes of
+large instances are tens of rows by tens of columns), so it runs on
+integers: residues over F_p, and over Q rows cleared of denominators.  One
+Gauss-Jordan pass (``Matrix._eliminate``) yields both the reduced row
+echelon form and the determinant; over Q it is Bareiss's fraction-free
+elimination carried through to Gauss-Jordan form, and builds Fractions only
+for its results.  Products likewise take integer dot products.
 0 x n and n x 0 matrices are legal everywhere; the determinant of the 0 x 0
 matrix is 1 (empty-product convention).
 """
@@ -174,59 +175,82 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns).
+    def _eliminate(self):
+        """One Gauss-Jordan pass: (rows of R, pivot columns, det), with det
+        0 unless rank = nrows = ncols.
 
         The pivot of each column is its first nonzero entry at or below the
-        current row.  Entries are bare values under native operators: over
-        F_p the input is reduced once and every updated entry once more;
-        over Q it is plain Fraction arithmetic.  Only the pivot row's
-        nonzero entries are walked, since the rest leave the other rows
-        unchanged.
+        current row.  Over F_p only the pivot row's nonzero entries are
+        walked.  Over Q, with pivot piv, previous pivot prev and pivot row
+        prow, every other row becomes (piv row - row[pc] prow) // prev,
+        exact by Sylvester's identity; every pivot entry then ends equal to
+        the last pivot, which divides all of R.
         """
-        F = self.field
-        p = F.char
+        p = self.field.char
         nrows, ncols = self.nrows, self.ncols
-        rows = [[a % p for a in r] for r in self.rows] if p else \
-            [list(r) for r in self.rows]
-        zero, one = F.zero(), F.one()
         pivots = []
         pr = 0
+        sign = 1
+        if p:
+            rows = [[a % p for a in r] for r in self.rows]
+            det = 1
+        else:
+            cleared = [_clear_denominators(r) for r in self.rows]
+            rows = [a for a, _ in cleared]
+            prev = 1
         for pc in range(ncols):
             if pr == nrows:
                 break
             pivot_row = next((i for i in range(pr, nrows) if rows[i][pc]), None)
             if pivot_row is None:
                 continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+            if pivot_row != pr:
+                rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+                sign = -sign
             prow = rows[pr]
-            # rows pr.. are zero left of pc, so the pivot row is too
+            piv = prow[pc]
             if p:
-                inv = pow(prow[pc], -1, p)
+                # rows pr.. are zero left of pc, so the pivot row is too
+                det = det * piv % p
+                inv = pow(piv, -1, p)
                 nz = [(j, prow[j] * inv % p) for j in range(pc + 1, ncols)
                       if prow[j]]
-            else:
-                inv = one / prow[pc]
-                nz = [(j, prow[j] * inv) for j in range(pc + 1, ncols)
-                      if prow[j]]
-            prow[pc] = one
-            for j, v in nz:
-                prow[j] = v
-            for i in range(nrows):
-                row = rows[i]
-                c = row[pc]
-                if not c or i == pr:
-                    continue
-                row[pc] = zero
-                if p:
+                prow[pc] = 1
+                for j, v in nz:
+                    prow[j] = v
+                for i in range(nrows):
+                    row = rows[i]
+                    c = row[pc]
+                    if not c or i == pr:
+                        continue
+                    row[pc] = 0
                     for j, v in nz:
                         row[j] = (row[j] - c * v) % p
-                else:
-                    for j, v in nz:
-                        row[j] -= c * v
+            else:
+                for i in range(nrows):
+                    if i == pr:
+                        continue
+                    row = rows[i]
+                    c = row[pc]
+                    if c:
+                        rows[i] = [(piv * x - c * y) // prev
+                                   for x, y in zip(row, prow)]
+                    elif piv != prev:
+                        rows[i] = [piv * x // prev for x in row]
+                prev = piv
             pivots.append(pc)
             pr += 1
-        return Matrix(F, rows, nrows, ncols), pivots
+        full = pr == nrows == ncols
+        if p:
+            return rows, pivots, sign * det % p if full else 0
+        R = [[Fraction(x, prev) for x in r] for r in rows]
+        den = prod(d for _, d in cleared)
+        return R, pivots, Fraction(sign * prev if full else 0, den)
+
+    def rref(self):
+        """Reduced row echelon form; returns (R, pivot_columns)."""
+        rows, pivots, _ = self._eliminate()
+        return Matrix(self.field, rows, self.nrows, self.ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -244,16 +268,9 @@ class Matrix:
         return out
 
     def determinant(self):
-        """Bareiss on integers: over F_p the residues themselves, over Q the
-        rows cleared of denominators, whose product then divides the result."""
         if self.nrows != self.ncols:
             raise LinAlgError("determinant of non-square matrix")
-        p = self.field.char
-        if p:
-            return IntegerMatrix(self.rows, self.nrows, self.ncols).determinant() % p
-        rows = [_clear_denominators(r) for r in self.rows]
-        det = IntegerMatrix([a for a, _ in rows], self.nrows, self.ncols).determinant()
-        return Fraction(det, prod(d for _, d in rows))
+        return self._eliminate()[2]
 
     def solve(self, b: "Matrix"):
         """Some X with self @ X = b, or None when there is no solution."""
@@ -329,30 +346,6 @@ class IntegerMatrix:
 
     def to_field(self, field) -> Matrix:
         return Matrix.from_int_rows(field, self.rows, self.nrows, self.ncols)
-
-    def determinant(self) -> int:
-        """Integer determinant (Bareiss fraction-free elimination)."""
-        if self.nrows != self.ncols:
-            raise LinAlgError("determinant of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        M = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if M[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-                if piv is None:
-                    return 0
-                M[k], M[piv] = M[piv], M[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-                M[i][k] = 0
-            prev = M[k][k]
-        return sign * M[n - 1][n - 1]
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)

@@ -40,6 +40,16 @@ def test_torsion_quantum(tmp_path, capsys):
     assert doc["normalized"] is True and "torsion" in doc
 
 
+def test_torsion_graded_without_bases(tmp_path, capsys):
+    # an acyclic complex needs no homology bases: each degree gets an empty one
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"v": 1, "kind": "complex", "field": "Q",
+                                "ranks": [1, 1], "boundaries": [[["2"]]]}))
+    code, out, _ = run(capsys, "torsion", "graded", str(path))
+    assert code == 0
+    assert json.loads(out)["torsion"] == "2"
+
+
 def test_torsion_periodic_nonacyclic_exits_2(tmp_path, capsys):
     path = tmp_path / "na.json"
     path.write_text(json.dumps({

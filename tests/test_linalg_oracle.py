@@ -95,17 +95,27 @@ def test_solve_matches_sympy(data):
                            max_size=A.nrows))
     F = A.field
     B = Matrix(F, [[F.from_int(x)] for x in b], A.nrows, 1)
-    SR, spivots = _to_sympy(A.hstack(B)).rref()
     X = A.solve(B)
-    if spivots and spivots[-1] == A.ncols:
+    want = _sympy_solution(A, B)
+    if want is None:
         assert X is None
         return
-    R = _from_sympy(SR, F)
-    want = [[F.zero()] for _ in range(A.ncols)]
-    for pi, pc in enumerate(spivots):
-        want[pc] = [R[pi][A.ncols]]
     assert X.rows == want
     assert A * X == B
+
+
+def _sympy_solution(A, B):
+    """The solution of A X = B read off sympy's RREF of [A B] (free
+    variables 0), or None when there is none."""
+    SR, spivots = _to_sympy(A.hstack(B)).rref()
+    n = A.ncols
+    if spivots and spivots[-1] >= n:
+        return None
+    R = _from_sympy(SR, A.field)
+    want = [[A.field.zero()] * B.ncols for _ in range(n)]
+    for pi, pc in enumerate(spivots):
+        want[pc] = R[pi][n:]
+    return want
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,6 +221,60 @@ def test_non_canonical_residues_and_plain_ints():
     assert A.determinant() == Fraction(5, 2)
     _assert_canonical(QQ, [x for r in (A * A).rows for x in r] +
                       [A.determinant()])
+    # plain ints over Q, with a zero row the elimination never touches
+    A = Matrix(QQ, [[2, 1, 0], [0, 0, 0], [4, 3, 1]], 3, 3)
+    R, _ = A.rref()
+    X = A.solve(Matrix(QQ, [[1], [0], [5]], 3, 1))
+    Y = Matrix(QQ, [[1, 2], [3, 4]], 2, 2).inverse()
+    assert R.rows == [[1, 0, Fraction(-1, 2)], [0, 1, 1], [0, 0, 0]]
+    assert X.rows == [[-1], [3], [0]]
+    assert Y.rows == [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
+    for M in (R, X, A.kernel_basis(), Y):
+        _assert_canonical(QQ, [x for r in M.rows for x in r])
+
+
+def _low_rank(draw, F, m, k, n):
+    """An m x n product of an m x k and a k x n matrix, so rank <= k."""
+    return _matrix(draw, F, m, k) * _matrix(draw, F, k, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_elimination_matches_sympy_on_large_low_rank_products(data):
+    # large enough that the fraction-free pass over Q grows its integers
+    F = data.draw(st.sampled_from(FIELDS))
+    m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 16))
+    A = _low_rank(data.draw, F, m, data.draw(st.integers(0, min(m, n))), n)
+    S = _to_sympy(A)
+    R, pivots = A.rref()
+    SR, spivots = S.rref()
+    assert pivots == list(spivots)
+    assert R.rows == _from_sympy(SR, F)
+    K = A.kernel_basis()
+    assert (K.nrows, K.ncols) == (n, n - len(pivots))
+    assert (A * K).is_zero()
+    if K.ncols:
+        assert K.transpose().rref()[0].rows == \
+            _from_sympy(S.nullspace().rref()[0], F)
+    _assert_canonical(F, [x for M in (R, K) for r in M.rows for x in r])
+    consistent = A * _matrix(data.draw, F, n, 2)
+    for B in (consistent, _matrix(data.draw, F, m, 2)):
+        X = A.solve(B)
+        want = _sympy_solution(A, B)
+        assert (X is None) == (want is None)
+        if X is not None:
+            assert X.rows == want
+            assert (A * X - B).is_zero()
+    assert A.solve(consistent) is not None
+    s = data.draw(st.integers(1, 12))
+    for k in (s, data.draw(st.integers(0, s - 1))):
+        # generic (usually nonsingular), then singular
+        D = _low_rank(data.draw, F, s, k, s)
+        det = D.determinant()
+        _assert_canonical(F, [det])
+        S = _to_sympy(D)
+        assert det == _sympy_scalar(S.domain, F, S.det())
+        assert (det == 0) == (len(D.rref()[1]) < s)
 
 
 @settings(max_examples=300, deadline=None)
