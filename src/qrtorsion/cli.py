@@ -17,12 +17,13 @@ import random
 import sys
 
 from . import schemas
-from .fields import QQ, FieldError, field_from_string, field_to_string
-from .complexes import ComplexError, fold_periodic
+from .fields import FieldError, field_from_string
+from .complexes import ComplexError
 from .torsion import (TorsionError, NotNarrowError, milnor_torsion,
                       periodic_torsion, quantum_torsion)
 from .spectral import SpectralError, PAGE3
-from .threefold import ThreefoldError, dichotomy_class, EXHAUSTIVE_BOUND
+from .threefold import (ThreefoldError, dichotomy_class, exhaustive_search,
+                        INCOMPATIBLE)
 from .models import ModelError
 from .superpotential import (PotentialError, Representation, build_potential,
                              log_gradient, discriminant)
@@ -64,22 +65,21 @@ def _parse_point(field, text):
 
 
 def cmd_torsion(args):
-    rng = random.Random(0)
     if args.flavor == "graded":
         doc = _load_kind(args.file, ("complex",))
         C = schemas.complex_from_json(doc)
         bases = (schemas.bases_from_json(C.field, C.ranks, doc["bases"])
                  if "bases" in doc else
                  [Matrix.zeros(C.field, r, 0) for r in C.ranks])
-        tau = milnor_torsion(C, bases, rng)
+        tau = milnor_torsion(C, bases)
     elif args.flavor == "periodic":
         P = schemas.periodic_from_json(_load_kind(args.file, ("periodic",)))
-        tau = periodic_torsion(P, rng)
+        tau = periodic_torsion(P)
     else:
         doc = _load_kind(args.file, ("instance", "pearl"))
         P = (schemas.instance_from_json(doc).pearl if doc["kind"] == "instance"
              else schemas.pearl_from_json(doc))
-        tau = quantum_torsion(P, rng)
+        tau = quantum_torsion(P)
     _emit({"v": schemas.VERSION, "torsion": str(tau.canonical()),
            "normalized": True})
     return 0
@@ -105,11 +105,11 @@ def cmd_classify(args):
     F = field_from_string(args.field)
     form = schemas.form_from_json(schemas.load(args.file))
     cls = dichotomy_class(form, F, seed=args.seed)
-    # over Q, or over F_p with too many lines to enumerate, slice search is
-    # a randomized hunt; absence of a slice is then only evidence
-    exhaustive = F.char != 0 and F.char ** form.b <= EXHAUSTIVE_BOUND
+    # ZeroForm is decided exactly and SlicedOddB has its slice as a witness;
+    # only a failed search that did not enumerate every line is uncertain
+    certain = cls != INCOMPATIBLE or exhaustive_search(F, form.b)
     _emit({"v": schemas.VERSION, "class": cls,
-           "qualifier": "definitive" if exhaustive else "randomized"})
+           "qualifier": "definitive" if certain else "randomized"})
     return 0
 
 

@@ -69,7 +69,7 @@ class BasedChainComplex:
         free_ranks, torsion, reps = [], [], []
         for k in range(self.top_degree + 1):
             dk = self.boundary(k)
-            # U d_k V = D: the columns of V past rank(d_k) base its kernel Z,
+            # d_k V = Uinv D: the columns of V past rank(d_k) base its kernel Z,
             # and the rows of V^-1 d_{k+1} past it are the boundaries in Z
             s = smith_normal_form(dk)
             rank_dk = sum(1 for a in s.diagonal if a != 0)
@@ -83,7 +83,7 @@ class BasedChainComplex:
             rank_im = sum(1 for a in dq if a != 0)
             free_ranks.append(zk - rank_im)
             torsion.append([a for a in dq if a > 1])
-            # free-part representatives: Z * U^{-1} columns past the image rank
+            # free-part representatives: Z * Uinv columns past the image rank
             free = IntegerMatrix([r[rank_im:] for r in sq.Uinv.rows], zk, zk - rank_im)
             reps.append(Z * free)
         return IntegralHomology(free_ranks, torsion), tuple(reps)
@@ -120,10 +120,9 @@ def integral_homology(C: BasedChainComplex):
 
 def admissibility_error(invariant_factors, field: Field):
     """Why the field characteristic is inadmissible for homology with these
-    invariant factors, or None when it is 0 or an odd prime dividing none."""
+    invariant factors, or None when it is 0 or a prime dividing none (a
+    PrimeField never has characteristic two)."""
     p = field.char
-    if p == 2:
-        return "characteristic two is not supported"
     bad = [a for a in invariant_factors if p and a % p == 0]
     return f"characteristic {p} divides invariant factor {bad[0]}" if bad else None
 
@@ -141,8 +140,6 @@ class TwistedPearlComplex:
     matrices afterwards (``generate.mutate_d2`` builds a new pearl), so the
     d^2 = 0 check is computed once, as :attr:`defects`.
     """
-
-    TOP = 3
 
     def __init__(self, field, ranks, dM, d1, d2):
         if len(ranks) != 4:

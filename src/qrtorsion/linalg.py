@@ -93,8 +93,6 @@ class Matrix:
         """Matrix product on bare values: over F_p one ``% p`` per entry of
         integer dot products; over Q integer dot products of rows and
         columns cleared of denominators, one Fraction per entry."""
-        if not isinstance(other, Matrix):
-            return self.scale(other)
         if self.ncols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         F = self.field
@@ -136,24 +134,17 @@ class Matrix:
         return Matrix(self.field, [[self.rows[i][j] for j in cjs] for i in ris],
                       len(ris), len(cjs))
 
-    def hstack(self, other):
-        self._check_shape(other)
-        if other.nrows != self.nrows:
-            raise LinAlgError("row count mismatch in hstack")
-        rows = [r1 + r2 for r1, r2 in zip(self.rows, other.rows)]
-        return Matrix(self.field, rows, self.nrows, self.ncols + other.ncols)
-
-    @classmethod
-    def hstack_all(cls, field, mats, nrows=None):
-        mats = list(mats)
-        if not mats:
-            if nrows is None:
-                raise LinAlgError("hstack_all of nothing needs nrows")
-            return cls.zeros(field, nrows, 0)
-        out = mats[0]
-        for m in mats[1:]:
-            out = out.hstack(m)
-        return out
+    def hstack(self, *others):
+        """The blocks side by side, rows joined by pairwise ``+`` (faster
+        than ``sum(parts, [])`` at the two or three blocks callers pass)."""
+        rows = self.rows
+        for other in others:
+            self._check_shape(other)
+            if other.nrows != self.nrows:
+                raise LinAlgError("row count mismatch in hstack")
+            rows = [r1 + r2 for r1, r2 in zip(rows, other.rows)]
+        return Matrix(self.field, rows, self.nrows,
+                      self.ncols + sum(o.ncols for o in others))
 
     @classmethod
     def block(cls, field, grid, row_dims, col_dims):
@@ -354,10 +345,9 @@ class IntegerMatrix:
 
 @dataclass(slots=True)
 class SmithDecomposition:
-    """U @ A @ V = D with U, V unimodular and D diagonal with a divisibility
-    chain; Uinv and Vinv are the inverses of U and V."""
+    """A @ V = Uinv @ D with Uinv, V unimodular and D diagonal with a
+    divisibility chain; Vinv is the inverse of V."""
 
-    U: IntegerMatrix
     Uinv: IntegerMatrix
     D: IntegerMatrix
     V: IntegerMatrix
@@ -370,24 +360,28 @@ class SmithDecomposition:
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
+    """Smith normal form with transforms, in one pass.
 
     Pivoting picks the smallest-absolute-value nonzero entry (rows swapped
-    before columns) so the output is deterministic.  Each row operation on U
-    is undone on Uinv by the inverse column operation, so U @ Uinv = I, and
-    each column operation on V by the inverse row operation on Vinv.
+    before columns) so the output is deterministic.  Each row operation on D
+    is recorded on Uinv as the inverse column operation, and each column
+    operation on V as the inverse row operation on Vinv, so A V = Uinv D.
+
+    A pivot is kept only once it divides every entry of the block below and
+    to the right of it.  Integer row and column operations keep that block a
+    multiple of the pivot, so every later pivot is a multiple of this one:
+    the diagonal comes out as a divisibility chain with no repair pass.
     """
     D = IntegerMatrix(A.rows, A.nrows, A.ncols)
-    U = IntegerMatrix.identity(A.nrows)
     Uinv = IntegerMatrix.identity(A.nrows)
     V = IntegerMatrix.identity(A.ncols)
     Vinv = IntegerMatrix.identity(A.ncols)
     n, m = A.nrows, A.ncols
+    out = SmithDecomposition(Uinv, D, V, Vinv)
 
     def row_op(i, j, q):
-        # row_i -= q * row_j in D and U; col_j += q * col_i in Uinv
-        for M in (D, U):
-            M.rows[i] = [a - q * b for a, b in zip(M.rows[i], M.rows[j])]
+        # row_i -= q * row_j in D; col_j += q * col_i in Uinv
+        D.rows[i] = [a - q * b for a, b in zip(D.rows[i], D.rows[j])]
         for r in Uinv.rows:
             r[j] += q * r[i]
 
@@ -399,8 +393,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
         Vinv.rows[j] = [a + q * b for a, b in zip(Vinv.rows[j], Vinv.rows[i])]
 
     def swap_rows(i, j):
-        for M in (D, U):
-            M.rows[i], M.rows[j] = M.rows[j], M.rows[i]
+        D.rows[i], D.rows[j] = D.rows[j], D.rows[i]
         for r in Uinv.rows:
             r[i], r[j] = r[j], r[i]
 
@@ -410,73 +403,50 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                 r[i], r[j] = r[j], r[i]
         Vinv.rows[i], Vinv.rows[j] = Vinv.rows[j], Vinv.rows[i]
 
-    def negate_row(i):
-        for M in (D, U):
-            M.rows[i] = [-a for a in M.rows[i]]
-        for r in Uinv.rows:
-            r[i] = -r[i]
-
-    def diagonalize(t0):
-        t = t0
-        while t < min(n, m):
-            # re-select the smallest-abs nonzero pivot on every pass; this
-            # keeps intermediate entries from exploding on scrambled inputs
-            while True:
-                best = None
-                for i in range(t, n):
-                    for j in range(t, m):
-                        a = D.rows[i][j]
-                        if a != 0 and (best is None or
-                                       abs(a) < abs(D.rows[best[0]][best[1]])):
-                            best = (i, j)
-                if best is None:
-                    return
-                bi, bj = best
-                if bi != t:
-                    swap_rows(t, bi)
-                if bj != t:
-                    swap_cols(t, bj)
-                p = D.rows[t][t]
-                cleared = True
-                for i in range(t + 1, n):
-                    a = D.rows[i][t]
-                    if a != 0:
-                        row_op(i, t, a // p)
-                        if D.rows[i][t] != 0:
-                            cleared = False
-                for j in range(t + 1, m):
-                    a = D.rows[t][j]
-                    if a != 0:
-                        col_op(j, t, a // p)
-                        if D.rows[t][j] != 0:
-                            cleared = False
-                if not cleared:
-                    continue
-                bad = next(((i, j) for i in range(t + 1, n)
-                            for j in range(t + 1, m) if D.rows[i][j] % p),
-                           None)
-                if bad is None:
-                    break
-                # fold a non-divisible row into the pivot row so the next
-                # pass strictly shrinks the pivot
-                row_op(t, bad[0], -1)
-            if D.rows[t][t] < 0:
-                negate_row(t)
-            t += 1
-
-    diagonalize(0)
-    # enforce the divisibility chain: where it fails, mix the two columns and
-    # rediagonalize from that spot (yields gcd/lcm of the offending pair)
-    k = min(n, m)
-    while True:
-        bad = None
-        for i in range(k - 1):
-            a, b = D.rows[i][i], D.rows[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                bad = i
+    for t in range(min(n, m)):
+        # re-select the smallest-abs nonzero pivot on every pass; this keeps
+        # intermediate entries from exploding on scrambled inputs
+        while True:
+            best = None
+            for i in range(t, n):
+                for j in range(t, m):
+                    a = D.rows[i][j]
+                    if a != 0 and (best is None or
+                                   abs(a) < abs(D.rows[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                return out
+            bi, bj = best
+            if bi != t:
+                swap_rows(t, bi)
+            if bj != t:
+                swap_cols(t, bj)
+            p = D.rows[t][t]
+            cleared = True
+            for i in range(t + 1, n):
+                a = D.rows[i][t]
+                if a != 0:
+                    row_op(i, t, a // p)
+                    if D.rows[i][t] != 0:
+                        cleared = False
+            for j in range(t + 1, m):
+                a = D.rows[t][j]
+                if a != 0:
+                    col_op(j, t, a // p)
+                    if D.rows[t][j] != 0:
+                        cleared = False
+            if not cleared:
+                continue
+            bad = next(((i, j) for i in range(t + 1, n)
+                        for j in range(t + 1, m) if D.rows[i][j] % p), None)
+            if bad is None:
                 break
-        if bad is None:
-            break
-        col_op(bad, bad + 1, -1)  # col_bad += col_{bad+1}
-        diagonalize(bad)
-    return SmithDecomposition(U, Uinv, D, V, Vinv)
+            # fold a non-divisible row into the pivot row so the next pass
+            # strictly shrinks the pivot
+            row_op(t, bad[0], -1)
+        if D.rows[t][t] < 0:
+            # negate row t of D, which negates column t of Uinv
+            D.rows[t] = [-a for a in D.rows[t]]
+            for r in Uinv.rows:
+                r[t] = -r[t]
+    return out

@@ -231,17 +231,16 @@ def instance_from_json(doc) -> Instance:
                     doc.get("id"))
 
 
-def report_to_json(rep: VerificationReport, field: Field = None):
-    fmt = (lambda x: field.format(x)) if field is not None else str
+def report_to_json(rep: VerificationReport, field: Field):
     return {"v": VERSION, "kind": "report",
             "collapse": rep.collapse,
             "torsion_direct": str(rep.torsion_direct.canonical())
             if rep.torsion_direct is not None else None,
             "torsion_formula": str(rep.torsion_formula.canonical())
             if rep.torsion_formula is not None else None,
-            "A_det": fmt(rep.A_det) if rep.A_det is not None else None,
-            "r": fmt(rep.r) if rep.r is not None else None,
-            "Q_det": fmt(rep.Q_det) if rep.Q_det is not None else None,
+            "A_det": field.format(rep.A_det) if rep.A_det is not None else None,
+            "r": field.format(rep.r) if rep.r is not None else None,
+            "Q_det": field.format(rep.Q_det) if rep.Q_det is not None else None,
             "flags": dict(rep.flags),
             "implied": dict(rep.implied),
             "notes": list(rep.notes),

@@ -75,7 +75,6 @@ class Contraction:
     def __init__(self, C: BasedChainComplex, H, rng=None):
         F = C.field
         self.ranks = list(C.ranks)
-        self.H = list(H)
         self.hdims = [H[k].ncols for k in range(4)]
         self.b = []        # basis of B_k = im(d_M : C_{k+1} -> C_k), inside C_k
         self.s = []        # sections: d_M s[k] = b[k], columns in C_{k+1}
@@ -83,11 +82,10 @@ class Contraction:
             bk, sk = _image_and_section(C.boundary(k + 1), rng)
             self.b.append(bk)
             self.s.append(sk)
-        self.T = []        # adapted basis per degree, and its inverse
-        self.Tinv = []
+        self.Tinv = []     # inverse of the adapted basis per degree
         for k in range(4):
             below = self.s[k - 1] if k >= 1 else Matrix.zeros(F, C.ranks[k], 0)
-            Tk = Matrix.hstack_all(F, [H[k], self.b[k], below], nrows=C.ranks[k])
+            Tk = H[k].hstack(self.b[k], below)
             if Tk.ncols != C.ranks[k]:
                 raise SpectralError(f"homology basis in degree {k} has the wrong rank")
             try:
@@ -95,7 +93,6 @@ class Contraction:
             except Exception as e:
                 raise SpectralError(f"degree {k}: homology representatives do not "
                                     "base the Morse homology") from e
-            self.T.append(Tk)
         if not all((C.boundary(k) * H[k]).is_zero() for k in range(4)):
             raise SpectralError("homology representatives must be cycles")
 
@@ -154,7 +151,7 @@ def _rate_from_page1(P: TwistedPearlComplex, pg1: PageOne):
     r0, r1, r2, r3 = P.ranks
     # E^2 at the degree-0 slot: pairs (x0, x2) with d1 x0 + d_M x2 = 0,
     # modulo d_M-cycles in C_2 and the boundary pairs (d_M y1, d1 y1 + d_M y3).
-    big = Matrix.hstack_all(F, [P.d1_map(0), P.dM(2)], nrows=r1)
+    big = P.d1_map(0).hstack(P.dM(2))
     V = big.kernel_basis()                      # columns in C_0 + C_2
     z2 = P.dM(2).kernel_basis()
     W = Matrix.block(F, [[None, P.dM(1), None], [z2, P.d1_map(1), P.dM(3)]],
@@ -173,7 +170,7 @@ def _rate_from_page1(P: TwistedPearlComplex, pg1: PageOne):
         raise SpectralError("page-2 image is not a cycle (internal error)")
     # express u in E^2 at the top slot = Z_3(d_M) / d1(Z_2(d_M)), basis [h_3]
     denom = P.d1_map(2) * z2
-    sol = Matrix.hstack_all(F, [H[3], denom], nrows=r3).solve(u)
+    sol = H[3].hstack(denom).solve(u)
     if sol is None:
         raise SpectralError("page-2 image escapes the top-slot quotient")
     rate = sol.rows[0][0]
@@ -192,7 +189,7 @@ def page2_rate(P: TwistedPearlComplex, H, rng=None):
     return _rate_from_page1(P, page1(P, H, rng))
 
 
-def closed_form_r(P: TwistedPearlComplex, H, rng=None):
+def closed_form_r(P: TwistedPearlComplex, H):
     """The same rate read off the adapted-basis block matrices: extract the
     blocks alpha (top row of d2 at the degree-0 class), M1 (boundary rows of
     d1 at the degree-0 class) and M6 (top row of d1 on the section columns of
@@ -201,7 +198,7 @@ def closed_form_r(P: TwistedPearlComplex, H, rng=None):
     The page-1 ranks are checked from this path's own contraction, so it
     shares no intermediate result with page2_rate."""
     _check_valid(P)
-    con = Contraction(P.base, H, rng)
+    con = Contraction(P.base, H)
     _require_survivors(PageOne(con.hdims, _d1star(P, H, con), H))
     alpha = con.pi(3) * P.d2 * H[0]
     M1 = con.b_coords(1) * P.d1_map(0) * H[0]
@@ -271,7 +268,7 @@ class MinimalModel:
         return self.model.d2
 
 
-def minimal_model(P: TwistedPearlComplex, H, rng=None) -> MinimalModel:
+def minimal_model(P: TwistedPearlComplex, H) -> MinimalModel:
     """Homological perturbation of the contraction onto Morse homology by the
     disc maps; yields the minimal pearl complex with its comparison data.
 
@@ -279,7 +276,7 @@ def minimal_model(P: TwistedPearlComplex, H, rng=None) -> MinimalModel:
     """
     _check_valid(P)
     F = P.field
-    con = Contraction(P.base, H, rng)
+    con = Contraction(P.base, H)
     cr = P.ranks
     hr = con.hdims
 

@@ -102,9 +102,9 @@ def log_gradient(W: LaurentPolynomial, phi: Representation):
     return out
 
 
-def discriminant(W: LaurentPolynomial, phi: Representation, n: int = 3):
-    """Signed torus-weighted Hessian determinant at a critical point:
-    (-1)^{n b + 1} * z_1^2 ... z_b^2 * det(d^2 W / dz_i dz_j)."""
+def discriminant(W: LaurentPolynomial, phi: Representation):
+    """Signed torus-weighted Hessian determinant at a critical point of a
+    3-fold's potential: (-1)^{3b + 1} z_1^2 ... z_b^2 det(d^2 W / dz_i dz_j)."""
     F = phi.field
     b = phi.b
     if any(not F.is_zero(g) for g in log_gradient(W, phi)):
@@ -117,7 +117,7 @@ def discriminant(W: LaurentPolynomial, phi: Representation, n: int = 3):
             H.rows[i][j] = val
             H.rows[j][i] = val
     det = H.determinant()
-    sign = F.from_int((-1) ** (n * b + 1))
+    sign = F.from_int((-1) ** (3 * b + 1))
     weight = F.one()
     for v in phi.values:
         weight = F.mul(weight, F.mul(v, v))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from math import prod
 
-from .fields import Field, PrimeField
+from .fields import Field
 from .linalg import Matrix
 
 
@@ -41,10 +41,6 @@ class ThreefoldHomology:
                 raise ThreefoldError("invariant factors must form a divisibility chain")
         self.b = b
         self.torsion = tor
-
-    @property
-    def free_ranks(self):
-        return [1, self.b, self.b, 1]
 
     def torsion_order(self):
         return prod(self.torsion)
@@ -181,15 +177,21 @@ def _projective_vectors(p: int, b: int):
 
 
 EXHAUSTIVE_BOUND = 10 ** 5
+SLICE_TRIALS = 200
 
 
-def find_slice(I: TripleForm, field: Field, trials: int = 200, seed: int = 0):
-    """Search for a vector with a nondegenerate slice.
+def exhaustive_search(field: Field, b: int) -> bool:
+    """Whether find_slice enumerates every line of F_p^b, so that finding no
+    slice is definitive: over a prime field with at most EXHAUSTIVE_BOUND
+    candidate vectors.  Otherwise it tries SLICE_TRIALS seeded random
+    vectors, and absence is only evidence."""
+    return field.char != 0 and field.char ** b <= EXHAUSTIVE_BOUND
 
-    Standard basis vectors first; over a prime field with at most 10^5
-    candidate vectors the search is exhaustive (so absence is definitive),
-    otherwise `trials` seeded random vectors follow and absence is only
-    evidence.  Returns (vector, determinant) or None.
+
+def find_slice(I: TripleForm, field: Field, seed: int = 0):
+    """Search for a vector with a nondegenerate slice: standard basis
+    vectors first, then every line (see exhaustive_search) or seeded random
+    vectors.  Returns (vector, determinant) or None.
     """
     b = I.b
     if b == 0:
@@ -200,15 +202,15 @@ def find_slice(I: TripleForm, field: Field, trials: int = 200, seed: int = 0):
         det = symplectic_slice(I, v, field)
         if det is not None:
             return v, det
-    if isinstance(field, PrimeField) and field.p ** b <= EXHAUSTIVE_BOUND:
-        for ints in _projective_vectors(field.p, b):
+    if exhaustive_search(field, b):
+        for ints in _projective_vectors(field.char, b):
             v = [field.from_int(x) for x in ints]
             det = symplectic_slice(I, v, field)
             if det is not None:
                 return v, det
         return None
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(SLICE_TRIALS):
         v = [field.from_int(rng.randint(-9, 9)) for _ in range(b)]
         if all(field.is_zero(x) for x in v):
             continue
@@ -218,14 +220,13 @@ def find_slice(I: TripleForm, field: Field, trials: int = 200, seed: int = 0):
     return None
 
 
-def dichotomy_class(I: TripleForm, field: Field, trials: int = 200,
-                    seed: int = 0) -> str:
+def dichotomy_class(I: TripleForm, field: Field, seed: int = 0) -> str:
     """Classify the form over the field: ZeroForm, SlicedOddB, or
     Incompatible (nonzero form with no slice, so no narrow representation
     can exist)."""
     if I.is_zero_over(field):
         return ZERO_FORM
-    found = find_slice(I, field, trials, seed)
+    found = find_slice(I, field, seed)
     if found is not None:
         if I.b % 2 == 0:
             raise ThreefoldError("a slice exists only for odd b")

