@@ -23,7 +23,7 @@ from .torsion import (TorsionError, NotNarrowError, milnor_torsion,
                       periodic_torsion, quantum_torsion)
 from .spectral import SpectralError, PAGE3
 from .threefold import (ThreefoldError, dichotomy_class, exhaustive_search,
-                        INCOMPATIBLE)
+                        no_slice_exists, INCOMPATIBLE)
 from .models import ModelError
 from .superpotential import (PotentialError, Representation, build_potential,
                              log_gradient, discriminant)
@@ -105,9 +105,11 @@ def cmd_classify(args):
     F = field_from_string(args.field)
     form = schemas.form_from_json(schemas.load(args.file))
     cls = dichotomy_class(form, F, seed=args.seed)
-    # ZeroForm is decided exactly and SlicedOddB has its slice as a witness;
-    # only a failed search that did not enumerate every line is uncertain
-    certain = cls != INCOMPATIBLE or exhaustive_search(F, form.b)
+    # ZeroForm is decided exactly, SlicedOddB has its slice as a witness and
+    # even b has no slice; only a failed search that did not enumerate every
+    # line is uncertain
+    certain = (cls != INCOMPATIBLE or no_slice_exists(form.b)
+               or exhaustive_search(F, form.b))
     _emit({"v": schemas.VERSION, "class": cls,
            "qualifier": "definitive" if certain else "randomized"})
     return 0

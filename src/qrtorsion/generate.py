@@ -14,7 +14,7 @@ from .fields import Field, field_to_string
 from .complexes import admissibility_error, TwistedPearlComplex
 from .linalg import IntegerMatrix, Matrix
 from .threefold import ThreefoldHomology, TripleForm
-from .models import (Page2Spec, Page3Spec, realize_morse, homology_bases,
+from .models import (Page2Spec, Page3Spec, realize_morse,
                      lift_derivation_page2, lift_derivation_page3, _unimodular)
 from .verifier import Instance
 
@@ -82,8 +82,8 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
         I = canonical_form(b).apply_unimodular(U)
         r0 = _draw_rate(rate_pick, 4, F) if b == 1 else 1
         r = [r0 * x for x in U[0]]
-        pearl = lift_derivation_page2(Page2Spec(H, I, r), morse, F,
-                                      seed=lift_seed)
+        pearl, bases = lift_derivation_page2(Page2Spec(H, I, r), morse, F,
+                                             seed=lift_seed)
     elif page == 3:
         J = standard_symplectic(b)
         U = _unimodular(transport, b)
@@ -92,12 +92,11 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
         Qp = (IntegerMatrix(zip(*U)) * IntegerMatrix(J)
               * IntegerMatrix(U)).rows
         r = _draw_rate(rate_pick, 5, F)
-        pearl = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
-                                      seed=lift_seed)
+        pearl, bases = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
+                                             seed=lift_seed)
         I = TripleForm(b)
     else:
         raise GenerateError("page must be 2 or 3")
-    bases = homology_bases(morse, F)
     ident = f"page{page}-b{b}-{field_to_string(F)}-s{seed}"
     return Instance(H, I, F, pearl, bases, ident=ident)
 
@@ -109,12 +108,12 @@ def mutate_d2(inst: Instance, seed: int) -> Instance:
     """
     P = inst.pearl
     F = inst.field
+    rows = P.d2.rows
     nz = [(i, j) for i in range(P.d2.nrows) for j in range(P.d2.ncols)
-          if not F.is_zero(P.d2.rows[i][j])]
+          if not F.is_zero(rows[i][j])]
     if not nz:
         raise GenerateError("no nonzero entry to mutate")
     i, j = random.Random(seed).choice(nz)
-    rows = [list(r) for r in P.d2.rows]
     rows[i][j] = F.neg(rows[i][j])
     d2 = Matrix(F, rows, nrows=P.d2.nrows, ncols=P.d2.ncols)
     mutated = TwistedPearlComplex(F, P.ranks, [P.dM(k) for k in range(1, 4)],

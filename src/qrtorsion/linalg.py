@@ -1,12 +1,19 @@
 """Exact dense linear algebra over a field, plus integer Smith normal form.
 
+A :class:`Matrix` is integer rows over one denominator: ``num`` holds the
+integer rows and ``den`` one positive integer, and the matrix is num / den.
+Over F_p, ``num`` holds residues in [0, p) and ``den`` is 1.  Over Q the
+pair is canonical (gcd of ``den`` and every entry of ``num`` is 1), so equal
+matrices have equal pairs.  Products, sums, stacking and elimination work
+on ``num`` in integers; Fractions are built only at the boundary: by the
+``rows`` read view, by ``determinant`` and by the constructor from raw
+field values (after von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5).
+
 Elimination is where verification spends its time (the pearl complexes of
-large instances are tens of rows by tens of columns), so it runs on
-integers: residues over F_p, and over Q rows cleared of denominators.  One
-Gauss-Jordan pass (``Matrix._eliminate``) yields both the reduced row
-echelon form and the determinant; over Q it is Bareiss's fraction-free
-elimination carried through to Gauss-Jordan form, and builds Fractions only
-for its results.  Products likewise take integer dot products.
+large instances are tens of rows by tens of columns).  One Gauss-Jordan
+pass (``Matrix._eliminate``) yields both the reduced row echelon form and
+the determinant; over Q it is Bareiss's fraction-free elimination on
+``num`` carried through to Gauss-Jordan form.
 0 x n and n x 0 matrices are legal everywhere; the determinant of the 0 x 0
 matrix is 1 (empty-product convention).
 """
@@ -15,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .fields import Field
 
@@ -25,99 +32,154 @@ class LinAlgError(Exception):
     pass
 
 
-def _clear_denominators(values):
-    """(integers, d) with integers = d * values, d the lcm of the
-    denominators of the rationals (or ints) in ``values``."""
-    d = lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
+def _scaled(num, k):
+    return [[k * x for x in r] for r in num]
 
 
 class Matrix:
-    """Dense matrix over a :class:`Field`; entries are raw field values."""
+    """Dense matrix over a :class:`Field`, stored as ``num`` / ``den``.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    ``num`` is a list of integer rows and ``den`` a positive integer.  Over
+    F_p the rows hold residues in [0, p) and ``den`` is 1; over Q the pair
+    is canonical: ``den > 0`` and the gcd of ``den`` and all of ``num`` is
+    1.  A row list, once a matrix holds it, is never written again, so
+    results may share rows with their operands.  ``rows`` is the read view:
+    a fresh list of rows of field values (Fractions over Q).
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "num", "den")
 
     def __init__(self, field: Field, rows, nrows=None, ncols=None):
+        """The matrix of raw field values (Fractions or ints over Q)."""
+        rows = [list(r) for r in rows]
         self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows) if nrows is None else nrows
-        self.ncols = (len(self.rows[0]) if self.rows else 0) if ncols is None else ncols
-        for r in self.rows:
+        self.nrows = len(rows) if nrows is None else nrows
+        self.ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
+        for r in rows:
             if len(r) != self.ncols:
                 raise LinAlgError("ragged rows")
+        p = field.char
+        if p:
+            self.num = [[x % p for x in r] for r in rows]
+            self.den = 1
+        else:
+            # over the lcm of lowest-terms denominators: already canonical
+            d = lcm(*(x.denominator for r in rows for x in r))
+            self.num = [[x.numerator * (d // x.denominator) for x in r]
+                        for r in rows]
+            self.den = d
+
+    @classmethod
+    def _make(cls, field, num, den, nrows, ncols):
+        """Wrap integer rows over den, reducing the pair to canonical form
+        over Q; the rows are taken over, not copied."""
+        if den != 1:
+            g = den
+            for r in num:
+                if g == 1:
+                    break
+                g = gcd(g, *r)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [[x // g for x in r] for r in num]
+                den //= g
+        m = cls.__new__(cls)
+        m.field, m.num, m.den, m.nrows, m.ncols = field, num, den, nrows, ncols
+        return m
+
+    @property
+    def rows(self):
+        """A fresh list of rows of field values: Fractions over Q."""
+        if self.field.char:
+            return [list(r) for r in self.num]
+        d = self.den
+        return [[Fraction(x, d) for x in r] for r in self.num]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], nrows, ncols)
+        return cls._make(field, [[0] * ncols for _ in range(nrows)], 1,
+                         nrows, ncols)
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        one = field.one()
+        num = [[0] * n for _ in range(n)]
         for i in range(n):
-            m.rows[i][i] = one
-        return m
+            num[i][i] = 1
+        return cls._make(field, num, 1, n, n)
 
     @classmethod
     def from_int_rows(cls, field, int_rows, nrows=None, ncols=None):
-        rows = [[field.from_int(x) for x in r] for r in int_rows]
-        return cls(field, rows, nrows, ncols)
+        return cls(field, int_rows, nrows, ncols)
 
     # -- basic algebra -----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
                 and other.nrows == self.nrows and other.ncols == self.ncols
-                and other.rows == self.rows)
+                and other.den == self.den and other.num == self.num)
+
+    def _combine(self, other, op):
+        """Entrywise op (add or sub) over the lcm of the denominators."""
+        self._check_shape(other, same=True)
+        A, B, d = self.num, other.num, lcm(self.den, other.den)
+        if d != self.den:
+            A = _scaled(A, d // self.den)
+        if d != other.den:
+            B = _scaled(B, d // other.den)
+        p = self.field.char
+        num = [[op(a, b) % p for a, b in zip(r1, r2)] if p
+               else list(map(op, r1, r2)) for r1, r2 in zip(A, B)]
+        return Matrix._make(self.field, num, d, self.nrows, self.ncols)
 
     def __add__(self, other):
-        self._check_shape(other, same=True)
-        F = self.field
-        rows = [[F.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        return Matrix(F, rows, self.nrows, self.ncols)
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        self._check_shape(other, same=True)
-        F = self.field
-        rows = [[F.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        return Matrix(F, rows, self.nrows, self.ncols)
+        return self._combine(other, sub)
 
     def __neg__(self):
         F = self.field
-        return Matrix(F, [[F.neg(a) for a in r] for r in self.rows], self.nrows, self.ncols)
+        p = F.char
+        num = [[-a % p for a in r] if p else [-a for a in r] for r in self.num]
+        return Matrix._make(F, num, self.den, self.nrows, self.ncols)
 
     def __mul__(self, other):
-        """Matrix product on bare values: over F_p one ``% p`` per entry of
-        integer dot products; over Q integer dot products of rows and
-        columns cleared of denominators, one Fraction per entry."""
+        """Matrix product: integer dot products of the two ``num``s, one
+        ``% p`` per entry over F_p, over the product of the denominators
+        over Q."""
         if self.ncols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         F = self.field
         p = F.char
-        cols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
+        cols = list(zip(*other.num)) if other.nrows else [()] * other.ncols
         if p:
-            rows = [[sum(map(mul, r, c)) % p for c in cols] for r in self.rows]
+            num = [[sum(map(mul, r, c)) % p for c in cols] for r in self.num]
         else:
-            A = [_clear_denominators(r) for r in self.rows]
-            B = [_clear_denominators(c) for c in cols]
-            rows = [[Fraction(sum(map(mul, a, b)), da * db) for b, db in B]
-                    for a, da in A]
-        return Matrix(F, rows, self.nrows, other.ncols)
+            num = [[sum(map(mul, r, c)) for c in cols] for r in self.num]
+        return Matrix._make(F, num, self.den * other.den, self.nrows,
+                            other.ncols)
 
     def scale(self, c):
+        """c times the matrix, for a raw field value c."""
         F = self.field
-        return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows], self.nrows, self.ncols)
+        p = F.char
+        if p:
+            num = [[c * a % p for a in r] for r in self.num]
+            return Matrix._make(F, num, 1, self.nrows, self.ncols)
+        num = _scaled(self.num, c.numerator)
+        return Matrix._make(F, num, self.den * c.denominator, self.nrows,
+                            self.ncols)
 
     def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)], self.ncols, self.nrows)
+        num = ([list(c) for c in zip(*self.num)] if self.nrows
+               else [[] for _ in range(self.ncols)])
+        return Matrix._make(self.field, num, self.den, self.ncols, self.nrows)
 
     def is_zero(self):
-        F = self.field
-        return all(F.is_zero(a) for r in self.rows for a in r)
+        return not any(map(any, self.num))
 
     def _check_shape(self, other, same=False):
         if other.field != self.field:
@@ -128,28 +190,37 @@ class Matrix:
     # -- slicing / stacking ------------------------------------------------
 
     def cols(self, js):
-        return Matrix(self.field, [[r[j] for j in js] for r in self.rows], self.nrows, len(js))
+        return Matrix._make(self.field, [[r[j] for j in js] for r in self.num],
+                            self.den, self.nrows, len(js))
 
     def submatrix(self, ris, cjs):
-        return Matrix(self.field, [[self.rows[i][j] for j in cjs] for i in ris],
-                      len(ris), len(cjs))
+        num = self.num
+        return Matrix._make(self.field, [[num[i][j] for j in cjs] for i in ris],
+                            self.den, len(ris), len(cjs))
 
     def hstack(self, *others):
-        """The blocks side by side, rows joined by pairwise ``+`` (faster
-        than ``sum(parts, [])`` at the two or three blocks callers pass)."""
-        rows = self.rows
+        """The blocks side by side over the lcm of their denominators
+        (canonical again: each prime power of the lcm is some block's, and
+        that block keeps an entry it does not divide)."""
         for other in others:
             self._check_shape(other)
             if other.nrows != self.nrows:
                 raise LinAlgError("row count mismatch in hstack")
-            rows = [r1 + r2 for r1, r2 in zip(rows, other.rows)]
-        return Matrix(self.field, rows, self.nrows,
-                      self.ncols + sum(o.ncols for o in others))
+        blocks = (self,) + others
+        d = lcm(*(m.den for m in blocks))
+        num = [[] for _ in range(self.nrows)]
+        for m in blocks:
+            part = m.num if m.den == d else _scaled(m.num, d // m.den)
+            num = [r1 + r2 for r1, r2 in zip(num, part)]
+        return Matrix._make(self.field, num, d, self.nrows,
+                            sum(m.ncols for m in blocks))
 
     @classmethod
     def block(cls, field, grid, row_dims, col_dims):
-        """Assemble a block matrix; ``None`` blocks are zero."""
-        out = cls.zeros(field, sum(row_dims), sum(col_dims))
+        """Assemble a block matrix over the lcm of the block denominators;
+        ``None`` blocks are zero."""
+        d = lcm(*(blk.den for line in grid for blk in line if blk is not None))
+        num = [[0] * sum(col_dims) for _ in range(sum(row_dims))]
         r0 = 0
         for bi, rdim in enumerate(row_dims):
             c0 = 0
@@ -158,37 +229,40 @@ class Matrix:
                 if blk is not None:
                     if blk.nrows != rdim or blk.ncols != cdim:
                         raise LinAlgError("block shape mismatch")
-                    for i in range(rdim):
-                        out.rows[r0 + i][c0:c0 + cdim] = list(blk.rows[i])
+                    k = d // blk.den
+                    for i, r in enumerate(blk.num):
+                        num[r0 + i][c0:c0 + cdim] = r if k == 1 else \
+                            [k * x for x in r]
                 c0 += cdim
             r0 += rdim
-        return out
+        return cls._make(field, num, d, sum(row_dims), sum(col_dims))
 
     # -- elimination -------------------------------------------------------
 
     def _eliminate(self):
-        """One Gauss-Jordan pass: (rows of R, pivot columns, det), with det
-        0 unless rank = nrows = ncols.
+        """One Gauss-Jordan pass on ``num``: (rows, prev, pivot columns,
+        det), where R = rows / prev and det is det(num), 0 unless
+        rank = nrows = ncols.
 
         The pivot of each column is its first nonzero entry at or below the
         current row.  Over F_p only the pivot row's nonzero entries are
-        walked.  Over Q, with pivot piv, previous pivot prev and pivot row
-        prow, every other row becomes (piv row - row[pc] prow) // prev,
-        exact by Sylvester's identity; every pivot entry then ends equal to
-        the last pivot, which divides all of R.
+        walked, and prev is 1.  Over Q, with pivot piv, previous pivot prev
+        and pivot row prow, every other row becomes
+        (piv row - row[pc] prow) // prev, exact by Sylvester's identity;
+        every pivot entry then ends equal to the last pivot, which divides
+        all of R.  ``num``'s own rows are never written.
         """
         p = self.field.char
         nrows, ncols = self.nrows, self.ncols
         pivots = []
         pr = 0
         sign = 1
+        prev = 1
         if p:
-            rows = [[a % p for a in r] for r in self.rows]
+            rows = [list(r) for r in self.num]
             det = 1
         else:
-            cleared = [_clear_denominators(r) for r in self.rows]
-            rows = [a for a, _ in cleared]
-            prev = 1
+            rows = list(self.num)
         for pc in range(ncols):
             if pr == nrows:
                 break
@@ -233,51 +307,52 @@ class Matrix:
             pr += 1
         full = pr == nrows == ncols
         if p:
-            return rows, pivots, sign * det % p if full else 0
-        R = [[Fraction(x, prev) for x in r] for r in rows]
-        den = prod(d for _, d in cleared)
-        return R, pivots, Fraction(sign * prev if full else 0, den)
+            return rows, 1, pivots, sign * det % p if full else 0
+        return rows, prev, pivots, sign * prev if full else 0
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
-        rows, pivots, _ = self._eliminate()
-        return Matrix(self.field, rows, self.nrows, self.ncols), pivots
+        rows, prev, pivots, _ = self._eliminate()
+        return Matrix._make(self.field, rows, prev, self.nrows,
+                            self.ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])
 
     def kernel_basis(self):
-        """Matrix whose columns form a basis of the kernel."""
-        F = self.field
+        """Matrix whose columns form a basis of the kernel: for each free
+        column j, e_j minus the pivot coordinates read off R."""
         R, pivots = self.rref()
+        p = self.field.char
         free = [j for j in range(self.ncols) if j not in pivots]
-        out = Matrix.zeros(F, self.ncols, len(free))
+        num = [[0] * len(free) for _ in range(self.ncols)]
         for idx, j in enumerate(free):
-            out.rows[j][idx] = F.one()
-            for pi, pc in enumerate(pivots):
-                out.rows[pc][idx] = F.neg(R.rows[pi][j])
-        return out
+            num[j][idx] = R.den
+            for r, pc in zip(R.num, pivots):
+                num[pc][idx] = -r[j] % p if p else -r[j]
+        return Matrix._make(self.field, num, R.den, self.ncols, len(free))
 
     def determinant(self):
+        """det(num) / den^n: a Fraction over Q, a residue over F_p."""
         if self.nrows != self.ncols:
             raise LinAlgError("determinant of non-square matrix")
-        return self._eliminate()[2]
+        det = self._eliminate()[3]
+        if self.field.char:
+            return det
+        return Fraction(det, self.den ** self.nrows)
 
     def solve(self, b: "Matrix"):
         """Some X with self @ X = b, or None when there is no solution."""
         if b.nrows != self.nrows:
             raise LinAlgError("rhs row count mismatch")
-        F = self.field
-        aug = self.hstack(b)
-        R, pivots = aug.rref()
+        R, pivots = self.hstack(b).rref()
         n = self.ncols
-        for pi, pc in enumerate(pivots):
-            if pc >= n:
-                return None
-        X = Matrix.zeros(F, n, b.ncols)
-        for pi, pc in enumerate(pivots):
-            X.rows[pc] = list(R.rows[pi][n:])
-        return X
+        if pivots and pivots[-1] >= n:
+            return None
+        num = [[0] * b.ncols for _ in range(n)]
+        for r, pc in zip(R.num, pivots):
+            num[pc] = r[n:]
+        return Matrix._make(self.field, num, R.den, n, b.ncols)
 
     def inverse(self):
         if self.nrows != self.ncols:

@@ -32,7 +32,7 @@ import random
 from operator import mul
 
 from .fields import Field, QQ
-from .linalg import Matrix, IntegerMatrix, _clear_denominators
+from .linalg import Matrix, IntegerMatrix
 from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
                         integral_homology, admissible_characteristic)
 from .threefold import ThreefoldHomology, TripleForm
@@ -210,12 +210,11 @@ def solve_leibniz_derivation(I: TripleForm, r, field: Field):
 def _checked_derivation(I: TripleForm, r, c: Matrix) -> Matrix:
     """c, once it satisfies over its field every equation of
     solve_leibniz_derivation; else ModelError names the first one it fails.
-    The entries are cleared of denominators once, C = d c, and each
-    equation is checked as d times itself in integers.  The pairing sums
-    run over TripleForm.signed_terms: O(|coeffs| b) work, b^3 compares."""
+    c is the integer rows C over one denominator d, and each equation is
+    checked as d times itself in integers.  The pairing sums run over
+    TripleForm.signed_terms: O(|coeffs| b) work, b^3 compares."""
     b, ok = I.b, c.field.is_zero
-    flat, d = _clear_denominators([x for row in c.rows for x in row])
-    C = [flat[i * b:(i + 1) * b] for i in range(b)]
+    C, d = c.num, c.den
     rd = [d * x for x in r]
     fail = NO_DERIVATION + ": the slice solution fails "
     pairing = [[[0] * b for _ in range(b)] for _ in range(b)]  # [i][k][j]
@@ -289,9 +288,11 @@ def _lift_pearl(morse_F, H, delta, rng, page, rate=None):
 
 
 def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
-                          field: Field, seed: int = 0) -> TwistedPearlComplex:
-    """A pearl complex over the field whose page-1 differential is exactly
-    the spec's derivation and whose spectral sequence collapses at page 2.
+                          field: Field, seed: int = 0):
+    """(P, H): a pearl complex P over the field whose page-1 differential
+    is exactly the spec's derivation and whose spectral sequence collapses
+    at page 2, and the homology bases H = homology_bases(morse, field) that
+    the differential is read in.
 
     The induced page-1 complex is exact once ``_checked_derivation``
     passes: the pairing rows give -S c = R with rank R >= b - 1, and
@@ -307,13 +308,16 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
     if c is None:
         raise ModelError(NO_DERIVATION)
     c = _checked_derivation(spec.I, spec.r, c)
-    return _lift_pearl(morse.to_field(F), H, [delta0, c, delta2], rng, PAGE2)
+    return (_lift_pearl(morse.to_field(F), H, [delta0, c, delta2], rng,
+                        PAGE2), H)
 
 
 def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
-                          field: Field, seed: int = 0) -> TwistedPearlComplex:
-    """A pearl complex whose page-1 differential is A = r * Qprime^{-1} on
-    degree 1 (zero elsewhere) and whose page-2 rate is exactly r."""
+                          field: Field, seed: int = 0):
+    """(P, H): a pearl complex P whose page-1 differential is
+    A = r * Qprime^{-1} on degree 1 (zero elsewhere) and whose page-2 rate
+    is exactly r, and the homology bases H = homology_bases(morse, field)
+    that the differential is read in."""
     _check_spec_homology(morse, spec.H)
     b = spec.H.b
     F = field
@@ -328,7 +332,7 @@ def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
     except Exception as e:
         raise ModelError("pairing matrix is singular over the field") from e
     delta = [Matrix.zeros(F, b, 1), A, Matrix.zeros(F, 1, b)]
-    return _lift_pearl(morse.to_field(F), H, delta, rng, PAGE3, rF)
+    return _lift_pearl(morse.to_field(F), H, delta, rng, PAGE3, rF), H
 
 
 def random_pearl(morse: BasedChainComplex, field: Field,

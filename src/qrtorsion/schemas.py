@@ -54,11 +54,40 @@ def _ints(values, where):
     return [_int(x, where) for x in _list(values, where)]
 
 
-def _scalars(field: Field, values, where):
-    try:
-        return [field.parse(x) for x in values]
-    except Exception as e:
-        raise SchemaError(f"bad scalar in {where}: {e}") from e
+class _Reader:
+    """Scalars and matrices of one document: each distinct JSON value is
+    parsed once per field.  A document repeats a few scalar strings many
+    times.  Keys carry the value's type, so 1, 1.0, true and "1" never
+    share an entry; an unhashable value is parsed (and rejected) as is."""
+
+    def __init__(self):
+        self._memos = {}
+
+    def scalars(self, field: Field, values, where):
+        memo = self._memos.setdefault(field, {})
+        parse = field.parse
+        out = []
+        try:
+            for x in values:
+                try:
+                    key = (type(x), x)
+                    v = memo[key]
+                except KeyError:
+                    v = memo[key] = parse(x)
+                except TypeError:
+                    v = parse(x)
+                out.append(v)
+        except Exception as e:
+            raise SchemaError(f"bad scalar in {where}: {e}") from e
+        return out
+
+    def matrix(self, field: Field, data, nrows, ncols, where):
+        if (not isinstance(data, list) or len(data) != nrows
+                or any(not isinstance(r, list) or len(r) != ncols
+                       for r in data)):
+            raise SchemaError(f"matrix in {where} must be {nrows}x{ncols}")
+        rows = [self.scalars(field, r, where) for r in data]
+        return Matrix(field, rows, nrows=nrows, ncols=ncols)
 
 
 def matrix_to_json(M: Matrix):
@@ -66,11 +95,7 @@ def matrix_to_json(M: Matrix):
 
 
 def matrix_from_json(field: Field, data, nrows, ncols, where):
-    if (not isinstance(data, list) or len(data) != nrows
-            or any(not isinstance(r, list) or len(r) != ncols for r in data)):
-        raise SchemaError(f"matrix in {where} must be {nrows}x{ncols}")
-    rows = [_scalars(field, r, where) for r in data]
-    return Matrix(field, rows, nrows=nrows, ncols=ncols)
+    return _Reader().matrix(field, data, nrows, ncols, where)
 
 
 def field_from_doc(doc, where="document") -> Field:
@@ -87,20 +112,24 @@ def complex_from_json(doc) -> BasedChainComplex:
     ranks = _ints(_require(doc, "ranks", "complex"), "complex ranks")
     data = _list(_require(doc, "boundaries", "complex"),
                  "complex boundaries (one per positive degree)", len(ranks) - 1)
-    bnds = [matrix_from_json(F, data[k - 1], ranks[k - 1], ranks[k],
-                             f"boundary d_{k}")
+    read = _Reader()
+    bnds = [read.matrix(F, data[k - 1], ranks[k - 1], ranks[k],
+                        f"boundary d_{k}")
             for k in range(1, len(ranks))]
     return BasedChainComplex(F, ranks, bnds)
 
 
 def bases_from_json(field, ranks, data, where="bases"):
+    return _bases(_Reader(), field, ranks, data, where)
+
+
+def _bases(read, field, ranks, data, where):
     _list(data, f"{where} (one matrix per degree)", len(ranks))
     out = []
     for k, mat in enumerate(data):
         ncols = len(mat[0]) if isinstance(mat, list) and mat and \
             isinstance(mat[0], list) else 0
-        out.append(matrix_from_json(field, mat, ranks[k], ncols,
-                                    f"{where}[{k}]"))
+        out.append(read.matrix(field, mat, ranks[k], ncols, f"{where}[{k}]"))
     return out
 
 
@@ -118,15 +147,19 @@ def pearl_to_json(P: TwistedPearlComplex):
 
 
 def pearl_from_json(doc) -> TwistedPearlComplex:
+    return _pearl(_Reader(), doc)
+
+
+def _pearl(read, doc) -> TwistedPearlComplex:
     F = field_from_doc(doc, "pearl")
     ranks = _ints(_list(_require(doc, "ranks", "pearl"),
                         "pearl ranks (degrees 0..3)", 4), "pearl ranks")
-    dM = [matrix_from_json(F, m, ranks[k], ranks[k + 1], f"dM_{k + 1}")
+    dM = [read.matrix(F, m, ranks[k], ranks[k + 1], f"dM_{k + 1}")
           for k, m in enumerate(_list(_require(doc, "dM", "pearl"), "dM", 3))]
-    d1 = [matrix_from_json(F, m, ranks[k + 1], ranks[k], f"d1_{k}")
+    d1 = [read.matrix(F, m, ranks[k + 1], ranks[k], f"d1_{k}")
           for k, m in enumerate(_list(_require(doc, "d1", "pearl"), "d1", 3))]
-    d2 = matrix_from_json(F, _require(doc, "d2", "pearl"), ranks[3], ranks[0],
-                          "d2")
+    d2 = read.matrix(F, _require(doc, "d2", "pearl"), ranks[3], ranks[0],
+                     "d2")
     return TwistedPearlComplex(F, ranks, dM, d1, d2)
 
 
@@ -141,10 +174,11 @@ def periodic_from_json(doc) -> PeriodicComplex:
     F = field_from_doc(doc, "periodic complex")
     n_odd = _int(_require(doc, "n_odd", "periodic complex"), "n_odd")
     n_even = _int(_require(doc, "n_even", "periodic complex"), "n_even")
-    d_oe = matrix_from_json(F, _require(doc, "d_oe", "periodic"), n_even,
-                            n_odd, "d_oe")
-    d_eo = matrix_from_json(F, _require(doc, "d_eo", "periodic"), n_odd,
-                            n_even, "d_eo")
+    read = _Reader()
+    d_oe = read.matrix(F, _require(doc, "d_oe", "periodic"), n_even, n_odd,
+                       "d_oe")
+    d_eo = read.matrix(F, _require(doc, "d_eo", "periodic"), n_odd, n_even,
+                       "d_eo")
     return PeriodicComplex(F, n_odd, n_even, d_oe, d_eo)
 
 
@@ -208,7 +242,8 @@ def instance_from_json(doc) -> Instance:
     F = field_from_doc(doc, "instance")
     pearl_doc = dict(_object(_require(doc, "pearl", "instance"), "pearl"))
     pearl_doc.setdefault("field", field_to_string(F))
-    pearl = pearl_from_json(pearl_doc)
+    read = _Reader()
+    pearl = _pearl(read, pearl_doc)
     homology = homology_from_json(_require(doc, "homology", "instance"))
     form = form_from_json(_require(doc, "form", "instance"))
     if form.b != homology.b:
@@ -217,14 +252,15 @@ def instance_from_json(doc) -> Instance:
     error = admissibility_error(homology.torsion, F)
     if error:
         raise SchemaError(f"inadmissible field {field_to_string(F)}: {error}")
-    bases = bases_from_json(F, pearl.ranks, _require(doc, "bases", "instance"))
+    bases = _bases(read, F, pearl.ranks, _require(doc, "bases", "instance"),
+                   "bases")
     discs = discs_from_json(doc["discs"]) if "discs" in doc else None
     if discs is not None and discs.b != homology.b:
         raise SchemaError(f"discs.b = {discs.b} differs from homology.b = "
                           f"{homology.b}")
     representation = None
     if "representation" in doc:
-        representation = Representation(F, _scalars(
+        representation = Representation(F, read.scalars(
             F, _list(doc["representation"], "representation"),
             "representation"))
     return Instance(homology, form, F, pearl, bases, discs, representation,

@@ -109,14 +109,12 @@ def discriminant(W: LaurentPolynomial, phi: Representation):
     b = phi.b
     if any(not F.is_zero(g) for g in log_gradient(W, phi)):
         raise PotentialError("discriminant is only defined at critical points")
-    H = Matrix.zeros(F, b, b)
+    H = [[None] * b for _ in range(b)]
     for i in range(b):
         Wi = W.partial(i)
         for j in range(i, b):
-            val = Wi.partial(j).evaluate(F, phi.values)
-            H.rows[i][j] = val
-            H.rows[j][i] = val
-    det = H.determinant()
+            H[i][j] = H[j][i] = Wi.partial(j).evaluate(F, phi.values)
+    det = Matrix(F, H, b, b).determinant()
     sign = F.from_int((-1) ** (3 * b + 1))
     weight = F.one()
     for v in phi.values:

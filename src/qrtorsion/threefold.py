@@ -120,7 +120,7 @@ class TripleForm:
         rows = [[0] * self.b for _ in range(self.b)]
         for (i, j, k), s in self.signed_terms():
             rows[j - 1][k - 1] += s * v[i - 1]
-        return Matrix.from_int_rows(field, rows, self.b, self.b)
+        return Matrix(field, rows, self.b, self.b)
 
     def apply_unimodular(self, U) -> "TripleForm":
         """Pull the form back along the integer basis change e_i -> sum_j
@@ -180,6 +180,13 @@ EXHAUSTIVE_BOUND = 10 ** 5
 SLICE_TRIALS = 200
 
 
+def no_slice_exists(b: int) -> bool:
+    """Whether no form of rank b has a slice: for even b the complement of
+    v's pivot coordinate has odd dimension b - 1, and an alternating matrix
+    of odd size is singular.  find_slice then evaluates no slice."""
+    return b % 2 == 0
+
+
 def exhaustive_search(field: Field, b: int) -> bool:
     """Whether find_slice enumerates every line of F_p^b, so that finding no
     slice is definitive: over a prime field with at most EXHAUSTIVE_BOUND
@@ -191,10 +198,11 @@ def exhaustive_search(field: Field, b: int) -> bool:
 def find_slice(I: TripleForm, field: Field, seed: int = 0):
     """Search for a vector with a nondegenerate slice: standard basis
     vectors first, then every line (see exhaustive_search) or seeded random
-    vectors.  Returns (vector, determinant) or None.
+    vectors.  Returns (vector, determinant) or None, at once for even b
+    (see no_slice_exists).
     """
     b = I.b
-    if b == 0:
+    if no_slice_exists(b):
         return None
     one, zero = field.one(), field.zero()
     for i in range(b):

@@ -116,7 +116,8 @@ def torsion_via_page2_formula(inst: Instance) -> SignClass:
     pg1 = inst.spectrum.page1
     if not pg1.is_exact():
         raise WrongPageError("not a page-2 instance")
-    rates = [pg1.d1star[0].rows[i][0] for i in range(b)]
+    d1 = pg1.d1star[0].rows
+    rates = [d1[i][0] for i in range(b)]
     pivot = next((i for i, x in enumerate(rates) if not F.is_zero(x)), None)
     if pivot is None:
         raise VerifierError("page-2 instance with zero rate vector")
@@ -259,13 +260,14 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
             # symmetrized-product identity: Q_ij + Q_ji must match the
             # n = 3 signed torus-weighted Hessian of the potential
             ok = True
+            Q = qf.Q.rows
             for i in range(b):
                 Wi = W.partial(i)
                 for j in range(b):
                     hess = Wi.partial(j).evaluate(F, phi.values)
                     lhs = F.mul(F.from_int(-1),
                                 F.mul(F.mul(phi.values[i], phi.values[j]), hess))
-                    rhs = F.add(qf.Q.rows[i][j], qf.Q.rows[j][i])
+                    rhs = F.add(Q[i][j], Q[j][i])
                     if lhs != rhs:
                         ok = False
             flags["symmetrized_product_identity"] = ok

@@ -291,8 +291,10 @@ def test_classify_verb(tmp_path, capsys):
 
 @pytest.mark.parametrize("b, entries, field, cls, qualifier", [
     (3, [], "Q", "ZeroForm", "definitive"),
-    (4, [{"ijk": [1, 2, 3], "v": 1}], "Q", "Incompatible", "randomized"),
+    # even b: no slice exists over any field
+    (4, [{"ijk": [1, 2, 3], "v": 1}], "Q", "Incompatible", "definitive"),
     (4, [{"ijk": [1, 2, 3], "v": 1}], "Fp:3", "Incompatible", "definitive"),
+    (5, [{"ijk": [1, 2, 3], "v": 1}], "Q", "Incompatible", "randomized"),
 ])
 def test_classify_qualifier(tmp_path, capsys, b, entries, field, cls,
                             qualifier):

@@ -1,7 +1,8 @@
 """Differential tests of the elimination kernel, the image bases and
-sections read off it, products and determinants against sympy's
-DomainMatrix, of Smith normal form against sympy's over ZZ, and of the page-2
-derivation's slice solve against the full Leibniz system.
+sections read off it, products, determinants and every other matrix
+operation against sympy's DomainMatrix, with each result checked to be in
+canonical num / den form; of Smith normal form against sympy's over ZZ; and
+of the page-2 derivation's slice solve against the full Leibniz system.
 
 sympy and hypothesis are test-only dependencies; the library never imports
 them.
@@ -9,6 +10,7 @@ them.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,7 +23,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from qrtorsion.fields import QQ, GF
 from qrtorsion.generate import canonical_form
-from qrtorsion.linalg import IntegerMatrix, Matrix, smith_normal_form
+from qrtorsion.linalg import (IntegerMatrix, LinAlgError, Matrix,
+                              smith_normal_form)
 from qrtorsion.models import (ModelError, NO_DERIVATION, Page2Spec,
                               lift_derivation_page2, realize_morse,
                               solve_leibniz_derivation, _checked_derivation,
@@ -74,9 +77,9 @@ def test_rref_rank_kernel_match_sympy(A):
     R, pivots = A.rref()
     SR, spivots = _to_sympy(A).rref()
     assert pivots == list(spivots)
-    assert R.rows == _from_sympy(SR, A.field)
+    _check(R, _from_sympy(SR, A.field))
     assert A.rank() == _to_sympy(A).rank()
-    K = A.kernel_basis()
+    K = _check(A.kernel_basis())
     assert (K.nrows, K.ncols) == (A.ncols, A.ncols - len(pivots))
     assert (A * K).is_zero()
     if K.ncols:
@@ -100,7 +103,7 @@ def test_solve_matches_sympy(data):
     if want is None:
         assert X is None
         return
-    assert X.rows == want
+    _check(X, want)
     assert A * X == B
 
 
@@ -156,6 +159,31 @@ def _assert_canonical(F, values):
             assert type(x) is Fraction
 
 
+def _check(M, want=None):
+    """M is canonical (den > 0 and gcd(den, num) = 1 over Q; den 1 and
+    residues over F_p), its read view holds field values (Fractions over Q)
+    and is a fresh copy, and it equals want entry by entry when given."""
+    F = M.field
+    assert len(M.num) == M.nrows and all(len(r) == M.ncols for r in M.num)
+    assert all(type(x) is int for r in M.num for x in r)
+    if F.char:
+        assert M.den == 1
+        assert all(0 <= x < F.char for r in M.num for x in r)
+    else:
+        assert type(M.den) is int and M.den > 0
+        assert gcd(M.den, *(x for r in M.num for x in r)) == 1
+    rows = M.rows
+    _assert_canonical(F, [x for r in rows for x in r])
+    if want is not None:
+        assert rows == want
+    view = M.rows
+    for r in view:
+        r[:] = [F.one()] * len(r)
+    view.append(None)
+    assert M.rows == rows
+    return M
+
+
 def _sympy_scalar(K, F, x):
     x = K.to_sympy(x)
     if F.char:
@@ -178,8 +206,7 @@ def test_matmul_matches_sympy(data):
     A, B = _matrix(data.draw, F, m, k), _matrix(data.draw, F, k, n)
     P = A * B
     assert (P.nrows, P.ncols) == (m, n)
-    assert P.rows == _sympy_product(A, B)
-    _assert_canonical(F, [x for r in P.rows for x in r])
+    _check(P, _sympy_product(A, B))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
@@ -191,8 +218,7 @@ def test_matmul_through_empty_dimensions(F, m, k, n):
                    for i in range(k)], k, n)
     P = A * B
     assert (P.nrows, P.ncols) == (m, n)
-    assert P == Matrix.zeros(F, m, n)
-    _assert_canonical(F, [x for r in P.rows for x in r])
+    assert _check(P) == Matrix.zeros(F, m, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,7 +256,7 @@ def test_non_canonical_residues_and_plain_ints():
     assert X.rows == [[-1], [3], [0]]
     assert Y.rows == [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
     for M in (R, X, A.kernel_basis(), Y):
-        _assert_canonical(QQ, [x for r in M.rows for x in r])
+        _check(M)
 
 
 def _low_rank(draw, F, m, k, n):
@@ -249,21 +275,20 @@ def test_elimination_matches_sympy_on_large_low_rank_products(data):
     R, pivots = A.rref()
     SR, spivots = S.rref()
     assert pivots == list(spivots)
-    assert R.rows == _from_sympy(SR, F)
-    K = A.kernel_basis()
+    _check(R, _from_sympy(SR, F))
+    K = _check(A.kernel_basis())
     assert (K.nrows, K.ncols) == (n, n - len(pivots))
     assert (A * K).is_zero()
     if K.ncols:
         assert K.transpose().rref()[0].rows == \
             _from_sympy(S.nullspace().rref()[0], F)
-    _assert_canonical(F, [x for M in (R, K) for r in M.rows for x in r])
     consistent = A * _matrix(data.draw, F, n, 2)
     for B in (consistent, _matrix(data.draw, F, m, 2)):
         X = A.solve(B)
         want = _sympy_solution(A, B)
         assert (X is None) == (want is None)
         if X is not None:
-            assert X.rows == want
+            _check(X, want)
             assert (A * X - B).is_zero()
     assert A.solve(consistent) is not None
     s = data.draw(st.integers(1, 12))
@@ -296,6 +321,88 @@ def test_smith_normal_form_matches_sympy(data):
         return
     S = sympy_snf(SMatrix(rows), domain=SZZ)
     assert s.diagonal == [abs(int(S[i, i])) for i in range(min(m, n))]
+
+
+# -- the representation: integer rows over one denominator -------------------
+
+def _scalar(draw, F):
+    ints = st.one_of(st.just(0), st.integers(-40, 40))
+    if F.char:
+        return draw(ints)
+    return draw(st.builds(Fraction, ints, st.integers(1, 6)))
+
+
+def _to_sympy_scalar(K, F, c):
+    return K(int(c)) if F.char else K(c.numerator, c.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_other_operations_match_sympy_and_are_canonical(data):
+    # products, rref, kernel_basis, solve and determinant are checked above
+    draw = data.draw
+    F = draw(st.sampled_from(FIELDS))
+    m, n, k = (draw(st.integers(0, 5)) for _ in range(3))
+    A, B = _check(_matrix(draw, F, m, n)), _check(_matrix(draw, F, m, n))
+    SA, SB = _to_sympy(A), _to_sympy(B)
+    K = SA.domain
+    _check(A + B, _from_sympy(SA + SB, F))
+    _check(A - B, _from_sympy(SA - SB, F))
+    _check(-A, _from_sympy(SA.neg(), F))
+    c = _scalar(draw, F)
+    _check(A.scale(c), _from_sympy(SA * _to_sympy_scalar(K, F, c), F))
+    _check(A.transpose(), _from_sympy(SA.transpose(), F))
+    js = draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+    ris = draw(st.lists(st.integers(0, m - 1), max_size=6)) if m else []
+    _check(A.cols(js), _from_sympy(SA.extract(list(range(m)), js), F))
+    _check(A.submatrix(ris, js), _from_sympy(SA.extract(ris, js), F))
+    D = _matrix(draw, F, m, k)
+    _check(A.hstack(D, B), _from_sympy(SA.hstack(_to_sympy(D), SB), F))
+    # a 2 x 2 block grid with a zero block
+    G = _matrix(draw, F, k, n)
+    grid = [[A, D], [G, None]]
+    Z = DomainMatrix.zeros((k, k), K)
+    want = SA.hstack(_to_sympy(D)).vstack(_to_sympy(G).hstack(Z))
+    _check(Matrix.block(F, grid, [m, k], [n, k]), _from_sympy(want, F))
+    S = _matrix(draw, F, m, m)
+    if F.is_zero(S.determinant()):
+        with pytest.raises(LinAlgError):
+            S.inverse()
+    else:
+        _check(S.inverse(), _from_sympy(_to_sympy(S).inv(), F))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equality_is_entrywise(data):
+    draw = data.draw
+    F = draw(st.sampled_from(FIELDS))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    A = _matrix(draw, F, m, n)
+    # small entries, so that equal pairs turn up often
+    B = Matrix(F, draw(st.lists(st.lists(
+        st.sampled_from([0, 1, -1, Fraction(1, 2)] if not F.char else
+                        [0, 1, -1, F.char + 1]),
+        min_size=n, max_size=n), min_size=m, max_size=m)), m, n)
+    assert (A == B) == (A.rows == B.rows)
+    assert A == Matrix(F, A.rows, m, n) == A + Matrix.zeros(F, m, n)
+    two = F.from_int(2)
+    assert A.scale(two).scale(F.inv(two)) == A
+    assert (A == A.scale(two)) == A.is_zero()
+    assert A != Matrix.zeros(F, m + 1, n)
+
+
+def test_representation_of_mixed_denominators():
+    A = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 3)], [2, Fraction(5, 6)]])
+    assert (A.num, A.den) == ([[3, 2], [12, 5]], 6)
+    B = A + Matrix(QQ, [[Fraction(1, 2), Fraction(2, 3)], [-2, Fraction(1, 6)]])
+    assert (B.num, B.den) == ([[1, 1], [0, 1]], 1)
+    assert B == Matrix.from_int_rows(QQ, [[1, 1], [0, 1]])
+    assert A.cols([1]).den == 6 and A.submatrix([1], [0]).den == 1
+    assert (-A).den == 6 and A.scale(Fraction(-6)).den == 1
+    P = Matrix(GF(7), [[9, -1], [15, 22]])
+    assert (P.num, P.den) == ([[2, 6], [1, 1]], 1)
+    assert all(type(x) is Fraction for r in B.rows for x in r)
 
 
 # -- the slice solve against the full Leibniz system -------------------------

@@ -69,6 +69,56 @@ def test_malformed_scalar_rejected():
         schemas.matrix_from_json(QQ, [["1", "2"]], 1, 1, "test")
 
 
+def _count_parses(monkeypatch, field):
+    calls = []
+    real = type(field).parse
+
+    def counting(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(type(field), "parse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_each_distinct_scalar_is_parsed_once_per_document(monkeypatch, field):
+    inst = generate_instance(3, 4, field, 7, surplus=(1, 1, 1, 1))
+    doc = json.loads(schemas.dump(schemas.instance_to_json(inst)))
+    distinct = {x for key in ("dM", "d1") for M in doc["pearl"][key]
+                for r in M for x in r}
+    distinct |= {x for r in doc["pearl"]["d2"] for x in r}
+    distinct |= {x for M in doc["bases"] for r in M for x in r}
+    calls = _count_parses(monkeypatch, field)
+    back = schemas.instance_from_json(doc)
+    assert sorted(calls) == sorted(distinct)
+    # a second document parses its scalars again: the memo is not global
+    schemas.instance_from_json(doc)
+    assert len(calls) == 2 * len(distinct)
+    monkeypatch.undo()
+    assert schemas.dump(schemas.instance_to_json(back)) == \
+        schemas.dump(schemas.instance_to_json(inst))
+
+
+def test_scalar_memo_keeps_types_apart(monkeypatch):
+    # 1, 1.0, true and "1" are equal and hash alike, yet each is parsed
+    calls = _count_parses(monkeypatch, QQ)
+    M = schemas.matrix_from_json(QQ, [[1, 1.0, True, "1", "1", 1]], 1, 6, "t")
+    assert [type(x) for x in calls] == [int, float, bool, str]
+    assert M.rows == [[QQ.one()] * 6]
+
+
+@pytest.mark.parametrize("bad", [[1], {"a": 1}, "1/0", None])
+def test_bad_scalar_message_is_the_parse_error(bad):
+    try:
+        QQ.parse(bad)
+    except Exception as e:
+        want = f"bad scalar in test: {e}"
+    with pytest.raises(schemas.SchemaError) as err:
+        schemas.matrix_from_json(QQ, [["2", bad]], 1, 2, "test")
+    assert str(err.value) == want
+
+
 def test_missing_key_reported():
     with pytest.raises(schemas.SchemaError) as err:
         schemas.pearl_from_json({"field": "Q", "ranks": [1, 1, 1, 1]})

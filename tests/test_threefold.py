@@ -6,7 +6,8 @@ from qrtorsion.fields import QQ, GF
 from qrtorsion import threefold
 from qrtorsion.threefold import (ThreefoldHomology, ThreefoldError, TripleForm,
                                  symplectic_slice, find_slice, dichotomy_class,
-                                 exhaustive_search, SLICE_TRIALS,
+                                 exhaustive_search, no_slice_exists,
+                                 SLICE_TRIALS,
                                  SLICED_ODD_B, ZERO_FORM, INCOMPATIBLE)
 
 
@@ -75,9 +76,7 @@ def test_find_slice_beyond_the_standard_basis(field, exhaustive):
         assert v == [field.from_int(x) for x in (1, 1, 0, 0, 1, 0, 0)]
 
 
-def test_find_slice_uses_up_its_trials(monkeypatch):
-    # even b: no slice exists, and over Q the search is not exhaustive
-    I = TripleForm(4, {(1, 2, 3): 1})
+def _count_slices(monkeypatch):
     calls = []
     real = threefold.symplectic_slice
 
@@ -86,10 +85,28 @@ def test_find_slice_uses_up_its_trials(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(threefold, "symplectic_slice", counting)
+    return calls
+
+
+def test_find_slice_uses_up_its_trials(monkeypatch):
+    # no slice exists: iota_v of a decomposable 3-form has rank <= 2 < 4 =
+    # b - 1, and over Q the search is not exhaustive
+    I = TripleForm(5, {(1, 2, 3): 1})
+    calls = _count_slices(monkeypatch)
     assert not exhaustive_search(QQ, I.b)
     assert find_slice(I, QQ) is None
-    # the four basis vectors, then one call per nonzero random vector
+    # the five basis vectors, then one call per nonzero random vector
     assert len(calls) == I.b + SLICE_TRIALS
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=repr)
+@pytest.mark.parametrize("b", [0, 2, 4, 6])
+def test_even_b_search_evaluates_no_slice(monkeypatch, field, b):
+    I = TripleForm(b, {(1, 2, 3): 1} if b >= 3 else {})
+    calls = _count_slices(monkeypatch)
+    assert no_slice_exists(b)
+    assert find_slice(I, field) is None
+    assert calls == []
 
 
 def test_dichotomy_classes():

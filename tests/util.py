@@ -31,11 +31,11 @@ def random_acyclic(field: Field, rng: random.Random, maxdeg: int = 4,
     ranks = [pairs[k] + pairs[k + 1] for k in range(n + 1)]
     bnds = []
     for k in range(1, n + 1):
-        d = Matrix.zeros(field, ranks[k - 1], ranks[k])
+        rows = [[field.zero()] * ranks[k] for _ in range(ranks[k - 1])]
         for i in range(pairs[k]):
             # top generator i of the degree-k pairs dies on the tail block
-            d.rows[pairs[k - 1] + i][i] = field.one()
-        bnds.append(d)
+            rows[pairs[k - 1] + i][i] = field.one()
+        bnds.append(Matrix(field, rows, ranks[k - 1], ranks[k]))
     C = BasedChainComplex(field, ranks, bnds)
     return conjugate(C, [random_invertible(field, ranks[k], rng)
                          for k in range(n + 1)])
