@@ -61,7 +61,8 @@ def check_admissible(field: Field, H: ThreefoldHomology):
 
 def generate_instance(page: int, b: int, field: Field, seed: int,
                       torsion=(), surplus=(0, 0, 0, 0)) -> Instance:
-    """A fresh narrow instance of the requested collapse page.
+    """A fresh narrow instance of the requested collapse page, carrying the
+    Spectrum its lift was checked on (Instance.from_spectrum).
 
     The canonical spec (block form with unit rate for page 2, standard
     pairing for page 3) is hidden behind a seeded unimodular change of
@@ -82,8 +83,8 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
         I = canonical_form(b).apply_unimodular(U)
         r0 = _draw_rate(rate_pick, 4, F) if b == 1 else 1
         r = [r0 * x for x in U[0]]
-        pearl, bases = lift_derivation_page2(Page2Spec(H, I, r), morse, F,
-                                             seed=lift_seed)
+        _, _, S = lift_derivation_page2(Page2Spec(H, I, r), morse, F,
+                                        seed=lift_seed)
     elif page == 3:
         J = standard_symplectic(b)
         U = _unimodular(transport, b)
@@ -92,19 +93,20 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
         Qp = (IntegerMatrix(zip(*U)) * IntegerMatrix(J)
               * IntegerMatrix(U)).rows
         r = _draw_rate(rate_pick, 5, F)
-        pearl, bases = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
-                                             seed=lift_seed)
+        _, _, S = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
+                                        seed=lift_seed)
         I = TripleForm(b)
     else:
         raise GenerateError("page must be 2 or 3")
     ident = f"page{page}-b{b}-{field_to_string(F)}-s{seed}"
-    return Instance(H, I, F, pearl, bases, ident=ident)
+    return Instance.from_spectrum(H, I, F, S, ident=ident)
 
 
 def mutate_d2(inst: Instance, seed: int) -> Instance:
     """Negate one seeded nonzero entry of the degree-3 disc map.
 
     Characteristic two is excluded globally, so the entry always changes.
+    The new instance holds a new pearl, so it computes its own spectrum.
     """
     P = inst.pearl
     F = inst.field

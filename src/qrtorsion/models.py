@@ -270,10 +270,13 @@ def _lift_chain(morse_F, H, delta, rng, x=None):
 
 
 def _lift_pearl(morse_F, H, delta, rng, page, rate=None):
-    """_lift_chain, checked to induce exactly delta on page 1 and to collapse
-    at the given page; a given rate is pinned as x and checked to be the
-    page-2 rate.  The closed form meets each check by construction, so a
-    check that fails raises ModelError naming its condition."""
+    """(P, S): the pearl P of _lift_chain and its Spectrum S in the bases H,
+    checked to induce exactly delta on page 1 and to collapse at the given
+    page; a given rate is pinned as x and checked to be the page-2 rate.
+    The closed form meets each check by construction, so a check that fails
+    raises ModelError naming its condition.  S holds the checked page 1,
+    collapse page and (page 3) literal rate, so an Instance built on P and H
+    (Instance.from_spectrum) verifies without computing them again."""
     x = None if rate is None else Matrix(morse_F.field, [[rate]], 1, 1)
     P = _lift_chain(morse_F, H, delta, rng, x)
     S = Spectrum(P, H)
@@ -284,15 +287,16 @@ def _lift_pearl(morse_F, H, delta, rng, page, rate=None):
         raise _lift_failed(f"collapses at {S.collapse}, not {page}")
     if rate is not None and S.rate != rate:
         raise _lift_failed("page-2 rate differs from the target")
-    return P
+    return P, S
 
 
 def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
                           field: Field, seed: int = 0):
-    """(P, H): a pearl complex P over the field whose page-1 differential
+    """(P, H, S): a pearl complex P over the field whose page-1 differential
     is exactly the spec's derivation and whose spectral sequence collapses
-    at page 2, and the homology bases H = homology_bases(morse, field) that
-    the differential is read in.
+    at page 2, the homology bases H = homology_bases(morse, field) that
+    the differential is read in, and the Spectrum S of P in H that checked
+    both.
 
     The induced page-1 complex is exact once ``_checked_derivation``
     passes: the pairing rows give -S c = R with rank R >= b - 1, and
@@ -308,16 +312,17 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
     if c is None:
         raise ModelError(NO_DERIVATION)
     c = _checked_derivation(spec.I, spec.r, c)
-    return (_lift_pearl(morse.to_field(F), H, [delta0, c, delta2], rng,
-                        PAGE2), H)
+    P, S = _lift_pearl(morse.to_field(F), H, [delta0, c, delta2], rng, PAGE2)
+    return P, H, S
 
 
 def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
                           field: Field, seed: int = 0):
-    """(P, H): a pearl complex P whose page-1 differential is
+    """(P, H, S): a pearl complex P whose page-1 differential is
     A = r * Qprime^{-1} on degree 1 (zero elsewhere) and whose page-2 rate
-    is exactly r, and the homology bases H = homology_bases(morse, field)
-    that the differential is read in."""
+    is exactly r, the homology bases H = homology_bases(morse, field)
+    that the differential is read in, and the Spectrum S of P in H that
+    checked both."""
     _check_spec_homology(morse, spec.H)
     b = spec.H.b
     F = field
@@ -332,7 +337,8 @@ def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
     except Exception as e:
         raise ModelError("pairing matrix is singular over the field") from e
     delta = [Matrix.zeros(F, b, 1), A, Matrix.zeros(F, 1, b)]
-    return _lift_pearl(morse.to_field(F), H, delta, rng, PAGE3, rF), H
+    P, S = _lift_pearl(morse.to_field(F), H, delta, rng, PAGE3, rF)
+    return P, H, S
 
 
 def random_pearl(morse: BasedChainComplex, field: Field,

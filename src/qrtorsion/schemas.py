@@ -2,7 +2,8 @@
 
 All documents carry a version field ("v": 1) and a "kind".  Scalars are
 strings ("p/q" over the rationals, a decimal residue over a prime field);
-matrices are row-major arrays of scalar strings.
+matrices are row-major arrays of scalar strings.  A JSON integer reads as a
+scalar too; a float or a boolean is rejected.
 """
 
 from __future__ import annotations
@@ -57,8 +58,11 @@ def _ints(values, where):
 class _Reader:
     """Scalars and matrices of one document: each distinct JSON value is
     parsed once per field.  A document repeats a few scalar strings many
-    times.  Keys carry the value's type, so 1, 1.0, true and "1" never
-    share an entry; an unhashable value is parsed (and rejected) as is."""
+    times.  A scalar is a string or a JSON integer: a float or a boolean
+    would parse inexactly (2.5 truncates to 2 over F_p, 0.1 is a binary
+    fraction over Q, true is 1), so it is rejected.  Keys carry the value's
+    type, so 1 and "1" never share an entry; an unhashable value is parsed
+    (and rejected) as is."""
 
     def __init__(self):
         self._memos = {}
@@ -73,6 +77,9 @@ class _Reader:
                     key = (type(x), x)
                     v = memo[key]
                 except KeyError:
+                    if type(x) in (bool, float):
+                        raise TypeError(f"{x!r} is not a string or an "
+                                        "integer") from None
                     v = memo[key] = parse(x)
                 except TypeError:
                     v = parse(x)

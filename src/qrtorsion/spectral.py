@@ -7,7 +7,8 @@ is an independent path to the same scalar.  The power of the page variable is
 never materialized: each d_i carries a fixed power, so the bookkeeping is the
 degree index alone.
 
-Each spectral object is computed once per instance by a Spectrum, and no
+Each spectral object is computed once per instance by a Spectrum (a
+generated instance keeps the one its lift was checked on), and no
 intermediate result crosses between the compared paths: the closed-form rate
 builds its own Contraction, and the direct fold path reads nothing from here.
 

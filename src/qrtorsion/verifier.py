@@ -5,6 +5,13 @@ The two torsion paths are the point: the direct path folds the pearl complex
 and takes periodic torsion of the chain-level matrices; the formula path only
 sees homology-level data (rates, intersection forms, the pairing Q).  Their
 agreement, as sign classes, is the verified content of the torsion theorems.
+
+Only the formula path reads the instance's Spectrum.  A generated instance
+carries the one generation checked its lift on (page 1, collapse page and,
+on page 3, the literal rate), so verifying it in memory computes none of
+them again; an instance read from JSON or built by mutate_d2 computes its
+own.  The closed-form rate always builds its own Contraction, so the
+literal-vs-closed-form check still compares independent computations.
 """
 
 from __future__ import annotations
@@ -47,11 +54,30 @@ class Instance:
         self.discs = discs
         self.representation = representation
         self.ident = ident
+        self._checked = None
+
+    @classmethod
+    def from_spectrum(cls, homology: ThreefoldHomology, form: TripleForm,
+                      field: Field, spectrum: Spectrum, ident=None):
+        """The instance on the pearl and bases a Spectrum was computed in,
+        holding that Spectrum: a generated instance carries the one its
+        lift was checked on (models._lift_pearl)."""
+        inst = cls(homology, form, field, spectrum.P, spectrum.page1.bases,
+                   ident=ident)
+        inst._checked = spectrum
+        return inst
 
     @cached_property
     def spectrum(self) -> Spectrum:
         """The spectral sequence in the distinguished bases, computed on first
-        use; only the formula path reads it."""
+        use; only the formula path reads it.  An instance built by
+        from_spectrum reads the given one instead, as long as its pearl and
+        bases are still the objects that Spectrum was computed in."""
+        S = self._checked
+        if (S is not None and S.P is self.pearl
+                and len(S.page1.bases) == len(self.bases)
+                and all(a is b for a, b in zip(S.page1.bases, self.bases))):
+            return S
         return Spectrum(self.pearl, self.bases)
 
 
@@ -135,18 +161,20 @@ def torsion_via_page2_formula(inst: Instance) -> SignClass:
     return formula
 
 
-def torsion_via_page3_formula(inst: Instance) -> SignClass:
+def torsion_via_page3_formula(inst: Instance, A_det=None) -> SignClass:
     """The page-3 torsion formula: torsion ratio times det A over the page-2
-    rate, with the rate cross-checked against its closed form."""
+    rate, with the rate cross-checked against its closed form.  A_det, when
+    given, is det A of the page-1 degree-1 map, already computed."""
     F = inst.field
     S = inst.spectrum
-    A = S.page1.d1star[1]
+    if A_det is None:
+        A_det = S.page1.d1star[1].determinant()
     r = S.rate
     r_cf = S.closed_form_rate
     if r != r_cf:
         raise VerifierError("page-2 rate disagrees with its closed form")
     ratio = torsion_ratio(inst.homology, F)
-    return SignClass(F, F.mul(ratio, F.div(A.determinant(), r)))
+    return SignClass(F, F.mul(ratio, F.div(A_det, r)))
 
 
 @dataclass
@@ -156,17 +184,19 @@ class QForm:
     antisymmetric: bool
 
 
-def q_form(A: Matrix, r, field: Field) -> QForm:
+def q_form(A: Matrix, r, field: Field, A_det=None) -> QForm:
     """The pairing Q = r * A^{-1}: the unique solution of Q A = r Id.  Its
     determinant identity det Q = r^b / det A is pure algebra and checked;
-    antisymmetry is the geometric constraint and only reported."""
+    antisymmetry is the geometric constraint and only reported.  A_det,
+    when given, is det A, already computed."""
     b = A.nrows
-    detA = A.determinant()
-    if field.is_zero(detA):
+    if A_det is None:
+        A_det = A.determinant()
+    if field.is_zero(A_det):
         raise VerifierError("singular degree-1 differential on page 3")
     Q = A.inverse().scale(r)
     detQ = Q.determinant()
-    if detQ != field.div(field.pow(r, b), detA):
+    if detQ != field.div(field.pow(r, b), A_det):
         raise VerifierError("determinant identity for Q failed")
     anti = (Q + Q.transpose()).is_zero()
     return QForm(Q, detQ, anti)
@@ -226,8 +256,8 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
             A_det = A.determinant()
             r_val = S.rate
             flags["rate_cross_check"] = r_val == S.closed_form_rate
-            formula = torsion_via_page3_formula(inst)
-            qf = q_form(A, r_val, F)
+            formula = torsion_via_page3_formula(inst, A_det)
+            qf = q_form(A, r_val, F, A_det)
             Q_det = qf.det
             flags["q_antisymmetric"] = qf.antisymmetric
             flags["q_det_identity"] = True

@@ -155,11 +155,11 @@ def test_criterion_04_page2_pipeline(page2_corpus):
     # spot values: the volume form gives 1, the scaled form 1/m^2
     H0 = ThreefoldHomology(3)
     C = realize_morse(H0, seed=1)
-    vol, _ = lift_derivation_page2(
+    vol, _, _ = lift_derivation_page2(
         Page2Spec(H0, TripleForm(3, {(1, 2, 3): 1}), [1, 0, 0]), C, QQ, seed=2)
     assert quantum_torsion(vol, random.Random(0)).canonical() == QQ.one()
     for m in (2, 3):
-        Pm, _ = lift_derivation_page2(
+        Pm, _, _ = lift_derivation_page2(
             Page2Spec(H0, TripleForm(3, {(1, 2, 3): m}), [1, 0, 0]), C, QQ,
             seed=m)
         assert quantum_torsion(Pm, random.Random(0)) == \
@@ -184,7 +184,7 @@ def test_criterion_05_page3_pipeline(page3_corpus):
         rhs = F.div(F.mul(pow_scalar(F, ratio, b),
                           pow_scalar(F, A.determinant(), b - 1)), qf.det)
         assert direct.pow(b) == SignClass(F, rhs)
-    spot, _ = lift_derivation_page3(
+    spot, _, _ = lift_derivation_page3(
         Page3Spec(ThreefoldHomology(2), [[0, 2], [-2, 0]], 2),
         realize_morse(ThreefoldHomology(2), seed=7), QQ, seed=8)
     tau = quantum_torsion(spot, random.Random(0))

@@ -213,6 +213,44 @@ def test_non_integer_json_numbers_exit_2(tmp_path, capsys, page3_f5_instance,
         assert "must be an integer" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("field", ["Fp:5", "Q"])
+@pytest.mark.parametrize("value", [2.5, 0.1, 1.0, True, False])
+def test_float_and_bool_matrix_scalars_exit_2(tmp_path, capsys, field, value):
+    path = tmp_path / "inst.json"
+    assert run(capsys, "generate", "--page", "3", "--b", "2", "--field", field,
+               "--seed", "4", "-o", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["pearl"]["d2"][0][0] = value
+    path.write_text(json.dumps(doc))
+    for verb in ("verify", "spectral"):
+        code, out, err = run(capsys, verb, str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            f"bad scalar in d2: {value!r} is not a string or an integer")
+
+
+@pytest.mark.parametrize("field", ["Fp:5", "Q"])
+def test_json_integer_scalars_read_as_strings(tmp_path, capsys, field):
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--page", "3", "--b", "2", "--field", field,
+        "--seed", "4", "--surplus", "1,1,1,1", "-o", str(path))
+    code, report, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    pearl = doc["pearl"]
+    ints = 0
+    for mats in (pearl["dM"], pearl["d1"], [pearl["d2"]]):
+        for M in mats:
+            for row in M:
+                for j, x in enumerate(row):
+                    if "/" not in x:
+                        row[j] = int(x)
+                        ints += 1
+    assert ints
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path))[:2] == (0, report)
+
+
 def test_verify_failure_exits_1(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     run(capsys, "generate", "--page", "3", "--b", "2", "--seed", "4",

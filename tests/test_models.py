@@ -40,7 +40,7 @@ def test_page2_lift_volume_form():
     H0 = ThreefoldHomology(3)
     C = realize_morse(H0, seed=1)
     spec = Page2Spec(H0, TripleForm(3, {(1, 2, 3): 1}), [1, 0, 0])
-    P, Hb = lift_derivation_page2(spec, C, QQ, seed=3)
+    P, Hb, _ = lift_derivation_page2(spec, C, QQ, seed=3)
     assert not validate_pearl(P)
     assert collapsing_page(P, Hb) == PAGE2
     assert quantum_torsion(P, random.Random(0)).canonical() == QQ.one()
@@ -50,7 +50,7 @@ def test_page2_lift_with_birth_pairs():
     H0 = ThreefoldHomology(3)
     Cb = realize_morse(H0, (1, 2, 2, 1), seed=4)
     spec = Page2Spec(H0, TripleForm(3, {(1, 2, 3): 1}), [1, 0, 0])
-    P, Hb = lift_derivation_page2(spec, Cb, QQ, seed=5)
+    P, Hb, _ = lift_derivation_page2(spec, Cb, QQ, seed=5)
     assert collapsing_page(P, Hb) == PAGE2
     assert quantum_torsion(P, random.Random(0)).canonical() == QQ.one()
 
@@ -69,7 +69,7 @@ def test_page2_scaled_form_torsion():
     C = realize_morse(H0, seed=1)
     for m in (2, 3):
         spec = Page2Spec(H0, TripleForm(3, {(1, 2, 3): m}), [1, 0, 0])
-        P, _ = lift_derivation_page2(spec, C, QQ, seed=m)
+        P, _, _ = lift_derivation_page2(spec, C, QQ, seed=m)
         tau = quantum_torsion(P, random.Random(0))
         assert tau == SignClass(QQ, QQ.parse(f"1/{m * m}"))
 
@@ -78,7 +78,7 @@ def test_page3_lift_standard_pairing():
     H2 = ThreefoldHomology(2)
     C = realize_morse(H2, seed=7)
     spec = Page3Spec(H2, [[0, 2], [-2, 0]], 2)
-    P, Hb = lift_derivation_page3(spec, C, QQ, seed=8)
+    P, Hb, _ = lift_derivation_page3(spec, C, QQ, seed=8)
     assert collapsing_page(P, Hb) == PAGE3
     assert page2_rate(P, Hb) == QQ.from_int(2)
     # A = r * Qprime^{-1} has determinant 1 here, so tau = det A / r = 1/2
@@ -258,8 +258,8 @@ def test_page3_lift_with_torsion_field():
     H2t = ThreefoldHomology(2, [5])
     C = realize_morse(H2t, (0, 1, 1, 0), seed=9)
     F7 = GF(7)
-    P, _ = lift_derivation_page3(Page3Spec(H2t, [[0, 1], [-1, 0]], 1), C, F7,
-                                 seed=10)
+    P, _, _ = lift_derivation_page3(Page3Spec(H2t, [[0, 1], [-1, 0]], 1),
+                                    C, F7, seed=10)
     tau = quantum_torsion(P, random.Random(0))
     # ratio 1/|Tor H_1| = 1/5 = 3 mod 7
     assert tau == SignClass(F7, F7.from_int(3))

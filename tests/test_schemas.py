@@ -101,11 +101,24 @@ def test_each_distinct_scalar_is_parsed_once_per_document(monkeypatch, field):
 
 
 def test_scalar_memo_keeps_types_apart(monkeypatch):
-    # 1, 1.0, true and "1" are equal and hash alike, yet each is parsed
+    # the JSON integer 1 and the string "1" are distinct values, each parsed
     calls = _count_parses(monkeypatch, QQ)
-    M = schemas.matrix_from_json(QQ, [[1, 1.0, True, "1", "1", 1]], 1, 6, "t")
-    assert [type(x) for x in calls] == [int, float, bool, str]
-    assert M.rows == [[QQ.one()] * 6]
+    M = schemas.matrix_from_json(QQ, [[1, "1", "1", 1]], 1, 4, "t")
+    assert [type(x) for x in calls] == [int, str]
+    assert M.rows == [[QQ.one()] * 4]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize("bad", [2.5, 0.1, 1.0, True, False])
+def test_float_and_bool_scalars_are_rejected(monkeypatch, field, bad):
+    # each would parse inexactly: 2.5 -> 2 over F_p, true -> 1, 0.1 -> a
+    # binary fraction over Q; a memo hit on an equal int must not mask it
+    calls = _count_parses(monkeypatch, field)
+    with pytest.raises(schemas.SchemaError) as err:
+        schemas.matrix_from_json(field, [[1, "1", bad]], 1, 3, "t")
+    assert str(err.value) == f"bad scalar in t: {bad!r} is not a string or " \
+                             "an integer"
+    assert [type(x) for x in calls] == [int, str]
 
 
 @pytest.mark.parametrize("bad", [[1], {"a": 1}, "1/0", None])

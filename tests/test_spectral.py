@@ -74,8 +74,9 @@ def test_collapse_classification():
 def test_page2_spec_collapses_at_two():
     spec = ThreefoldHomology(3)
     C = realize_morse(spec, seed=1)
-    P, H = lift_derivation_page2(Page2Spec(spec, TripleForm(3, {(1, 2, 3): 1}),
-                                           [1, 0, 0]), C, QQ, seed=2)
+    P, H, _ = lift_derivation_page2(
+        Page2Spec(spec, TripleForm(3, {(1, 2, 3): 1}), [1, 0, 0]), C, QQ,
+        seed=2)
     assert collapsing_page(P, H) == PAGE2
 
 
@@ -87,8 +88,8 @@ def test_rate_paths_agree_with_spec():
         for i in range(0, b, 2):
             J[i][i + 1], J[i + 1][i] = 1, -1
         for F in (QQ, GF(7)):
-            P, H = lift_derivation_page3(Page3Spec(spec, J, 3), C, F,
-                                         seed=seed + 1)
+            P, H, _ = lift_derivation_page3(Page3Spec(spec, J, 3), C, F,
+                                            seed=seed + 1)
             lit = page2_rate(P, H)
             assert lit == F.from_int(3)
             assert SignClass(F, lit) == SignClass(F, closed_form_r(P, H))
@@ -98,8 +99,8 @@ def test_rate_invariant_under_internal_choices():
     spec = ThreefoldHomology(2)
     C = realize_morse(spec, (0, 1, 1, 0), seed=9)
     F = GF(5)
-    P, H = lift_derivation_page3(Page3Spec(spec, [[0, 1], [-1, 0]], 2), C, F,
-                                 seed=10)
+    P, H, _ = lift_derivation_page3(Page3Spec(spec, [[0, 1], [-1, 0]], 2),
+                                    C, F, seed=10)
     vals = {page2_rate(P, H, random.Random(s)) for s in range(4)}
     assert vals == {F.from_int(2)}
 
@@ -125,8 +126,8 @@ def test_minimal_model_preserves_pages():
     spec = ThreefoldHomology(2, [3])
     C = realize_morse(spec, (1, 1, 1, 1), seed=4)
     F = GF(5)
-    P, H = lift_derivation_page3(Page3Spec(spec, [[0, 1], [-1, 0]], 1), C, F,
-                                 seed=5)
+    P, H, _ = lift_derivation_page3(Page3Spec(spec, [[0, 1], [-1, 0]], 1),
+                                    C, F, seed=5)
     mm = minimal_model(P, H)
     assert all(mm.model.dM(k).is_zero() for k in range(1, 4))
     pg = page1(P, H)

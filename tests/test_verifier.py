@@ -18,6 +18,8 @@ from qrtorsion.verifier import (Instance, torsion_ratio, e1_milnor_torsion,
                                 verify_main_theorem)
 from qrtorsion.superpotential import DiscSystem, Representation
 from qrtorsion.linalg import Matrix
+from qrtorsion.schemas import (instance_from_json, instance_to_json,
+                               report_to_json, dump)
 
 
 def test_torsion_ratio():
@@ -148,16 +150,29 @@ def _spectral_counters(monkeypatch):
     return calls
 
 
-def test_verify_computes_each_spectral_object_once(monkeypatch):
-    page2 = generate_instance(2, 3, GF(5), 1, surplus=(1, 1, 1, 1))
-    page3 = generate_instance(3, 2, GF(5), 1, surplus=(1, 1, 1, 1))
-    calls = _spectral_counters(monkeypatch)
-    assert verify_main_theorem(page2).all_pass
-    assert len(calls["page1"]) == 1
+def _generated_and_read_back(page, b, field, seed, **kwargs):
+    """A generated instance, and the same instance read back from its JSON,
+    as `qrtorsion verify` sees it."""
+    inst = generate_instance(page, b, field, seed, **kwargs)
+    return inst, instance_from_json(instance_to_json(inst))
 
-    for recorded in calls.values():
-        recorded.clear()
-    assert verify_main_theorem(page3).all_pass
+
+def test_verify_computes_each_spectral_object_once(monkeypatch):
+    page2, page2_json = _generated_and_read_back(2, 3, GF(5), 1,
+                                                 surplus=(1, 1, 1, 1))
+    page3, page3_json = _generated_and_read_back(3, 2, GF(5), 1,
+                                                 surplus=(1, 1, 1, 1))
+    calls = _spectral_counters(monkeypatch)
+
+    def verified(inst):
+        for recorded in calls.values():
+            recorded.clear()
+        return verify_main_theorem(inst).all_pass
+
+    # read from JSON, verify computes page 1 itself, once
+    assert verified(page2_json)
+    assert len(calls["page1"]) == 1
+    assert verified(page3_json)
     assert len(calls["page1"]) == 1
     assert len(calls["built"]) == 2
     # the closed form builds its own contraction, independent of page 1's
@@ -165,10 +180,21 @@ def test_verify_computes_each_spectral_object_once(monkeypatch):
                                                 calls["closed_form_r"])
     assert behind_closed_form is not behind_page1
 
+    # generated, the instance carries the spectrum its lift was checked on:
+    # only the closed form's own contraction is built
+    assert verified(page2)
+    assert len(calls["page1"]) == 0 and len(calls["built"]) == 0
+    assert verified(page3)
+    assert len(calls["page1"]) == 0
+    [[behind_closed_form]] = calls["closed_form_r"]
+    assert calls["built"] == [behind_closed_form]
+
 
 def test_verify_eliminates_each_map_once(monkeypatch):
-    page2 = generate_instance(2, 3, GF(5), 1, surplus=(1, 1, 1, 1))
-    page3 = generate_instance(3, 2, GF(5), 1, surplus=(1, 1, 1, 1))
+    page2, page2_json = _generated_and_read_back(2, 3, GF(5), 1,
+                                                 surplus=(1, 1, 1, 1))
+    page3, page3_json = _generated_and_read_back(3, 2, GF(5), 1,
+                                                 surplus=(1, 1, 1, 1))
     calls = []
     rref = Matrix.rref
 
@@ -179,11 +205,29 @@ def test_verify_eliminates_each_map_once(monkeypatch):
     monkeypatch.setattr(Matrix, "rref", counting)
     # each boundary's image basis and section come from one elimination,
     # and each d1star is ranked once
-    assert verify_main_theorem(page2).all_pass
-    assert len(calls) == 17
-    calls.clear()
-    assert verify_main_theorem(page3).all_pass
-    assert len(calls) == 30
+    for inst, count in [(page2_json, 17), (page3_json, 30),
+                        # page 1, its ranks and the literal rate come with
+                        # a generated instance
+                        (page2, 6), (page3, 14)]:
+        calls.clear()
+        assert verify_main_theorem(inst).all_pass
+        assert len(calls) == count
+
+
+def test_verify_page3_computes_det_A_once(monkeypatch):
+    _, inst = _generated_and_read_back(3, 2, QQ, 1, surplus=(1, 1, 1, 1))
+    calls = []
+    determinant = Matrix.determinant
+
+    def counting(self):
+        calls.append((self.nrows, self.ncols))
+        return determinant(self)
+
+    monkeypatch.setattr(Matrix, "determinant", counting)
+    assert verify_main_theorem(inst).all_pass
+    # det A once for the formula, the Q form and the power identity, det Q
+    # once, and two in the fold's periodic torsion
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("page, b", [(2, 3), (3, 2)])
@@ -225,7 +269,6 @@ def test_generate_reduces_the_homology_bases_once(monkeypatch, page, b):
 
 def test_verify_checks_the_pearl_once(monkeypatch):
     from qrtorsion.complexes import TwistedPearlComplex
-    from qrtorsion.schemas import instance_from_json, instance_to_json
     defects = TwistedPearlComplex.defects.func.__code__
     inside = []
     product = Matrix.__mul__
@@ -261,3 +304,64 @@ def test_disc_check_failure_is_flagged_and_size_mismatch_raises(monkeypatch):
     inst.representation = Representation(QQ, [QQ.one()])
     with pytest.raises(PotentialError, match="size mismatch"):
         verify_main_theorem(inst)
+
+
+@pytest.mark.parametrize("extra", [{}, {"torsion": (3,),
+                                        "surplus": (2, 2, 2, 2)}],
+                         ids=["plain", "torsion-surplus"])
+@pytest.mark.parametrize("field", [GF(5), GF(7), QQ], ids=repr)
+@pytest.mark.parametrize("page, b", [(2, 3), (2, 5), (3, 2), (3, 4)])
+def test_generated_spectrum_verifies_as_json_does(monkeypatch, page, b, field,
+                                                  extra):
+    from qrtorsion import spectral
+    pairs = [_generated_and_read_back(page, b, field, seed, **extra)
+             for seed in range(3)]
+    entered = []
+    page1 = spectral.page1
+    # counted on entry: page 1 of an invalid pearl raises
+    monkeypatch.setattr(spectral, "page1",
+                        lambda P, H: entered.append(P) or page1(P, H))
+
+    def report(inst, computes_page1):
+        entered.clear()
+        rep = verify_main_theorem(inst)
+        assert entered == ([inst.pearl] if computes_page1 else [])
+        return rep, dump(report_to_json(rep, field))
+
+    mutants = 0
+    for seed, (inst, back) in enumerate(pairs):
+        # in memory, verify reads the spectrum generation checked; read back,
+        # it computes its own, and the reports agree byte for byte
+        rep, text = report(inst, False)
+        assert rep.all_pass
+        assert report(back, True)[1] == text
+        if inst.pearl.d2.is_zero():
+            continue
+        # a mutant holds a new pearl, so it computes its own spectrum; with
+        # the surplus of `batch --corrupt`, the mutation is detected
+        bad = mutate_d2(inst, seed)
+        rep, text = report(bad, True)
+        if extra:
+            assert not rep.all_pass
+        assert report(instance_from_json(instance_to_json(bad)), True)[1] \
+            == text
+        mutants += 1
+    assert mutants
+
+
+def test_instance_uses_a_spectrum_only_on_its_own_pearl_and_bases():
+    from qrtorsion.spectral import Spectrum
+    inst, back = _generated_and_read_back(3, 2, GF(5), 1)
+    S = Spectrum(back.pearl, back.bases)
+
+    def holding(**swap):
+        held = Instance.from_spectrum(back.homology, back.form, back.field, S)
+        vars(held).update(swap)
+        return held.spectrum
+
+    assert holding() is S
+    # equal values in other objects are not the pearl and bases S was
+    # computed in
+    assert holding(pearl=inst.pearl) is not S
+    assert holding(bases=inst.bases) is not S
+    assert holding(bases=back.bases + back.bases[:1]) is not S
