@@ -211,19 +211,23 @@ def _checked_derivation(I: TripleForm, r, c: Matrix) -> Matrix:
     """c, once it satisfies over its field every equation of
     solve_leibniz_derivation; else ModelError names the first one it fails.
     c is the integer rows C over one denominator d, and each equation is
-    checked as d times itself in integers.  The pairing sums run over
-    TripleForm.signed_terms: O(|coeffs| b) work, b^3 compares."""
+    checked as d times itself in integers.  The form is alternating, so the
+    pairing residual at (k, i) is minus the one at (i, k) and vanishes at
+    i = k: only the rows i < k are summed, over the signed terms of
+    TripleForm.signed_terms with i < k, in O(|coeffs| b) work and
+    b^2 (b - 1) / 2 compares."""
     b, ok = I.b, c.field.is_zero
     C, d = c.num, c.den
     rd = [d * x for x in r]
     fail = NO_DERIVATION + ": the slice solution fails "
     pairing = [[[0] * b for _ in range(b)] for _ in range(b)]  # [i][k][j]
     for (i, m, k), s in I.signed_terms():
-        row, cm = pairing[i - 1][k - 1], C[m - 1]
-        for j in range(b):
-            row[j] += s * cm[j]
+        if i < k:
+            row, cm = pairing[i - 1][k - 1], C[m - 1]
+            for j in range(b):
+                row[j] += s * cm[j]
     for i in range(b):
-        for k in range(b):
+        for k in range(i + 1, b):
             row = pairing[i][k]
             row[k] -= rd[i]
             row[i] += rd[k]
@@ -246,13 +250,15 @@ def _random_matrix(field, rng, m, n):
 
 
 def _lift_chain(morse_F, H, delta, rng, x=None):
-    """The closed-form pearl complex lifting delta, conjugated by
-    Phi = 1 + h (module docstring).  The rng draws h0, then h1, then x
-    unless it is pinned.  validate_pearl checks the result; a failure raises
-    ModelError naming its condition."""
+    """(P, con): the closed-form pearl complex P lifting delta, conjugated
+    by Phi = 1 + h (module docstring), and the Contraction con of morse_F
+    onto H that its pi came from.  The rng draws h0, then h1, then x unless
+    it is pinned.  validate_pearl checks P; a failure raises ModelError
+    naming its condition."""
     F = morse_F.field
     r = morse_F.ranks
-    pi = Contraction(morse_F, H).pi
+    con = Contraction(morse_F, H)
+    pi = con.pi
     dM = [morse_F.boundary(k) for k in range(4)]
     h0 = _random_matrix(F, rng, r[2], r[0])
     h1 = _random_matrix(F, rng, r[3], r[1])
@@ -266,7 +272,7 @@ def _lift_chain(morse_F, H, delta, rng, x=None):
     bad = validate_pearl(P)
     if bad:
         raise _lift_failed("invalid pearl complex: " + "; ".join(bad))
-    return P
+    return P, con
 
 
 def _lift_pearl(morse_F, H, delta, rng, page, rate=None):
@@ -274,12 +280,13 @@ def _lift_pearl(morse_F, H, delta, rng, page, rate=None):
     checked to induce exactly delta on page 1 and to collapse at the given
     page; a given rate is pinned as x and checked to be the page-2 rate.
     The closed form meets each check by construction, so a check that fails
-    raises ModelError naming its condition.  S holds the checked page 1,
-    collapse page and (page 3) literal rate, so an Instance built on P and H
+    raises ModelError naming its condition.  S reads page 1 through the
+    lift's own Contraction, and it holds the checked page 1, collapse page
+    and (page 3) literal rate, so an Instance built on P and H
     (Instance.from_spectrum) verifies without computing them again."""
     x = None if rate is None else Matrix(morse_F.field, [[rate]], 1, 1)
-    P = _lift_chain(morse_F, H, delta, rng, x)
-    S = Spectrum(P, H)
+    P, con = _lift_chain(morse_F, H, delta, rng, x)
+    S = Spectrum(P, H, con)
     if not all(a == bmat for a, bmat in zip(S.page1.d1star, delta)):
         raise _lift_failed("induced page-1 differential differs from the "
                            "target")
@@ -355,4 +362,4 @@ def random_pearl(morse: BasedChainComplex, field: Field,
     d2s = _random_matrix(F, rng, hd[3], hd[2])
     K2, K0 = d2s.kernel_basis(), d0.transpose().kernel_basis()
     D = K2 * _random_matrix(F, rng, K2.ncols, K0.ncols) * K0.transpose()
-    return _lift_chain(morse.to_field(F), H, [d0, D, d2s], rng)
+    return _lift_chain(morse.to_field(F), H, [d0, D, d2s], rng)[0]

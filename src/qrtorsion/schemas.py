@@ -9,6 +9,7 @@ scalar too; a float or a boolean is rejected.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .fields import Field, field_from_string, field_to_string
 from .linalg import Matrix
@@ -19,6 +20,7 @@ from .superpotential import DiscSystem, Representation
 from .verifier import Instance, VerificationReport
 
 VERSION = 1
+_INF = float("inf")
 
 
 class SchemaError(Exception):
@@ -305,8 +307,85 @@ def load(path):
     return doc
 
 
+def _leaf(o):
+    """A str, None, bool, int or float as json writes it, tried in json's
+    order (True and False before int), or None for any other value."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _key(k):
+    """A dict key as json writes it: a str, or a float, bool, None or int
+    written as a leaf and quoted."""
+    if isinstance(k, str):
+        return _quote(k)
+    text = _leaf(k)
+    if text is None:
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return _quote(text)
+
+
+def _json(o, nl):
+    """o as json.dumps(o, indent=2, sort_keys=True) writes it, with nl the
+    newline and indentation of the line o starts on.  Dispatch follows
+    json's isinstance rules (no value is both a container and a leaf).
+    Exact str and int list items and str, true, false and null dict values
+    (a report's flags) are written without a call."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        items = [_quote(x) if type(x) is str else
+                 int.__repr__(x) if type(x) is int else _json(x, inner)
+                 for x in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = [(_quote(k) if type(k) is str else _key(k)) + ": "
+                 + (_quote(v) if type(v) is str else
+                    "true" if v is True else "false" if v is False else
+                    "null" if v is None else _json(v, inner))
+                 for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    text = _leaf(o)
+    if text is None:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        "is not JSON serializable")
+    return text
+
+
 def dump(doc, path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document as json.dumps(doc, indent=2, sort_keys=True) plus a
+    newline writes it, byte for byte, written to path when one is given.
+    With an indent, json up to Python 3.13 encodes in pure Python; this
+    writer joins strings, escapes them with json's C encoder and raises the
+    TypeError json raises for a value it cannot write.  A document nested
+    deeper than its recursion allows (or circular) is left to json, which
+    writes it or raises its own error."""
+    try:
+        text = _json(doc, "\n") + "\n"
+    except RecursionError:
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is None:
         return text
     with open(path, "w") as fh:

@@ -11,6 +11,9 @@ Each spectral object is computed once per instance by a Spectrum (a
 generated instance keeps the one its lift was checked on), and no
 intermediate result crosses between the compared paths: the closed-form rate
 builds its own Contraction, and the direct fold path reads nothing from here.
+Page 1 reads d1* through the Contraction it is handed, or builds one: a lift
+hands over the one its projection pi came from (models._lift_chain), so each
+lift builds one Contraction, and the closed form still builds its own.
 
 Degrees are 0..3 throughout (pearl complexes of 3-folds, minimal Maslov
 number two).
@@ -130,14 +133,16 @@ def _require_survivors(pg1: PageOne):
                              "do not match the page-3 survivor pattern")
 
 
-def page1(P: TwistedPearlComplex, H, rng=None) -> PageOne:
+def page1(P: TwistedPearlComplex, H, con: Contraction = None) -> PageOne:
     """First page: Morse homology with the projection of d1.
 
     The projection is well defined because d1 anticommutes with d_M, so d1 of
-    a cycle is again a cycle.
+    a cycle is again a cycle.  It is read through con, a Contraction of the
+    Morse part P.base onto H, built here (deterministic) when not given; a
+    lift passes the one it built P from.
     """
     _check_valid(P)
-    d1star = _d1star(P, H, Contraction(P.base, H, rng))
+    d1star = _d1star(P, H, Contraction(P.base, H) if con is None else con)
     for k in range(2):
         if not (d1star[k + 1] * d1star[k]).is_zero():
             raise SpectralError("page-1 differential does not square to zero")
@@ -187,7 +192,7 @@ def page2_rate(P: TwistedPearlComplex, H, rng=None):
     Requires the 3-fold narrow page-3 pattern: page-1 homology of ranks
     (1, 0, 0, 1).  Returns the rate as a scalar.
     """
-    return _rate_from_page1(P, page1(P, H, rng))
+    return _rate_from_page1(P, page1(P, H, Contraction(P.base, H, rng)))
 
 
 def closed_form_r(P: TwistedPearlComplex, H):
@@ -213,13 +218,15 @@ def closed_form_r(P: TwistedPearlComplex, H):
 
 class Spectrum:
     """The spectral sequence of one pearl complex in fixed homology bases:
-    page 1 computed once, on construction; the literal page-2 rate and the
-    collapse page read from it, and the closed-form rate from closed_form_r,
-    each on first use."""
+    page 1 computed once, on construction, through the given Contraction
+    con of P.base onto H (a lift's own) or else a new one; the literal
+    page-2 rate and the collapse page read from it, and the closed-form rate
+    from closed_form_r, which builds its own Contraction, each on first
+    use."""
 
-    def __init__(self, P: TwistedPearlComplex, H):
+    def __init__(self, P: TwistedPearlComplex, H, con: Contraction = None):
         self.P = P
-        self.page1 = page1(P, H)
+        self.page1 = page1(P, H, con)
 
     @cached_property
     def rate(self):

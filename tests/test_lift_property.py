@@ -50,6 +50,7 @@ def test_lift_is_valid_and_induces_delta(case):
     morse, F, delta, seed = case
     assert (delta[1] * delta[0]).is_zero() and (delta[2] * delta[1]).is_zero()
     H = models.homology_bases(morse, F)
-    P = models._lift_chain(morse.to_field(F), H, delta, random.Random(seed))
+    P, _ = models._lift_chain(morse.to_field(F), H, delta,
+                              random.Random(seed))
     assert validate_pearl(P) == []
     assert page1(P, H).d1star == delta

@@ -86,8 +86,8 @@ def test_page3_lift_standard_pairing():
     assert tau == SignClass(QQ, QQ.parse("1/2"))
 
 
-def _negated_page1(self, P, H):
-    Spectrum.__init__(self, P, H)
+def _negated_page1(self, P, H, *con):
+    Spectrum.__init__(self, P, H, *con)
     self.page1.d1star = [-d for d in self.page1.d1star]
 
 
@@ -209,6 +209,27 @@ def test_closed_form_derivation_is_checked(field, b):
                     I, r, Matrix.from_int_rows(field, bad, b, b))
             assert str(err.value) == \
                 NO_DERIVATION + ": the slice solution fails the duality pairing"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("b", [3, 5])
+def test_checked_derivation_rejects_every_single_entry_change(field, b):
+    # the pairing is checked only at i < k; the rest of it follows by
+    # alternation, so no single-entry change of the solution gets through,
+    # and none gets past the pairing to the antisymmetry check
+    rng = random.Random(20 + b)
+    for _ in range(2):
+        I, r, _, _ = _transported_spec(b, rng)
+        c = models._checked_derivation(I, r,
+                                       solve_leibniz_derivation(I, r, field))
+        for m in range(b):
+            for j in range(b):
+                rows = [list(row) for row in c.rows]
+                rows[m][j] = field.add(rows[m][j], field.one())
+                with pytest.raises(ModelError) as err:
+                    models._checked_derivation(I, r, Matrix(field, rows, b, b))
+                assert str(err.value) == (NO_DERIVATION + ": the slice "
+                                          "solution fails the duality pairing")
 
 
 def test_closed_form_derivation_antisymmetry_is_checked():

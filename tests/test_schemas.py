@@ -1,10 +1,12 @@
+import enum
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from qrtorsion.fields import QQ, GF
-from qrtorsion import schemas
+from qrtorsion import cli, schemas
 from qrtorsion.generate import generate_instance
 from qrtorsion.threefold import TripleForm, ThreefoldHomology
 from qrtorsion.superpotential import DiscSystem, Representation
@@ -175,3 +177,151 @@ def test_instance_json_pinned(page, b, field, digest):
         inst = generate_instance(page, b, F, seed)
         h.update(schemas.dump(schemas.instance_to_json(inst)).encode())
     assert h.hexdigest() == digest
+
+
+def _json_dumps(value):
+    """What json writes for the value, or the error it raises."""
+    try:
+        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _dumped(value):
+    try:
+        return schemas.dump(value)
+    except Exception as e:
+        return type(e), str(e)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not JSON"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not JSON"
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+def test_dump_is_json_dumps_on_nested_values():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    text = st.one_of(st.text(), st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f", "\u00e9", "\U0001f600", "\ud800", ""]))
+    leaves = st.one_of(
+        text, text.map(type("_Str", (str,), {})),
+        st.integers(), st.integers(min_value=2 ** 64, max_value=10 ** 60),
+        st.integers().map(_Int), st.just(_Color.RED),
+        st.booleans(), st.none(),
+        st.floats(), st.floats().map(_Float),
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]))
+    keys = st.one_of(text, st.integers(), st.floats(), st.booleans(),
+                     st.none())
+
+    def containers(inner):
+        return st.one_of(
+            st.lists(inner), st.lists(inner).map(tuple),
+            st.lists(inner).map(type("_List", (list,), {})),
+            st.dictionaries(text, inner),
+            st.dictionaries(text, inner).map(type("_Dict", (dict,), {})),
+            # keys of mixed types fail json's sort, and must fail alike
+            st.dictionaries(keys, inner, max_size=3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.recursive(leaves, containers, max_leaves=20))
+    def check(value):
+        assert _dumped(value) == _json_dumps(value)
+
+    check()
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[], {}, ()], {"a": {}, "b": [[]]},
+    "", '"\\\x00\x1f\x7f\u00e9\U0001f600\ud800', 0, -7, 10 ** 60, None,
+    [True, False, None], float("nan"), float("inf"), -float("inf"), -0.0,
+    1e300, 0.1, _Int(3), _Float(2.5), _Color.RED,
+    {1.5: 1, float("inf"): 2, -float("inf"): 3, float("nan"): 4},
+    {True: 1, False: 2, 3: 4}, {None: [1, (2, "x")]},
+])
+def test_dump_writes_leaves_and_keys_as_json(value):
+    assert schemas.dump(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), [1, Fraction(1, 2)], {"a": [Fraction(1, 2)]},
+    {"a": 1, "b": {1, 2}}, {(1, 2): 3}, {1: "a", "b": 2}, [b"bytes"],
+], ids=["leaf", "in-list", "in-dict", "set", "tuple-key", "mixed-keys",
+        "bytes"])
+def test_dump_raises_json_type_error(value):
+    with pytest.raises(TypeError):
+        schemas.dump(value)
+    assert _dumped(value) == _json_dumps(value)
+
+
+def test_dump_leaves_deep_and_circular_values_to_json():
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    assert schemas.dump(deep) == _json_dumps(deep)
+    circular = {"a": []}
+    circular["a"].append(circular)
+    assert _dumped(circular) == _json_dumps(circular) == \
+        (ValueError, "Circular reference detected")
+
+
+def test_dump_is_json_dumps_on_every_document_kind(tmp_path, monkeypatch,
+                                                  capsys):
+    docs = []
+    dump = schemas.dump
+
+    def recording(doc, path=None):
+        docs.append(doc)
+        return dump(doc, path)
+
+    monkeypatch.setattr(schemas, "dump", recording)
+    inst = generate_instance(3, 2, QQ, 4, torsion=(3,), surplus=(1, 1, 1, 1))
+    inst.discs = DiscSystem(2, [([0, 0], 1)])
+    inst.representation = Representation(QQ, [QQ.one(), QQ.one()])
+    P = inst.pearl
+    files = {"inst": schemas.instance_to_json(inst),
+             "pearl": schemas.pearl_to_json(P),
+             "periodic": schemas.periodic_to_json(fold_periodic(P)),
+             "complex": {"v": schemas.VERSION, "kind": "complex",
+                         "field": "Q", "ranks": P.ranks,
+                         "boundaries": [schemas.matrix_to_json(P.dM(k))
+                                        for k in range(1, 4)],
+                         "bases": schemas.bases_to_json(inst.bases)},
+             "form": schemas.form_to_json(TripleForm(3, {(1, 2, 3): 1})),
+             "pot": {"b": 1, "discs": [{"d": [1], "m0": 1},
+                                       {"d": [-1], "m0": 1}]}}
+    for name, doc in files.items():
+        schemas.dump(doc, tmp_path / f"{name}.json")
+    for argv in (["generate", "--page", "2", "--b", "9", "--field", "F7",
+                  "--seed", "3", "-o", str(tmp_path / "page2.json")],
+                 ["verify", str(tmp_path / "inst.json"),
+                  "--report", str(tmp_path / "report.json")],
+                 ["spectral", str(tmp_path / "page2.json")],
+                 ["torsion", "quantum", str(tmp_path / "pearl.json")],
+                 ["torsion", "periodic", str(tmp_path / "periodic.json")],
+                 ["torsion", "graded", str(tmp_path / "complex.json")],
+                 ["classify", str(tmp_path / "form.json")],
+                 ["potential", "grad", str(tmp_path / "pot.json"),
+                  "--at", "2"],
+                 ["batch", "--page", "2", "--count", "2", "--field", "F5"],
+                 ["batch", "--page", "3", "--count", "2", "--field", "F5",
+                  "--corrupt"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    kinds = {doc.get("kind") for doc in docs}
+    assert kinds >= {"instance", "report", "pearl", "complex", "periodic",
+                     "spectral", "batch"}
+    for doc in docs:
+        assert dump(doc) == _json_dumps(doc)
+    for name in ("page2", "report", *files):
+        text = (tmp_path / f"{name}.json").read_text()
+        assert text == _json_dumps(json.loads(text))

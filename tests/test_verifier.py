@@ -190,6 +190,28 @@ def test_verify_computes_each_spectral_object_once(monkeypatch):
     assert calls["built"] == [behind_closed_form]
 
 
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
+@pytest.mark.parametrize("page, b", [(2, 3), (2, 5), (3, 2), (3, 4)])
+def test_generate_builds_one_contraction(monkeypatch, page, b, field):
+    calls = _spectral_counters(monkeypatch)
+    inst = generate_instance(page, b, field, 1, surplus=(1, 1, 1, 1))
+    # the lift builds the contraction its pi comes from, and page 1 reads
+    # d1* through that one instead of building another
+    [lift_contraction] = calls["built"]
+    assert calls["page1"] == [[]]
+    for recorded in calls.values():
+        recorded.clear()
+    assert verify_main_theorem(inst).all_pass
+    if page == 2:
+        assert calls["built"] == []
+        return
+    # the closed form, compared with the literal rate of the lift's page 1,
+    # never holds the lift's contraction
+    [[behind_closed_form]] = calls["closed_form_r"]
+    assert calls["built"] == [behind_closed_form]
+    assert behind_closed_form is not lift_contraction
+
+
 def test_verify_eliminates_each_map_once(monkeypatch):
     page2, page2_json = _generated_and_read_back(2, 3, GF(5), 1,
                                                  surplus=(1, 1, 1, 1))
@@ -320,7 +342,8 @@ def test_generated_spectrum_verifies_as_json_does(monkeypatch, page, b, field,
     page1 = spectral.page1
     # counted on entry: page 1 of an invalid pearl raises
     monkeypatch.setattr(spectral, "page1",
-                        lambda P, H: entered.append(P) or page1(P, H))
+                        lambda P, H, *con: entered.append(P)
+                        or page1(P, H, *con))
 
     def report(inst, computes_page1):
         entered.clear()
