@@ -9,6 +9,14 @@ on ``num`` in integers; Fractions are built only at the boundary: by the
 ``rows`` read view, by ``determinant`` and by the constructor from raw
 field values (after von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5).
 
+Every product, of a :class:`Matrix` or an :class:`IntegerMatrix`, goes
+through one kernel on integer rows, ``_product``, a row-wise product after
+Gustavson (ACM TOMS 4(3), 1978) for the sparse maps of chain complexes: a
+zero operand gives a zero result with no dot product, a zero row of the
+left factor gives a zero row, a row with one nonzero entry a at column j
+gives a times row j of the right factor, and every other row takes the
+column dot products.  Every result row is a fresh list.
+
 Elimination is where verification spends its time (the pearl complexes of
 large instances are tens of rows by tens of columns).  One Gauss-Jordan
 pass (``Matrix._eliminate``) yields both the reduced row echelon form and
@@ -34,6 +42,45 @@ class LinAlgError(Exception):
 
 def _scaled(num, k):
     return [[k * x for x in r] for r in num]
+
+
+def _product(A, B, ncols, p):
+    """The integer rows of A·B for integer rows A (m x k) and B (k x ncols),
+    each entry reduced ``% p`` when p is nonzero.
+
+    If either operand is all zero the result is zero with no dot product; a
+    zero row of A gives a zero row, and a row with one nonzero entry a, at
+    column j, gives a times B[j] (a copy of B[j] when a = 1); every other
+    row takes the column dot products.  A product with no such sparse row
+    is one comprehension, so a dense product pays only one ``count(0)`` per
+    row of A.  Every result row is a new list.
+    """
+    if not any(map(any, A)) or not any(map(any, B)):
+        return [[0] * ncols for _ in A]
+    # A and B are nonzero, so k, ncols >= 1; nz[i] is row i's nonzero count
+    k = len(B)
+    nz = [k - r.count(0) for r in A]
+    if min(nz) > 1:
+        cols = list(zip(*B))
+        if p:
+            return [[sum(map(mul, r, c)) % p for c in cols] for r in A]
+        return [[sum(map(mul, r, c)) for c in cols] for r in A]
+    cols = None
+    out = []
+    for r, n in zip(A, nz):
+        if n == 0:
+            out.append([0] * ncols)
+        elif n == 1:
+            a = sum(r)  # the one nonzero entry
+            b = B[r.index(a)]
+            out.append(list(b) if a == 1 else
+                       [a * x % p for x in b] if p else [a * x for x in b])
+        else:
+            if cols is None:
+                cols = list(zip(*B))
+            out.append([sum(map(mul, r, c)) % p for c in cols] if p
+                       else [sum(map(mul, r, c)) for c in cols])
+    return out
 
 
 class Matrix:
@@ -147,20 +194,17 @@ class Matrix:
         return Matrix._make(F, num, self.den, self.nrows, self.ncols)
 
     def __mul__(self, other):
-        """Matrix product: integer dot products of the two ``num``s, one
-        ``% p`` per entry over F_p, over the product of the denominators
-        over Q."""
+        """Matrix product: :func:`_product` on the two ``num``s (``% p`` per
+        entry over F_p), over the product of the denominators over Q.  A
+        zero operand or zero row of self costs no dot product, a row of
+        self with one nonzero entry a at column j is a times row j of
+        other, and every row of the result is a fresh list."""
         if self.ncols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        F = self.field
-        p = F.char
-        cols = list(zip(*other.num)) if other.nrows else [()] * other.ncols
-        if p:
-            num = [[sum(map(mul, r, c)) % p for c in cols] for r in self.num]
-        else:
-            num = [[sum(map(mul, r, c)) for c in cols] for r in self.num]
-        return Matrix._make(F, num, self.den * other.den, self.nrows,
-                            other.ncols)
+        return Matrix._make(self.field,
+                            _product(self.num, other.num, other.ncols,
+                                     self.field.char),
+                            self.den * other.den, self.nrows, other.ncols)
 
     def scale(self, c):
         """c times the matrix, for a raw field value c."""
@@ -386,8 +430,15 @@ class IntegerMatrix:
                 raise LinAlgError("ragged rows")
 
     @classmethod
+    def _make(cls, rows, nrows, ncols):
+        """Wrap integer rows as they are: taken over, not copied."""
+        m = cls.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, nrows, ncols
+        return m
+
+    @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], nrows, ncols)
+        return cls._make([[0] * ncols for _ in range(nrows)], nrows, ncols)
 
     @classmethod
     def identity(cls, n):
@@ -401,14 +452,19 @@ class IntegerMatrix:
                 and other.ncols == self.ncols and other.rows == self.rows)
 
     def __mul__(self, other):
+        """Matrix product through :func:`_product`, the kernel
+        :class:`Matrix` uses: a zero operand or zero row costs no dot
+        product, a row with one nonzero entry a at column j is a times row j
+        of other, and every row of the result is a fresh list (rows are
+        written in place, as ``smith_normal_form`` does)."""
         if self.ncols != other.nrows:
             raise LinAlgError("shape mismatch")
-        cols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
-        return IntegerMatrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows],
-                             self.nrows, other.ncols)
+        return IntegerMatrix._make(_product(self.rows, other.rows,
+                                            other.ncols, 0),
+                                   self.nrows, other.ncols)
 
     def is_zero(self):
-        return all(a == 0 for r in self.rows for a in r)
+        return not any(map(any, self.rows))
 
     def to_field(self, field) -> Matrix:
         return Matrix.from_int_rows(field, self.rows, self.nrows, self.ncols)

@@ -3,10 +3,13 @@ import random
 import pytest
 
 from qrtorsion.fields import QQ, GF
+from qrtorsion.generate import generate_instance
 from qrtorsion.linalg import (Matrix, IntegerMatrix, LinAlgError,
                               smith_normal_form)
+from qrtorsion.schemas import instance_from_json, instance_to_json
 from qrtorsion.torsion import _image_and_section
-from util import random_invertible
+from qrtorsion.verifier import verify_main_theorem
+from util import dense_product, random_invertible
 
 
 def test_matrix_shape_validation():
@@ -81,3 +84,59 @@ def test_block_and_stack():
     H = A.hstack(B)
     assert H.ncols == 3 and H.rows[0][2] == F.from_int(3)
     assert A.hstack(B, A) == Matrix.from_int_rows(F, [[1, 2, 3, 1, 2]], 1, 5)
+
+
+def _recorded_products(monkeypatch):
+    """Wrap Matrix and IntegerMatrix products so that each one is compared,
+    as it is made, with the dense reference product on the same operands;
+    returns the list of (kind, shape, agrees) records."""
+    records = []
+    real_matrix_mul, real_integer_mul = Matrix.__mul__, IntegerMatrix.__mul__
+
+    def matrix_mul(A, B):
+        before = ([list(r) for r in A.num], [list(r) for r in B.num])
+        want = Matrix._make(A.field, dense_product(
+            A.num, B.num, B.ncols, A.field.char), A.den * B.den,
+            A.nrows, B.ncols)
+        P = real_matrix_mul(A, B)
+        records.append(("Matrix", (A.nrows, A.ncols, B.ncols),
+                        P == want and (A.num, B.num) == before
+                        and _fresh_rows(P.num, A.num, B.num)))
+        return P
+
+    def integer_mul(A, B):
+        before = ([list(r) for r in A.rows], [list(r) for r in B.rows])
+        want = dense_product(A.rows, B.rows, B.ncols)
+        P = real_integer_mul(A, B)
+        records.append(("IntegerMatrix", (A.nrows, A.ncols, B.ncols),
+                        P.rows == want and (P.nrows, P.ncols) ==
+                        (A.nrows, B.ncols) and (A.rows, B.rows) == before
+                        and _fresh_rows(P.rows, A.rows, B.rows)))
+        return P
+
+    monkeypatch.setattr(Matrix, "__mul__", matrix_mul)
+    monkeypatch.setattr(IntegerMatrix, "__mul__", integer_mul)
+    return records
+
+
+def _fresh_rows(rows, *operands):
+    held = {id(r) for M in operands for r in M}
+    return not any(id(r) in held for r in rows)
+
+
+@pytest.mark.parametrize("page, b, F, surplus", [
+    *((2, b, F, s) for b in (3, 9) for F in (GF(7), QQ)
+      for s in ((0, 0, 0, 0), (2, 2, 2, 2))),
+    *((3, b, F, (0, 0, 0, 0)) for b in (2, 4) for F in (GF(5), QQ))],
+    ids=lambda x: repr(x).replace(" ", ""))
+def test_products_of_generate_and_verify_match_the_dense_product(
+        monkeypatch, page, b, F, surplus):
+    # every product a generate and a JSON round-trip verify make, on the
+    # shapes and sparsity the lifts and checks actually produce
+    records = _recorded_products(monkeypatch)
+    inst = generate_instance(page, b, F, 1, surplus=surplus)
+    assert verify_main_theorem(
+        instance_from_json(instance_to_json(inst))).all_pass
+    kinds = {kind for kind, _, _ in records}
+    assert kinds == {"Matrix", "IntegerMatrix"}
+    assert [r for r in records if not r[2]] == []

@@ -221,6 +221,82 @@ def test_matmul_through_empty_dimensions(F, m, k, n):
     assert _check(P) == Matrix.zeros(F, m, n)
 
 
+# -- the product kernel on the operands chain-level maps are ----------------
+
+# None draws IntegerMatrix operands
+PRODUCT_FIELDS = [QQ, GF(3), GF(7), GF(101), None]
+
+
+def _sparse_row(draw, F, k):
+    """A zero row, a row with one nonzero entry (1, -1, another nonzero
+    integer or, over Q, a non-integer fraction), or a row of small
+    entries."""
+    row = [0] * k
+    kind = draw(st.sampled_from(["zero", "one", "dense"]))
+    if not k or kind == "zero":
+        return row
+    nonzero = st.integers(-40, 40).filter(bool)
+    if kind == "one":
+        scalars = [st.just(1), st.just(-1), nonzero]
+        if F is QQ:
+            scalars.append(st.builds(Fraction, nonzero, st.integers(2, 6))
+                           .filter(lambda x: x.denominator > 1))
+        row[draw(st.integers(0, k - 1))] = draw(st.one_of(scalars))
+        return row
+    entry = st.one_of(st.just(0), st.integers(-40, 40))
+    if F is QQ:
+        entry = st.one_of(entry, st.builds(Fraction, entry, st.integers(1, 6)))
+    return [draw(entry) for _ in range(k)]
+
+
+def _operand(draw, F, m, k):
+    """An m x k zero matrix, the m x m identity, or m x k rows of
+    :func:`_sparse_row`; as an IntegerMatrix when F is None."""
+    kind = draw(st.sampled_from(["zero", "identity", "rows"]))
+    if kind == "zero":
+        rows = [[0] * k for _ in range(m)]
+    elif kind == "identity":
+        k = m
+        rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    else:
+        rows = [_sparse_row(draw, F, k) for _ in range(m)]
+    return IntegerMatrix(rows, m, k) if F is None else Matrix(F, rows, m, k)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_product_kernel_matches_sympy_on_sparse_operands(data):
+    F = data.draw(st.sampled_from(PRODUCT_FIELDS), label="field")
+    m, k, n = (data.draw(st.integers(0, 6)) for _ in range(3))
+    A = _operand(data.draw, F, m, k)
+    B = _operand(data.draw, F, A.ncols, n)
+    m, k, n = A.nrows, A.ncols, B.ncols
+    P = A * B
+    assert (P.nrows, P.ncols) == (m, n)
+    if F is not None:
+        _check(P, _sympy_product(A, B))
+        return
+    S = (SMatrix(m, k, [x for r in A.rows for x in r])
+         * SMatrix(k, n, [x for r in B.rows for x in r]))
+    assert P.rows == [[int(S[i, j]) for j in range(n)] for i in range(m)]
+    assert all(type(x) is int for r in P.rows for x in r)
+    # every row of the product is fresh: writing it changes no operand
+    before = ([list(r) for r in A.rows], [list(r) for r in B.rows])
+    for r in P.rows:
+        r[:] = [x + 1 for x in r]
+    assert (A.rows, B.rows) == before
+
+
+@pytest.mark.parametrize("m,k,n", [(0, 3, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0),
+                                   (0, 0, 0), (2, 0, 0)])
+def test_integer_product_through_empty_dimensions(m, k, n):
+    A = IntegerMatrix([[i + j + 1 for j in range(k)] for i in range(m)], m, k)
+    B = IntegerMatrix([[i - j for j in range(n)] for i in range(k)], k, n)
+    P = A * B
+    assert P == IntegerMatrix.zeros(m, n)
+    assert (P.nrows, P.ncols) == (m, n) and len(P.rows) == m
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_determinant_matches_sympy(data):

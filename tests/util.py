@@ -1,10 +1,22 @@
-"""Shared constructors for randomized test data."""
+"""Shared constructors for randomized test data, and the dense reference
+product."""
 
 import random
+from operator import mul
 
 from qrtorsion.fields import Field
 from qrtorsion.linalg import Matrix
 from qrtorsion.complexes import BasedChainComplex
+
+
+def dense_product(A, B, ncols, p=0):
+    """The integer rows of A·B by the schoolbook loop: one dot product per
+    entry, reduced % p when p is nonzero.  The reference the product kernel
+    of ``linalg`` is checked against."""
+    cols = list(zip(*B)) if B else [()] * ncols
+    if p:
+        return [[sum(map(mul, r, c)) % p for c in cols] for r in A]
+    return [[sum(map(mul, r, c)) for c in cols] for r in A]
 
 
 def random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
