@@ -7,6 +7,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -110,6 +111,22 @@ class RationalField(Field):
         return Fraction(a) ** n
 
     def parse(self, s):
+        """Fraction(s), except that an exponent e is refused when 10^e has
+        more digits than int() reads from a string
+        (sys.get_int_max_str_digits()): Fraction would build 10^e first,
+        and a string as short as "1e30000000" would keep it busy for long."""
+        if isinstance(s, str):
+            _, e, tail = s.lower().rpartition("e")
+            # Python 3.10.0-3.10.6 have no limit yet; 4300 is its default
+            cap = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+            if e and cap:
+                try:
+                    big = abs(int(tail)) >= cap
+                except ValueError:
+                    big = False     # not an exponent: Fraction decides
+                if big:
+                    raise FieldError(f"exponent in {s!r} exceeds the "
+                                     f"{cap}-digit limit on integer strings")
         try:
             return Fraction(s)
         except ZeroDivisionError:

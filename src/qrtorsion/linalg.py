@@ -5,9 +5,11 @@ integer rows and ``den`` one positive integer, and the matrix is num / den.
 Over F_p, ``num`` holds residues in [0, p) and ``den`` is 1.  Over Q the
 pair is canonical (gcd of ``den`` and every entry of ``num`` is 1), so equal
 matrices have equal pairs.  Products, sums, stacking and elimination work
-on ``num`` in integers; Fractions are built only at the boundary: by the
-``rows`` read view, by ``determinant`` and by the constructor from raw
-field values (after von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5).
+on ``num`` in integers; Fractions are built only at the boundary, by the
+``rows`` read view and by ``determinant`` (after von zur Gathen-Gerhard,
+Modern Computer Algebra, ch. 5).  The constructor reads raw field values
+(Fractions or ints); ``from_parsed`` takes a document's scalars as
+(numerator, denominator) pairs, so reading a document builds no Fraction.
 
 Every product, of a :class:`Matrix` or an :class:`IntegerMatrix`, goes
 through one kernel on integer rows, ``_product``, a row-wise product after
@@ -160,6 +162,17 @@ class Matrix:
     @classmethod
     def from_int_rows(cls, field, int_rows, nrows=None, ncols=None):
         return cls(field, int_rows, nrows, ncols)
+
+    @classmethod
+    def from_parsed(cls, field, rows, nrows, ncols):
+        """The matrix of rows of nrows x ncols parsed scalars: residues in
+        [0, p) over F_p, whose rows are taken over, and (numerator,
+        denominator) pairs in lowest terms over Q."""
+        if field.char:
+            return cls._make(field, rows, 1, nrows, ncols)
+        d = lcm(*(q for r in rows for _, q in r))
+        return cls._make(field, [[n * (d // q) for n, q in r] for r in rows],
+                         d, nrows, ncols)
 
     # -- basic algebra -----------------------------------------------------
 
@@ -361,7 +374,7 @@ class Matrix:
                             self.ncols), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(self._eliminate()[2])
 
     def kernel_basis(self):
         """Matrix whose columns form a basis of the kernel: for each free

@@ -3,12 +3,16 @@
 All documents carry a version field ("v": 1) and a "kind".  Scalars are
 strings ("p/q" over the rationals, a decimal residue over a prime field);
 matrices are row-major arrays of scalar strings.  A JSON integer reads as a
-scalar too; a float or a boolean is rejected.
+scalar too; a float or a boolean is rejected.  Over Q a scalar reads to a
+(numerator, denominator) pair, by int() where the string is plain digits and
+by Fraction otherwise, and a matrix is built from the pairs with no
+Fraction made.
 """
 
 from __future__ import annotations
 
 import json
+from math import gcd
 from json.encoder import encode_basestring_ascii as _quote
 
 from .fields import Field, field_from_string, field_to_string
@@ -57,21 +61,46 @@ def _ints(values, where):
     return [_int(x, where) for x in _list(values, where)]
 
 
+def _parse(field: Field, x):
+    """One scalar as the reader keeps it: ``field.parse(x)`` over F_p, and
+    over Q the numerator and denominator of ``field.parse(x)`` in lowest
+    terms.  A JSON integer and an ASCII string [+-]digits or
+    [+-]digits/digits with a nonzero denominator are read by int() alone;
+    every other value goes through ``field.parse``, so Q accepts exactly
+    what Fraction accepts (int() also reads "1_2", Fraction not before
+    Python 3.11)."""
+    if field.char:
+        return field.parse(x)
+    if type(x) is int:
+        return x, 1
+    if type(x) is str and x.isascii():
+        n, slash, d = x.partition("/")
+        if (n[1:] if n[:1] in "+-" else n).isdigit() and \
+                (not slash or d.isdigit()):
+            n, d = int(n), (int(d) if slash else 1)
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
+    f = field.parse(x)
+    return f.numerator, f.denominator
+
+
 class _Reader:
     """Scalars and matrices of one document: each distinct JSON value is
-    parsed once per field.  A document repeats a few scalar strings many
-    times.  A scalar is a string or a JSON integer: a float or a boolean
-    would parse inexactly (2.5 truncates to 2 over F_p, 0.1 is a binary
-    fraction over Q, true is 1), so it is rejected.  Keys carry the value's
-    type, so 1 and "1" never share an entry; an unhashable value is parsed
-    (and rejected) as is."""
+    parsed once per field, by :func:`_parse`, and each matrix is built from
+    the parsed rows by ``Matrix.from_parsed``, with no Fraction made.  A
+    document repeats a few scalar strings many times.  A scalar is a string
+    or a JSON integer: a float or a boolean would parse inexactly (2.5
+    truncates to 2 over F_p, 0.1 is a binary fraction over Q, true is 1), so
+    it is rejected.  Keys carry the value's type, so 1 and "1" never share
+    an entry; an unhashable value is parsed (and rejected) as is."""
 
     def __init__(self):
         self._memos = {}
 
     def scalars(self, field: Field, values, where):
         memo = self._memos.setdefault(field, {})
-        parse = field.parse
+        parse = _parse
         out = []
         try:
             for x in values:
@@ -82,9 +111,9 @@ class _Reader:
                     if type(x) in (bool, float):
                         raise TypeError(f"{x!r} is not a string or an "
                                         "integer") from None
-                    v = memo[key] = parse(x)
+                    v = memo[key] = parse(field, x)
                 except TypeError:
-                    v = parse(x)
+                    v = parse(field, x)
                 out.append(v)
         except Exception as e:
             raise SchemaError(f"bad scalar in {where}: {e}") from e
@@ -96,7 +125,7 @@ class _Reader:
                        for r in data)):
             raise SchemaError(f"matrix in {where} must be {nrows}x{ncols}")
         rows = [self.scalars(field, r, where) for r in data]
-        return Matrix(field, rows, nrows=nrows, ncols=ncols)
+        return Matrix.from_parsed(field, rows, nrows, ncols)
 
 
 def matrix_to_json(M: Matrix):
@@ -269,9 +298,9 @@ def instance_from_json(doc) -> Instance:
                           f"{homology.b}")
     representation = None
     if "representation" in doc:
-        representation = Representation(F, read.scalars(
-            F, _list(doc["representation"], "representation"),
-            "representation"))
+        values = _list(doc["representation"], "representation")
+        representation = Representation(F, read.matrix(
+            F, [values], 1, len(values), "representation").rows[0])
     return Instance(homology, form, F, pearl, bases, discs, representation,
                     doc.get("id"))
 

@@ -83,7 +83,7 @@ class Contraction:
         self.b = []        # basis of B_k = im(d_M : C_{k+1} -> C_k), inside C_k
         self.s = []        # sections: d_M s[k] = b[k], columns in C_{k+1}
         for k in range(4):
-            bk, sk = _image_and_section(C.boundary(k + 1), rng)
+            bk, sk, _ = _image_and_section(C.boundary(k + 1), rng)
             self.b.append(bk)
             self.s.append(sk)
         self.Tinv = []     # inverse of the adapted basis per degree

@@ -37,11 +37,12 @@ def _random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
 
 
 def _image_and_section(d: Matrix, rng=None):
-    """(B, S) with B a basis of im(d) and d S = B, from one elimination of d.
+    """(B, S, P) with B a basis of im(d) and d S = B, from one elimination of
+    d.
 
-    B is the pivot columns of d and S the unit columns at those pivots.  With
-    an rng both are mixed by one random invertible matrix, and S gains random
-    kernel columns, which leave d S unchanged.
+    B is the pivot columns P of d and S the unit columns at those pivots.
+    With an rng both are mixed by one random invertible matrix, S gains
+    random kernel columns, which leave d S unchanged, and P is None.
     """
     F = d.field
     pivots = d.rref()[1]
@@ -54,7 +55,24 @@ def _image_and_section(d: Matrix, rng=None):
         if K.ncols:
             c = [[rng.randint(-5, 5) for _ in pivots] for _ in range(K.ncols)]
             S = S + K * Matrix.from_int_rows(F, c, K.ncols, len(pivots))
-    return B, S
+        pivots = None
+    return B, S, pivots
+
+
+def _det_beside(M: Matrix, S: Matrix, P):
+    """det [M | S].  When S is the unit columns at the ascending rows P (P is
+    not None), this is (-1)^t times the minor of M on the rows outside P,
+    with t = #{(p, q) : p in P, q not in P, p < q}."""
+    if P is None:
+        return M.hstack(S).determinant()
+    F = M.field
+    rows = set(P)
+    det = M.submatrix([i for i in range(M.nrows) if i not in rows],
+                      range(M.ncols)).determinant()
+    # the j-th p of P has p - j rows outside P before it, so M.ncols - p + j
+    # after it
+    t = sum(M.ncols + j - p for j, p in enumerate(P))
+    return F.neg(det) if t % 2 else det
 
 
 def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
@@ -80,12 +98,13 @@ def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
             raise TorsionError(f"homology basis in degree {k} has wrong length")
         if not (C.boundary(k) * h).is_zero():
             raise TorsionError(f"homology basis in degree {k} contains non-cycles")
-        below = bs[k - 1][1] if k else Matrix.zeros(F, C.ranks[0], 0)
-        M = h.hstack(bs[k][0], below)
-        if M.ncols != C.ranks[k]:
+        _, S, P = bs[k - 1] if k else (None, Matrix.zeros(F, C.ranks[0], 0), [])
+        M = h.hstack(bs[k][0])
+        if M.ncols + S.ncols != C.ranks[k]:
             raise TorsionError(f"degree {k}: homology basis rank mismatch "
-                               f"({M.ncols} basis vectors for rank {C.ranks[k]})")
-        det = M.determinant()
+                               f"({M.ncols + S.ncols} basis vectors for rank "
+                               f"{C.ranks[k]})")
+        det = _det_beside(M, S, P)
         if F.is_zero(det):
             raise TorsionError(f"degree {k}: assembled basis is singular "
                                "(homology classes not independent)")
@@ -143,15 +162,16 @@ def torsion_basis_change(C: BasedChainComplex, homology_bases, new_c, new_h,
 def periodic_torsion(P: PeriodicComplex, rng=None) -> SignClass:
     """Torsion of an acyclic 2-periodic complex in the preferred bases."""
     F = P.field
-    b_even, s_odd = _image_and_section(P.d_oe, rng)   # boundaries inside C_even
-    b_odd, s_even = _image_and_section(P.d_eo, rng)   # boundaries inside C_odd
-    num = b_even.hstack(s_even)
-    den = b_odd.hstack(s_odd)
+    # boundaries inside C_even and their sections in C_odd, and vice versa
+    b_even, s_odd, p_odd = _image_and_section(P.d_oe, rng)
+    b_odd, s_even, p_even = _image_and_section(P.d_eo, rng)
     # both counts are rank(d_oe) + rank(d_eo): the fold is acyclic exactly
     # when they fill C_even and C_odd
-    if num.ncols != P.n_even or den.ncols != P.n_odd:
+    if (b_even.ncols + s_even.ncols != P.n_even
+            or b_odd.ncols + s_odd.ncols != P.n_odd):
         raise NotNarrowError("torsion undefined, complex not narrow")
-    return SignClass(F, F.div(num.determinant(), den.determinant()))
+    return SignClass(F, F.div(_det_beside(b_even, s_even, p_even),
+                              _det_beside(b_odd, s_odd, p_odd)))
 
 
 def quantum_torsion(P: TwistedPearlComplex, rng=None) -> SignClass:

@@ -229,6 +229,22 @@ def test_float_and_bool_matrix_scalars_exit_2(tmp_path, capsys, field, value):
             f"bad scalar in d2: {value!r} is not a string or an integer")
 
 
+def test_huge_exponent_exits_2_without_building_the_power(tmp_path, capsys):
+    # Fraction("1e30000000") would first build 10^30000000, for long
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "v": 1, "kind": "instance", "field": "Q",
+        "homology": {"b": 0, "torsion": []}, "form": {"b": 0, "entries": []},
+        "pearl": {"ranks": [1, 1, 1, 1],
+                  "dM": [[["1e30000000"]], [["0"]], [["0"]]],
+                  "d1": [[["0"]], [["0"]], [["0"]]], "d2": [["0"]]},
+        "bases": [[], [], [], []]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(
+        "bad scalar in dM_1: exponent in '1e30000000' exceeds the ")
+
+
 @pytest.mark.parametrize("field", ["Fp:5", "Q"])
 def test_json_integer_scalars_read_as_strings(tmp_path, capsys, field):
     path = tmp_path / "inst.json"

@@ -29,7 +29,7 @@ from qrtorsion.models import (ModelError, NO_DERIVATION, Page2Spec,
                               lift_derivation_page2, realize_morse,
                               solve_leibniz_derivation, _checked_derivation,
                               _unimodular)
-from qrtorsion.torsion import _image_and_section
+from qrtorsion.torsion import _det_beside, _image_and_section
 from qrtorsion.threefold import ThreefoldHomology, TripleForm
 
 FIELDS = [QQ, GF(5), GF(7)]
@@ -129,15 +129,54 @@ def _sympy_solution(A, B):
 @example(Matrix(QQ, [[], []], 2, 0), 2)
 def test_image_and_section_match_sympy(d, seed):
     rng = None if seed is None else random.Random(seed)
-    B, S = _image_and_section(d, rng)
+    B, S, P = _image_and_section(d, rng)
     r = _to_sympy(d).rank()
     assert (B.nrows, B.ncols) == (d.nrows, r)
     assert (S.nrows, S.ncols) == (d.ncols, r)
     assert B.rank() == r
     assert (d * S - B).is_zero()
-    if rng is None:
+    if rng is None or r == 0:
         # the solve that the pivot read replaced, kept as the reference
         assert S == d.solve(B)
+        # S is the unit columns at the pivots P
+        assert P == d.rref()[1] and S == Matrix.identity(d.field,
+                                                         d.ncols).cols(P)
+    else:
+        assert P is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_det_beside_unit_columns_is_the_complementary_minor(data):
+    # det [M | E_P] read off the minor of M outside the rows P, against the
+    # whole determinant and sympy's, over Q, F_3, F_7, F_101 and integer
+    # matrices over Q; singular M included
+    F = data.draw(st.sampled_from([QQ, GF(3), GF(7), GF(101), "Z"]))
+
+    def draw(m, n):
+        if F != "Z":
+            return _matrix(data.draw, F, m, n)
+        ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+        return Matrix.from_int_rows(QQ, data.draw(
+            st.lists(ints, min_size=m, max_size=m)), m, n)
+
+    n = data.draw(st.integers(0, 8))
+    P = sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else []
+    m = n - len(P)
+    M = draw(n, m)
+    if m and data.draw(st.booleans()):
+        M = draw(n, m - 1) * draw(m - 1, m)     # rank below m
+    F = M.field
+    S = Matrix.identity(F, n).cols(P)
+    det = _det_beside(M, S, P)
+    _assert_canonical(F, [det])
+    whole = M.hstack(S)
+    assert det == whole.determinant() == _det_beside(M, S, None)
+    if n:
+        W = _to_sympy(whole)
+        assert det == _sympy_scalar(W.domain, F, W.det())
+    else:
+        assert det == F.one()
 
 
 def _matrix(draw, F, m, n):

@@ -1,6 +1,7 @@
 import enum
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -72,14 +73,16 @@ def test_malformed_scalar_rejected():
 
 
 def _count_parses(monkeypatch, field):
+    """The scalars the reader parses over field, in order."""
     calls = []
-    real = type(field).parse
+    real = schemas._parse
 
-    def counting(self, x):
-        calls.append(x)
-        return real(self, x)
+    def counting(F, x):
+        if F == field:
+            calls.append(x)
+        return real(F, x)
 
-    monkeypatch.setattr(type(field), "parse", counting)
+    monkeypatch.setattr(schemas, "_parse", counting)
     return calls
 
 
@@ -132,6 +135,63 @@ def test_bad_scalar_message_is_the_parse_error(bad):
     with pytest.raises(schemas.SchemaError) as err:
         schemas.matrix_from_json(QQ, [["2", bad]], 1, 2, "test")
     assert str(err.value) == want
+
+
+def test_q_scalars_read_as_fraction_reads_them():
+    # int() reads the plain forms, Fraction every other string: the reader
+    # accepts exactly what Fraction accepts on this interpreter ("1_2" only
+    # from Python 3.11), with its value
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+    cap = sys.get_int_max_str_digits()
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.text(st.sampled_from("0123456789+-/.eE_ \u0663"), max_size=9))
+    @example("1_2")
+    @example("+0007/0042")
+    @example("-3/-4")
+    @example(" 5 ")
+    @example("\u0663/4")
+    @example("1/00")
+    def check(text):
+        M, err = None, ""
+        try:
+            M = schemas.matrix_from_json(QQ, [[text, text]], 1, 2, "t")
+        except schemas.SchemaError as e:
+            err = str(e)
+        _, e, exp = text.lower().rpartition("e")
+        try:
+            big = e and abs(int(exp)) >= cap
+        except ValueError:
+            big = False
+        if big:
+            # Fraction would build 10^exp; test_huge_exponents_are_refused
+            assert M is None and "exponent" in err
+            return
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            assert M is None
+            return
+        assert M is not None and M.rows == [[want, want]]
+
+    check()
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e30000000", "-1E30000000",
+                                  "1e-30000000", "2.5e+4300", "1e43_00"])
+def test_huge_exponents_are_refused(text):
+    with pytest.raises(schemas.SchemaError) as err:
+        schemas.matrix_from_json(QQ, [["1", text]], 1, 2, "t")
+    assert str(err.value) == (f"bad scalar in t: exponent in {text!r} exceeds "
+                              f"the {sys.get_int_max_str_digits()}-digit "
+                              "limit on integer strings")
+
+
+def test_exponents_and_decimals_still_read():
+    M = schemas.matrix_from_json(QQ, [["1e3", "1.5", "2.5e-3", "1e4299"]],
+                                 1, 4, "t")
+    assert M.rows == [[1000, Fraction(3, 2), Fraction(1, 400), 10 ** 4299]]
 
 
 def test_missing_key_reported():

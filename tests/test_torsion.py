@@ -4,7 +4,9 @@ import pytest
 
 from qrtorsion.fields import QQ, GF, SignClass
 from qrtorsion.linalg import Matrix
-from qrtorsion.complexes import BasedChainComplex, PeriodicComplex
+from qrtorsion.complexes import (BasedChainComplex, PeriodicComplex,
+                                 fold_periodic)
+from qrtorsion.generate import generate_instance
 from qrtorsion.torsion import (milnor_torsion, torsion_basis_change,
                                periodic_torsion, morse_torsion_identity,
                                NotNarrowError, TorsionError)
@@ -96,6 +98,25 @@ def test_periodic_internal_choices():
         P = PeriodicComplex(F, n, n, d, Matrix.zeros(F, n, n))
         vals = {periodic_torsion(P, random.Random(s)) for s in range(3)}
         assert vals == {SignClass(F, d.determinant())}
+
+
+@pytest.mark.parametrize("page, b, field, torsion", [
+    (2, 3, GF(7), ()), (2, 5, QQ, ()), (3, 2, GF(5), (3,)), (3, 4, QQ, (3, 9))],
+    ids=str)
+def test_minors_agree_with_randomized_bases_on_pearls(page, b, field, torsion):
+    # without an rng each torsion takes minors beside the unit sections; with
+    # one the sections are mixed and the whole bases are eliminated
+    for seed in range(3):
+        inst = generate_instance(page, b, field, seed, torsion, (1, 1, 1, 1))
+        fold = fold_periodic(inst.pearl)
+        tau = periodic_torsion(fold)
+        assert {periodic_torsion(fold, random.Random(s))
+                for s in range(3)} == {tau}
+        C = BasedChainComplex(field, inst.pearl.ranks,
+                              [inst.pearl.dM(k) for k in (1, 2, 3)])
+        tau = milnor_torsion(C, inst.bases)
+        assert {milnor_torsion(C, inst.bases, random.Random(s))
+                for s in range(3)} == {tau}
 
 
 def test_torsion_equals_torsion():

@@ -218,13 +218,16 @@ def test_verify_eliminates_each_map_once(monkeypatch):
     page3, page3_json = _generated_and_read_back(3, 2, GF(5), 1,
                                                  surplus=(1, 1, 1, 1))
     calls = []
-    rref = Matrix.rref
 
-    def counting(self):
-        calls.append((self.nrows, self.ncols))
-        return rref(self)
+    def counting(method):
+        def wrapper(self):
+            calls.append((self.nrows, self.ncols))
+            return method(self)
+        return wrapper
 
-    monkeypatch.setattr(Matrix, "rref", counting)
+    # rank eliminates without rref, so both are counted
+    for name in ("rref", "rank"):
+        monkeypatch.setattr(Matrix, name, counting(getattr(Matrix, name)))
     # each boundary's image basis and section come from one elimination,
     # and each d1star is ranked once
     for inst, count in [(page2_json, 17), (page3_json, 30),
