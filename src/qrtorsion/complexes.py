@@ -13,7 +13,7 @@ from functools import cached_property
 from math import prod
 
 from .fields import Field
-from .linalg import IntegerMatrix, Matrix, smith_normal_form
+from .linalg import LinAlgError, Matrix, smith_normal_form
 
 
 class ComplexError(Exception):
@@ -21,16 +21,16 @@ class ComplexError(Exception):
 
 
 class BasedChainComplex:
-    """Bounded complex with integer or field boundary matrices.
+    """Bounded complex of boundary matrices over a field.
 
     ``boundaries[k]`` is d_k : C_k -> C_{k-1} for k = 1..n (index 0 is None).
-    Over the integers pass ``field=None`` and IntegerMatrix boundaries.  A
-    complex is not mutated after it is built, so the integral homology is
-    computed once, as :attr:`homology`.
+    An integral complex is one over Q whose boundaries are integer matrices
+    (denominator 1).  A complex is not mutated after it is built, so its
+    integral homology is computed once, as :attr:`homology`.
     """
 
     def __init__(self, field, ranks, boundaries):
-        self.field: Field | None = field
+        self.field: Field = field
         self.ranks = list(ranks)
         n = len(self.ranks) - 1
         if len(boundaries) != n:
@@ -56,42 +56,39 @@ class BasedChainComplex:
             return self.boundaries[k]
         rows = self.ranks[k - 1] if 0 <= k - 1 <= n else 0
         cols = self.ranks[k] if 0 <= k <= n else 0
-        if self.field is None:
-            return IntegerMatrix.zeros(rows, cols)
         return Matrix.zeros(self.field, rows, cols)
 
     @cached_property
-    def homology(self) -> tuple[IntegralHomology, tuple[IntegerMatrix, ...]]:
+    def homology(self) -> tuple[IntegralHomology, tuple[Matrix, ...]]:
         """(homology, representatives) of an integral complex, computed on
-        first use and shared by every caller; see :func:`integral_homology`."""
-        if self.field is not None:
-            raise ComplexError("integral_homology needs integer coefficients")
+        first use and shared by every caller; see :func:`integral_homology`.
+        Any other complex raises ComplexError."""
         free_ranks, torsion, reps = [], [], []
-        for k in range(self.top_degree + 1):
-            dk = self.boundary(k)
-            # d_k V = Uinv D: the columns of V past rank(d_k) base its kernel Z,
-            # and the rows of V^-1 d_{k+1} past it are the boundaries in Z
-            s = smith_normal_form(dk)
-            rank_dk = sum(1 for a in s.diagonal if a != 0)
-            zk = dk.ncols - rank_dk
-            W = s.Vinv * self.boundary(k + 1)
-            if any(a != 0 for r in W.rows[:rank_dk] for a in r):
-                raise ComplexError("image does not lie in the kernel (d^2 != 0?)")
-            Z = IntegerMatrix([r[rank_dk:] for r in s.V.rows], dk.ncols, zk)
-            sq = smith_normal_form(IntegerMatrix(W.rows[rank_dk:], zk, W.ncols))
-            dq = sq.diagonal
-            rank_im = sum(1 for a in dq if a != 0)
-            free_ranks.append(zk - rank_im)
-            torsion.append([a for a in dq if a > 1])
-            # free-part representatives: Z * Uinv columns past the image rank
-            free = IntegerMatrix([r[rank_im:] for r in sq.Uinv.rows], zk, zk - rank_im)
-            reps.append(Z * free)
+        try:
+            for k in range(self.top_degree + 1):
+                dk = self.boundary(k)
+                # d_k V = Uinv D: V's columns past rank(d_k) base ker d_k = Z,
+                # and the rows of V^-1 d_{k+1} past it are the boundaries in Z
+                s = smith_normal_form(dk)
+                rank_dk = sum(1 for a in s.diagonal if a != 0)
+                zk = dk.ncols - rank_dk
+                W = s.Vinv * self.boundary(k + 1)
+                if any(map(any, W.num[:rank_dk])):
+                    raise ComplexError("image does not lie in the kernel (d^2 != 0?)")
+                Z = s.V.cols(range(rank_dk, dk.ncols))
+                sq = smith_normal_form(W.submatrix(range(rank_dk, W.nrows), range(W.ncols)))
+                dq = sq.diagonal
+                rank_im = sum(1 for a in dq if a != 0)
+                free_ranks.append(zk - rank_im)
+                torsion.append([a for a in dq if a > 1])
+                # free-part representatives: Z * Uinv columns past the image rank
+                reps.append(Z * sq.Uinv.cols(range(rank_im, zk)))
+        except LinAlgError as e:
+            raise ComplexError(f"integral homology: {e}") from None
         return IntegralHomology(free_ranks, torsion), tuple(reps)
 
     def to_field(self, field: Field) -> "BasedChainComplex":
-        """Reduce an integral complex modulo the field (or inject into Q)."""
-        if self.field is not None:
-            raise ComplexError("complex already has field coefficients")
+        """An integral complex reduced modulo the field (or kept over Q)."""
         return BasedChainComplex(field, self.ranks,
                                  [self.boundaries[k].to_field(field)
                                   for k in range(1, self.top_degree + 1)])
@@ -125,11 +122,6 @@ def admissibility_error(invariant_factors, field: Field):
     p = field.char
     bad = [a for a in invariant_factors if p and a % p == 0]
     return f"characteristic {p} divides invariant factor {bad[0]}" if bad else None
-
-
-def admissible_characteristic(H: IntegralHomology, field: Field) -> bool:
-    """True iff :func:`admissibility_error` finds nothing in any degree."""
-    return admissibility_error([a for t in H.torsion for a in t], field) is None
 
 
 class TwistedPearlComplex:

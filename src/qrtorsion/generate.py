@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 
-from .fields import Field, field_to_string
+from .fields import Field, QQ, field_to_string
 from .complexes import admissibility_error, TwistedPearlComplex
-from .linalg import IntegerMatrix, Matrix
+from .linalg import Matrix
 from .threefold import ThreefoldHomology, TripleForm
 from .models import (Page2Spec, Page3Spec, realize_morse,
                      lift_derivation_page2, lift_derivation_page3, _unimodular)
@@ -90,8 +90,8 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
         U = _unimodular(transport, b)
         # congruence transport keeps the pairing antisymmetric and
         # invertible over the integers
-        Qp = (IntegerMatrix(zip(*U)) * IntegerMatrix(J)
-              * IntegerMatrix(U)).rows
+        Qp = (Matrix.from_int_rows(QQ, zip(*U)) * Matrix.from_int_rows(QQ, J)
+              * Matrix.from_int_rows(QQ, U)).num
         r = _draw_rate(rate_pick, 5, F)
         _, _, S = lift_derivation_page3(Page3Spec(H, Qp, r), morse, F,
                                         seed=lift_seed)

@@ -11,13 +11,17 @@ Modern Computer Algebra, ch. 5).  The constructor reads raw field values
 (Fractions or ints); ``from_parsed`` takes a document's scalars as
 (numerator, denominator) pairs, so reading a document builds no Fraction.
 
-Every product, of a :class:`Matrix` or an :class:`IntegerMatrix`, goes
-through one kernel on integer rows, ``_product``, a row-wise product after
-Gustavson (ACM TOMS 4(3), 1978) for the sparse maps of chain complexes: a
-zero operand gives a zero result with no dot product, a zero row of the
-left factor gives a zero row, a row with one nonzero entry a at column j
-gives a times row j of the right factor, and every other row takes the
-column dot products.  Every result row is a fresh list.
+An integer matrix is a :class:`Matrix` over Q at denominator 1
+(``from_int_rows``): ``smith_normal_form`` takes no other, and ``to_field``
+reduces one mod p.
+
+Every product goes through one kernel on integer rows, ``_product``, a
+row-wise product after Gustavson (ACM TOMS 4(3), 1978) for the sparse maps
+of chain complexes: a zero operand gives a zero result with no dot product,
+a zero row of the left factor gives a zero row, a row with one nonzero
+entry a at column j gives a times row j of the right factor, and every
+other row takes the column dot products.  Every result row is a fresh
+list.
 
 Elimination is where verification spends its time (the pearl complexes of
 large instances are tens of rows by tens of columns).  One Gauss-Jordan
@@ -44,6 +48,14 @@ class LinAlgError(Exception):
 
 def _scaled(num, k):
     return [[k * x for x in r] for r in num]
+
+
+def _shape(rows, nrows, ncols):
+    """(nrows, ncols) of a list of rows, unless given; ragged rows raise."""
+    ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
+    if any(len(r) != ncols for r in rows):
+        raise LinAlgError("ragged rows")
+    return len(rows) if nrows is None else nrows, ncols
 
 
 def _product(A, B, ncols, p):
@@ -102,11 +114,7 @@ class Matrix:
         """The matrix of raw field values (Fractions or ints over Q)."""
         rows = [list(r) for r in rows]
         self.field = field
-        self.nrows = len(rows) if nrows is None else nrows
-        self.ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
-        for r in rows:
-            if len(r) != self.ncols:
-                raise LinAlgError("ragged rows")
+        self.nrows, self.ncols = _shape(rows, nrows, ncols)
         p = field.char
         if p:
             self.num = [[x % p for x in r] for r in rows]
@@ -161,7 +169,11 @@ class Matrix:
 
     @classmethod
     def from_int_rows(cls, field, int_rows, nrows=None, ncols=None):
-        return cls(field, int_rows, nrows, ncols)
+        """The matrix of integer rows: over Q an integer matrix (den 1),
+        built with no per-entry denominator read."""
+        p = field.char
+        rows = [[x % p for x in r] if p else list(r) for r in int_rows]
+        return cls._make(field, rows, 1, *_shape(rows, nrows, ncols))
 
     @classmethod
     def from_parsed(cls, field, rows, nrows, ncols):
@@ -237,6 +249,18 @@ class Matrix:
 
     def is_zero(self):
         return not any(map(any, self.num))
+
+    def _check_integral(self, what):
+        if self.field.char or self.den != 1:
+            raise LinAlgError(f"{what} needs an integer matrix (over Q at "
+                              f"den 1), not one over {self.field!r} at den {self.den}")
+
+    def to_field(self, field):
+        """This integer matrix reduced mod p over F_p, and itself over Q."""
+        self._check_integral("to_field")
+        p = field.char
+        num = [[x % p for x in r] for r in self.num] if p else self.num
+        return Matrix._make(field, num, 1, self.nrows, self.ncols)
 
     def _check_shape(self, other, same=False):
         if other.field != self.field:
@@ -426,126 +450,71 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and Smith normal form
+# Smith normal form of integer matrices (over Q at denominator 1)
 # ---------------------------------------------------------------------------
-
-class IntegerMatrix:
-    """Dense matrix with arbitrary-precision integer entries."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows, nrows=None, ncols=None):
-        self.rows = [list(map(int, r)) for r in rows]
-        self.nrows = len(self.rows) if nrows is None else nrows
-        self.ncols = (len(self.rows[0]) if self.rows else 0) if ncols is None else ncols
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise LinAlgError("ragged rows")
-
-    @classmethod
-    def _make(cls, rows, nrows, ncols):
-        """Wrap integer rows as they are: taken over, not copied."""
-        m = cls.__new__(cls)
-        m.rows, m.nrows, m.ncols = rows, nrows, ncols
-        return m
-
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls._make([[0] * ncols for _ in range(nrows)], nrows, ncols)
-
-    @classmethod
-    def identity(cls, n):
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.rows[i][i] = 1
-        return m
-
-    def __eq__(self, other):
-        return (isinstance(other, IntegerMatrix) and other.nrows == self.nrows
-                and other.ncols == self.ncols and other.rows == self.rows)
-
-    def __mul__(self, other):
-        """Matrix product through :func:`_product`, the kernel
-        :class:`Matrix` uses: a zero operand or zero row costs no dot
-        product, a row with one nonzero entry a at column j is a times row j
-        of other, and every row of the result is a fresh list (rows are
-        written in place, as ``smith_normal_form`` does)."""
-        if self.ncols != other.nrows:
-            raise LinAlgError("shape mismatch")
-        return IntegerMatrix._make(_product(self.rows, other.rows,
-                                            other.ncols, 0),
-                                   self.nrows, other.ncols)
-
-    def is_zero(self):
-        return not any(map(any, self.rows))
-
-    def to_field(self, field) -> Matrix:
-        return Matrix.from_int_rows(field, self.rows, self.nrows, self.ncols)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
-        return f"IntegerMatrix({self.nrows}x{self.ncols}: [{body}])"
-
 
 @dataclass(slots=True)
 class SmithDecomposition:
     """A @ V = Uinv @ D with Uinv, V unimodular and D diagonal with a
-    divisibility chain; Vinv is the inverse of V."""
+    divisibility chain; Vinv is the inverse of V; all four integer matrices."""
 
-    Uinv: IntegerMatrix
-    D: IntegerMatrix
-    V: IntegerMatrix
-    Vinv: IntegerMatrix
+    Uinv: Matrix
+    D: Matrix
+    V: Matrix
+    Vinv: Matrix
 
     @property
     def diagonal(self):
         n = min(self.D.nrows, self.D.ncols)
-        return [self.D.rows[i][i] for i in range(n)]
+        return [self.D.num[i][i] for i in range(n)]
 
 
-def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms, in one pass.
+def smith_normal_form(A: Matrix) -> SmithDecomposition:
+    """Smith normal form with transforms of an integer matrix, in one pass
+    on a copy of ``A.num`` and on identity rows, which the results wrap;
+    any other matrix raises :class:`LinAlgError`.
 
     Pivoting picks the smallest-absolute-value nonzero entry (rows swapped
-    before columns) so the output is deterministic.  Each row operation on D
-    is recorded on Uinv as the inverse column operation, and each column
-    operation on V as the inverse row operation on Vinv, so A V = Uinv D.
+    before columns) so the output is deterministic.  Each row operation on D is recorded on
+    Uinv as the inverse column operation, and each column operation on V as
+    the inverse row operation on Vinv, so A V = Uinv D.
 
     A pivot is kept only once it divides every entry of the block below and
     to the right of it.  Integer row and column operations keep that block a
     multiple of the pivot, so every later pivot is a multiple of this one:
     the diagonal comes out as a divisibility chain with no repair pass.
     """
-    D = IntegerMatrix(A.rows, A.nrows, A.ncols)
-    Uinv = IntegerMatrix.identity(A.nrows)
-    V = IntegerMatrix.identity(A.ncols)
-    Vinv = IntegerMatrix.identity(A.ncols)
-    n, m = A.nrows, A.ncols
-    out = SmithDecomposition(Uinv, D, V, Vinv)
+    A._check_integral("Smith normal form")
+    F, n, m = A.field, A.nrows, A.ncols
+    out = SmithDecomposition(Matrix.identity(F, n),
+                             Matrix._make(F, [list(r) for r in A.num], 1, n, m),
+                             Matrix.identity(F, m), Matrix.identity(F, m))
+    # the pass writes these rows in place; no caller holds them yet
+    Uinv, D, V, Vinv = out.Uinv.num, out.D.num, out.V.num, out.Vinv.num
 
     def row_op(i, j, q):
         # row_i -= q * row_j in D; col_j += q * col_i in Uinv
-        D.rows[i] = [a - q * b for a, b in zip(D.rows[i], D.rows[j])]
-        for r in Uinv.rows:
+        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
+        for r in Uinv:
             r[j] += q * r[i]
 
     def col_op(i, j, q):
         # col_i -= q * col_j in D and V; row_j += q * row_i in Vinv
         for M in (D, V):
-            for r in M.rows:
+            for r in M:
                 r[i] -= q * r[j]
-        Vinv.rows[j] = [a + q * b for a, b in zip(Vinv.rows[j], Vinv.rows[i])]
+        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     def swap_rows(i, j):
-        D.rows[i], D.rows[j] = D.rows[j], D.rows[i]
-        for r in Uinv.rows:
+        D[i], D[j] = D[j], D[i]
+        for r in Uinv:
             r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for M in (D, V):
-            for r in M.rows:
+            for r in M:
                 r[i], r[j] = r[j], r[i]
-        Vinv.rows[i], Vinv.rows[j] = Vinv.rows[j], Vinv.rows[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     for t in range(min(n, m)):
         # re-select the smallest-abs nonzero pivot on every pass; this keeps
@@ -554,9 +523,9 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             best = None
             for i in range(t, n):
                 for j in range(t, m):
-                    a = D.rows[i][j]
+                    a = D[i][j]
                     if a != 0 and (best is None or
-                                   abs(a) < abs(D.rows[best[0]][best[1]])):
+                                   abs(a) < abs(D[best[0]][best[1]])):
                         best = (i, j)
             if best is None:
                 return out
@@ -565,32 +534,32 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                 swap_rows(t, bi)
             if bj != t:
                 swap_cols(t, bj)
-            p = D.rows[t][t]
+            p = D[t][t]
             cleared = True
             for i in range(t + 1, n):
-                a = D.rows[i][t]
+                a = D[i][t]
                 if a != 0:
                     row_op(i, t, a // p)
-                    if D.rows[i][t] != 0:
+                    if D[i][t] != 0:
                         cleared = False
             for j in range(t + 1, m):
-                a = D.rows[t][j]
+                a = D[t][j]
                 if a != 0:
                     col_op(j, t, a // p)
-                    if D.rows[t][j] != 0:
+                    if D[t][j] != 0:
                         cleared = False
             if not cleared:
                 continue
             bad = next(((i, j) for i in range(t + 1, n)
-                        for j in range(t + 1, m) if D.rows[i][j] % p), None)
+                        for j in range(t + 1, m) if D[i][j] % p), None)
             if bad is None:
                 break
             # fold a non-divisible row into the pivot row so the next pass
             # strictly shrinks the pivot
             row_op(t, bad[0], -1)
-        if D.rows[t][t] < 0:
+        if D[t][t] < 0:
             # negate row t of D, which negates column t of Uinv
-            D.rows[t] = [-a for a in D.rows[t]]
-            for r in Uinv.rows:
+            D[t] = [-a for a in D[t]]
+            for r in Uinv:
                 r[t] = -r[t]
     return out

@@ -32,9 +32,9 @@ import random
 from operator import mul
 
 from .fields import Field, QQ
-from .linalg import Matrix, IntegerMatrix
+from .linalg import Matrix
 from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
-                        integral_homology, admissible_characteristic)
+                        integral_homology, admissibility_error)
 from .threefold import ThreefoldHomology, TripleForm
 from .spectral import Contraction, Spectrum, PAGE2, PAGE3
 
@@ -155,10 +155,10 @@ def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
 
     def conj(d, k):
         m, n = ranks[k - 1], ranks[k]
-        return (IntegerMatrix(Ui[k - 1], m, m) * IntegerMatrix(d, m, n)
-                * IntegerMatrix(U[k], n, n))
+        return (Matrix.from_int_rows(QQ, Ui[k - 1], m, m) * Matrix.from_int_rows(QQ, d, m, n)
+                * Matrix.from_int_rows(QQ, U[k], n, n))
 
-    C = BasedChainComplex(None, ranks, [conj(d1, 1), conj(d2, 2), conj(d3, 3)])
+    C = BasedChainComplex(QQ, ranks, [conj(d1, 1), conj(d2, 2), conj(d3, 3)])
     _check_spec_homology(C, H)
     return C
 
@@ -167,8 +167,9 @@ def homology_bases(morse: BasedChainComplex, field: Field):
     """The distinguished homology bases over the field: integral free-part
     cycle representatives reduced mod the (admissible) characteristic."""
     H, reps = integral_homology(morse)
-    if not admissible_characteristic(H, field):
-        raise ModelError("characteristic divides the integral torsion")
+    error = admissibility_error(sum(H.torsion, []), field)
+    if error:
+        raise ModelError(error)
     return [R.to_field(field) for R in reps]
 
 

@@ -15,7 +15,7 @@ import random
 from .fields import Field, SignClass
 from .linalg import Matrix
 from .complexes import (BasedChainComplex, PeriodicComplex,
-                        TwistedPearlComplex, admissible_characteristic,
+                        TwistedPearlComplex, admissibility_error,
                         fold_periodic, integral_homology)
 
 
@@ -84,8 +84,6 @@ def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
     the result.
     """
     F = C.field
-    if F is None:
-        raise TorsionError("milnor_torsion needs field coefficients")
     n = C.top_degree
     if len(homology_bases) != n + 1:
         raise TorsionError("need one homology basis per degree")
@@ -184,12 +182,10 @@ def morse_torsion_identity(C: BasedChainComplex, field: Field):
     """Both sides of the torsion-equals-torsion identity for an integral
     complex: the field torsion in integral homology bases, and the alternating
     product of torsion-subgroup orders.  Asserts they agree."""
-    if C.field is not None:
-        raise TorsionError("expected an integral complex")
     H, reps = integral_homology(C)
-    if not admissible_characteristic(H, field):
-        raise TorsionError(f"inadmissible characteristic {field.char} "
-                           f"for torsion {H.torsion}")
+    error = admissibility_error(sum(H.torsion, []), field)
+    if error:
+        raise TorsionError(error)
     CF = C.to_field(field)
     hF = [r.to_field(field) for r in reps]
     lhs = milnor_torsion(CF, hF)

@@ -1,24 +1,25 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qrtorsion import linalg
 from qrtorsion.fields import QQ, GF
-from qrtorsion.linalg import IntegerMatrix, Matrix, smith_normal_form
+from qrtorsion.linalg import LinAlgError, Matrix, smith_normal_form
 from qrtorsion.complexes import (BasedChainComplex, ComplexError,
                                  TwistedPearlComplex, fold_periodic,
                                  integral_homology, validate_pearl,
-                                 admissible_characteristic)
+                                 admissibility_error)
 from qrtorsion.threefold import ThreefoldHomology
 from qrtorsion.models import realize_morse, _unimodular
 from util import random_acyclic
 
 
 def test_square_zero_enforced():
-    d1 = IntegerMatrix([[1]], 1, 1)
-    d2 = IntegerMatrix([[1]], 1, 1)
+    d1 = Matrix.from_int_rows(QQ, [[1]], 1, 1)
+    d2 = Matrix.from_int_rows(QQ, [[1]], 1, 1)
     with pytest.raises(ComplexError):
-        BasedChainComplex(None, [1, 1, 1], [d1, d2])
+        BasedChainComplex(QQ, [1, 1, 1], [d1, d2])
 
 
 def test_boundary_padding():
@@ -29,7 +30,7 @@ def test_boundary_padding():
 
 def test_integral_homology_circle_like():
     # 0 -> Z -0-> Z -> 0 : two free classes
-    C = BasedChainComplex(None, [1, 1], [IntegerMatrix.zeros(1, 1)])
+    C = BasedChainComplex(QQ, [1, 1], [Matrix.zeros(QQ, 1, 1)])
     H, reps = integral_homology(C)
     assert H.free_ranks == [1, 1]
     assert H.torsion == [[], []]
@@ -37,13 +38,39 @@ def test_integral_homology_circle_like():
 
 
 def test_integral_homology_torsion():
-    C = BasedChainComplex(None, [1, 1], [IntegerMatrix([[6]], 1, 1)])
+    C = BasedChainComplex(QQ, [1, 1], [Matrix.from_int_rows(QQ, [[6]], 1, 1)])
     H, _ = integral_homology(C)
     assert H.free_ranks == [0, 0]
     assert H.torsion == [[6], []]
     assert H.torsion_order(0) == 6
-    assert admissible_characteristic(H, GF(5))
-    assert not admissible_characteristic(H, GF(3))
+    assert admissibility_error(H.torsion[0], GF(5)) is None
+    assert admissibility_error(H.torsion[0], GF(3)) == \
+        "characteristic 3 divides invariant factor 6"
+    assert admissibility_error(H.torsion[0], QQ) is None
+
+
+@pytest.mark.parametrize("field, rows", [(QQ, [[Fraction(1, 2)]]),
+                                         (GF(5), [[1]])],
+                         ids=["Q-den-2", "F5"])
+def test_integer_matrix_guards_refuse_other_matrices(field, rows):
+    # an integer matrix is a Matrix over Q at denominator 1; Smith normal
+    # form, reduction to a field and integral homology refuse any other
+    A = Matrix(field, rows)
+    with pytest.raises(LinAlgError):
+        smith_normal_form(A)
+    with pytest.raises(LinAlgError):
+        A.to_field(GF(3))
+    with pytest.raises(ComplexError):
+        # over Q the Smith form of the zero d_0 passes, and that of the
+        # boundaries in its kernel, A / 1, refuses
+        BasedChainComplex(field, [1, 1], [A]).homology
+
+
+def test_to_field_reduces_an_integer_matrix():
+    A = Matrix.from_int_rows(QQ, [[6, -1], [0, 12]])
+    assert A.den == 1
+    assert A.to_field(GF(5)) == Matrix.from_int_rows(GF(5), [[1, 4], [0, 2]])
+    assert A.to_field(QQ) == A
 
 
 def test_integral_homology_matches_realize_morse():
@@ -65,17 +92,18 @@ def _q_solve_homology(C):
         s = smith_normal_form(dk)
         rank_dk = sum(1 for a in s.diagonal if a != 0)
         zk = dk.ncols - rank_dk
-        Z = IntegerMatrix([r[rank_dk:] for r in s.V.rows], dk.ncols, zk)
+        Z = Matrix.from_int_rows(QQ, [r[rank_dk:] for r in s.V.num],
+                                 dk.ncols, zk)
         Y = Z.to_field(QQ).solve(dk1.to_field(QQ))
         assert Y is not None
         assert all(x.denominator == 1 for r in Y.rows for x in r)
-        sq = smith_normal_form(IntegerMatrix(
-            [[x.numerator for x in r] for r in Y.rows], zk, dk1.ncols))
+        sq = smith_normal_form(Matrix.from_int_rows(
+            QQ, [[x.numerator for x in r] for r in Y.rows], zk, dk1.ncols))
         rank_im = sum(1 for a in sq.diagonal if a != 0)
         free_ranks.append(zk - rank_im)
         torsion.append([a for a in sq.diagonal if a > 1])
-        reps.append(Z * IntegerMatrix([r[rank_im:] for r in sq.Uinv.rows],
-                                      zk, zk - rank_im))
+        reps.append(Z * Matrix.from_int_rows(
+            QQ, [r[rank_im:] for r in sq.Uinv.num], zk, zk - rank_im))
     return free_ranks, torsion, reps
 
 
@@ -93,12 +121,13 @@ def _random_integral_complex(rng):
     bnds = []
     for k in range(1, n + 1):
         m, c = ranks[k - 1], ranks[k]
-        d = IntegerMatrix.zeros(m, c)
+        d = [[0] * c for _ in range(m)]
         for a, v in enumerate(vals[k]):
-            d.rows[free[k - 1] + size[k - 1] + a][free[k] + a] = v
-        bnds.append(IntegerMatrix(pairs[k - 1][1], m, m) * d
-                    * IntegerMatrix(pairs[k][0], c, c))
-    return BasedChainComplex(None, ranks, bnds)
+            d[free[k - 1] + size[k - 1] + a][free[k] + a] = v
+        bnds.append(Matrix.from_int_rows(QQ, pairs[k - 1][1], m, m)
+                    * Matrix.from_int_rows(QQ, d, m, c)
+                    * Matrix.from_int_rows(QQ, pairs[k][0], c, c))
+    return BasedChainComplex(QQ, ranks, bnds)
 
 
 def _check_against_q_solve(C):
@@ -125,7 +154,7 @@ def test_integral_homology_matches_q_solve_on_morse_complexes(b):
 
 def test_integral_homology_is_computed_once_on_integers(monkeypatch):
     C = realize_morse(ThreefoldHomology(3, [3]), (1, 1, 1, 1), seed=2)
-    fresh = BasedChainComplex(None, C.ranks, C.boundaries[1:])
+    fresh = BasedChainComplex(QQ, C.ranks, C.boundaries[1:])
     built, snf = [], []
     real_init, real_snf = Matrix.__init__, linalg.smith_normal_form
 
@@ -141,7 +170,7 @@ def test_integral_homology_is_computed_once_on_integers(monkeypatch):
     monkeypatch.setattr("qrtorsion.complexes.smith_normal_form", counting)
     first = integral_homology(fresh)
     # two Smith forms per degree (d_k, then the boundaries in ker d_k), and
-    # no matrix over a field
+    # no matrix read from field values (Matrix.__init__)
     assert len(snf) == 2 * 4 and built == []
     assert integral_homology(fresh) is first and len(snf) == 8
     assert first == integral_homology(C)

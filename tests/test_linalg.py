@@ -4,7 +4,7 @@ import pytest
 
 from qrtorsion.fields import QQ, GF
 from qrtorsion.generate import generate_instance
-from qrtorsion.linalg import (Matrix, IntegerMatrix, LinAlgError,
+from qrtorsion.linalg import (Matrix, LinAlgError,
                               smith_normal_form)
 from qrtorsion.schemas import instance_from_json, instance_to_json
 from qrtorsion.torsion import _image_and_section
@@ -64,12 +64,12 @@ def test_smith_normal_form_random():
     rng = random.Random(3)
     for _ in range(60):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        A = IntegerMatrix([[rng.randint(-9, 9) for _ in range(n)]
-                           for _ in range(m)], m, n)
+        A = Matrix.from_int_rows(QQ, [[rng.randint(-9, 9) for _ in range(n)]
+                                      for _ in range(m)], m, n)
         snf = smith_normal_form(A)
         assert A * snf.V == snf.Uinv * snf.D
-        assert snf.V * snf.Vinv == IntegerMatrix.identity(n)
-        diag = [snf.D.rows[i][i] for i in range(min(m, n))]
+        assert snf.V * snf.Vinv == Matrix.identity(QQ, n)
+        diag = [snf.D.num[i][i] for i in range(min(m, n))]
         for i in range(len(diag) - 1):
             if diag[i + 1]:
                 assert diag[i] and diag[i + 1] % diag[i] == 0
@@ -87,11 +87,11 @@ def test_block_and_stack():
 
 
 def _recorded_products(monkeypatch):
-    """Wrap Matrix and IntegerMatrix products so that each one is compared,
-    as it is made, with the dense reference product on the same operands;
-    returns the list of (kind, shape, agrees) records."""
+    """Wrap Matrix products so that each one is compared, as it is made,
+    with the dense reference product on the same operands; returns the list
+    of (field, shape, agrees) records."""
     records = []
-    real_matrix_mul, real_integer_mul = Matrix.__mul__, IntegerMatrix.__mul__
+    real_matrix_mul = Matrix.__mul__
 
     def matrix_mul(A, B):
         before = ([list(r) for r in A.num], [list(r) for r in B.num])
@@ -99,23 +99,12 @@ def _recorded_products(monkeypatch):
             A.num, B.num, B.ncols, A.field.char), A.den * B.den,
             A.nrows, B.ncols)
         P = real_matrix_mul(A, B)
-        records.append(("Matrix", (A.nrows, A.ncols, B.ncols),
+        records.append((A.field, (A.nrows, A.ncols, B.ncols),
                         P == want and (A.num, B.num) == before
                         and _fresh_rows(P.num, A.num, B.num)))
         return P
 
-    def integer_mul(A, B):
-        before = ([list(r) for r in A.rows], [list(r) for r in B.rows])
-        want = dense_product(A.rows, B.rows, B.ncols)
-        P = real_integer_mul(A, B)
-        records.append(("IntegerMatrix", (A.nrows, A.ncols, B.ncols),
-                        P.rows == want and (P.nrows, P.ncols) ==
-                        (A.nrows, B.ncols) and (A.rows, B.rows) == before
-                        and _fresh_rows(P.rows, A.rows, B.rows)))
-        return P
-
     monkeypatch.setattr(Matrix, "__mul__", matrix_mul)
-    monkeypatch.setattr(IntegerMatrix, "__mul__", integer_mul)
     return records
 
 
@@ -137,6 +126,6 @@ def test_products_of_generate_and_verify_match_the_dense_product(
     inst = generate_instance(page, b, F, 1, surplus=surplus)
     assert verify_main_theorem(
         instance_from_json(instance_to_json(inst))).all_pass
-    kinds = {kind for kind, _, _ in records}
-    assert kinds == {"Matrix", "IntegerMatrix"}
+    # the integer products of realize_morse are Matrix products over Q
+    assert QQ in {field for field, _, _ in records}
     assert [r for r in records if not r[2]] == []

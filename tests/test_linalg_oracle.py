@@ -23,8 +23,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from qrtorsion.fields import QQ, GF
 from qrtorsion.generate import canonical_form
-from qrtorsion.linalg import (IntegerMatrix, LinAlgError, Matrix,
-                              smith_normal_form)
+from qrtorsion.linalg import LinAlgError, Matrix, smith_normal_form
 from qrtorsion.models import (ModelError, NO_DERIVATION, Page2Spec,
                               lift_derivation_page2, realize_morse,
                               solve_leibniz_derivation, _checked_derivation,
@@ -262,7 +261,7 @@ def test_matmul_through_empty_dimensions(F, m, k, n):
 
 # -- the product kernel on the operands chain-level maps are ----------------
 
-# None draws IntegerMatrix operands
+# None draws integer matrices: Matrix over Q at denominator 1
 PRODUCT_FIELDS = [QQ, GF(3), GF(7), GF(101), None]
 
 
@@ -290,7 +289,8 @@ def _sparse_row(draw, F, k):
 
 def _operand(draw, F, m, k):
     """An m x k zero matrix, the m x m identity, or m x k rows of
-    :func:`_sparse_row`; as an IntegerMatrix when F is None."""
+    :func:`_sparse_row`; an integer matrix (``from_int_rows`` over Q) when F
+    is None."""
     kind = draw(st.sampled_from(["zero", "identity", "rows"]))
     if kind == "zero":
         rows = [[0] * k for _ in range(m)]
@@ -299,7 +299,9 @@ def _operand(draw, F, m, k):
         rows = [[int(i == j) for j in range(m)] for i in range(m)]
     else:
         rows = [_sparse_row(draw, F, k) for _ in range(m)]
-    return IntegerMatrix(rows, m, k) if F is None else Matrix(F, rows, m, k)
+    if F is None:
+        return Matrix.from_int_rows(QQ, rows, m, k)
+    return Matrix(F, rows, m, k)
 
 
 @settings(max_examples=500, deadline=None)
@@ -315,25 +317,28 @@ def test_product_kernel_matches_sympy_on_sparse_operands(data):
     if F is not None:
         _check(P, _sympy_product(A, B))
         return
-    S = (SMatrix(m, k, [x for r in A.rows for x in r])
-         * SMatrix(k, n, [x for r in B.rows for x in r]))
-    assert P.rows == [[int(S[i, j]) for j in range(n)] for i in range(m)]
-    assert all(type(x) is int for r in P.rows for x in r)
+    assert A.den == B.den == P.den == 1
+    S = (SMatrix(m, k, [x for r in A.num for x in r])
+         * SMatrix(k, n, [x for r in B.num for x in r]))
+    assert P.num == [[int(S[i, j]) for j in range(n)] for i in range(m)]
+    assert all(type(x) is int for r in P.num for x in r)
     # every row of the product is fresh: writing it changes no operand
-    before = ([list(r) for r in A.rows], [list(r) for r in B.rows])
-    for r in P.rows:
+    before = ([list(r) for r in A.num], [list(r) for r in B.num])
+    for r in P.num:
         r[:] = [x + 1 for x in r]
-    assert (A.rows, B.rows) == before
+    assert (A.num, B.num) == before
 
 
 @pytest.mark.parametrize("m,k,n", [(0, 3, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0),
                                    (0, 0, 0), (2, 0, 0)])
 def test_integer_product_through_empty_dimensions(m, k, n):
-    A = IntegerMatrix([[i + j + 1 for j in range(k)] for i in range(m)], m, k)
-    B = IntegerMatrix([[i - j for j in range(n)] for i in range(k)], k, n)
+    A = Matrix.from_int_rows(QQ, [[i + j + 1 for j in range(k)]
+                                  for i in range(m)], m, k)
+    B = Matrix.from_int_rows(QQ, [[i - j for j in range(n)]
+                                  for i in range(k)], k, n)
     P = A * B
-    assert P == IntegerMatrix.zeros(m, n)
-    assert (P.nrows, P.ncols) == (m, n) and len(P.rows) == m
+    assert P == Matrix.zeros(QQ, m, n)
+    assert (P.nrows, P.ncols) == (m, n) and len(P.num) == m
 
 
 @settings(max_examples=300, deadline=None)
@@ -424,13 +429,16 @@ def test_smith_normal_form_matches_sympy(data):
     entry = st.one_of(st.just(0), st.integers(-40, 40))
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                               min_size=m, max_size=m))
-    A = IntegerMatrix(rows, m, n)
+    A = Matrix.from_int_rows(QQ, rows, m, n)
     s = smith_normal_form(A)
+    # the pass ran on a copy, and its results are integer matrices
+    assert A.num == rows
+    assert {M.den for M in (s.Uinv, s.D, s.V, s.Vinv)} <= {1}
     assert A * s.V == s.Uinv * s.D
-    assert all(s.D.rows[i][j] == 0 for i in range(m) for j in range(n)
+    assert all(s.D.num[i][j] == 0 for i in range(m) for j in range(n)
                if i != j)
     assert abs(s.Uinv.to_field(QQ).determinant()) == 1
-    assert s.V * s.Vinv == IntegerMatrix.identity(n)
+    assert s.V * s.Vinv == Matrix.identity(QQ, n)
     if not (m and n):
         assert s.diagonal == []
         return

@@ -13,7 +13,7 @@ from qrtorsion.models import (Page2Spec, Page3Spec, ModelError, realize_morse,
 from qrtorsion import models
 from qrtorsion.generate import (canonical_form, generate_instance,
                                 standard_symplectic)
-from qrtorsion.linalg import IntegerMatrix, Matrix
+from qrtorsion.linalg import Matrix
 from qrtorsion.verifier import verify_main_theorem
 from qrtorsion.spectral import (page1, page2_rate, collapsing_page, Spectrum,
                                 PAGE2, PAGE3, NOT_NARROW)
@@ -173,11 +173,12 @@ def _transported_spec(b, rng):
     U, Uinv = _unimodular(rng, b, inverse=True)
     I = canonical_form(b).apply_unimodular(U)
     r = list(U[0])  # U^T e_1
-    c0 = IntegerMatrix([[0] * b] + [[0] + row
-                                    for row in standard_symplectic(b - 1)])
+    c0 = Matrix.from_int_rows(QQ, [[0] * b] + [[0] + row for row in
+                                               standard_symplectic(b - 1)])
 
     def congruence(P):
-        return (IntegerMatrix(P) * c0 * IntegerMatrix(zip(*P))).rows
+        return (Matrix.from_int_rows(QQ, P) * c0
+                * Matrix.from_int_rows(QQ, zip(*P))).num
 
     return I, r, congruence(Uinv), congruence(list(zip(*U)))
 

@@ -239,6 +239,33 @@ def test_instance_json_pinned(page, b, field, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("page, b, field, torsion, surplus, digest", [
+    (2, 3, "F7", (3,), (1, 1, 1, 1),
+     "ae82d7371a3d919d87364059e36e248214654700191c426080c9b904f1becc17"),
+    (3, 4, "Q", (5, 25), (2, 3, 3, 2),
+     "a4db9e4b872552c4338042d59f71d375f86b1eb126980961d6f0e5f5c0ba3a98"),
+    (2, 5, "Q", (3, 9), (2, 3, 3, 2),
+     "8bf9437ccdf0f3406b22c5dee98b071d200f2a81633e9843e43789a7ff7c4ebb"),
+    (3, 2, "F7", (5,), (1, 2, 2, 1),
+     "96a7c7a7f2c442e0530f89e4e264132895e76a615826af008f3e11738763ff65"),
+], ids=lambda v: str(v)[:8])
+def test_instance_json_pinned_on_the_smith_form_path(page, b, field, torsion,
+                                                     surplus, digest):
+    # integral torsion and Morse surplus route generation through Smith
+    # normal form with nontrivial invariant factors and birth pairs; this
+    # pins each instance and its report, seeds 0-3
+    F = QQ if field == "Q" else GF(7)
+    h = hashlib.sha256()
+    for seed in range(4):
+        inst = generate_instance(page, b, F, seed, torsion=torsion,
+                                 surplus=surplus)
+        h.update(schemas.dump(schemas.instance_to_json(inst)).encode())
+        rep = verify_main_theorem(inst)
+        assert rep.all_pass
+        h.update(schemas.dump(schemas.report_to_json(rep, F)).encode())
+    assert h.hexdigest() == digest
+
+
 def _json_dumps(value):
     """What json writes for the value, or the error it raises."""
     try:

@@ -125,7 +125,7 @@ def test_dichotomy_respects_characteristic():
 
 def test_unimodular_transport_preserves_dichotomy():
     rng = random.Random(11)
-    from qrtorsion.linalg import IntegerMatrix
+    from qrtorsion.linalg import Matrix
     from qrtorsion.models import _unimodular
     I = TripleForm(5, {(1, 2, 3): 1, (1, 4, 5): 1})
     for _ in range(10):
@@ -134,7 +134,8 @@ def test_unimodular_transport_preserves_dichotomy():
         after = rng.getstate()
         rng.setstate(state)
         assert _unimodular(rng, 5) == U and rng.getstate() == after
-        assert IntegerMatrix(U) * IntegerMatrix(Ui) == IntegerMatrix.identity(5)
+        assert (Matrix.from_int_rows(QQ, U) * Matrix.from_int_rows(QQ, Ui)
+                == Matrix.identity(QQ, 5))
         J = I.apply_unimodular(U)
         assert dichotomy_class(J, GF(3)) == SLICED_ODD_B
         assert dichotomy_class(J, QQ) == SLICED_ODD_B
