@@ -15,16 +15,38 @@ class FieldError(Exception):
     pass
 
 
+# Miller-Rabin on the twelve prime bases 2..37 is exact below psi_12, the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017))
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin on the bases PRIME_BASES; n at or
+    above PSI_12, where the test is no longer exact, raises FieldError."""
+    if n >= PSI_12:
+        raise FieldError(f"{n} is too large: primality is decided only "
+                         f"below {PSI_12}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    # n - 1 = d 2^s with d odd; n is a strong probable prime to base a
+    # when a^d = 1 or a^(d 2^i) = -1 for some i < s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -146,7 +168,8 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    """F_p for an odd prime p; residues stored canonically in [0, p)."""
+    """F_p for an odd prime p below PSI_12 (see :func:`is_prime`); residues
+    stored canonically in [0, p)."""
 
     def __init__(self, p: int):
         if not is_prime(p):

@@ -256,7 +256,8 @@ class Matrix:
                               f"den 1), not one over {self.field!r} at den {self.den}")
 
     def to_field(self, field):
-        """This integer matrix reduced mod p over F_p, and itself over Q."""
+        """This integer matrix reduced mod p over F_p; over Q the same
+        matrix, sharing its rows."""
         self._check_integral("to_field")
         p = field.char
         num = [[x % p for x in r] for r in self.num] if p else self.num

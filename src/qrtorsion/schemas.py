@@ -292,6 +292,10 @@ def instance_from_json(doc) -> Instance:
         raise SchemaError(f"inadmissible field {field_to_string(F)}: {error}")
     bases = _bases(read, F, pearl.ranks, _require(doc, "bases", "instance"),
                    "bases")
+    b, cols = homology.b, [B.ncols for B in bases]
+    if cols != [1, b, b, 1]:
+        raise SchemaError(f"bases have {cols} columns, not [1, b, b, 1] for "
+                          f"homology.b = {b}")
     discs = discs_from_json(doc["discs"]) if "discs" in doc else None
     if discs is not None and discs.b != homology.b:
         raise SchemaError(f"discs.b = {discs.b} differs from homology.b = "

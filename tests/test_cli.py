@@ -88,6 +88,63 @@ def test_inadmissible_characteristic_exits_2(capsys):
     assert "invariant factor 5" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("b", [1, 5])
+def test_betti_number_disagreeing_with_the_bases_exits_2(tmp_path, capsys, b):
+    # b = 1 once passed every flag, the dichotomy checked vacuously on the
+    # declared form; b = 5 once crashed with an IndexError (exit 3)
+    path = str(tmp_path / "inst.json")
+    run(capsys, "generate", "--page", "2", "--b", "3", "--field", "F7",
+        "--seed", "1", "-o", path)
+    doc = json.load(open(path))
+    doc["homology"]["b"] = b
+    doc["form"] = {"b": b, "entries": []}
+    open(path, "w").write(json.dumps(doc))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == (
+        f"bases have [1, 3, 3, 1] columns, not [1, b, b, 1] for "
+        f"homology.b = {b}")
+
+
+M61 = 2 ** 61 - 1   # prime
+
+
+def test_large_prime_field_generates_and_verifies(tmp_path, capsys):
+    path = str(tmp_path / "big.json")
+    for page, b in [(2, 3), (3, 4)]:
+        code, _, _ = run(capsys, "generate", "--page", str(page), "--b",
+                         str(b), "--field", f"F{M61}", "--seed", "1",
+                         "-o", path)
+        assert code == 0
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0 and json.loads(out)["all_pass"] is True
+
+
+def test_small_instance_over_a_large_prime_field_verifies(tmp_path, capsys):
+    path = tmp_path / "b1.json"
+    field = f"Fp:{M61}"
+    path.write_text(json.dumps({
+        "v": 1, "kind": "instance", "field": field,
+        "homology": {"b": 1, "torsion": []}, "form": {"b": 1, "entries": []},
+        "pearl": {"v": 1, "kind": "pearl", "field": field, "ranks": [1, 1, 1, 1],
+                  "dM": [[["0"]], [["0"]], [["0"]]],
+                  "d1": [[["3"]], [["0"]], [["3"]]], "d2": [[str(M61 - 4)]]},
+        "bases": [[["1"]], [["1"]], [["1"]], [["1"]]]}))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("p", [2 ** 89 - 1, 318665857834031151167461],
+                         ids=["M89", "psi12"])
+def test_field_beyond_the_exact_primality_test_exits_2(capsys, p):
+    # the prime 2^89 - 1 and the composite psi_12 both lie at or above
+    # psi_12, where Miller-Rabin on the bases 2..37 stops being exact
+    code, out, err = run(capsys, "generate", "--page", "3", "--b", "4",
+                         "--field", f"F{p}", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "primality is decided only below" in json.loads(err)["error"]
+
+
 def _edited_instance(tmp_path, capsys, edit, field="Q"):
     path = str(tmp_path / "inst.json")
     run(capsys, "generate", "--page", "3", "--b", "2", "--field", field,

@@ -1,7 +1,8 @@
 import pytest
+import sympy
 
-from qrtorsion.fields import (QQ, GF, FieldError, SignClass,
-                              field_from_string, field_to_string)
+from qrtorsion.fields import (PSI_12, QQ, GF, FieldError, SignClass,
+                              field_from_string, field_to_string, is_prime)
 
 
 def test_rational_arithmetic():
@@ -46,6 +47,36 @@ def test_characteristic_two_rejected():
 def test_nonprime_rejected():
     with pytest.raises(FieldError):
         GF(9)
+
+
+def test_is_prime_matches_sympy_below_10_5():
+    assert [n for n in range(10 ** 5) if is_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,             # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,    # strong pseudoprime to the bases 2, 3, ..., 31
+], ids=str)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not is_prime(n)
+    with pytest.raises(FieldError):
+        GF(n)
+
+
+def test_large_primes_are_fields_up_to_psi_12():
+    p = 2 ** 61 - 1
+    assert is_prime(p) and GF(p).inv(GF(p).from_int(2)) == (p + 1) // 2
+    # the largest prime below psi_12
+    assert is_prime(PSI_12 - 20) and sympy.isprime(PSI_12 - 20)
+    # psi_12 passes all twelve bases although it is composite, so it and
+    # everything above it is refused, the prime 2^89 - 1 included
+    assert not sympy.isprime(PSI_12)
+    for n in (PSI_12, 2 ** 89 - 1):
+        with pytest.raises(FieldError):
+            is_prime(n)
+        with pytest.raises(FieldError):
+            field_from_string(f"Fp:{n}")
 
 
 def test_field_string_roundtrip():

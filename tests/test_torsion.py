@@ -11,7 +11,7 @@ from qrtorsion.torsion import (milnor_torsion, torsion_basis_change,
                                periodic_torsion, morse_torsion_identity,
                                NotNarrowError, TorsionError)
 from qrtorsion.threefold import ThreefoldHomology
-from qrtorsion.models import realize_morse, homology_bases
+from qrtorsion.models import ModelError, realize_morse, homology_bases
 from util import random_acyclic, random_invertible
 
 
@@ -131,5 +131,26 @@ def test_torsion_equals_torsion():
 def test_torsion_equals_torsion_inadmissible():
     spec = ThreefoldHomology(2, [5])
     C = realize_morse(spec, (0, 1, 1, 0), seed=6)
-    with pytest.raises(TorsionError):
+    with pytest.raises(TorsionError) as err:
         morse_torsion_identity(C, GF(5))
+    assert str(err.value) == "characteristic 5 divides invariant factor 5"
+    with pytest.raises(ModelError) as err:
+        homology_bases(C, GF(5))
+    assert str(err.value) == "characteristic 5 divides invariant factor 5"
+
+
+@pytest.mark.parametrize("tor, surplus", [((), (0, 0, 0, 0)),
+                                          ((3,), (1, 1, 1, 1)),
+                                          ((5, 25), (2, 3, 3, 2))])
+def test_milnor_torsion_of_an_integral_complex_is_its_torsion_over_q(
+        tor, surplus):
+    # an integral complex is a complex over Q, so milnor_torsion takes it
+    # as it is, and to_field(QQ) changes nothing
+    C = realize_morse(ThreefoldHomology(3, tor), surplus, seed=4)
+    h = homology_bases(C, QQ)
+    CQ = C.to_field(QQ)
+    assert CQ.field == QQ and CQ is not C
+    assert [CQ.boundary(k) for k in range(5)] == [C.boundary(k)
+                                                  for k in range(5)]
+    assert milnor_torsion(C, h) == milnor_torsion(CQ, h)
+    assert milnor_torsion(C, h, random.Random(1)) == milnor_torsion(CQ, h)
