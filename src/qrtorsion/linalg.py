@@ -24,10 +24,14 @@ other row takes the column dot products.  Every result row is a fresh
 list.
 
 Elimination is where verification spends its time (the pearl complexes of
-large instances are tens of rows by tens of columns).  One Gauss-Jordan
-pass (``Matrix._eliminate``) yields both the reduced row echelon form and
-the determinant; over Q it is Bareiss's fraction-free elimination on
-``num`` carried through to Gauss-Jordan form.
+large instances are tens of rows by tens of columns).  ``Matrix._eliminate``
+is the only elimination pass; over Q it is Bareiss's fraction-free
+elimination on ``num``.  Each caller runs only the part it reads: ``rank``,
+``determinant`` and the pivot read of ``torsion._image_and_section`` stop
+at an echelon form (the forward sweep, which fixes the pivots, the row
+swaps and det), while ``rref``, ``solve`` and ``kernel_basis`` carry the
+pass through to Gauss-Jordan form, and ``solve`` and ``kernel_basis`` read
+its rows directly, so only their own result is put in canonical form.
 0 x n and n x 0 matrices are legal everywhere; the determinant of the 0 x 0
 matrix is 1 (empty-product convention).
 """
@@ -321,18 +325,25 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _eliminate(self):
-        """One Gauss-Jordan pass on ``num``: (rows, prev, pivot columns,
-        det), where R = rows / prev and det is det(num), 0 unless
-        rank = nrows = ncols.
+    def _eliminate(self, reduce=True):
+        """One elimination pass on ``num``: (rows, prev, pivot columns, det),
+        where det is det(num), 0 unless rank = nrows = ncols.
 
         The pivot of each column is its first nonzero entry at or below the
-        current row.  Over F_p only the pivot row's nonzero entries are
-        walked, and prev is 1.  Over Q, with pivot piv, previous pivot prev
-        and pivot row prow, every other row becomes
-        (piv row - row[pc] prow) // prev, exact by Sylvester's identity;
-        every pivot entry then ends equal to the last pivot, which divides
-        all of R.  ``num``'s own rows are never written.
+        current row, and each pivot row is updated into the rows below it.
+        With ``reduce`` it is also updated into the rows above, a
+        Gauss-Jordan pass whose R = rows / prev is the reduced row echelon
+        form; without, the pass stops at an echelon form, which gives the
+        same pivots, row swaps and det for about half the work (Bareiss,
+        Math. Comp. 22, 1968).  Over F_p each pivot row is scaled to a unit
+        pivot, only its nonzero entries are walked, and prev is 1.  Over Q,
+        with pivot piv, previous pivot prev and pivot row prow, every
+        updated row becomes (piv row - row[pc] prow) // prev, exact by
+        Sylvester's identity, and prev ends as the last pivot; with
+        ``reduce`` every pivot entry ends equal to it, so it divides all of
+        R.  The rows below the pivot row are zero left of the pivot column,
+        so only their tails are computed.  ``num``'s own rows are never
+        written.
         """
         p = self.field.char
         nrows, ncols = self.nrows, self.ncols
@@ -365,7 +376,7 @@ class Matrix:
                 prow[pc] = 1
                 for j, v in nz:
                     prow[j] = v
-                for i in range(nrows):
+                for i in range(nrows) if reduce else range(pr + 1, nrows):
                     row = rows[i]
                     c = row[pc]
                     if not c or i == pr:
@@ -374,9 +385,17 @@ class Matrix:
                     for j, v in nz:
                         row[j] = (row[j] - c * v) % p
             else:
-                for i in range(nrows):
-                    if i == pr:
-                        continue
+                head = [0] * (pc + 1)
+                tail = prow[pc + 1:]
+                for i in range(pr + 1, nrows):
+                    row = rows[i]
+                    c = row[pc]
+                    if c:
+                        rows[i] = head + [(piv * x - c * y) // prev for x, y
+                                          in zip(row[pc + 1:], tail)]
+                    elif piv != prev:
+                        rows[i] = head + [piv * x // prev for x in row[pc + 1:]]
+                for i in range(pr) if reduce else ():
                     row = rows[i]
                     c = row[pc]
                     if c:
@@ -399,48 +418,51 @@ class Matrix:
                             self.ncols), pivots
 
     def rank(self):
-        return len(self._eliminate()[2])
+        return len(self._eliminate(reduce=False)[2])
 
     def kernel_basis(self):
         """Matrix whose columns form a basis of the kernel: for each free
-        column j, e_j minus the pivot coordinates read off R."""
-        R, pivots = self.rref()
+        column j, e_j minus the pivot coordinates read off R = rows / prev
+        of one Gauss-Jordan pass."""
+        rows, prev, pivots, _ = self._eliminate()
         p = self.field.char
         free = [j for j in range(self.ncols) if j not in pivots]
         num = [[0] * len(free) for _ in range(self.ncols)]
         for idx, j in enumerate(free):
-            num[j][idx] = R.den
-            for r, pc in zip(R.num, pivots):
+            num[j][idx] = prev
+            for r, pc in zip(rows, pivots):
                 num[pc][idx] = -r[j] % p if p else -r[j]
-        return Matrix._make(self.field, num, R.den, self.ncols, len(free))
+        return Matrix._make(self.field, num, prev, self.ncols, len(free))
 
     def determinant(self):
         """det(num) / den^n: a Fraction over Q, a residue over F_p."""
         if self.nrows != self.ncols:
             raise LinAlgError("determinant of non-square matrix")
-        det = self._eliminate()[3]
+        det = self._eliminate(reduce=False)[3]
         if self.field.char:
             return det
         return Fraction(det, self.den ** self.nrows)
 
     def solve(self, b: "Matrix"):
-        """Some X with self @ X = b, or None when there is no solution."""
+        """Some X with self @ X = b, or None when there is no solution; X is
+        read off R = rows / prev of one Gauss-Jordan pass on [self | b]."""
         if b.nrows != self.nrows:
             raise LinAlgError("rhs row count mismatch")
-        R, pivots = self.hstack(b).rref()
+        rows, prev, pivots, _ = self.hstack(b)._eliminate()
         n = self.ncols
         if pivots and pivots[-1] >= n:
             return None
         num = [[0] * b.ncols for _ in range(n)]
-        for r, pc in zip(R.num, pivots):
+        for r, pc in zip(rows, pivots):
             num[pc] = r[n:]
-        return Matrix._make(self.field, num, R.den, n, b.ncols)
+        return Matrix._make(self.field, num, prev, n, b.ncols)
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise LinAlgError("inverse of non-square matrix")
-        X = self.solve(Matrix.identity(self.field, self.nrows))
-        if X is None or not (self * X == Matrix.identity(self.field, self.nrows)):
+        I = Matrix.identity(self.field, self.nrows)
+        X = self.solve(I)
+        if X is None or not (self * X == I):
             raise LinAlgError("matrix is singular")
         return X
 

@@ -228,10 +228,16 @@ def form_to_json(I: TripleForm):
 def form_from_json(doc) -> TripleForm:
     b = _int(_require(doc, "b", "triple form"), "triple form b")
     entries = []
+    seen = set()    # each unordered triple once: a repeat would overwrite
     for e in _list(doc.get("entries", []), "form entries"):
         ijk = _ints(_require(e, "ijk", "form entry"), "form entry ijk")
         if len(ijk) != 3:
             raise SchemaError("form entries index three generators")
+        key = tuple(sorted(ijk))
+        if key in seen:
+            raise SchemaError(f"form entry {ijk} repeats the triple "
+                              f"{list(key)}")
+        seen.add(key)
         entries.append((tuple(ijk), _int(_require(e, "v", "form entry"),
                                          "form entry v")))
     return TripleForm(b, entries)

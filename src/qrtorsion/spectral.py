@@ -65,15 +65,40 @@ class PageOne:
         return all(r == 0 for r in self.homology_ranks())
 
 
+def _inverse_rows_beside(M: Matrix, S: Matrix, P):
+    """The first M.ncols rows of [M | S]^-1 for square [M | S].  When S is
+    the unit columns at the ascending rows P (P is not None), they are
+    M_Q^-1 placed on the columns Q outside P, for the square minor M_Q of M
+    on the rows Q, which is singular exactly when [M | S] is."""
+    m, n = M.ncols, M.nrows
+    if P is None:
+        return M.hstack(S).inverse().submatrix(range(m), range(n))
+    rows = set(P)
+    Q = [i for i in range(n) if i not in rows]
+    X = M.submatrix(Q, range(m)).inverse()
+    num = [[0] * n for _ in range(m)]
+    for r, x in zip(num, X.num):
+        for q, v in zip(Q, x):
+            r[q] = v
+    return Matrix._make(M.field, num, X.den, m, n)
+
+
 class Contraction:
     """Deterministic strong deformation retraction of a Morse complex
     (C_*, d_M) onto its homology: inclusion iota (the given
     representatives), projection pi, and a homotopy K with
     d_M K + K d_M = 1 - iota pi, K^2 = 0, pi K = 0, K iota = 0.
 
-    Built from the adapted bases [h_k | b_k | s_{k-1}] of each chain group,
-    with b_k and s_k read off one elimination of d_M : C_{k+1} -> C_k; pass
-    an rng to randomize the image bases and sections.
+    Built from the adapted bases T_k = [h_k | b_k | s_{k-1}] of each chain
+    group, with b_k and s_k read off one forward elimination of
+    d_M : C_{k+1} -> C_k; only the [h_k | b_k] rows of T_k^-1 are kept.
+    With no rng, s_{k-1} is the unit columns at the pivots P of d_k, so
+    those rows are M_Q^-1 placed on the columns Q outside P, where M_Q is
+    [h_k | b_k] on the rows Q (the identity torsion._det_beside reads
+    determinants from): only that square minor is inverted, with the
+    product check of ``inverse``, and it is singular exactly when T_k is.
+    Pass an rng to randomize the image bases and sections; T_k is then
+    inverted whole.
     """
 
     def __init__(self, C: BasedChainComplex, H, rng=None):
@@ -82,18 +107,21 @@ class Contraction:
         self.hdims = [H[k].ncols for k in range(4)]
         self.b = []        # basis of B_k = im(d_M : C_{k+1} -> C_k), inside C_k
         self.s = []        # sections: d_M s[k] = b[k], columns in C_{k+1}
+        pivots = []        # pivots of d_M : C_{k+1} -> C_k, rows of C_{k+1}
         for k in range(4):
-            bk, sk, _ = _image_and_section(C.boundary(k + 1), rng)
+            bk, sk, pk = _image_and_section(C.boundary(k + 1), rng)
             self.b.append(bk)
             self.s.append(sk)
-        self.Tinv = []     # inverse of the adapted basis per degree
+            pivots.append(pk)
+        self.coords = []   # the [h_k | b_k] rows of T_k^-1, per degree
         for k in range(4):
-            below = self.s[k - 1] if k >= 1 else Matrix.zeros(F, C.ranks[k], 0)
-            Tk = H[k].hstack(self.b[k], below)
-            if Tk.ncols != C.ranks[k]:
+            M = H[k].hstack(self.b[k])
+            S, P = ((self.s[k - 1], pivots[k - 1]) if k
+                    else (Matrix.zeros(F, C.ranks[0], 0), []))
+            if M.ncols + S.ncols != C.ranks[k]:
                 raise SpectralError(f"homology basis in degree {k} has the wrong rank")
             try:
-                self.Tinv.append(Tk.inverse())
+                self.coords.append(_inverse_rows_beside(M, S, P))
             except Exception as e:
                 raise SpectralError(f"degree {k}: homology representatives do not "
                                     "base the Morse homology") from e
@@ -102,13 +130,14 @@ class Contraction:
 
     def pi(self, k) -> Matrix:
         """Projection C_k -> H_k along boundaries and section columns."""
-        return self.Tinv[k].submatrix(range(self.hdims[k]), range(self.ranks[k]))
+        return self.coords[k].submatrix(range(self.hdims[k]),
+                                        range(self.ranks[k]))
 
     def b_coords(self, k) -> Matrix:
         """Coordinates on the boundary block of C_k."""
         h = self.hdims[k]
-        return self.Tinv[k].submatrix(range(h, h + self.b[k].ncols),
-                                      range(self.ranks[k]))
+        return self.coords[k].submatrix(range(h, h + self.b[k].ncols),
+                                        range(self.ranks[k]))
 
     def K(self, k) -> Matrix:
         """Homotopy component C_k -> C_{k+1}: send each boundary basis vector

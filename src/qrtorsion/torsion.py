@@ -3,9 +3,14 @@
 All values live in the unit group of the field modulo sign.  The graded
 torsion multiplies determinants of assembled bases [h_i  b_i  s_{i-1}]
 against the preferred bases, where b_i bases the image of d_{i+1} and the
-section s_i satisfies d_{i+1} s_i = b_i.  Both are read off one reduced row
-echelon form of d_{i+1}: b_i is its pivot columns and s_i the unit columns at
-the same pivots.  They can be randomized to exercise well-definedness.
+section s_i satisfies d_{i+1} s_i = b_i.  Both are read off the pivots of
+one forward elimination pass on d_{i+1} (no reduced form is built): b_i is
+its pivot columns and s_i the unit columns at the same pivots.  With unit
+sections, each determinant of an assembled basis is a minor of [h_i  b_i]
+on the rows outside the pivots (``_det_beside``); ``spectral.Contraction``
+reads its inverses off the same minors.  The bases can be randomized to
+exercise well-definedness, and the randomized path keeps whole
+determinants as the reference.
 """
 
 from __future__ import annotations
@@ -37,17 +42,20 @@ def _random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
 
 
 def _image_and_section(d: Matrix, rng=None):
-    """(B, S, P) with B a basis of im(d) and d S = B, from one elimination of
-    d.
+    """(B, S, P) with B a basis of im(d) and d S = B, from one forward
+    elimination pass on d, which finds its pivot columns P.
 
     B is the pivot columns P of d and S the unit columns at those pivots.
     With an rng both are mixed by one random invertible matrix, S gains
     random kernel columns, which leave d S unchanged, and P is None.
     """
     F = d.field
-    pivots = d.rref()[1]
+    pivots = d._eliminate(reduce=False)[2]
     B = d.cols(pivots)
-    S = Matrix.identity(F, d.ncols).cols(pivots)
+    units = [[0] * len(pivots) for _ in range(d.ncols)]
+    for j, p in enumerate(pivots):
+        units[p][j] = 1
+    S = Matrix._make(F, units, 1, d.ncols, len(pivots))
     if rng is not None and pivots:
         mix = _random_invertible(F, len(pivots), rng)
         B, S = B * mix, S * mix

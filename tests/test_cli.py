@@ -400,6 +400,32 @@ def test_classify_verb(tmp_path, capsys):
     assert json.loads(out)["qualifier"] == "definitive"
 
 
+REPEATED_TRIPLE = [{"ijk": [1, 2, 3], "v": 1}, {"ijk": [2, 1, 3], "v": 1}]
+
+
+def test_classify_repeated_triple_exits_2(tmp_path, capsys):
+    # the repeat once overwrote the first entry, and classify answered from
+    # I(1,2,3) = -1 with exit 0
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"b": 3, "entries": REPEATED_TRIPLE}))
+    code, out, err = run(capsys, "classify", str(path), "--field", "Fp:3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == \
+        "form entry [2, 1, 3] repeats the triple [1, 2, 3]"
+
+
+def test_verify_repeated_triple_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "inst.json")
+    run(capsys, "generate", "--page", "2", "--b", "3", "--field", "F7",
+        "--seed", "1", "-o", path)
+    doc = json.load(open(path))
+    doc["form"]["entries"] = REPEATED_TRIPLE
+    open(path, "w").write(json.dumps(doc))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2 and out == ""
+    assert "repeats the triple [1, 2, 3]" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("b, entries, field, cls, qualifier", [
     (3, [], "Q", "ZeroForm", "definitive"),
     # even b: no slice exists over any field

@@ -153,11 +153,7 @@ def test_det_beside_unit_columns_is_the_complementary_minor(data):
     F = data.draw(st.sampled_from([QQ, GF(3), GF(7), GF(101), "Z"]))
 
     def draw(m, n):
-        if F != "Z":
-            return _matrix(data.draw, F, m, n)
-        ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-        return Matrix.from_int_rows(QQ, data.draw(
-            st.lists(ints, min_size=m, max_size=m)), m, n)
+        return _field_or_integer_matrix(data, F, m, n)
 
     n = data.draw(st.integers(0, 8))
     P = sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else []
@@ -176,6 +172,79 @@ def test_det_beside_unit_columns_is_the_complementary_minor(data):
         assert det == _sympy_scalar(W.domain, F, W.det())
     else:
         assert det == F.one()
+
+
+def _forward_case(data):
+    """A matrix over Q (denominators up to 6), F_3, F_7, F_101 or an
+    integer matrix over Q, of shape m x n with m, n in 0..8; sometimes a
+    product through a narrower middle (rank deficient), a zeroed column, or
+    a zeroed leading entry (so the first pivot needs a row swap)."""
+    F = data.draw(st.sampled_from([QQ, GF(3), GF(7), GF(101), "Z"]))
+
+    def draw(m, n):
+        return _field_or_integer_matrix(data, F, m, n)
+
+    m, n = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    A = draw(m, n)
+    if m and n and data.draw(st.booleans()):
+        A = draw(m, n - 1) * draw(n - 1, n)     # rank below n
+    rows = A.rows
+    if n and data.draw(st.booleans()):
+        j = data.draw(st.integers(0, n - 1))
+        for r in rows:
+            r[j] = A.field.zero()
+    if m and n and data.draw(st.booleans()):
+        rows[0][0] = A.field.zero()
+    return Matrix(A.field, rows, m, n) if F != "Z" else \
+        Matrix.from_int_rows(QQ, [[int(x) for x in r] for r in rows], m, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_forward_pass_matches_sympy_and_rref(data):
+    A = _forward_case(data)
+    F = A.field
+    before = [list(r) for r in A.num]
+    rows, _, pivots, det = A._eliminate(reduce=False)
+    S = _to_sympy(A)
+    assert pivots == A.rref()[1] == list(S.rref()[1])
+    assert A.rank() == len(pivots) == S.rank()
+    # an echelon form: row i is zero left of pivot i, and rows past the
+    # rank are zero
+    for i, r in enumerate(rows):
+        lead = pivots[i] if i < len(pivots) else A.ncols
+        assert not any(r[:lead]) and (lead == A.ncols or r[lead])
+    if A.nrows == A.ncols:
+        assert det == A._eliminate()[3]
+        d = A.determinant()
+        _assert_canonical(F, [d])
+        assert d == (_sympy_scalar(S.domain, F, S.det()) if A.nrows
+                     else F.one())
+    # neither pass writes num
+    assert A.num == before
+
+
+@pytest.mark.parametrize("F", [QQ, GF(3), GF(7), GF(101)], ids=repr)
+def test_forward_pass_swaps_rows_and_skips_zero_columns(F):
+    # the pivots of columns 0 and 1 are found by a swap each: det = 2
+    A = Matrix.from_int_rows(F, [[0, 1, 2], [0, 0, 2], [1, 4, 5]])
+    assert A._eliminate(reduce=False)[2:] == ([0, 1, 2], F.from_int(2))
+    assert A.determinant() == F.from_int(2) and A.rank() == 3
+    # a zero column, a swap at column 1, and row 2 = 2 row 1 + row 0
+    B = Matrix.from_int_rows(F, [[0, 0, 1, 2], [0, 2, 1, 1], [0, 4, 3, 4]])
+    rows, _, pivots, det = B._eliminate(reduce=False)
+    assert pivots == B.rref()[1] == [1, 2] and det == 0 and B.rank() == 2
+    assert not any(rows[2])
+
+
+def _field_or_integer_matrix(data, F, m, n):
+    """_matrix over the field F, or for F = "Z" an integer matrix over Q
+    (den 1) with entries in -9..9."""
+    if F != "Z":
+        return _matrix(data.draw, F, m, n)
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return Matrix.from_int_rows(QQ, data.draw(
+        st.lists(ints, min_size=m, max_size=m)), m, n)
 
 
 def _matrix(draw, F, m, n):

@@ -143,17 +143,17 @@ def test_generate_lifts_once(monkeypatch, page, b):
 
 @pytest.mark.parametrize("b", [1, 3, 5])
 def test_generate_makes_one_small_derivation_solve(monkeypatch, b):
-    calls = []  # the shapes each derivation solve eliminates
-    rref = Matrix.rref
+    calls = []  # (nrows, ncols, reduce) of each pass a derivation solve makes
+    eliminate = Matrix._eliminate
 
-    def recorded(self):
-        calls[-1].append((self.nrows, self.ncols))
-        return rref(self)
+    def recorded(self, reduce=True):
+        calls[-1].append((self.nrows, self.ncols, reduce))
+        return eliminate(self, reduce)
 
     def counted(*args):
         calls.append([])
         with monkeypatch.context() as m:
-            m.setattr(Matrix, "rref", recorded)
+            m.setattr(Matrix, "_eliminate", recorded)
             return solve(*args)
 
     solve = models.solve_leibniz_derivation
@@ -161,8 +161,8 @@ def test_generate_makes_one_small_derivation_solve(monkeypatch, b):
     for field in (QQ, GF(5)):
         calls.clear()
         assert verify_main_theorem(generate_instance(2, b, field, seed=3)).all_pass
-        assert len(calls) == 1 and calls[0]
-        assert all(m <= b + 1 and n <= 2 * b for m, n in calls[0])
+        # one Gauss-Jordan pass on the (b + 1) x 2b system [S; r | -R; 0]
+        assert calls == [[(b + 1, 2 * b, True)]]
 
 
 def _transported_spec(b, rng):

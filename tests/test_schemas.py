@@ -40,6 +40,17 @@ def test_form_roundtrip():
         I.entries()
 
 
+@pytest.mark.parametrize("second", [[1, 2, 3], [2, 1, 3], [3, 2, 1]])
+def test_repeated_form_triple_rejected(second):
+    # a repeat once overwrote the first entry: [1,2,3] then [2,1,3], both
+    # with v = 1, read as I(1,2,3) = -1
+    doc = {"b": 3, "entries": [{"ijk": [1, 2, 3], "v": 1},
+                               {"ijk": second, "v": 1}]}
+    with pytest.raises(schemas.SchemaError) as err:
+        schemas.form_from_json(doc)
+    assert str(err.value) == f"form entry {second} repeats the triple [1, 2, 3]"
+
+
 def test_homology_and_discs_roundtrip():
     H = ThreefoldHomology(3, [3, 9])
     H2 = schemas.homology_from_json(schemas.homology_to_json(H))

@@ -7,7 +7,8 @@ from qrtorsion.linalg import Matrix
 from qrtorsion.complexes import TwistedPearlComplex
 from qrtorsion.spectral import (page1, page2_rate, closed_form_r,
                                 collapsing_page, minimal_model, Contraction,
-                                PAGE2, PAGE3, NOT_NARROW, WrongPageError)
+                                PAGE2, PAGE3, NOT_NARROW, SpectralError,
+                                WrongPageError)
 from qrtorsion.threefold import ThreefoldHomology, TripleForm
 from qrtorsion.models import (Page2Spec, Page3Spec, realize_morse,
                               homology_bases, lift_derivation_page2,
@@ -120,6 +121,49 @@ def test_contraction_side_conditions():
                                  Matrix.zeros(F, C.ranks[k], C.ranks[k]))
         rhs = Matrix.identity(F, C.ranks[k]) - H[k] * con.pi(k)
         assert lhs == rhs
+
+
+MORSE_CASES = [(QQ, ThreefoldHomology(3, [3, 9]), (1, 2, 2, 1)),
+               (GF(5), ThreefoldHomology(4), (2, 3, 3, 2)),
+               (GF(101), ThreefoldHomology(2, [3]), (2, 3, 3, 2))]
+
+
+@pytest.mark.parametrize("F, spec, surplus", MORSE_CASES,
+                         ids=["Q", "F5", "F101"])
+def test_contraction_reads_the_rows_of_the_whole_inverse(F, spec, surplus):
+    # pi and b_coords come from the complementary minor of [h | b] only;
+    # they are the rows of the whole [h | b | s]^-1
+    C = realize_morse(spec, surplus, seed=21)
+    CF, H = C.to_field(F), homology_bases(C, F)
+    con = Contraction(CF, H)
+    for k in range(4):
+        n, h, nb = CF.ranks[k], H[k].ncols, con.b[k].ncols
+        s = con.s[k - 1] if k else Matrix.zeros(F, n, 0)
+        Tinv = H[k].hstack(con.b[k], s).inverse()
+        assert con.pi(k) == Tinv.submatrix(range(h), range(n))
+        assert con.b_coords(k) == Tinv.submatrix(range(h, h + nb), range(n))
+
+
+@pytest.mark.parametrize("F, spec, surplus", MORSE_CASES,
+                         ids=["Q", "F5", "F101"])
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("seed", [None, 3], ids=["minor", "rng"])
+def test_contraction_refuses_dependent_representatives(F, spec, surplus, k,
+                                                       seed):
+    # the first representative in degree k replaced by a boundary (zero in
+    # degree 3, which has none): still cycles of the right count, but no
+    # longer a basis of the homology
+    C = realize_morse(spec, surplus, seed=21)
+    CF, H = C.to_field(F), homology_bases(C, F)
+    d = CF.boundary(k + 1)
+    j = next((j for j in range(d.ncols) if not d.cols([j]).is_zero()), None)
+    v = d.cols([j]) if j is not None else Matrix.zeros(F, CF.ranks[k], 1)
+    H = list(H)
+    H[k] = v.hstack(H[k].cols(range(1, H[k].ncols)))
+    rng = None if seed is None else random.Random(seed)
+    with pytest.raises(SpectralError, match=f"^degree {k}: homology "
+                       "representatives do not base the Morse homology$"):
+        Contraction(CF, H, rng)
 
 
 def test_minimal_model_preserves_pages():

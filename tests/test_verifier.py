@@ -217,26 +217,30 @@ def test_verify_eliminates_each_map_once(monkeypatch):
                                                  surplus=(1, 1, 1, 1))
     page3, page3_json = _generated_and_read_back(3, 2, GF(5), 1,
                                                  surplus=(1, 1, 1, 1))
-    calls = []
+    calls = []  # (caller, reduce) of each elimination pass
+    eliminate = Matrix._eliminate
 
-    def counting(method):
-        def wrapper(self):
-            calls.append((self.nrows, self.ncols))
-            return method(self)
-        return wrapper
+    def recorded(self, reduce=True):
+        calls.append((sys._getframe(1).f_code.co_name, reduce))
+        return eliminate(self, reduce)
 
-    # rank eliminates without rref, so both are counted
-    for name in ("rref", "rank"):
-        monkeypatch.setattr(Matrix, name, counting(getattr(Matrix, name)))
+    monkeypatch.setattr(Matrix, "_eliminate", recorded)
     # each boundary's image basis and section come from one elimination,
     # and each d1star is ranked once
-    for inst, count in [(page2_json, 17), (page3_json, 30),
+    for inst, count in [(page2_json, 25), (page3_json, 34),
                         # page 1, its ranks and the literal rate come with
                         # a generated instance
-                        (page2, 6), (page3, 14)]:
+                        (page2, 14), (page3, 18)]:
         calls.clear()
         assert verify_main_theorem(inst).all_pass
         assert len(calls) == count
+        # only the callers that read R run a Gauss-Jordan pass; rank,
+        # determinant and the pivot read stop at an echelon form
+        for caller, reduce in calls:
+            if caller in ("rank", "determinant", "_image_and_section"):
+                assert reduce is False
+            else:
+                assert caller in ("solve", "kernel_basis") and reduce
 
 
 def test_verify_page3_computes_det_A_once(monkeypatch):
