@@ -6,7 +6,9 @@ matrices are row-major arrays of scalar strings.  A JSON integer reads as a
 scalar too; a float or a boolean is rejected.  Over Q a scalar reads to a
 (numerator, denominator) pair, by int() where the string is plain digits and
 by Fraction otherwise, and a matrix is built from the pairs with no
-Fraction made.
+Fraction made.  :func:`dump` writes the document vocabulary (exact str,
+int, bool and None leaves, lists, dicts with str keys) itself and leaves
+any other value to its one fallback, json.dumps.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .superpotential import DiscSystem, Representation
 from .verifier import Instance, VerificationReport
 
 VERSION = 1
-_INF = float("inf")
 
 
 class SchemaError(Exception):
@@ -339,6 +340,8 @@ def load(path):
     except json.JSONDecodeError as e:
         raise SchemaError(f"malformed JSON at line {e.lineno}, column "
                           f"{e.colno}: {e.msg}")
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply")
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}")
     if not isinstance(doc, dict):
@@ -346,49 +349,18 @@ def load(path):
     return doc
 
 
-def _leaf(o):
-    """A str, None, bool, int or float as json writes it, tried in json's
-    order (True and False before int), or None for any other value."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return float.__repr__(o)
-    return None
-
-
-def _key(k):
-    """A dict key as json writes it: a str, or a float, bool, None or int
-    written as a leaf and quoted."""
-    if isinstance(k, str):
-        return _quote(k)
-    text = _leaf(k)
-    if text is None:
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {k.__class__.__name__}")
-    return _quote(text)
+class _Other(Exception):
+    """A value outside the document vocabulary, which json writes."""
 
 
 def _json(o, nl):
     """o as json.dumps(o, indent=2, sort_keys=True) writes it, with nl the
-    newline and indentation of the line o starts on.  Dispatch follows
-    json's isinstance rules (no value is both a container and a leaf).
-    Exact str and int list items and str, true, false and null dict values
-    (a report's flags) are written without a call."""
-    if isinstance(o, (list, tuple)):
+    newline and indentation of the line o starts on, for o in the document
+    vocabulary: exact str, int, bool and None leaves, lists, and dicts with
+    str keys.  Any other value raises _Other.  Exact str and int list items
+    and str, true, false and null dict values (a report's flags) are
+    written without a call."""
+    if type(o) is list:
         if not o:
             return "[]"
         inner = nl + "  "
@@ -396,37 +368,44 @@ def _json(o, nl):
                  int.__repr__(x) if type(x) is int else _json(x, inner)
                  for x in o]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(o, dict):
+    if type(o) is dict:
         if not o:
             return "{}"
+        if any(type(k) is not str for k in o):
+            raise _Other
         inner = nl + "  "
-        items = [(_quote(k) if type(k) is str else _key(k)) + ": "
+        items = [_quote(k) + ": "
                  + (_quote(v) if type(v) is str else
                     "true" if v is True else "false" if v is False else
                     "null" if v is None else _json(v, inner))
                  for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    text = _leaf(o)
-    if text is None:
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        "is not JSON serializable")
-    return text
+    if type(o) is str:
+        return _quote(o)
+    if type(o) is int:
+        return int.__repr__(o)
+    if o is None or type(o) is bool:
+        return "null" if o is None else "true" if o else "false"
+    raise _Other
 
 
 def dump(doc, path=None):
     """The document as json.dumps(doc, indent=2, sort_keys=True) plus a
     newline writes it, byte for byte, written to path when one is given.
-    With an indent, json up to Python 3.13 encodes in pure Python; this
-    writer joins strings, escapes them with json's C encoder and raises the
-    TypeError json raises for a value it cannot write.  A document nested
-    deeper than its recursion allows (or circular) is left to json, which
-    writes it or raises its own error."""
+    _json writes the document vocabulary, escaping with json's C encoder
+    (with an indent, json up to Python 3.13 encodes in pure Python).  The
+    one fallback is json.dumps itself: it writes, or raises its own error
+    for, a value outside the vocabulary or nested too deep (or circular).
+    A path that cannot be written is bad input: SchemaError."""
     try:
         text = _json(doc, "\n") + "\n"
-    except RecursionError:
+    except (_Other, RecursionError):
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is None:
         return text
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SchemaError(f"cannot write {path}: {e}")
     return text

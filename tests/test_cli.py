@@ -7,6 +7,11 @@ from qrtorsion.cli import main
 from qrtorsion.complexes import ComplexError, fold_periodic, validate_pearl
 
 
+# verbs that read one document through schemas.load
+READING_VERBS = [["verify"], ["spectral"], ["torsion", "quantum"], ["classify"],
+                 ["potential", "eval", "--at", "1"]]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -70,15 +75,40 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "line" in json.loads(err)["error"]
 
 
-@pytest.mark.parametrize("verb", [["verify"], ["spectral"], ["torsion", "quantum"],
-                                  ["classify"], ["potential", "eval", "--at", "1"]],
-                         ids=lambda v: v[0])
+@pytest.mark.parametrize("verb", READING_VERBS, ids=lambda v: v[0])
 def test_non_object_json_exits_2(tmp_path, capsys, verb):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
     code, out, err = run(capsys, *verb, str(path))
     assert code == 2 and out == ""
     assert "expected a JSON object" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("verb", READING_VERBS, ids=lambda v: v[0])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, verb):
+    # json's decoder raises RecursionError on this
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, *verb, str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "JSON nested too deeply"
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    run(capsys, "generate", "--page", "3", "--b", "2", "--field", "F5",
+        "--seed", "1", "-o", inst)
+    missing = tmp_path / "missing"
+    for argv in (["generate", "--page", "3", "--b", "2", "--field", "F5",
+                  "-o", str(missing / "x.json")],
+                 ["verify", inst, "--report", str(missing / "r.json")],
+                 ["batch", "--page", "2", "--count", "1", "--field", "F5",
+                  "-o", str(missing / "b.json")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        error = json.loads(err)["error"]
+        assert error.startswith(f"cannot write {missing}"), error
+    assert not missing.exists()
 
 
 def test_inadmissible_characteristic_exits_2(capsys):
