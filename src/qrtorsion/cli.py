@@ -19,8 +19,8 @@ import sys
 from . import schemas
 from .fields import FieldError, field_from_string
 from .complexes import ComplexError
-from .torsion import (TorsionError, NotNarrowError, milnor_torsion,
-                      periodic_torsion, quantum_torsion)
+from .torsion import (TorsionError, milnor_torsion, periodic_torsion,
+                      quantum_torsion)
 from .spectral import SpectralError, PAGE3
 from .threefold import (ThreefoldError, dichotomy_class, exhaustive_search,
                         no_slice_exists, INCOMPATIBLE)
@@ -137,7 +137,7 @@ def cmd_potential(args):
     # log_gradient rejects a point of the wrong size, for every flavor
     g = log_gradient(W, phi)
     if args.flavor == "eval":
-        val = W.evaluate(F, phi.values)
+        val = W.evaluate(phi)
         _emit({"v": schemas.VERSION, "value": F.format(val)})
     elif args.flavor == "grad":
         _emit({"v": schemas.VERSION, "gradient": [F.format(x) for x in g]})
@@ -274,8 +274,6 @@ def main(argv=None) -> int:
         args.b = 3 if args.page == 2 else 2
     try:
         return args.run(args)
-    except NotNarrowError:
-        message, code = "torsion undefined, complex not narrow", 2
     except INPUT_ERRORS as e:
         message, code = str(e), 2
     except Exception as e:

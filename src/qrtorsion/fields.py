@@ -51,48 +51,16 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Abstract exact field.  Elements are raw values; operations live here."""
+    """An exact field.  Elements are raw values; the operations live on the
+    field, and each concrete field supplies all of them: zero(), one(),
+    from_int(n), add(a, b), sub(a, b), mul(a, b), neg(a), inv(a), pow(a, n)
+    for any integer n, is_zero(a), parse(s) and format(a).  char is the
+    characteristic, and div(a, b) = a * inv(b) is shared."""
 
     char: int
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
-
-    def pow(self, a, n: int):
-        raise NotImplementedError
-
-    def parse(self, s: str):
-        raise NotImplementedError
-
-    def format(self, a) -> str:
-        raise NotImplementedError
 
 
 class RationalField(Field):

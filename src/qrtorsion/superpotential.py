@@ -1,11 +1,14 @@
 """Superpotential algebra from disc data.
 
 A disc system lists boundary classes in Z^b with their counts; the potential
-is the corresponding integer Laurent polynomial.  Evaluation happens at
-points of the torus (F^x)^b, exactly.  The degree-0 and degree-2 disc
-differentials are assembled from the same weighted sums and are transposes
-of each other; the degree-2 row doubles as the logarithmic gradient of the
-potential, which is the consistency identity checked here and in the tests.
+is the corresponding integer Laurent polynomial, held here as the map from
+exponent vectors to nonzero counts with only what its callers read: the
+constant test, partial derivatives and evaluation.  Evaluation happens at
+points of the torus (F^x)^b, exactly, through Representation.monomial.  The
+degree-0 and degree-2 disc differentials are assembled from the same
+weighted sums and are transposes of each other; the degree-2 row doubles
+as the logarithmic gradient of the potential, which is the consistency
+identity checked here and in the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .fields import Field
-from .laurent import LaurentPolynomial
 from .linalg import Matrix
 from .spectral import PAGE2, PAGE3
 
@@ -25,6 +27,48 @@ class PotentialError(Exception):
 
 class DualityError(PotentialError):
     """The disc differentials fail an identity they satisfy by construction."""
+
+
+class LaurentPolynomial:
+    """Finite sum of monomials c * z_1^{a_1} ... z_b^{a_b}: terms maps each
+    exponent vector (a tuple, possibly negative) to its nonzero integer
+    coefficient."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=()):
+        """The sum of the (exponent vector, coefficient) pairs in terms.
+        Repeated vectors accumulate in the position of their first
+        occurrence, and coefficients that cancel to zero are dropped."""
+        self.nvars = nvars
+        acc: dict[tuple, int] = {}
+        for exps, c in terms:
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise PotentialError("exponent vector length mismatch")
+            acc[exps] = acc.get(exps, 0) + c
+        self.terms = {exps: c for exps, c in acc.items() if c}
+
+    def is_constant(self):
+        return all(all(e == 0 for e in exps) for exps in self.terms)
+
+    def partial(self, i: int) -> "LaurentPolynomial":
+        """Formal partial derivative in variable i."""
+        if not 0 <= i < self.nvars:
+            raise PotentialError(f"variable index {i} out of range")
+        return LaurentPolynomial(self.nvars, (
+            (exps[:i] + (exps[i] - 1,) + exps[i + 1:], c * exps[i])
+            for exps, c in self.terms.items() if exps[i]))
+
+    def evaluate(self, phi: "Representation"):
+        """Exact value at the point phi of the torus."""
+        F = phi.field
+        if phi.b != self.nvars:
+            raise PotentialError("representation size mismatch")
+        total = F.zero()
+        for exps, c in self.terms.items():
+            total = F.add(total, F.mul(F.from_int(c), phi.monomial(exps)))
+        return total
 
 
 class DiscSystem:
@@ -80,10 +124,7 @@ class WideNarrowReport:
 def build_potential(D: DiscSystem) -> LaurentPolynomial:
     """Sum of count * z^{boundary} over the discs; colliding boundary
     classes accumulate."""
-    W = LaurentPolynomial.zero(D.b)
-    for bd, m0 in D.discs:
-        W = W + LaurentPolynomial.monomial(D.b, bd, m0)
-    return W
+    return LaurentPolynomial(D.b, D.discs)
 
 
 def log_gradient(W: LaurentPolynomial, phi: Representation):
@@ -113,7 +154,7 @@ def discriminant(W: LaurentPolynomial, phi: Representation):
     for i in range(b):
         Wi = W.partial(i)
         for j in range(i, b):
-            H[i][j] = H[j][i] = Wi.partial(j).evaluate(F, phi.values)
+            H[i][j] = H[j][i] = Wi.partial(j).evaluate(phi)
     det = Matrix(F, H, b, b).determinant()
     sign = F.from_int((-1) ** (3 * b + 1))
     weight = F.one()

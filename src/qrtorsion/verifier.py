@@ -294,7 +294,7 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
             for i in range(b):
                 Wi = W.partial(i)
                 for j in range(b):
-                    hess = Wi.partial(j).evaluate(F, phi.values)
+                    hess = Wi.partial(j).evaluate(phi)
                     lhs = F.mul(F.from_int(-1),
                                 F.mul(F.mul(phi.values[i], phi.values[j]), hess))
                     rhs = F.add(Q[i][j], Q[j][i])

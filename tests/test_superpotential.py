@@ -19,7 +19,15 @@ def test_build_potential_collects_monomials():
     W = build_potential(D)
     phi = Representation(QQ, [QQ.from_int(2)])
     # 3*z + 1/z at z = 2
-    assert W.evaluate(QQ, phi.values) == QQ.parse("13/2")
+    assert W.evaluate(phi) == QQ.parse("13/2")
+    # counts on one class that cancel leave no term: W = 3 is constant
+    D = kirby(2, [([1, 0], 2), ([1, 0], -2), ([0, 0], 3)])
+    W = build_potential(D)
+    assert W.is_constant()
+    phi = Representation(QQ, [QQ.from_int(2), QQ.parse("1/3")])
+    assert log_gradient(W, phi) == [QQ.zero(), QQ.zero()]
+    assert any("potential is constant" in n
+               for n in classify_representation(D, phi).notes)
 
 
 def test_log_gradient_example():

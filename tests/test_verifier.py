@@ -109,6 +109,32 @@ def test_verify_not_narrow_reports_note():
     pytest.skip("no non-narrow pearl found in 30 draws")
 
 
+def test_verify_page3_rate_disagreement_is_flagged():
+    # a closed-form rate that disagrees stops the page-3 formula path: the
+    # report carries its flags as False and the reason as a note
+    inst = generate_instance(3, 4, QQ, 2)
+    S = inst.spectrum
+    S.__dict__["closed_form_rate"] = QQ.add(S.rate, QQ.one())
+    rep = verify_main_theorem(inst)
+    for name in ("rate_cross_check", "q_antisymmetric", "q_det_identity",
+                 "power_identity", "two_path_torsion"):
+        assert rep.flags[name] is False
+    assert "page-2 rate disagrees with its closed form" in rep.notes
+
+
+def test_verify_fold_not_acyclic_is_flagged(monkeypatch):
+    from qrtorsion import verifier
+    from qrtorsion.torsion import NotNarrowError
+
+    def not_narrow(*args):
+        raise NotNarrowError("torsion undefined, complex not narrow")
+
+    monkeypatch.setattr(verifier, "quantum_torsion", not_narrow)
+    rep = verify_main_theorem(generate_instance(3, 2, QQ, 4))
+    assert rep.flags["narrow"] is False
+    assert "fold is not acyclic despite page collapse" in rep.notes
+
+
 def test_verify_detects_mutation():
     inst = generate_instance(3, 2, QQ, 3, surplus=(1, 1, 1, 1))
     bad = mutate_d2(inst, seed=5)
