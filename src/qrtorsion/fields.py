@@ -50,6 +50,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def digit_limit() -> int:
+    """sys.get_int_max_str_digits(), the most digits int() reads and str()
+    writes (0: no limit); 4300, its default, on Python 3.10.0-3.10.6."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+
+
 class Field:
     """An exact field.  Elements are raw values; the operations live on the
     field, and each concrete field supplies all of them: zero(), one(),
@@ -107,8 +113,7 @@ class RationalField(Field):
         and a string as short as "1e30000000" would keep it busy for long."""
         if isinstance(s, str):
             _, e, tail = s.lower().rpartition("e")
-            # Python 3.10.0-3.10.6 have no limit yet; 4300 is its default
-            cap = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+            cap = digit_limit()
             if e and cap:
                 try:
                     big = abs(int(tail)) >= cap

@@ -53,12 +53,6 @@ def _draw_rate(rng, high: int, field: Field) -> int:
     return 1 if field.char and r % field.char == 0 else r
 
 
-def check_admissible(field: Field, H: ThreefoldHomology):
-    error = admissibility_error(H.torsion, field)
-    if error:
-        raise GenerateError(error)
-
-
 def generate_instance(page: int, b: int, field: Field, seed: int,
                       torsion=(), surplus=(0, 0, 0, 0)) -> Instance:
     """A fresh narrow instance of the requested collapse page, carrying the
@@ -69,7 +63,9 @@ def generate_instance(page: int, b: int, field: Field, seed: int,
     homology basis, so repeated calls explore genuinely different data.
     """
     H = ThreefoldHomology(b, torsion)
-    check_admissible(field, H)
+    error = admissibility_error(H.torsion, field)
+    if error:
+        raise GenerateError(error)
     master = random.Random(seed)
     morse_seed = master.getrandbits(32)
     transport = random.Random(master.getrandbits(32))

@@ -21,7 +21,6 @@ number two).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import Matrix
@@ -284,33 +283,13 @@ def collapsing_page(P: TwistedPearlComplex, H) -> str:
     return Spectrum(P, H).collapse
 
 
-@dataclass
-class MinimalModel:
-    """Pearl complex on the homology (vanishing Morse part) together with the
-    comparison quasi-isomorphisms to and from the original complex and the
-    chain homotopy tying them together."""
-
-    model: TwistedPearlComplex  # with d_M = 0
-    phi: Matrix                 # total matrix: original -> model
-    psi: Matrix                 # total matrix: model -> original
-    homotopy: Matrix            # total matrix on the original complex
-    hdims: list
-
-    @property
-    def delta1(self):
-        return self.model.d1
-
-    @property
-    def delta2(self):
-        return self.model.d2
-
-
-def minimal_model(P: TwistedPearlComplex, H) -> MinimalModel:
-    """Homological perturbation of the contraction onto Morse homology by the
-    disc maps; yields the minimal pearl complex with its comparison data.
-
-    Every stored identity is verified exactly at construction time.
-    """
+def minimal_model(P: TwistedPearlComplex, H) -> TwistedPearlComplex:
+    """The minimal pearl complex on the homology H (d_M = 0, d1 = delta_1,
+    d2 = delta_2), by homological perturbation of the contraction onto
+    Morse homology by the disc maps.  The comparison maps phi, psi and the
+    homotopy are built only to check their identities exactly: the graded
+    blocks, d^2 = 0, phi psi = 1, both chain maps and the homotopy
+    identity, each a SpectralError when it fails."""
     _check_valid(P)
     F = P.field
     con = Contraction(P.base, H)
@@ -375,5 +354,5 @@ def minimal_model(P: TwistedPearlComplex, H) -> MinimalModel:
     lhs = psi * phi - ident
     rhs = d_full * hom + hom * d_full
     if not (lhs - rhs).is_zero():
-        raise SpectralError("stored homotopy identity fails")
-    return MinimalModel(model_c, phi, psi, hom, hr)
+        raise SpectralError("homotopy identity fails")
+    return model_c

@@ -4,11 +4,12 @@ A disc system lists boundary classes in Z^b with their counts; the potential
 is the corresponding integer Laurent polynomial, held here as the map from
 exponent vectors to nonzero counts with only what its callers read: the
 constant test, partial derivatives and evaluation.  Evaluation happens at
-points of the torus (F^x)^b, exactly, through Representation.monomial.  The
-degree-0 and degree-2 disc differentials are assembled from the same
-weighted sums and are transposes of each other; the degree-2 row doubles
-as the logarithmic gradient of the potential, which is the consistency
-identity checked here and in the tests.
+points of the torus (F^x)^b, exactly, through Representation.monomial,
+which refuses a power over Q too long to write; the Hessian, read by
+discriminant and the verifier, is evaluated once, in hessian.  The degree-0
+and degree-2 disc differentials are assembled from the same weighted sums
+and are transposes of each other; the degree-2 row doubles as the
+logarithmic gradient of the potential, the identity checked here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .fields import Field
+from .fields import Field, digit_limit
 from .linalg import Matrix
 from .spectral import PAGE2, PAGE3
 
@@ -101,10 +102,18 @@ class Representation:
         return len(self.values)
 
     def monomial(self, exps):
-        """The value z^e at this point."""
+        """The value z^e at this point.  Over Q, v^e is refused before it is
+        built when it is certain to have more than digit_limit() digits in
+        its numerator or denominator; +-1 never is."""
         F = self.field
+        cap = F.char == 0 and digit_limit()
         out = F.one()
         for v, e in zip(self.values, exps):
+            # at least (bits - 1) |e| log10(2) digits, and 0.30102 < log10(2)
+            bits = cap and (abs(v.numerator) | v.denominator).bit_length()
+            if bits and (bits - 1) * abs(e) * 30102 >= cap * 100000:
+                raise PotentialError(f"z^{e} at {F.format(v)} exceeds the "
+                                     f"{cap}-digit limit on integers")
             out = F.mul(out, F.pow(v, e))
         return out
 
@@ -143,6 +152,18 @@ def log_gradient(W: LaurentPolynomial, phi: Representation):
     return out
 
 
+def hessian(W: LaurentPolynomial, phi: Representation):
+    """The second partials d^2 W / dz_i dz_j at phi, as a symmetric list of
+    rows; each one with i <= j is evaluated once."""
+    b = W.nvars
+    H = [[None] * b for _ in range(b)]
+    for i in range(b):
+        Wi = W.partial(i)
+        for j in range(i, b):
+            H[i][j] = H[j][i] = Wi.partial(j).evaluate(phi)
+    return H
+
+
 def discriminant(W: LaurentPolynomial, phi: Representation):
     """Signed torus-weighted Hessian determinant at a critical point of a
     3-fold's potential: (-1)^{3b + 1} z_1^2 ... z_b^2 det(d^2 W / dz_i dz_j)."""
@@ -150,12 +171,7 @@ def discriminant(W: LaurentPolynomial, phi: Representation):
     b = phi.b
     if any(not F.is_zero(g) for g in log_gradient(W, phi)):
         raise PotentialError("discriminant is only defined at critical points")
-    H = [[None] * b for _ in range(b)]
-    for i in range(b):
-        Wi = W.partial(i)
-        for j in range(i, b):
-            H[i][j] = H[j][i] = Wi.partial(j).evaluate(phi)
-    det = Matrix(F, H, b, b).determinant()
+    det = Matrix(F, hessian(W, phi), b, b).determinant()
     sign = F.from_int((-1) ** (3 * b + 1))
     weight = F.one()
     for v in phi.values:

@@ -28,7 +28,7 @@ from .spectral import Spectrum, PAGE2, PAGE3, SpectralError, WrongPageError
 from .threefold import (ThreefoldHomology, TripleForm, symplectic_slice,
                         find_slice)
 from .superpotential import (DiscSystem, Representation, DualityError,
-                             build_potential, d1_from_discs,
+                             build_potential, d1_from_discs, hessian,
                              classify_representation)
 
 
@@ -107,28 +107,19 @@ def torsion_ratio(H: ThreefoldHomology, field: Field):
     return field.inv(field.from_int(H.torsion_order()))
 
 
-def _e1_complex(pg1, field) -> BasedChainComplex:
-    """The page-1 data regraded as a descending chain complex (degree k holds
-    the homology of degree 3 - k) so that graded Milnor torsion applies."""
-    ranks = list(reversed(pg1.ranks))
-    bnds = [pg1.d1star[2], pg1.d1star[1], pg1.d1star[0]]
-    return BasedChainComplex(field, ranks, bnds)
-
-
 def e1_milnor_torsion(inst: Instance) -> SignClass:
     """Milnor torsion of the acyclic page-1 complex in the distinguished
     homology bases.
 
-    The page-1 differential ascends, so the complex is stored with degrees
-    reversed; that regrading flips every degree parity, which inverts the
-    torsion, so the inverse is returned.
+    The page-1 differential ascends, so degree k of the complex holds the
+    homology of degree 3 - k; that regrading flips every degree parity,
+    which inverts the torsion, so the inverse is returned.
     """
     pg1 = inst.spectrum.page1
     if not pg1.is_exact():
         raise WrongPageError("page-1 complex is not acyclic")
-    C = _e1_complex(pg1, inst.field)
-    n = len(C.ranks) - 1
-    empty = [Matrix.zeros(inst.field, C.ranks[k], 0) for k in range(n + 1)]
+    C = BasedChainComplex(inst.field, pg1.ranks[::-1], pg1.d1star[::-1])
+    empty = [Matrix.zeros(inst.field, r, 0) for r in C.ranks]
     return milnor_torsion(C, empty).inv()
 
 
@@ -161,14 +152,12 @@ def torsion_via_page2_formula(inst: Instance) -> SignClass:
     return formula
 
 
-def torsion_via_page3_formula(inst: Instance, A_det=None) -> SignClass:
-    """The page-3 torsion formula: torsion ratio times det A over the page-2
-    rate, with the rate cross-checked against its closed form.  A_det, when
-    given, is det A of the page-1 degree-1 map, already computed."""
+def torsion_via_page3_formula(inst: Instance, A_det) -> SignClass:
+    """The page-3 torsion formula: torsion ratio times A_det over the page-2
+    rate, with the rate cross-checked against its closed form.  A_det is
+    det A of the page-1 degree-1 map A, which the caller has computed."""
     F = inst.field
     S = inst.spectrum
-    if A_det is None:
-        A_det = S.page1.d1star[1].determinant()
     r = S.rate
     r_cf = S.closed_form_rate
     if r != r_cf:
@@ -184,14 +173,12 @@ class QForm:
     antisymmetric: bool
 
 
-def q_form(A: Matrix, r, field: Field, A_det=None) -> QForm:
+def q_form(A: Matrix, r, field: Field, A_det) -> QForm:
     """The pairing Q = r * A^{-1}: the unique solution of Q A = r Id.  Its
-    determinant identity det Q = r^b / det A is pure algebra and checked;
-    antisymmetry is the geometric constraint and only reported.  A_det,
-    when given, is det A, already computed."""
+    determinant identity det Q = r^b / A_det is pure algebra and checked;
+    antisymmetry is the geometric constraint and only reported.  A_det is
+    det A, which the caller has computed."""
     b = A.nrows
-    if A_det is None:
-        A_det = A.determinant()
     if field.is_zero(A_det):
         raise VerifierError("singular degree-1 differential on page 3")
     Q = A.inverse().scale(r)
@@ -289,18 +276,13 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
         if qf is not None:
             # symmetrized-product identity: Q_ij + Q_ji must match the
             # n = 3 signed torus-weighted Hessian of the potential
-            ok = True
             Q = qf.Q.rows
-            for i in range(b):
-                Wi = W.partial(i)
-                for j in range(b):
-                    hess = Wi.partial(j).evaluate(phi)
-                    lhs = F.mul(F.from_int(-1),
-                                F.mul(F.mul(phi.values[i], phi.values[j]), hess))
-                    rhs = F.add(Q[i][j], Q[j][i])
-                    if lhs != rhs:
-                        ok = False
-            flags["symmetrized_product_identity"] = ok
+            z = phi.values
+            flags["symmetrized_product_identity"] = all(
+                F.mul(F.from_int(-1), F.mul(F.mul(z[i], z[j]), h))
+                == F.add(Q[i][j], Q[j][i])
+                for i, row in enumerate(hessian(W, phi))
+                for j, h in enumerate(row))
 
     return VerificationReport(collapse, direct, formula, A_det, r_val, Q_det,
                               flags, implied, notes)

@@ -173,14 +173,14 @@ def test_criterion_05_page3_pipeline(page3_corpus):
         F = inst.field
         b = inst.homology.b
         direct = quantum_torsion(inst.pearl, random.Random(0))
-        assert direct == torsion_via_page3_formula(inst)
         pg = page1(inst.pearl, inst.bases)
         A = pg.d1star[1]
+        assert direct == torsion_via_page3_formula(inst, A.determinant())
         r = page2_rate(inst.pearl, inst.bases)
         ratio = torsion_ratio(inst.homology, F)
         assert direct == SignClass(F, F.mul(ratio,
                                             F.div(A.determinant(), r)))
-        qf = q_form(A, r, F)
+        qf = q_form(A, r, F, A.determinant())
         rhs = F.div(F.mul(pow_scalar(F, ratio, b),
                           pow_scalar(F, A.determinant(), b - 1)), qf.det)
         assert direct.pow(b) == SignClass(F, rhs)
@@ -273,13 +273,13 @@ def test_criterion_09_minimal_model_preservation(page2_corpus, page3_corpus):
         mm = minimal_model(inst.pearl, inst.bases)
         pg = page1(inst.pearl, inst.bases)
         for k in range(3):
-            assert mm.delta1[k] == pg.d1star[k]
+            assert mm.d1[k] == pg.d1star[k]
         ratio = torsion_ratio(inst.homology, F)
-        tau_model = quantum_torsion(mm.model, random.Random(0))
+        tau_model = quantum_torsion(mm, random.Random(0))
         tau_full = quantum_torsion(inst.pearl, random.Random(0))
         assert tau_full == tau_model * ratio
         if collapsing_page(inst.pearl, inst.bases) == PAGE3:
-            assert mm.delta2.rows[0][0] == page2_rate(inst.pearl, inst.bases)
+            assert mm.d2.rows[0][0] == page2_rate(inst.pearl, inst.bases)
     report(9, "minimal model preservation", True)
 
 

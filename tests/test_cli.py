@@ -5,6 +5,7 @@ import pytest
 from qrtorsion import schemas
 from qrtorsion.cli import main
 from qrtorsion.complexes import ComplexError, fold_periodic, validate_pearl
+from qrtorsion.fields import digit_limit
 
 
 # verbs that read one document through schemas.load
@@ -330,6 +331,49 @@ def test_huge_exponent_exits_2_without_building_the_power(tmp_path, capsys):
     assert code == 2 and out == "" and err.count("\n") == 1
     assert json.loads(err)["error"].startswith(
         "bad scalar in dM_1: exponent in '1e30000000' exceeds the ")
+
+
+@pytest.mark.parametrize("d, at, flavor, text", [
+    (10 ** 10, "2", "eval", "z^10000000000 at 2"),
+    (-10 ** 10, "1/2", "grad", "z^-10000000000 at 1/2"),
+    (20000, "2", "eval", "z^20000 at 2")])
+def test_huge_disc_power_exits_2_without_building_it(tmp_path, capsys, d,
+                                                     at, flavor, text):
+    # Fraction(2) ** 10**10 would run for long; 2**20000 would be built and
+    # only refused when it is written out
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"b": 1, "discs": [{"d": [d], "m0": 1}]}))
+    code, out, err = run(capsys, "potential", flavor, str(path), "--at", at)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == (f"{text} exceeds the {digit_limit()}"
+                                        "-digit limit on integers")
+
+
+def test_huge_disc_power_in_verify_exits_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--page", "3", "--b", "2", "--field", "Q",
+        "--seed", "1", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["discs"] = {"b": 2, "discs": [{"d": [10 ** 10, 0], "m0": 1}]}
+    doc["representation"] = ["2", "1"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("z^10000000000 at 2 exceeds")
+
+
+@pytest.mark.parametrize("d, at, field, value", [
+    (14000, "2", "Q", str(2 ** 14000)),         # 4,215 digits
+    (10 ** 10, "-1", "Q", "1"),
+    (-10 ** 10, "1", "Q", "1"),
+    (10 ** 10, "3", "Fp:7", str(pow(3, 10 ** 10, 7)))])
+def test_disc_power_within_the_digit_limit_evaluates(tmp_path, capsys, d,
+                                                     at, field, value):
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"b": 1, "discs": [{"d": [d], "m0": 1}]}))
+    code, out, _ = run(capsys, "potential", "eval", str(path), "--at", at,
+                       "--field", field)
+    assert code == 0 and json.loads(out)["value"] == value
 
 
 @pytest.mark.parametrize("field", ["Fp:5", "Q"])

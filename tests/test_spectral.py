@@ -173,10 +173,27 @@ def test_minimal_model_preserves_pages():
     P, H, _ = lift_derivation_page3(Page3Spec(spec, [[0, 1], [-1, 0]], 1),
                                     C, F, seed=5)
     mm = minimal_model(P, H)
-    assert all(mm.model.dM(k).is_zero() for k in range(1, 4))
+    assert all(mm.dM(k).is_zero() for k in range(1, 4))
     pg = page1(P, H)
     for k in range(3):
-        assert mm.delta1[k] == pg.d1star[k]
-    assert mm.delta2.rows[0][0] == page2_rate(P, H)
-    modelH = identity_bases(F, mm.model.ranks)
-    assert collapsing_page(mm.model, modelH) == collapsing_page(P, H)
+        assert mm.d1[k] == pg.d1star[k]
+    assert mm.d2.rows[0][0] == page2_rate(P, H)
+    modelH = identity_bases(F, mm.ranks)
+    assert collapsing_page(mm, modelH) == collapsing_page(P, H)
+
+
+def test_minimal_model_returns_the_minimal_complex_and_checks_it(monkeypatch):
+    spec = ThreefoldHomology(2, [3])
+    C = realize_morse(spec, (1, 1, 1, 1), seed=4)
+    F = GF(5)
+    P, H, _ = lift_derivation_page3(Page3Spec(spec, [[0, 1], [-1, 0]], 1),
+                                    C, F, seed=5)
+    mm = minimal_model(P, H)
+    assert isinstance(mm, TwistedPearlComplex)
+    assert list(mm.ranks) == [h.ncols for h in H]
+    assert all(mm.dM(k).is_zero() for k in range(1, 4))
+    # with a zero homotopy the comparison maps are still built and checked
+    monkeypatch.setattr(Contraction, "K", lambda self, k: Matrix.zeros(
+        F, self.ranks[k + 1], self.ranks[k]))
+    with pytest.raises(SpectralError, match="^phi is not a chain map$"):
+        minimal_model(P, H)

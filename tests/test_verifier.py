@@ -42,14 +42,15 @@ def test_page3_formula_matches_direct():
     for seed in range(5):
         inst = generate_instance(3, 2, GF(5), seed)
         direct = quantum_torsion(inst.pearl, random.Random(0))
-        assert torsion_via_page3_formula(inst) == direct
+        A = inst.spectrum.page1.d1star[1]
+        assert torsion_via_page3_formula(inst, A.determinant()) == direct
 
 
 def test_q_form_identity():
     F = QQ
     A = Matrix.from_int_rows(F, [[0, 1], [-1, 0]], 2, 2)
     r = F.from_int(2)
-    qf = q_form(A, r, F)
+    qf = q_form(A, r, F, A.determinant())
     assert qf.antisymmetric
     # det Q = r^b / det A
     assert qf.det == F.from_int(4)
@@ -64,7 +65,7 @@ def test_q_form_determinant_check_survives_optimize():
         Matrix.determinant = lambda self: QQ.one()
         A = Matrix.from_int_rows(QQ, [[0, 1], [-1, 0]], 2, 2)
         try:
-            q_form(A, QQ.from_int(2), QQ)
+            q_form(A, QQ.from_int(2), QQ, A.determinant())
         except VerifierError as e:
             print(e)
     """)
@@ -149,6 +150,29 @@ def test_verify_with_discs():
     rep = verify_main_theorem(inst)
     assert rep.all_pass
     assert rep.implied.get("w_constant") is True
+
+
+@pytest.mark.parametrize("disc, holds", [([1, 0], True), ([1, 1], False)],
+                         ids=["W=z1", "W=z1z2"])
+def test_verify_symmetrized_identity_with_a_nonconstant_potential(disc, holds):
+    # -z_i z_j d^2W/dz_i dz_j = Q_ij + Q_ji, with the Hessian and
+    # Q = r A^-1 both computed by sympy
+    sympy = pytest.importorskip("sympy")
+    inst = generate_instance(3, 2, QQ, 4)
+    inst.discs = DiscSystem(2, [(disc, 1)])
+    inst.representation = Representation(QQ, [QQ.from_int(2),
+                                              QQ.parse("1/3")])
+    rep = verify_main_theorem(inst)
+    z = sympy.symbols("z1 z2")
+    point = [sympy.Integer(2), sympy.Rational(1, 3)]
+    hess = sympy.hessian(z[0] ** disc[0] * z[1] ** disc[1], z).subs(
+        dict(zip(z, point)))
+    A = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in inst.spectrum.page1.d1star[1].rows])
+    Q = sympy.Rational(rep.r.numerator, rep.r.denominator) * A.inv()
+    assert all(-point[i] * point[j] * hess[i, j] == Q[i, j] + Q[j, i]
+               for i in range(2) for j in range(2)) is holds
+    assert rep.flags["symmetrized_product_identity"] is holds
 
 
 def _spectral_counters(monkeypatch):
