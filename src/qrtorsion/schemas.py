@@ -59,7 +59,11 @@ def _int(value, where):
 
 
 def _ints(values, where):
-    return [_int(x, where) for x in _list(values, where)]
+    values = _list(values, where)
+    for x in values:
+        if type(x) is not int:
+            _int(x, where)
+    return list(values)
 
 
 def _parse(field: Field, x):
@@ -227,20 +231,29 @@ def form_to_json(I: TripleForm):
 
 
 def form_from_json(doc) -> TripleForm:
+    """The form of a document.  An entry {"ijk": [i, j, k], "v": v} of exact
+    JSON integers is read as it stands; any other entry is read key by key,
+    and the first key at fault names the error."""
     b = _int(_require(doc, "b", "triple form"), "triple form b")
     entries = []
     seen = set()    # each unordered triple once: a repeat would overwrite
     for e in _list(doc.get("entries", []), "form entries"):
-        ijk = _ints(_require(e, "ijk", "form entry"), "form entry ijk")
-        if len(ijk) != 3:
-            raise SchemaError("form entries index three generators")
+        exact = (type(e) is dict and type(ijk := e.get("ijk")) is list
+                 and len(ijk) == 3 and type(ijk[0]) is int
+                 and type(ijk[1]) is int and type(ijk[2]) is int
+                 and type(v := e.get("v")) is int)
+        if not exact:
+            ijk = _ints(_require(e, "ijk", "form entry"), "form entry ijk")
+            if len(ijk) != 3:
+                raise SchemaError("form entries index three generators")
         key = tuple(sorted(ijk))
         if key in seen:
             raise SchemaError(f"form entry {ijk} repeats the triple "
                               f"{list(key)}")
         seen.add(key)
-        entries.append((tuple(ijk), _int(_require(e, "v", "form entry"),
-                                         "form entry v")))
+        if not exact:
+            v = _int(_require(e, "v", "form entry"), "form entry v")
+        entries.append((ijk, v))
     return TripleForm(b, entries)
 
 
@@ -358,8 +371,8 @@ def _json(o, nl):
     newline and indentation of the line o starts on, for o in the document
     vocabulary: exact str, int, bool and None leaves, lists, and dicts with
     str keys.  Any other value raises _Other.  Exact str and int list items
-    and str, true, false and null dict values (a report's flags) are
-    written without a call."""
+    and str, int, true, false and null dict values (a report's flags, a
+    form entry's coefficient) are written without a call."""
     if type(o) is list:
         if not o:
             return "[]"
@@ -371,14 +384,18 @@ def _json(o, nl):
     if type(o) is dict:
         if not o:
             return "{}"
-        if any(type(k) is not str for k in o):
-            raise _Other
         inner = nl + "  "
-        items = [_quote(k) + ": "
-                 + (_quote(v) if type(v) is str else
-                    "true" if v is True else "false" if v is False else
-                    "null" if v is None else _json(v, inner))
-                 for k, v in sorted(o.items())]
+        try:
+            items = [_quote(k) + ": "
+                     + (_quote(v) if type(v) is str else
+                        int.__repr__(v) if type(v) is int else
+                        "true" if v is True else "false" if v is False else
+                        "null" if v is None else _json(v, inner))
+                     for k, v in sorted(o.items())]
+        except TypeError:
+            # a key that is not a str: sorted cannot order it among str
+            # keys, or _quote refuses it
+            raise _Other from None
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if type(o) is str:
         return _quote(o)

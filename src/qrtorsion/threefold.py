@@ -6,12 +6,20 @@ eb_1..eb_b; the product of two degree-2 classes is read off the alternating
 triple form coordinatewise.  The central question answered here is the
 dichotomy: either some degree-2 vector induces a symplectic form on a
 complement (possible only for odd b), or the triple form vanishes.
+
+A form is stored by its coefficients on sorted triples.  Its alternating
+expansion (``signed_terms``) is built once per form and kept indexed by
+first index, i -> [(j, k, s)]; ``set`` drops it.  Slices and the page-2
+derivation check (``models._checked_derivation``) read that table, so a
+slice along v visits only the terms whose first index has v_i != 0 and
+sums them in integers.
 """
 
 from __future__ import annotations
 
 import random
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 
 from .fields import Field
 from .linalg import Matrix
@@ -55,6 +63,7 @@ class TripleForm:
             raise ThreefoldError("negative rank")
         self.b = b
         self.coeffs = {}
+        self._by_first = None
         for (i, j, k), v in (entries or {}).items() if isinstance(entries, dict) \
                 else (entries or []):
             self.set(i, j, k, v)
@@ -66,26 +75,23 @@ class TripleForm:
                 raise ThreefoldError(f"repeated index in ({i},{j},{k}) forces 0")
             return
         v = sign * int(v)
+        self._by_first = None
         if v == 0:
             self.coeffs.pop(key, None)
         else:
             self.coeffs[key] = v
 
     def _normalize(self, i, j, k):
-        for t in (i, j, k):
-            if not (1 <= t <= self.b):
-                raise ThreefoldError(f"index {t} out of range 1..{self.b}")
-        if len({i, j, k}) < 3:
+        b = self.b
+        if not (1 <= i <= b and 1 <= j <= b and 1 <= k <= b):
+            t = next(t for t in (i, j, k) if not 1 <= t <= b)
+            raise ThreefoldError(f"index {t} out of range 1..{b}")
+        if i == j or i == k or j == k:
             return None, 0
-        key = tuple(sorted((i, j, k)))
-        # parity of the permutation sorting the triple
-        perm = [i, j, k]
-        sign = 1
-        for a in range(3):
-            for c in range(a + 1, 3):
-                if perm[a] > perm[c]:
-                    sign = -sign
-        return key, sign
+        # the parity of the permutation sorting the triple is that of its
+        # inversion count
+        inversions = (i > j) + (i > k) + (j > k)
+        return tuple(sorted((i, j, k))), -1 if inversions & 1 else 1
 
     def value(self, i, j, k) -> int:
         key, sign = self._normalize(i, j, k)
@@ -101,36 +107,63 @@ class TripleForm:
         return all(field.is_zero(field.from_int(v)) for v in self.coeffs.values())
 
     def signed_terms(self):
-        """The nonzero values of the form on ordered triples, as
-        ((i, j, k), value) pairs: each stored coefficient under its six
-        orderings.  Cyclic rotations keep the sign and transpositions flip
-        it; every other method reads the alternating expansion from here."""
+        """The nonzero values of the form on ordered triples, as flat
+        (i, j, k, value) tuples with 0-based indices: each stored
+        coefficient under its six orderings.  Cyclic rotations keep the sign
+        and transpositions flip it.  This is the one place the sign
+        convention is written; every other reader of the alternating
+        expansion takes it from here (slices and the page-2 derivation check
+        through terms_by_first)."""
         out = []
         for (i, j, k), v in self.coeffs.items():
-            out += (((i, j, k), v), ((j, k, i), v), ((k, i, j), v),
-                    ((j, i, k), -v), ((i, k, j), -v), ((k, j, i), -v))
+            i, j, k = i - 1, j - 1, k - 1
+            out += ((i, j, k, v), (j, k, i, v), (k, i, j, v),
+                    (j, i, k, -v), (i, k, j, -v), (k, j, i, -v))
         return out
+
+    def terms_by_first(self):
+        """signed_terms indexed by first index: entry i lists (j, k, s) for
+        each term (i, j, k, s), all 0-based.  Built once per form and kept
+        until set changes a coefficient."""
+        table = self._by_first
+        if table is None:
+            table = self._by_first = [[] for _ in range(self.b)]
+            for i, j, k, s in self.signed_terms():
+                table[i].append((j, k, s))
+        return table
 
     def slice_matrix(self, v, field: Field) -> Matrix:
         """The alternating matrix of the pairing (x, y) -> form(v, x, y); v is
         a length-b column of integers or field scalars and has itself in the
-        kernel.  Entries are summed as bare values and reduced once each."""
-        if len(v) != self.b:
+        kernel.  Over Q, v is scaled to integers w = d v by the lcm d of its
+        denominators; only the terms whose first index has w_i != 0 are
+        visited (a unit vector reads only the coefficients that contain its
+        index), the entries are summed in integers, and the integer matrix
+        is scaled back by 1/d."""
+        b = self.b
+        if len(v) != b:
             raise ThreefoldError("vector length mismatch")
-        rows = [[0] * self.b for _ in range(self.b)]
-        for (i, j, k), s in self.signed_terms():
-            rows[j - 1][k - 1] += s * v[i - 1]
-        return Matrix(field, rows, self.b, self.b)
+        if field.char:
+            d, w = 1, v
+        else:
+            d = lcm(*(x.denominator for x in v))
+            w = [x.numerator * (d // x.denominator) for x in v]
+        rows = [[0] * b for _ in range(b)]
+        for wi, terms in zip(w, self.terms_by_first()):
+            if wi:
+                for j, k, s in terms:
+                    rows[j][k] += s * wi
+        M = Matrix.from_int_rows(field, rows, b, b)
+        return M if d == 1 else M.scale(Fraction(1, d))
 
     def apply_unimodular(self, U) -> "TripleForm":
         """Pull the form back along the integer basis change e_i -> sum_j
         U[j][i] e_j (columns of U are the new basis vectors): the value at
         i < j < k is the sum of s U[x][i] U[y][j] U[z][k] over the signed
-        terms ((x, y, z), s), contracted one index at a time."""
+        terms (x, y, z, s), contracted one index at a time."""
         b = self.b
         out = TripleForm(b)
-        terms = [(s, U[x - 1], U[y - 1], U[z - 1])
-                 for (x, y, z), s in self.signed_terms()]
+        terms = [(s, U[x], U[y], U[z]) for x, y, z, s in self.signed_terms()]
         for i in range(b):
             ti = [(s * Ux[i], Uy, Uz) for s, Ux, Uy, Uz in terms if Ux[i]]
             for j in range(i + 1, b):

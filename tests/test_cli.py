@@ -637,3 +637,47 @@ def test_generate_verify_exit_codes(tmp_path, capsys, page, b, field):
     code, out, _ = run(capsys, "verify", path)
     assert code == 0
     assert json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([5], "form entry must be a JSON object"),
+    ([[1, 2, 3]], "form entry must be a JSON object"),
+    ([None], "form entry must be a JSON object"),
+    ([{"v": 1}], "missing key 'ijk' in form entry"),
+    ([{"ijk": [1, 2, 3]}], "missing key 'v' in form entry"),
+    ([{"ijk": 5, "v": 1}], "form entry ijk must be a list"),
+    ([{"ijk": "123", "v": 1}], "form entry ijk must be a list"),
+    ([{"ijk": [1, 2], "v": 1}], "form entries index three generators"),
+    ([{"ijk": [1, 2, 3, 1], "v": 1}], "form entries index three generators"),
+    ([{"ijk": [True, 2, 3], "v": 1}],
+     "form entry ijk must be an integer, got True"),
+    ([{"ijk": [1, 2.0, 3], "v": 1}],
+     "form entry ijk must be an integer, got 2.0"),
+    ([{"ijk": [1, 2, "3"], "v": 1}],
+     "form entry ijk must be an integer, got '3'"),
+    # the index is read before v
+    ([{"ijk": [1, "2", 3], "v": "x"}],
+     "form entry ijk must be an integer, got '2'"),
+    ([{"ijk": [1, 2, 3], "v": True}],
+     "form entry v must be an integer, got True"),
+    ([{"ijk": [1, 2, 3], "v": "1"}],
+     "form entry v must be an integer, got '1'"),
+    ([{"ijk": [1, 2, 3], "v": 1.0}],
+     "form entry v must be an integer, got 1.0"),
+    ([{"ijk": [1, 2, 4], "v": 1}], "index 4 out of range 1..3"),
+    ([{"ijk": [0, 1, 2], "v": 1}], "index 0 out of range 1..3"),
+    # the first index out of range is named
+    ([{"ijk": [-1, 2, 5], "v": 2}], "index -1 out of range 1..3"),
+    ([{"ijk": [1, 1, 2], "v": 1}], "repeated index in (1,1,2) forces 0"),
+    (REPEATED_TRIPLE, "form entry [2, 1, 3] repeats the triple [1, 2, 3]"),
+    # a repeated triple is named before its v is read
+    ([{"ijk": [1, 2, 3], "v": 1}, {"ijk": [3, 2, 1], "v": "x"}],
+     "form entry [3, 2, 1] repeats the triple [1, 2, 3]"),
+])
+def test_classify_malformed_form_entry_exits_2(tmp_path, capsys, entries,
+                                               message):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"b": 3, "entries": entries}))
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message, "where": "classify"}

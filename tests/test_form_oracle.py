@@ -1,8 +1,10 @@
 """Oracle tests of the triple form's expansions: apply_unimodular and
 slice_matrix against brute-force sums of ``value`` over every index triple,
+and symplectic_slice against sympy's determinant of the complement minor,
 on random sparse forms with b <= 7.
 
-hypothesis is a test-only dependency; the library never imports it.
+hypothesis and sympy are test-only dependencies; the library never imports
+them.
 """
 
 import random
@@ -11,12 +13,13 @@ from itertools import combinations, product
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st
 
 from qrtorsion.fields import QQ, GF
 from qrtorsion.linalg import Matrix
 from qrtorsion.models import _unimodular
-from qrtorsion.threefold import TripleForm
+from qrtorsion.threefold import TripleForm, symplectic_slice
 
 FIELDS = [QQ, GF(5), GF(7)]
 
@@ -60,3 +63,41 @@ def test_slice_matrix_matches_brute_force(F, I, data):
             rows[j][k] = F.add(rows[j][k], F.mul(
                 v[i], F.from_int(I.value(i + 1, j + 1, k + 1))))
     assert I.slice_matrix(v, F) == Matrix(F, rows, b, b)
+
+
+@st.composite
+def odd_forms(draw):
+    """A form of odd rank with up to 14 coefficients, so that a good share
+    of its slices is nondegenerate."""
+    b = draw(st.sampled_from([3, 5, 7]))
+    triples = list(combinations(range(1, b + 1), 3))
+    return TripleForm(b, {t: draw(st.integers(-4, 4)) for t in
+                          draw(st.lists(st.sampled_from(triples),
+                                        max_size=14, unique=True))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.one_of(sparse_forms(), odd_forms()),
+       st.data())
+def test_symplectic_slice_matches_sympy_minor(F, I, data):
+    # over Q, v has denominators up to 4; over F_p its entries are the
+    # residues of the same fractions
+    b = I.b
+    nums = [data.draw(st.integers(-9, 9)) for _ in range(b)]
+    dens = [data.draw(st.integers(1, 4)) for _ in range(b)]
+    if b == 0 or all(F.is_zero(F.from_int(n)) for n in nums):
+        return
+    v = [F.div(F.from_int(n), F.from_int(d)) for n, d in zip(nums, dens)]
+    pivot = next(i for i, x in enumerate(v) if not F.is_zero(x))
+    keep = [i for i in range(b) if i != pivot]
+    minor = sympy.Matrix(len(keep), len(keep), lambda j, k: sum(
+        sympy.Rational(n, d) * I.value(i + 1, keep[j] + 1, keep[k] + 1)
+        for i, (n, d) in enumerate(zip(nums, dens))))
+    det = minor.det()
+    if F.char:
+        p = F.char
+        det = det.p * pow(det.q, -1, p) % p
+        expected = None if det == 0 else det
+    else:
+        expected = None if det == 0 else F.parse(str(det))
+    assert symplectic_slice(I, v, F) == expected

@@ -76,6 +76,65 @@ def test_find_slice_beyond_the_standard_basis(field, exhaustive):
         assert v == [field.from_int(x) for x in (1, 1, 0, 0, 1, 0, 0)]
 
 
+def test_find_slice_random_trial_witness_over_q_is_pinned():
+    # the first seeded random vector with a nondegenerate slice, and its
+    # determinant: the search and the slice arithmetic must not move them
+    v, det = find_slice(NO_BASIS_SLICE, QQ)
+    assert v == [QQ.from_int(x) for x in (3, 4, -8, -1, 7, 6, 3)]
+    assert det == QQ.from_int(14400)
+
+
+def test_slice_vector_must_be_nonzero_and_of_length_b():
+    I = TripleForm(3, {(1, 2, 3): 1})
+    for F in (QQ, GF(5)):
+        with pytest.raises(ThreefoldError, match="must be nonzero"):
+            symplectic_slice(I, [F.zero()] * 3, F)
+        for v in ([F.one()] * 2, [F.one()] * 4):
+            with pytest.raises(ThreefoldError, match="length mismatch"):
+                symplectic_slice(I, v, F)
+            with pytest.raises(ThreefoldError, match="length mismatch"):
+                I.slice_matrix(v, F)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_set_after_a_slice_shows_in_the_next_slice(field):
+    I = TripleForm(5, {(1, 2, 3): 1})
+    e1 = [field.one()] + [field.zero()] * 4
+    assert symplectic_slice(I, e1, field) is None
+    I.set(5, 4, 1, 2)  # I(1, 4, 5) = -2
+    M = I.slice_matrix(e1, field)
+    assert M.rows[3][4] == field.from_int(-2)
+    assert M.rows[4][3] == field.from_int(2)
+    assert symplectic_slice(I, e1, field) == field.from_int(4)
+    I.set(1, 4, 5, 0)
+    assert I.slice_matrix(e1, field) == \
+        TripleForm(5, {(1, 2, 3): 1}).slice_matrix(e1, field)
+
+
+def test_alternating_expansion_is_built_once_per_form(monkeypatch):
+    from qrtorsion import models
+    from qrtorsion.models import _unimodular, solve_leibniz_derivation
+    from qrtorsion.generate import canonical_form
+    b, F = 7, GF(7)
+    U = _unimodular(random.Random(3), b)
+    I = canonical_form(b).apply_unimodular(U)
+    r = list(U[0])
+    calls = []
+    real = TripleForm.signed_terms
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TripleForm, "signed_terms", counting)
+    # solve_leibniz_derivation takes one slice, and four more follow
+    c = solve_leibniz_derivation(I, r, F)
+    assert models._checked_derivation(I, r, c) is c
+    for i in range(4):
+        I.slice_matrix([F.from_int(int(j == i)) for j in range(b)], F)
+    assert len(calls) <= 1
+
+
 def _count_slices(monkeypatch):
     calls = []
     real = threefold.symplectic_slice
