@@ -30,6 +30,11 @@ ZERO_FORM = "ZeroForm"
 INCOMPATIBLE = "Incompatible"
 
 
+# The largest Betti number accepted: classify slices b x b matrices, so its
+# time grows as b^3.
+MAX_B = 256
+
+
 class ThreefoldError(Exception):
     pass
 
@@ -41,6 +46,8 @@ class ThreefoldHomology:
     def __init__(self, b: int, torsion=()):
         if b < 0:
             raise ThreefoldError("negative Betti number")
+        if b > MAX_B:
+            raise ThreefoldError(f"Betti number {b} exceeds {MAX_B}")
         tor = [int(t) for t in torsion]
         if any(t <= 1 for t in tor):
             raise ThreefoldError("invariant factors must exceed 1")
@@ -61,6 +68,8 @@ class TripleForm:
     def __init__(self, b: int, entries=None):
         if b < 0:
             raise ThreefoldError("negative rank")
+        if b > MAX_B:
+            raise ThreefoldError(f"rank {b} exceeds {MAX_B}")
         self.b = b
         self.coeffs = {}
         self._by_first = None

@@ -500,6 +500,20 @@ def test_verify_repeated_triple_exits_2(tmp_path, capsys):
     assert "repeats the triple [1, 2, 3]" in json.loads(err)["error"]
 
 
+def test_betti_number_beyond_the_bound_exits_2(tmp_path, capsys):
+    # the slices of a b = 401 form once took classify 10 s over F7, growing
+    # as b^3; b is refused before any slice is built
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"b": 257,
+                                "entries": [{"ijk": [1, 2, 3], "v": 1}]}))
+    for argv in (["classify", str(path), "--field", "F7"],
+                 ["generate", "--page", "2", "--b", "257"],
+                 ["batch", "--page", "2", "--b", "257", "--count", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "exceeds 256" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("b, entries, field, cls, qualifier", [
     (3, [], "Q", "ZeroForm", "definitive"),
     # even b: no slice exists over any field

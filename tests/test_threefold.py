@@ -20,6 +20,15 @@ def test_homology_validation():
         ThreefoldHomology(2, [4, 6])  # no divisibility chain
 
 
+def test_betti_number_is_bounded():
+    # classify slices b x b matrices, so b is bounded where it enters
+    assert ThreefoldHomology(256).b == TripleForm(256).b == threefold.MAX_B
+    with pytest.raises(ThreefoldError, match="Betti number 257 exceeds 256"):
+        ThreefoldHomology(257)
+    with pytest.raises(ThreefoldError, match="rank 257 exceeds 256"):
+        TripleForm(257, {(1, 2, 3): 1})
+
+
 def test_form_alternation():
     I = TripleForm(4)
     I.set(1, 2, 3, 5)

@@ -57,12 +57,12 @@ def test_q_form_identity():
 
 
 def test_q_form_determinant_check_survives_optimize():
-    # python -O strips asserts; the check must not be one
+    # python -O strips asserts; the refusal of det A = 0 must not be one
     code = textwrap.dedent("""
         from qrtorsion.fields import QQ
         from qrtorsion.linalg import Matrix
         from qrtorsion.verifier import VerifierError, q_form
-        Matrix.determinant = lambda self: QQ.one()
+        Matrix.determinant = lambda self: QQ.zero()
         A = Matrix.from_int_rows(QQ, [[0, 1], [-1, 0]], 2, 2)
         try:
             q_form(A, QQ.from_int(2), QQ, A.determinant())
@@ -74,7 +74,47 @@ def test_q_form_determinant_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "determinant identity for Q failed"
+    assert proc.stdout.strip() == "singular degree-1 differential on page 3"
+
+
+def test_q_form_builds_neither_inverse_nor_determinant(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("q_form must read Q's invariants off A")
+
+    F = GF(5)
+    A = Matrix.from_int_rows(F, [[1, 2], [4, 1]], 2, 2)
+    A_det = A.determinant()
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    monkeypatch.setattr(Matrix, "determinant", refuse)
+    qf = q_form(A, F.from_int(2), F, A_det)
+    # Q = 2 A^{-1} = [[4, 2], [4, 4]] over F_5: det 3, not antisymmetric
+    assert (qf.det, qf.antisymmetric) == (F.from_int(3), False)
+
+
+@pytest.mark.parametrize("b, field", [(4, QQ), (2, GF(5))])
+def test_page3_verify_inverts_A_only_for_the_disc_identity(monkeypatch, b,
+                                                           field):
+    # det Q and antisymmetry are read off A; only the symmetrized-product
+    # identity, run with discs and a representation, reads Q's entries
+    inst = generate_instance(3, b, field, 1)
+    A = inst.spectrum.page1.d1star[1]
+    calls = []
+    inverse = Matrix.inverse
+
+    def counting(self):
+        if self is A:
+            calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting)
+    rep = verify_main_theorem(inst)
+    assert rep.collapse == "Page3" and rep.all_pass
+    assert calls == []
+    inst.discs = DiscSystem(b, [([1] + [0] * (b - 1), 1)])
+    inst.representation = Representation(field, [field.from_int(2)] * b)
+    rep = verify_main_theorem(inst)
+    assert "symmetrized_product_identity" in rep.flags
+    assert len(calls) == 1
 
 
 def test_verify_page2_report():
@@ -276,11 +316,11 @@ def test_verify_eliminates_each_map_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "_eliminate", recorded)
     # each boundary's image basis and section come from one elimination,
-    # and each d1star is ranked once
-    for inst, count in [(page2_json, 25), (page3_json, 34),
+    # each d1star is ranked once, and the Q form inverts nothing
+    for inst, count in [(page2_json, 25), (page3_json, 32),
                         # page 1, its ranks and the literal rate come with
                         # a generated instance
-                        (page2, 14), (page3, 18)]:
+                        (page2, 14), (page3, 16)]:
         calls.clear()
         assert verify_main_theorem(inst).all_pass
         assert len(calls) == count
@@ -304,9 +344,9 @@ def test_verify_page3_computes_det_A_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "determinant", counting)
     assert verify_main_theorem(inst).all_pass
-    # det A once for the formula, the Q form and the power identity, det Q
-    # once, and two in the fold's periodic torsion
-    assert len(calls) == 4
+    # det A once for the formula, the Q form and the power identity, and two
+    # in the fold's periodic torsion; det Q is r^b / det A
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("page, b", [(2, 3), (3, 2)])
