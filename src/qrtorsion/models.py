@@ -212,26 +212,21 @@ def _checked_derivation(I: TripleForm, r, c: Matrix) -> Matrix:
     """c, once it satisfies over its field every equation of
     solve_leibniz_derivation; else ModelError names the first one it fails.
     c is the integer rows C over one denominator d, and each equation is
-    checked as d times itself in integers.  The form is alternating, so the
-    pairing residual at (k, i) is minus the one at (i, k) and vanishes at
-    i = k: only the rows i < k are summed, over the terms (m, k, s) with
-    k > i of the form's table TripleForm.terms_by_first at i (built once
-    per form), in O(|coeffs| b) work and b^2 (b - 1) / 2 compares."""
+    checked as d times itself in integers.  The pairing row (i, k) is
+    sum_m I(i,m,k) C[m] = -I.contract(C)[i][k]; the form is alternating, so
+    the residual at (k, i) is minus the one at (i, k) and vanishes at
+    i = k, and only the rows i < k are checked, in O(|coeffs| b) work and
+    b^2 (b - 1) / 2 compares."""
     b, ok = I.b, c.field.is_zero
     C, d = c.num, c.den
     rd = [d * x for x in r]
     fail = NO_DERIVATION + ": the slice solution fails "
-    pairing = [[[0] * b for _ in range(b)] for _ in range(b)]  # [i][k][j]
-    for i, terms in enumerate(I.terms_by_first()):
-        rows = pairing[i]
-        for m, k, s in terms:
-            if k > i:
-                rows[k] = [x + s * y for x, y in zip(rows[k], C[m])]
+    up = I.contract(C)
     for i in range(b):
         for k in range(i + 1, b):
-            row = pairing[i][k]
-            row[k] -= rd[i]
-            row[i] += rd[k]
+            row = up[i][k]
+            row[k] += rd[i]
+            row[i] -= rd[k]
             if not all(map(ok, row)):
                 raise ModelError(fail + "the duality pairing")
     if not all(ok(C[i][j] + C[j][i]) for i in range(b) for j in range(i, b)):

@@ -7,12 +7,12 @@ triple form coordinatewise.  The central question answered here is the
 dichotomy: either some degree-2 vector induces a symplectic form on a
 complement (possible only for odd b), or the triple form vanishes.
 
-A form is stored by its coefficients on sorted triples.  Its alternating
-expansion (``signed_terms``) is built once per form and kept indexed by
-first index, i -> [(j, k, s)]; ``set`` drops it.  Slices and the page-2
-derivation check (``models._checked_derivation``) read that table, so a
-slice along v visits only the terms whose first index has v_i != 0 and
-sums them in integers.
+A form is stored by its coefficients on sorted triples and read straight
+from them.  Its one kernel, ``contract``, sums rows W[x] against the form's
+first index: a slice along v is contract([[w_i]]) mirrored into an
+alternating matrix, and the page-2 derivation check
+(``models._checked_derivation``) is contract(C).  The sign convention is
+written once, in ``_upper_terms``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class TripleForm:
             raise ThreefoldError(f"rank {b} exceeds {MAX_B}")
         self.b = b
         self.coeffs = {}
-        self._by_first = None
         for (i, j, k), v in (entries or {}).items() if isinstance(entries, dict) \
                 else (entries or []):
             self.set(i, j, k, v)
@@ -84,7 +83,6 @@ class TripleForm:
                 raise ThreefoldError(f"repeated index in ({i},{j},{k}) forces 0")
             return
         v = sign * int(v)
-        self._by_first = None
         if v == 0:
             self.coeffs.pop(key, None)
         else:
@@ -115,40 +113,47 @@ class TripleForm:
     def is_zero_over(self, field: Field) -> bool:
         return all(field.is_zero(field.from_int(v)) for v in self.coeffs.values())
 
+    def _upper_terms(self):
+        """Each stored coefficient I(a,c,e) = v, a < c < e, under the three
+        orderings (x, y, z, s) with y < z and I(x,y,z) = s, 0-based.  Cyclic
+        rotations keep the sign and transpositions flip it; this is the one
+        place the sign convention is written."""
+        for (a, c, e), v in self.coeffs.items():
+            a, c, e = a - 1, c - 1, e - 1
+            yield a, c, e, v
+            yield c, a, e, -v
+            yield e, a, c, v
+
     def signed_terms(self):
         """The nonzero values of the form on ordered triples, as flat
-        (i, j, k, value) tuples with 0-based indices: each stored
-        coefficient under its six orderings.  Cyclic rotations keep the sign
-        and transpositions flip it.  This is the one place the sign
-        convention is written; every other reader of the alternating
-        expansion takes it from here (slices and the page-2 derivation check
-        through terms_by_first)."""
+        (x, y, z, value) tuples with 0-based indices: each of _upper_terms
+        and its mirror (x, z, y, -value), six per stored coefficient."""
         out = []
-        for (i, j, k), v in self.coeffs.items():
-            i, j, k = i - 1, j - 1, k - 1
-            out += ((i, j, k, v), (j, k, i, v), (k, i, j, v),
-                    (j, i, k, -v), (i, k, j, -v), (k, j, i, -v))
+        for x, y, z, s in self._upper_terms():
+            out += ((x, y, z, s), (x, z, y, -s))
         return out
 
-    def terms_by_first(self):
-        """signed_terms indexed by first index: entry i lists (j, k, s) for
-        each term (i, j, k, s), all 0-based.  Built once per form and kept
-        until set changes a coefficient."""
-        table = self._by_first
-        if table is None:
-            table = self._by_first = [[] for _ in range(self.b)]
-            for i, j, k, s in self.signed_terms():
-                table[i].append((j, k, s))
-        return table
+    def contract(self, W):
+        """The upper triangle of sum_x W[x] I(x, ., .) for b integer rows W
+        of one width: up[y][z] is the row sum_x I(x,y,z) W[x] for y < z and
+        a zero row otherwise, read off coeffs in three signed row updates
+        per stored coefficient, skipping the zero rows of W."""
+        b = self.b
+        n = len(W[0]) if W else 0
+        live = [any(row) for row in W]
+        up = [[[0] * n for _ in range(b)] for _ in range(b)]
+        for x, y, z, s in self._upper_terms():
+            if live[x]:
+                row = up[y]
+                row[z] = [t + s * u for t, u in zip(row[z], W[x])]
+        return up
 
     def slice_matrix(self, v, field: Field) -> Matrix:
         """The alternating matrix of the pairing (x, y) -> form(v, x, y); v is
         a length-b column of integers or field scalars and has itself in the
         kernel.  Over Q, v is scaled to integers w = d v by the lcm d of its
-        denominators; only the terms whose first index has w_i != 0 are
-        visited (a unit vector reads only the coefficients that contain its
-        index), the entries are summed in integers, and the integer matrix
-        is scaled back by 1/d."""
+        denominators; the slice is contract([[w_i]]), summed in integers,
+        and the integer matrix is scaled back by 1/d."""
         b = self.b
         if len(v) != b:
             raise ThreefoldError("vector length mismatch")
@@ -157,11 +162,9 @@ class TripleForm:
         else:
             d = lcm(*(x.denominator for x in v))
             w = [x.numerator * (d // x.denominator) for x in v]
-        rows = [[0] * b for _ in range(b)]
-        for wi, terms in zip(w, self.terms_by_first()):
-            if wi:
-                for j, k, s in terms:
-                    rows[j][k] += s * wi
+        up = self.contract([[x] for x in w])
+        rows = [[up[y][z][0] - up[z][y][0] for z in range(b)]
+                for y in range(b)]
         M = Matrix.from_int_rows(field, rows, b, b)
         return M if d == 1 else M.scale(Fraction(1, d))
 

@@ -241,7 +241,6 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
             A_det = A.determinant()
             r_val = S.rate
             flags["rate_cross_check"] = r_val == S.closed_form_rate
-            formula = torsion_via_page3_formula(inst, A_det)
             qf = q_form(A, r_val, F, A_det)
             Q_det = qf.det
             flags["q_antisymmetric"] = qf.antisymmetric
@@ -250,6 +249,9 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
             rhs = SignClass(F, F.div(F.mul(F.pow(ratio, b),
                                            F.pow(A_det, b - 1)), Q_det))
             flags["power_identity"] = direct.pow(b) == rhs
+            # last, so that a rate refused by its closed form fails only
+            # rate_cross_check and two_path_torsion
+            formula = torsion_via_page3_formula(inst, A_det)
         except (VerifierError, WrongPageError, SpectralError) as e:
             notes.append(str(e))
             for name in ("rate_cross_check", "q_antisymmetric",

@@ -1,7 +1,7 @@
-"""Oracle tests of the triple form's expansions: apply_unimodular and
-slice_matrix against brute-force sums of ``value`` over every index triple,
-and symplectic_slice against sympy's determinant of the complement minor,
-on random sparse forms with b <= 7.
+"""Oracle tests of the triple form's expansions: apply_unimodular,
+contract and slice_matrix against brute-force sums of ``value`` over every
+index triple, and symplectic_slice against sympy's determinant of the
+complement minor, on random sparse forms with b <= 7.
 
 hypothesis and sympy are test-only dependencies; the library never imports
 them.
@@ -49,6 +49,18 @@ def test_apply_unimodular_matches_brute_force(I, seed):
         if s:
             expected[i, j, k] = s
     assert I.apply_unimodular(U).coeffs == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_forms(), st.integers(1, 3), st.data())
+def test_contract_matches_brute_force(I, n, data):
+    b = I.b
+    W = [data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+         for _ in range(b)]
+    expected = [[[sum(W[x][t] * I.value(x + 1, y + 1, z + 1)
+                      for x in range(b)) if y < z else 0 for t in range(n)]
+                 for z in range(b)] for y in range(b)]
+    assert I.contract(W) == expected
 
 
 @settings(max_examples=60, deadline=None)

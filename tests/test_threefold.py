@@ -120,7 +120,8 @@ def test_set_after_a_slice_shows_in_the_next_slice(field):
         TripleForm(5, {(1, 2, 3): 1}).slice_matrix(e1, field)
 
 
-def test_alternating_expansion_is_built_once_per_form(monkeypatch):
+def test_slices_and_the_derivation_check_build_no_expansion(monkeypatch):
+    # both read coeffs through contract: no signed_terms, nothing cached
     from qrtorsion import models
     from qrtorsion.models import _unimodular, solve_leibniz_derivation
     from qrtorsion.generate import canonical_form
@@ -141,7 +142,8 @@ def test_alternating_expansion_is_built_once_per_form(monkeypatch):
     assert models._checked_derivation(I, r, c) is c
     for i in range(4):
         I.slice_matrix([F.from_int(int(j == i)) for j in range(b)], F)
-    assert len(calls) <= 1
+    assert calls == []
+    assert set(vars(I)) == {"b", "coeffs"}
 
 
 def _count_slices(monkeypatch):

@@ -152,14 +152,17 @@ def test_verify_not_narrow_reports_note():
 
 def test_verify_page3_rate_disagreement_is_flagged():
     # a closed-form rate that disagrees stops the page-3 formula path: the
-    # report carries its flags as False and the reason as a note
+    # report carries the rate's flags as False and the reason as a note,
+    # while the flags read off A alone still hold
     inst = generate_instance(3, 4, QQ, 2)
     S = inst.spectrum
     S.__dict__["closed_form_rate"] = QQ.add(S.rate, QQ.one())
     rep = verify_main_theorem(inst)
-    for name in ("rate_cross_check", "q_antisymmetric", "q_det_identity",
-                 "power_identity", "two_path_torsion"):
+    for name in ("rate_cross_check", "two_path_torsion"):
         assert rep.flags[name] is False
+    for name in ("q_antisymmetric", "q_det_identity", "power_identity"):
+        assert rep.flags[name] is True
+    assert rep.torsion_formula is None
     assert "page-2 rate disagrees with its closed form" in rep.notes
 
 
