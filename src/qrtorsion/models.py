@@ -46,6 +46,11 @@ class ModelError(Exception):
 NO_DERIVATION = ("not page-2 narrow: no derivation satisfies the product "
                  "constraints")
 
+# The largest surplus rank accepted in one degree: the homology check's
+# Smith form grows steeply with it (generate --page 3 --b 2 --field F7
+# with surplus (0, s, s, 0) takes 0.3 s at s = 50 and 4 s at s = 100).
+MAX_SURPLUS = 64
+
 
 class Page2Spec:
     """Odd-b narrow data: a triple form with a slice and the rate vector of
@@ -130,6 +135,8 @@ def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
     s0, s1, s2, s3 = (int(x) for x in shape)
     if min(s0, s1, s2, s3) < 0:
         raise ModelError("negative surplus")
+    if max(s0, s1, s2, s3) > MAX_SURPLUS:
+        raise ModelError(f"surplus {max(s0, s1, s2, s3)} exceeds {MAX_SURPLUS}")
     p10, p32 = s0, s3
     p21 = s1 - s0
     if p21 < 0 or s2 - s3 != p21:

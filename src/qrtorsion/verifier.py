@@ -5,9 +5,8 @@ The two torsion paths are the point: the direct path folds the pearl complex
 and takes periodic torsion of the chain-level matrices; the formula path only
 sees homology-level data (rates, intersection forms, the pairing Q).  Their
 agreement, as sign classes, is the verified content of the torsion theorems.
-q_form reads det Q and Q's antisymmetry off A, which settles q_det_identity
-and power_identity (see there); only the symmetrized-product identity builds
-Q's entries.
+On page 3, q_form reads det Q and Q's antisymmetry off A; only the
+symmetrized-product identity builds Q's entries.
 
 Only the formula path reads the instance's Spectrum.  A generated instance
 carries the one generation checked its lift on (page 1, collapse page and,
@@ -178,9 +177,7 @@ class QForm:
 def q_form(A: Matrix, r, field: Field, A_det) -> QForm:
     """det Q = r^b / A_det and the antisymmetry of Q = r * A^{-1}, read off
     A: Q + Q^T = r A^{-1} (A + A^T) A^{-T}, zero exactly when A + A^T is, as
-    A_det != 0 (refused here) and r != 0 (Spectrum.rate refuses it).  So
-    q_det_identity (once inverse against determinant) holds whenever this
-    returns, and power_identity is the b-th power of two_path_torsion."""
+    A_det != 0 (refused here) and r != 0 (Spectrum.rate refuses it)."""
     if field.is_zero(A_det):
         raise VerifierError("singular degree-1 differential on page 3")
     return QForm(field.div(field.pow(r, A.nrows), A_det),
@@ -244,18 +241,12 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
             qf = q_form(A, r_val, F, A_det)
             Q_det = qf.det
             flags["q_antisymmetric"] = qf.antisymmetric
-            flags["q_det_identity"] = True
-            ratio = torsion_ratio(inst.homology, F)
-            rhs = SignClass(F, F.div(F.mul(F.pow(ratio, b),
-                                           F.pow(A_det, b - 1)), Q_det))
-            flags["power_identity"] = direct.pow(b) == rhs
             # last, so that a rate refused by its closed form fails only
             # rate_cross_check and two_path_torsion
             formula = torsion_via_page3_formula(inst, A_det)
         except (VerifierError, WrongPageError, SpectralError) as e:
             notes.append(str(e))
-            for name in ("rate_cross_check", "q_antisymmetric",
-                         "q_det_identity", "power_identity"):
+            for name in ("rate_cross_check", "q_antisymmetric"):
                 flags.setdefault(name, False)
         flags["two_path_torsion"] = formula is not None and direct == formula
 

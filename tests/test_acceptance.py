@@ -24,7 +24,7 @@ from qrtorsion.complexes import fold_periodic
 from qrtorsion.generate import generate_instance, mutate_d2
 from qrtorsion.verifier import (torsion_ratio, e1_milnor_torsion,
                                 torsion_via_page2_formula,
-                                torsion_via_page3_formula, q_form,
+                                torsion_via_page3_formula,
                                 verify_main_theorem)
 from util import random_acyclic, random_invertible
 
@@ -41,7 +41,7 @@ def empty_bases(C):
             for k in range(C.top_degree + 1)]
 
 
-F3, F5, F7 = GF(3), GF(5), GF(7)
+F3, F5, F7, F11 = GF(3), GF(5), GF(7), GF(11)
 
 # torsion menus keep the characteristic coprime to every invariant factor
 FULL_MENU = ((QQ, ([], [5], [3, 9])), (F3, ([], [5])),
@@ -180,16 +180,27 @@ def test_criterion_05_page3_pipeline(page3_corpus):
         ratio = torsion_ratio(inst.homology, F)
         assert direct == SignClass(F, F.mul(ratio,
                                             F.div(A.determinant(), r)))
-        qf = q_form(A, r, F, A.determinant())
+    # the power identity tau^b = ratio^b det A^(b-1) / det Q' on the spec's
+    # own pairing Q'; every generated Q' = U^T J U has det 1, so these
+    # pairings have det 4 and 36
+    Q2 = [[0, 2], [-2, 0]]
+    Q4 = [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]
+    for Qp, r, tor, F in [(Q2, 2, (), QQ), (Q2, 2, (), F11),
+                          (Q4, 5, (3,), QQ), (Q4, 5, (3,), F11)]:
+        H = ThreefoldHomology(len(Qp), tor)
+        P, bases, _ = lift_derivation_page3(
+            Page3Spec(H, Qp, r), realize_morse(H, seed=7), F, seed=8)
+        b = H.b
+        tau = quantum_torsion(P, random.Random(0))
+        A_det = page1(P, bases).d1star[1].determinant()
+        Qp_det = Matrix.from_int_rows(F, Qp).determinant()
+        assert SignClass(F, Qp_det) != SignClass(F, F.one())
+        ratio = torsion_ratio(H, F)
         rhs = F.div(F.mul(pow_scalar(F, ratio, b),
-                          pow_scalar(F, A.determinant(), b - 1)), qf.det)
-        assert direct.pow(b) == SignClass(F, rhs)
-    spot, _, _ = lift_derivation_page3(
-        Page3Spec(ThreefoldHomology(2), [[0, 2], [-2, 0]], 2),
-        realize_morse(ThreefoldHomology(2), seed=7), QQ, seed=8)
-    tau = quantum_torsion(spot, random.Random(0))
-    assert tau == SignClass(QQ, QQ.parse("1/2"))
-    assert tau.pow(2) == SignClass(QQ, QQ.parse("1/4"))
+                          pow_scalar(F, A_det, b - 1)), Qp_det)
+        assert tau.pow(b) == SignClass(F, rhs)
+        if F is QQ and Qp is Q2:
+            assert tau == SignClass(QQ, QQ.parse("1/2"))
     report(5, "page-3 pipeline", True)
 
 

@@ -514,6 +514,16 @@ def test_betti_number_beyond_the_bound_exits_2(tmp_path, capsys):
         assert "exceeds 256" in json.loads(err)["error"]
 
 
+def test_surplus_beyond_the_bound_exits_2(capsys):
+    # surplus (0, 100, 100, 0) took generate 4 s in its homology check, and
+    # the time grows steeply with it; the surplus is refused before any
+    # complex is built
+    code, out, err = run(capsys, "generate", "--page", "3", "--b", "2",
+                         "--field", "F7", "--surplus", "0,100000,100000,0")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "surplus 100000 exceeds 64" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("b, entries, field, cls, qualifier", [
     (3, [], "Q", "ZeroForm", "definitive"),
     # even b: no slice exists over any field
@@ -619,13 +629,13 @@ def test_batch_corrupt_flags_everything(capsys):
     (["--page", "2"],
      "627a65f1eed5e7a3573771da379a30b39248dbcba6874b6730e0b8704d368217"),
     (["--page", "3"],
-     "0956c5a399b5d89db3f8824f7c74480acfdc327fed34e5ba0a4b3ff046c83030"),
+     "c1feb019441288c0c6d526e30d29247dd1ca86f59adf91ba1d1bbadfc020fcbe"),
     (["--page", "2", "--corrupt"],
      "a290c0d38ea9f36640acaeb7a8d22fbe352ed2d5794e43ede140048029005d32"),
     (["--page", "3", "--corrupt"],
      "4747cc5c832771c20bc8b0c1deb3ed1c3a1a5160e49e428e1c429cf22c210196"),
     (["--page", "3", "--field", "Q", "--b", "4", "--count", "10"],
-     "abb073752274249455e69d90851735e4f9b287fdd648266d32e14581bc3cd929"),
+     "4637b8efa2dbf2c085bd2c2b0967d4a81dfd1b587471d0df23f1af4045c6ec46"),
 ], ids=["page2", "page3", "page2-corrupt", "page3-corrupt", "page3-Q-b4"])
 def test_batch_digest_pinned(capsys, argv, digest):
     # a refactor that changes one of these changes behaviour

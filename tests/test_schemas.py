@@ -254,11 +254,11 @@ def test_instance_json_pinned(page, b, field, digest):
     (2, 3, "F7", (3,), (1, 1, 1, 1),
      "ae82d7371a3d919d87364059e36e248214654700191c426080c9b904f1becc17"),
     (3, 4, "Q", (5, 25), (2, 3, 3, 2),
-     "a4db9e4b872552c4338042d59f71d375f86b1eb126980961d6f0e5f5c0ba3a98"),
+     "8ccb9eac9f954f5194fbca55d7d9c993df2307139c98a86feef764f64f7c1336"),
     (2, 5, "Q", (3, 9), (2, 3, 3, 2),
      "8bf9437ccdf0f3406b22c5dee98b071d200f2a81633e9843e43789a7ff7c4ebb"),
     (3, 2, "F7", (5,), (1, 2, 2, 1),
-     "96a7c7a7f2c442e0530f89e4e264132895e76a615826af008f3e11738763ff65"),
+     "d40cdb307f47b31f482b02c0a04d6541c51a73c6b181048af7d439df6629d113"),
 ], ids=lambda v: str(v)[:8])
 def test_instance_json_pinned_on_the_smith_form_path(page, b, field, torsion,
                                                      surplus, digest):

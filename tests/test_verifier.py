@@ -132,8 +132,18 @@ def test_verify_page3_report():
     rep = verify_main_theorem(inst)
     assert rep.all_pass
     assert rep.collapse == "Page3"
-    assert rep.flags["q_antisymmetric"] and rep.flags["power_identity"]
+    assert rep.flags["q_antisymmetric"] and rep.flags["two_path_torsion"]
     assert rep.torsion_direct == rep.torsion_formula
+
+
+def test_page3_report_flags_are_exactly_the_checks_that_can_fail():
+    doc = report_to_json(
+        verify_main_theorem(generate_instance(3, 4, GF(7), 1)), GF(7))
+    assert set(doc["flags"]) == {
+        "pearl_valid", "narrow", "b_parity", "dichotomy_consistent",
+        "rate_cross_check", "q_antisymmetric", "two_path_torsion"}
+    assert doc["Q_det"] is not None and doc["A_det"] is not None
+    assert doc["r"] is not None
 
 
 def test_verify_not_narrow_reports_note():
@@ -153,15 +163,14 @@ def test_verify_not_narrow_reports_note():
 def test_verify_page3_rate_disagreement_is_flagged():
     # a closed-form rate that disagrees stops the page-3 formula path: the
     # report carries the rate's flags as False and the reason as a note,
-    # while the flags read off A alone still hold
+    # while the flag read off A alone still holds
     inst = generate_instance(3, 4, QQ, 2)
     S = inst.spectrum
     S.__dict__["closed_form_rate"] = QQ.add(S.rate, QQ.one())
     rep = verify_main_theorem(inst)
     for name in ("rate_cross_check", "two_path_torsion"):
         assert rep.flags[name] is False
-    for name in ("q_antisymmetric", "q_det_identity", "power_identity"):
-        assert rep.flags[name] is True
+    assert rep.flags["q_antisymmetric"] is True
     assert rep.torsion_formula is None
     assert "page-2 rate disagrees with its closed form" in rep.notes
 
