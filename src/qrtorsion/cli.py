@@ -48,7 +48,8 @@ def _load_kind(path, kinds):
     kind = doc.get("kind")
     if kind not in kinds:
         raise schemas.SchemaError(
-            f"expected a {' or '.join(kinds)} document, got kind={kind!r}")
+            f"expected a document of kind {' or '.join(kinds)}, "
+            f"got kind={kind!r}")
     return doc
 
 

@@ -7,15 +7,13 @@ constant test, partial derivatives and evaluation.  Evaluation happens at
 points of the torus (F^x)^b, exactly, through Representation.monomial,
 which refuses a power over Q too long to write; the Hessian, read by
 discriminant and the verifier, is evaluated once, in hessian.  The degree-0
-and degree-2 disc differentials are assembled from the same weighted sums
-and are transposes of each other; the degree-2 row doubles as the
-logarithmic gradient of the potential, the identity checked here.
+and degree-2 disc differentials are the logarithmic gradient of the
+potential, written once, in log_gradient, as a column and a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from .fields import Field, digit_limit
 from .linalg import Matrix
@@ -24,10 +22,6 @@ from .spectral import PAGE2, PAGE3
 
 class PotentialError(Exception):
     pass
-
-
-class DualityError(PotentialError):
-    """The disc differentials fail an identity they satisfy by construction."""
 
 
 class LaurentPolynomial:
@@ -120,12 +114,10 @@ class Representation:
 
 @dataclass
 class WideNarrowReport:
-    """Critical-point report; gradient and discriminant are field values."""
+    """Whether the log gradient vanishes at the representation, and whether
+    that agrees with an observed collapsing page."""
 
     is_critical: bool
-    gradient: list
-    discriminant_value: Any
-    w_constant: bool
     consistent_with_page: bool | None
     notes: list
 
@@ -180,26 +172,12 @@ def discriminant(W: LaurentPolynomial, phi: Representation):
 
 
 def d1_from_discs(D: DiscSystem, phi: Representation):
-    """The two disc differentials determined by the divisor axiom: as a row
-    (degree 2 to degree 3) and a column (degree 0 to degree 1), both with
-    i-th weight sum_A m0(A) * phi(dA) * (dA)_i.  Their transpose relation is
-    checked, and so is the row's equality with log_gradient of the potential."""
-    F = phi.field
-    if phi.b != D.b:
-        raise PotentialError("representation size mismatch")
-    weights = [F.zero()] * D.b
-    for bd, m0 in D.discs:
-        val = F.mul(F.from_int(m0), phi.monomial(bd))
-        for i, e in enumerate(bd):
-            if e:
-                weights[i] = F.add(weights[i], F.mul(F.from_int(e), val))
-    row = Matrix(F, [list(weights)], nrows=1, ncols=D.b)
-    col = Matrix(F, [[w] for w in weights], nrows=D.b, ncols=1)
-    if row.transpose() != col:
-        raise DualityError("disc differentials lost their duality")
-    if list(row.rows[0]) != log_gradient(build_potential(D), phi):
-        raise DualityError("disc differential disagrees with the potential gradient")
-    return row, col
+    """The two disc differentials determined by the divisor axiom, as a row
+    (degree 2 to degree 3) and a column (degree 0 to degree 1): both are the
+    log gradient g of the potential, g_i = sum_A m0(A) * phi(dA) * (dA)_i."""
+    g = log_gradient(build_potential(D), phi)
+    return (Matrix(phi.field, [g], nrows=1, ncols=D.b),
+            Matrix(phi.field, [[x] for x in g], nrows=D.b, ncols=1))
 
 
 def classify_representation(D: DiscSystem, phi: Representation,
@@ -209,12 +187,9 @@ def classify_representation(D: DiscSystem, phi: Representation,
     a critical point, collapse at page 2 a nonvanishing gradient entry."""
     F = phi.field
     W = build_potential(D)
-    grad = log_gradient(W, phi)
-    critical = all(F.is_zero(g) for g in grad)
-    disc = discriminant(W, phi) if critical else None
-    constant = W.is_constant()
+    critical = all(F.is_zero(g) for g in log_gradient(W, phi))
     notes = []
-    if constant:
+    if W.is_constant():
         notes.append("potential is constant: gradient and discriminant vanish "
                      "identically")
     consistent = None
@@ -226,4 +201,4 @@ def classify_representation(D: DiscSystem, phi: Representation,
         consistent = not critical
         if critical:
             notes.append("page-2 collapse requires a noncritical representation")
-    return WideNarrowReport(critical, grad, disc, constant, consistent, notes)
+    return WideNarrowReport(critical, consistent, notes)

@@ -33,6 +33,9 @@ INCOMPATIBLE = "Incompatible"
 # The largest Betti number accepted: classify slices b x b matrices, so its
 # time grows as b^3.
 MAX_B = 256
+# The most H_1 invariant factors accepted: each adds a pair of Morse cells,
+# and the lift's eliminations over Q slow steeply with their number.
+MAX_TORSION_FACTORS = 16
 
 
 class ThreefoldError(Exception):
@@ -49,6 +52,9 @@ class ThreefoldHomology:
         if b > MAX_B:
             raise ThreefoldError(f"Betti number {b} exceeds {MAX_B}")
         tor = [int(t) for t in torsion]
+        if len(tor) > MAX_TORSION_FACTORS:
+            raise ThreefoldError(f"{len(tor)} invariant factors exceed "
+                                 f"{MAX_TORSION_FACTORS}")
         if any(t <= 1 for t in tor):
             raise ThreefoldError("invariant factors must exceed 1")
         for a, c in zip(tor, tor[1:]):
@@ -189,9 +195,8 @@ class TripleForm:
 
 def symplectic_slice(I: TripleForm, v, field: Field):
     """Determinant of the alternating pairing induced by v on the complement
-    obtained by dropping v's pivot coordinate; None when degenerate.
-
-    A successful slice forces b odd, which is checked.
+    obtained by dropping v's pivot coordinate; None when degenerate, as it
+    always is for even b, where the minor is an odd alternating matrix.
     """
     if all(field.is_zero(x) for x in v):
         raise ThreefoldError("slice vector must be nonzero")
@@ -200,11 +205,7 @@ def symplectic_slice(I: TripleForm, v, field: Field):
     keep = [i for i in range(I.b) if i != pivot]
     sub = M.submatrix(keep, keep)
     det = sub.determinant()
-    if field.is_zero(det):
-        return None
-    if I.b % 2 == 0:
-        raise ThreefoldError("nondegenerate alternating forms need even dimension")
-    return det
+    return None if field.is_zero(det) else det
 
 
 def _projective_vectors(p: int, b: int):
@@ -279,9 +280,4 @@ def dichotomy_class(I: TripleForm, field: Field, seed: int = 0) -> str:
     can exist)."""
     if I.is_zero_over(field):
         return ZERO_FORM
-    found = find_slice(I, field, seed)
-    if found is not None:
-        if I.b % 2 == 0:
-            raise ThreefoldError("a slice exists only for odd b")
-        return SLICED_ODD_B
-    return INCOMPATIBLE
+    return INCOMPATIBLE if find_slice(I, field, seed) is None else SLICED_ODD_B

@@ -29,9 +29,8 @@ from .torsion import milnor_torsion, quantum_torsion, NotNarrowError
 from .spectral import Spectrum, PAGE2, PAGE3, SpectralError, WrongPageError
 from .threefold import (ThreefoldHomology, TripleForm, symplectic_slice,
                         find_slice)
-from .superpotential import (DiscSystem, Representation, DualityError,
-                             build_potential, d1_from_discs, hessian,
-                             classify_representation)
+from .superpotential import (DiscSystem, Representation, build_potential,
+                             d1_from_discs, hessian, classify_representation)
 
 
 class VerifierError(Exception):
@@ -137,9 +136,8 @@ def torsion_via_page2_formula(inst: Instance) -> SignClass:
         raise WrongPageError("not a page-2 instance")
     d1 = pg1.d1star[0].rows
     rates = [d1[i][0] for i in range(b)]
-    pivot = next((i for i, x in enumerate(rates) if not F.is_zero(x)), None)
-    if pivot is None:
-        raise VerifierError("page-2 instance with zero rate vector")
+    # page 1 is exact, so d1*_0 is injective and some rate is nonzero
+    pivot = next(i for i, x in enumerate(rates) if not F.is_zero(x))
     v = [F.one() if j == pivot else F.zero() for j in range(b)]
     det_slice = symplectic_slice(inst.form, v, F)
     if det_slice is None:
@@ -254,13 +252,9 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
         phi = inst.representation
         W = build_potential(inst.discs)
         implied["w_constant"] = W.is_constant()
-        try:
-            row, col = d1_from_discs(inst.discs, phi)
-            flags["disc_differential_match"] = (row == S.page1.d1star[2]
-                                                and col == S.page1.d1star[0])
-        except DualityError as e:
-            notes.append(str(e))
-            flags["disc_differential_match"] = False
+        row, col = d1_from_discs(inst.discs, phi)
+        flags["disc_differential_match"] = (row == S.page1.d1star[2]
+                                            and col == S.page1.d1star[0])
         rep = classify_representation(inst.discs, phi, collapse)
         flags["representation_page_consistent"] = bool(rep.consistent_with_page)
         notes.extend(rep.notes)

@@ -362,6 +362,30 @@ def test_huge_disc_power_in_verify_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"].startswith("z^10000000000 at 2 exceeds")
 
 
+def test_cancelling_huge_disc_powers_verify_as_potential_evaluates(tmp_path,
+                                                                   capsys):
+    # the two discs cancel out of W, so neither command evaluates z^(10^10)
+    discs = {"b": 2, "discs": [{"d": [10 ** 10, 0], "m0": 1},
+                               {"d": [10 ** 10, 0], "m0": -1}]}
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps(discs))
+    code, out, _ = run(capsys, "potential", "eval", str(pot), "--at", "2,1")
+    assert code == 0 and json.loads(out)["value"] == "0"
+    code, out, _ = run(capsys, "potential", "grad", str(pot), "--at", "2,1")
+    assert code == 0 and json.loads(out)["gradient"] == ["0", "0"]
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--page", "3", "--b", "2", "--field", "Q",
+        "--seed", "1", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["discs"] = discs
+    doc["representation"] = ["2", "1"]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["implied"]["w_constant"] is True
+    assert report["flags"]["disc_differential_match"] is True
+
+
 @pytest.mark.parametrize("d, at, field, value", [
     (14000, "2", "Q", str(2 ** 14000)),         # 4,215 digits
     (10 ** 10, "-1", "Q", "1"),
@@ -522,6 +546,65 @@ def test_surplus_beyond_the_bound_exits_2(capsys):
                          "--field", "F7", "--surplus", "0,100000,100000,0")
     assert code == 2 and out == "" and err.count("\n") == 1
     assert "surplus 100000 exceeds 64" in json.loads(err)["error"]
+
+
+def _instance_with(tmp_path, capsys, key, value):
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--page", "3", "--b", "2", "--field", "F5",
+        "--seed", "1", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _document(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_invariant_factors_beyond_the_bound_exit_2(tmp_path, capsys):
+    # 120 factors took generate 2.4 s over F5 and 128 over Q ran for minutes;
+    # the factors are refused before any complex is built, in a command line
+    # and in a homology document alike
+    path = _instance_with(tmp_path, capsys, "homology",
+                          {"b": 2, "torsion": [3] * 17})
+    for argv in (["generate", "--page", "3", "--b", "2", "--field", "F5",
+                  "--torsion", ",".join(["3"] * 17)],
+                 ["verify", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == "17 invariant factors exceed 16"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda t, c: ["verify", _document(t, {"b": 3, "entries": []})],
+     "expected a document of kind instance, got kind=None"),
+    (lambda t, c: ["torsion", "quantum", _document(t, {"kind": "form"})],
+     "expected a document of kind instance or pearl, got kind='form'"),
+    (lambda t, c: ["generate", "--page", "2", "--b", "1",
+                   "--surplus", "1,2,3"],
+     "--surplus takes four integers s0,s1,s2,s3"),
+    (lambda t, c: ["verify", _instance_with(t, c, "field", "F4")],
+     "bad field spec in instance: 4 is not prime"),
+    (lambda t, c: ["verify", "/nonexistent/x.json"],
+     "cannot read /nonexistent/x.json: [Errno 2] No such file or directory: "
+     "'/nonexistent/x.json'"),
+    (lambda t, c: ["torsion", "periodic", _document(t, {
+        "v": 1, "kind": "periodic", "field": "Q", "n_odd": 1, "n_even": 1,
+        "d_oe": [["1"]], "d_eo": [["1"]]})],
+     "periodic differentials do not compose to zero"),
+    (lambda t, c: ["verify", _instance_with(t, c, "homology",
+                                            {"b": 2, "torsion": [1]})],
+     "invariant factors must exceed 1"),
+], ids=["form-document", "torsion-of-a-form", "short-surplus", "field-F4",
+        "missing-file", "periodic-d-squared", "invariant-factor-1"])
+def test_outside_input_is_refused_with_exit_2(tmp_path, capsys, argv,
+                                              message):
+    code, out, err = run(capsys, *argv(tmp_path, capsys))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == message
 
 
 @pytest.mark.parametrize("b, entries, field, cls, qualifier", [

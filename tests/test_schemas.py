@@ -219,7 +219,14 @@ def test_load_reports_json_position(tmp_path):
     assert "line 2" in str(err.value)
 
 
-@pytest.mark.parametrize("page, b, field, digest", [
+def _pins(*rows):
+    """Parametrize pinned rows with ids from (page, b, field) alone, so that
+    re-pinning a digest keeps its test's name."""
+    return [pytest.param(*row, id=f"{row[0]}-{row[1]}-{row[2]}")
+            for row in rows]
+
+
+@pytest.mark.parametrize("page, b, field, digest", _pins(
     (2, 1, "F7",
      "8f1d2f9644818b76214447983668e1c146f55e8e296591ffc9b2545188fb631c"),
     (2, 1, "Q",
@@ -237,8 +244,7 @@ def test_load_reports_json_position(tmp_path):
     (2, 9, "Q",
      "0a80f7940b9c3db32f1134c8e48491cf07f501c2dea155cb65b435fcbe491006"),
     (3, 4, "Q",
-     "1e9edb3b45d7ea472aa3f73920fd1b822167d3a39ae56f66837b0fe5afc670dd"),
-], ids=lambda v: str(v)[:8])
+     "1e9edb3b45d7ea472aa3f73920fd1b822167d3a39ae56f66837b0fe5afc670dd")))
 def test_instance_json_pinned(page, b, field, digest):
     # the batch digests hash reports, not instances: this pins the bytes of
     # the generated instances themselves, seeds 0-3
@@ -250,7 +256,7 @@ def test_instance_json_pinned(page, b, field, digest):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("page, b, field, torsion, surplus, digest", [
+@pytest.mark.parametrize("page, b, field, torsion, surplus, digest", _pins(
     (2, 3, "F7", (3,), (1, 1, 1, 1),
      "ae82d7371a3d919d87364059e36e248214654700191c426080c9b904f1becc17"),
     (3, 4, "Q", (5, 25), (2, 3, 3, 2),
@@ -258,8 +264,7 @@ def test_instance_json_pinned(page, b, field, digest):
     (2, 5, "Q", (3, 9), (2, 3, 3, 2),
      "8bf9437ccdf0f3406b22c5dee98b071d200f2a81633e9843e43789a7ff7c4ebb"),
     (3, 2, "F7", (5,), (1, 2, 2, 1),
-     "d40cdb307f47b31f482b02c0a04d6541c51a73c6b181048af7d439df6629d113"),
-], ids=lambda v: str(v)[:8])
+     "d40cdb307f47b31f482b02c0a04d6541c51a73c6b181048af7d439df6629d113")))
 def test_instance_json_pinned_on_the_smith_form_path(page, b, field, torsion,
                                                      surplus, digest):
     # integral torsion and Morse surplus route generation through Smith

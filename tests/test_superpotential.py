@@ -76,8 +76,14 @@ def test_disc_differential_duality_random():
             vals = [F.from_int(rng.choice([1, -1, 2, 3])) for _ in range(b)]
             phi = Representation(F, vals)
             row, col = d1_from_discs(D, phi)
-            # duality and the gradient identity are asserted inside
-            assert row.nrows == 1 and col.ncols == 1
+            # the divisor axiom disc by disc, before W merges equal classes
+            weights = [F.zero()] * b
+            for bd, m0 in D.discs:
+                val = F.mul(F.from_int(m0), phi.monomial(bd))
+                for i, e in enumerate(bd):
+                    weights[i] = F.add(weights[i], F.mul(F.from_int(e), val))
+            assert list(row.rows[0]) == weights
+            assert row.transpose() == col
 
 
 def test_classify_representation():
@@ -85,13 +91,17 @@ def test_classify_representation():
     crit = classify_representation(D, Representation(QQ, [QQ.from_int(1)]),
                                    collapse=PAGE3)
     assert crit.is_critical and crit.consistent_with_page
-    assert crit.discriminant_value == QQ.from_int(2)
     wide = classify_representation(D, Representation(QQ, [QQ.from_int(2)]),
                                    collapse=PAGE2)
     assert not wide.is_critical and wide.consistent_with_page
     bad = classify_representation(D, Representation(QQ, [QQ.from_int(2)]),
                                   collapse=PAGE3)
     assert bad.consistent_with_page is False and bad.notes
+    narrow = classify_representation(D, Representation(QQ, [QQ.from_int(1)]),
+                                     collapse=PAGE2)
+    assert narrow.is_critical and narrow.consistent_with_page is False
+    assert narrow.notes == ["page-2 collapse requires a noncritical "
+                            "representation"]
 
 
 def test_representation_rejects_zero_coordinate():

@@ -227,6 +227,31 @@ def test_verify_symmetrized_identity_with_a_nonconstant_potential(disc, holds):
     assert rep.flags["symmetrized_product_identity"] is holds
 
 
+def test_page3_verify_evaluates_each_disc_witness_once(monkeypatch):
+    # a critical representation: the disc row, the page check and the
+    # symmetrized-product identity read the log gradient and the Hessian
+    from qrtorsion import superpotential, verifier
+    calls = {"hessian": 0, "log_gradient": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(superpotential, name))
+        for mod in (superpotential, verifier):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+    inst = generate_instance(3, 2, QQ, 4)
+    inst.discs = DiscSystem(2, [([1, 0], 1), ([-1, 0], 1)])
+    inst.representation = Representation(QQ, [QQ.one(), QQ.from_int(3)])
+    rep = verify_main_theorem(inst)
+    assert rep.flags["representation_page_consistent"]
+    assert calls == {"hessian": 1, "log_gradient": 2}
+
+
 def _spectral_counters(monkeypatch):
     """Record the Contractions built inside each page1 and closed_form_r
     call, and every Contraction built at all."""
@@ -419,18 +444,14 @@ def test_verify_checks_the_pearl_once(monkeypatch):
     assert len(inside) == 12
 
 
-def test_disc_check_failure_is_flagged_and_size_mismatch_raises(monkeypatch):
-    from qrtorsion import superpotential
+def test_disc_check_failure_is_flagged_and_size_mismatch_raises():
     from qrtorsion.superpotential import PotentialError
     inst = generate_instance(3, 2, QQ, 4)
-    inst.discs = DiscSystem(2, [([0, 0], 1)])
+    # W = z1 has log gradient (1, 0) at (1, 1), which page 1 does not have
+    inst.discs = DiscSystem(2, [([1, 0], 1)])
     inst.representation = Representation(QQ, [QQ.one(), QQ.one()])
-    with monkeypatch.context() as m:
-        m.setattr(superpotential, "log_gradient",
-                  lambda W, phi: [QQ.one()] * phi.b)
-        rep = verify_main_theorem(inst)
+    rep = verify_main_theorem(inst)
     assert rep.flags["disc_differential_match"] is False
-    assert "disc differential disagrees with the potential gradient" in rep.notes
     # a representation of the wrong size is bad input, not a failed check
     inst.representation = Representation(QQ, [QQ.one()])
     with pytest.raises(PotentialError, match="size mismatch"):
