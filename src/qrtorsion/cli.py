@@ -135,12 +135,11 @@ def cmd_potential(args):
     F = field_from_string(args.field)
     phi = Representation(F, _parse_point(F, args.at))
     W = build_potential(D)
-    # log_gradient rejects a point of the wrong size, for every flavor
-    g = log_gradient(W, phi)
     if args.flavor == "eval":
         val = W.evaluate(phi)
         _emit({"v": schemas.VERSION, "value": F.format(val)})
     elif args.flavor == "grad":
+        g = log_gradient(W, phi)
         _emit({"v": schemas.VERSION, "gradient": [F.format(x) for x in g]})
     else:
         val = discriminant(W, phi)

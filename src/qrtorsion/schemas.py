@@ -91,8 +91,8 @@ def _parse(field: Field, x):
 
 
 class _Reader:
-    """Scalars and matrices of one document: each distinct JSON value is
-    parsed once per field, by :func:`_parse`, and each matrix is built from
+    """Scalars and matrices of one document over its field: each distinct
+    JSON value is parsed once, by :func:`_parse`, and each matrix is built from
     the parsed rows by ``Matrix.from_parsed``, with no Fraction made.  A
     document repeats a few scalar strings many times.  A scalar is a string
     or a JSON integer: a float or a boolean would parse inexactly (2.5
@@ -100,12 +100,12 @@ class _Reader:
     it is rejected.  Keys carry the value's type, so 1 and "1" never share
     an entry; an unhashable value is parsed (and rejected) as is."""
 
-    def __init__(self):
-        self._memos = {}
+    def __init__(self, field: Field):
+        self.field = field
+        self._memo = {}
 
-    def scalars(self, field: Field, values, where):
-        memo = self._memos.setdefault(field, {})
-        parse = _parse
+    def scalars(self, values, where):
+        field, memo, parse = self.field, self._memo, _parse
         out = []
         try:
             for x in values:
@@ -124,13 +124,13 @@ class _Reader:
             raise SchemaError(f"bad scalar in {where}: {e}") from e
         return out
 
-    def matrix(self, field: Field, data, nrows, ncols, where):
+    def matrix(self, data, nrows, ncols, where):
         if (not isinstance(data, list) or len(data) != nrows
                 or any(not isinstance(r, list) or len(r) != ncols
                        for r in data)):
             raise SchemaError(f"matrix in {where} must be {nrows}x{ncols}")
-        rows = [self.scalars(field, r, where) for r in data]
-        return Matrix.from_parsed(field, rows, nrows, ncols)
+        rows = [self.scalars(r, where) for r in data]
+        return Matrix.from_parsed(self.field, rows, nrows, ncols)
 
 
 def matrix_to_json(M: Matrix):
@@ -138,7 +138,7 @@ def matrix_to_json(M: Matrix):
 
 
 def matrix_from_json(field: Field, data, nrows, ncols, where):
-    return _Reader().matrix(field, data, nrows, ncols, where)
+    return _Reader(field).matrix(data, nrows, ncols, where)
 
 
 def field_from_doc(doc, where="document") -> Field:
@@ -155,24 +155,24 @@ def complex_from_json(doc) -> BasedChainComplex:
     ranks = _ints(_require(doc, "ranks", "complex"), "complex ranks")
     data = _list(_require(doc, "boundaries", "complex"),
                  "complex boundaries (one per positive degree)", len(ranks) - 1)
-    read = _Reader()
-    bnds = [read.matrix(F, data[k - 1], ranks[k - 1], ranks[k],
+    read = _Reader(F)
+    bnds = [read.matrix(data[k - 1], ranks[k - 1], ranks[k],
                         f"boundary d_{k}")
             for k in range(1, len(ranks))]
     return BasedChainComplex(F, ranks, bnds)
 
 
 def bases_from_json(field, ranks, data, where="bases"):
-    return _bases(_Reader(), field, ranks, data, where)
+    return _bases(_Reader(field), ranks, data, where)
 
 
-def _bases(read, field, ranks, data, where):
+def _bases(read, ranks, data, where):
     _list(data, f"{where} (one matrix per degree)", len(ranks))
     out = []
     for k, mat in enumerate(data):
         ncols = len(mat[0]) if isinstance(mat, list) and mat and \
             isinstance(mat[0], list) else 0
-        out.append(read.matrix(field, mat, ranks[k], ncols, f"{where}[{k}]"))
+        out.append(read.matrix(mat, ranks[k], ncols, f"{where}[{k}]"))
     return out
 
 
@@ -190,20 +190,18 @@ def pearl_to_json(P: TwistedPearlComplex):
 
 
 def pearl_from_json(doc) -> TwistedPearlComplex:
-    return _pearl(_Reader(), doc)
+    return _pearl(_Reader(field_from_doc(doc, "pearl")), doc)
 
 
 def _pearl(read, doc) -> TwistedPearlComplex:
-    F = field_from_doc(doc, "pearl")
     ranks = _ints(_list(_require(doc, "ranks", "pearl"),
                         "pearl ranks (degrees 0..3)", 4), "pearl ranks")
-    dM = [read.matrix(F, m, ranks[k], ranks[k + 1], f"dM_{k + 1}")
+    dM = [read.matrix(m, ranks[k], ranks[k + 1], f"dM_{k + 1}")
           for k, m in enumerate(_list(_require(doc, "dM", "pearl"), "dM", 3))]
-    d1 = [read.matrix(F, m, ranks[k + 1], ranks[k], f"d1_{k}")
+    d1 = [read.matrix(m, ranks[k + 1], ranks[k], f"d1_{k}")
           for k, m in enumerate(_list(_require(doc, "d1", "pearl"), "d1", 3))]
-    d2 = read.matrix(F, _require(doc, "d2", "pearl"), ranks[3], ranks[0],
-                     "d2")
-    return TwistedPearlComplex(F, ranks, dM, d1, d2)
+    d2 = read.matrix(_require(doc, "d2", "pearl"), ranks[3], ranks[0], "d2")
+    return TwistedPearlComplex(read.field, ranks, dM, d1, d2)
 
 
 def periodic_to_json(P: PeriodicComplex):
@@ -217,10 +215,10 @@ def periodic_from_json(doc) -> PeriodicComplex:
     F = field_from_doc(doc, "periodic complex")
     n_odd = _int(_require(doc, "n_odd", "periodic complex"), "n_odd")
     n_even = _int(_require(doc, "n_even", "periodic complex"), "n_even")
-    read = _Reader()
-    d_oe = read.matrix(F, _require(doc, "d_oe", "periodic"), n_even, n_odd,
+    read = _Reader(F)
+    d_oe = read.matrix(_require(doc, "d_oe", "periodic"), n_even, n_odd,
                        "d_oe")
-    d_eo = read.matrix(F, _require(doc, "d_eo", "periodic"), n_odd, n_even,
+    d_eo = read.matrix(_require(doc, "d_eo", "periodic"), n_odd, n_even,
                        "d_eo")
     return PeriodicComplex(F, n_odd, n_even, d_oe, d_eo)
 
@@ -298,9 +296,12 @@ def instance_to_json(inst: Instance):
 
 def instance_from_json(doc) -> Instance:
     F = field_from_doc(doc, "instance")
-    pearl_doc = dict(_object(_require(doc, "pearl", "instance"), "pearl"))
-    pearl_doc.setdefault("field", field_to_string(F))
-    read = _Reader()
+    pearl_doc = _object(_require(doc, "pearl", "instance"), "pearl")
+    pearl_F = field_from_doc(pearl_doc, "pearl") if "field" in pearl_doc else F
+    if pearl_F != F:
+        raise SchemaError(f"pearl.field {field_to_string(pearl_F)} differs "
+                          f"from field {field_to_string(F)}")
+    read = _Reader(F)
     pearl = _pearl(read, pearl_doc)
     homology = homology_from_json(_require(doc, "homology", "instance"))
     form = form_from_json(_require(doc, "form", "instance"))
@@ -310,7 +311,7 @@ def instance_from_json(doc) -> Instance:
     error = admissibility_error(homology.torsion, F)
     if error:
         raise SchemaError(f"inadmissible field {field_to_string(F)}: {error}")
-    bases = _bases(read, F, pearl.ranks, _require(doc, "bases", "instance"),
+    bases = _bases(read, pearl.ranks, _require(doc, "bases", "instance"),
                    "bases")
     b, cols = homology.b, [B.ncols for B in bases]
     if cols != [1, b, b, 1]:
@@ -324,7 +325,7 @@ def instance_from_json(doc) -> Instance:
     if "representation" in doc:
         values = _list(doc["representation"], "representation")
         representation = Representation(F, read.matrix(
-            F, [values], 1, len(values), "representation").rows[0])
+            [values], 1, len(values), "representation").rows[0])
     return Instance(homology, form, F, pearl, bases, discs, representation,
                     doc.get("id"))
 

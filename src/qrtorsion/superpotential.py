@@ -8,16 +8,15 @@ points of the torus (F^x)^b, exactly, through Representation.monomial,
 which refuses a power over Q too long to write; the Hessian, read by
 discriminant and the verifier, is evaluated once, in hessian.  The degree-0
 and degree-2 disc differentials are the logarithmic gradient of the
-potential, written once, in log_gradient, as a column and a row.
+potential, written once, in log_gradient, as a column and a row.  Nothing
+here knows about collapsing pages: the rule that ties a critical point to
+page-3 collapse is checked by the verifier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import Field, digit_limit
 from .linalg import Matrix
-from .spectral import PAGE2, PAGE3
 
 
 class PotentialError(Exception):
@@ -112,16 +111,6 @@ class Representation:
         return out
 
 
-@dataclass
-class WideNarrowReport:
-    """Whether the log gradient vanishes at the representation, and whether
-    that agrees with an observed collapsing page."""
-
-    is_critical: bool
-    consistent_with_page: bool | None
-    notes: list
-
-
 def build_potential(D: DiscSystem) -> LaurentPolynomial:
     """Sum of count * z^{boundary} over the discs; colliding boundary
     classes accumulate."""
@@ -171,34 +160,12 @@ def discriminant(W: LaurentPolynomial, phi: Representation):
     return F.mul(sign, F.mul(weight, det))
 
 
-def d1_from_discs(D: DiscSystem, phi: Representation):
+def d1_from_discs(W: LaurentPolynomial, phi: Representation):
     """The two disc differentials determined by the divisor axiom, as a row
     (degree 2 to degree 3) and a column (degree 0 to degree 1): both are the
-    log gradient g of the potential, g_i = sum_A m0(A) * phi(dA) * (dA)_i."""
-    g = log_gradient(build_potential(D), phi)
-    return (Matrix(phi.field, [g], nrows=1, ncols=D.b),
-            Matrix(phi.field, [[x] for x in g], nrows=D.b, ncols=1))
+    log gradient g of the potential W = build_potential(D),
+    g_i = sum_A m0(A) * phi(dA) * (dA)_i."""
+    g = log_gradient(W, phi)
+    return (Matrix(phi.field, [g], nrows=1, ncols=W.nvars),
+            Matrix(phi.field, [[x] for x in g], nrows=W.nvars, ncols=1))
 
-
-def classify_representation(D: DiscSystem, phi: Representation,
-                            collapse=None) -> WideNarrowReport:
-    """Critical-point report for the representation, checked against an
-    observed collapsing page when one is supplied: collapse at page 3 demands
-    a critical point, collapse at page 2 a nonvanishing gradient entry."""
-    F = phi.field
-    W = build_potential(D)
-    critical = all(F.is_zero(g) for g in log_gradient(W, phi))
-    notes = []
-    if W.is_constant():
-        notes.append("potential is constant: gradient and discriminant vanish "
-                     "identically")
-    consistent = None
-    if collapse == PAGE3:
-        consistent = critical
-        if not critical:
-            notes.append("page-3 collapse requires a critical representation")
-    elif collapse == PAGE2:
-        consistent = not critical
-        if critical:
-            notes.append("page-2 collapse requires a noncritical representation")
-    return WideNarrowReport(critical, consistent, notes)

@@ -30,7 +30,7 @@ from .spectral import Spectrum, PAGE2, PAGE3, SpectralError, WrongPageError
 from .threefold import (ThreefoldHomology, TripleForm, symplectic_slice,
                         find_slice)
 from .superpotential import (DiscSystem, Representation, build_potential,
-                             d1_from_discs, hessian, classify_representation)
+                             d1_from_discs, hessian)
 
 
 class VerifierError(Exception):
@@ -252,12 +252,20 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
         phi = inst.representation
         W = build_potential(inst.discs)
         implied["w_constant"] = W.is_constant()
-        row, col = d1_from_discs(inst.discs, phi)
+        row, col = d1_from_discs(W, phi)
         flags["disc_differential_match"] = (row == S.page1.d1star[2]
                                             and col == S.page1.d1star[0])
-        rep = classify_representation(inst.discs, phi, collapse)
-        flags["representation_page_consistent"] = bool(rep.consistent_with_page)
-        notes.extend(rep.notes)
+        # collapse is at page 3 exactly when phi is a critical point of W
+        critical = row.is_zero()
+        consistent = critical == (collapse == PAGE3)
+        flags["representation_page_consistent"] = consistent
+        if implied["w_constant"]:
+            notes.append("potential is constant: gradient and discriminant "
+                         "vanish identically")
+        if not consistent:
+            notes.append("page-2 collapse requires a noncritical representation"
+                         if critical else
+                         "page-3 collapse requires a critical representation")
         if qf is not None:
             # symmetrized-product identity, the only reader of Q's entries:
             # Q_ij + Q_ji must match the n = 3 signed torus-weighted Hessian

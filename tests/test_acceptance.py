@@ -260,7 +260,7 @@ def test_criterion_08_superpotential_identities():
         phi = Representation(QQ, [QQ.parse(rng.choice(["1", "-1", "2", "1/2",
                                                        "3", "-2/3"]))
                                   for _ in range(b)])
-        row, col = d1_from_discs(D, phi)
+        row, col = d1_from_discs(build_potential(D), phi)
         assert list(row.rows[0]) == log_gradient(build_potential(D), phi)
         assert row.transpose() == col
     W = build_potential(DiscSystem(1, [([1], 1), ([-1], 1)]))

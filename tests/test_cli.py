@@ -235,6 +235,30 @@ def test_verify_inconsistent_instance_exits_2(tmp_path, capsys):
             "factor 5")
 
 
+@pytest.mark.parametrize("pearl_field, instance_field, error", [
+    ("Fp:7", "Q", "pearl.field Fp:7 differs from field Q"),
+    ("Q", "F7", "pearl.field Q differs from field Fp:7"),
+    ("F5", "Fp:7", "pearl.field Fp:5 differs from field Fp:7"),
+    ("F7", "Fp:7", None),
+], ids=["F7-in-Q", "Q-in-F7", "F5-in-F7", "F7-respelled"])
+def test_instance_with_a_pearl_over_another_field(tmp_path, capsys,
+                                                  pearl_field, instance_field,
+                                                  error):
+    # one field per instance: a pearl over another field is refused before
+    # any matrix is read, naming both fields; F7 and Fp:7 are one field
+    path = _edited_instance(
+        tmp_path, capsys,
+        lambda doc: doc["pearl"].update(field=pearl_field),
+        field=instance_field)
+    for verb in (["verify"], ["spectral"], ["torsion", "quantum"]):
+        code, out, err = run(capsys, *verb, path)
+        if error is None:
+            assert code == 0, verb
+        else:
+            assert code == 2 and out == "", verb
+            assert json.loads(err)["error"] == error
+
+
 WRONG_TYPES = [None, 7, -1, "x", [], {}, [[1]], 2.9, "2", True, 1.0]
 INSTANCE_FIELDS = ["bases", "homology", "form", "discs", "representation",
                    "pearl", "homology.b", "homology.torsion", "form.b",

@@ -6,8 +6,7 @@ from qrtorsion.fields import QQ, GF
 from qrtorsion.superpotential import (DiscSystem, Representation,
                                       PotentialError, build_potential,
                                       log_gradient, discriminant,
-                                      d1_from_discs, classify_representation)
-from qrtorsion.spectral import PAGE2, PAGE3
+                                      d1_from_discs)
 
 
 def kirby(b, discs):
@@ -26,8 +25,6 @@ def test_build_potential_collects_monomials():
     assert W.is_constant()
     phi = Representation(QQ, [QQ.from_int(2), QQ.parse("1/3")])
     assert log_gradient(W, phi) == [QQ.zero(), QQ.zero()]
-    assert any("potential is constant" in n
-               for n in classify_representation(D, phi).notes)
 
 
 def test_log_gradient_example():
@@ -75,7 +72,7 @@ def test_disc_differential_duality_random():
             D = kirby(b, discs)
             vals = [F.from_int(rng.choice([1, -1, 2, 3])) for _ in range(b)]
             phi = Representation(F, vals)
-            row, col = d1_from_discs(D, phi)
+            row, col = d1_from_discs(build_potential(D), phi)
             # the divisor axiom disc by disc, before W merges equal classes
             weights = [F.zero()] * b
             for bd, m0 in D.discs:
@@ -84,24 +81,6 @@ def test_disc_differential_duality_random():
                     weights[i] = F.add(weights[i], F.mul(F.from_int(e), val))
             assert list(row.rows[0]) == weights
             assert row.transpose() == col
-
-
-def test_classify_representation():
-    D = kirby(1, [([1], 1), ([-1], 1)])
-    crit = classify_representation(D, Representation(QQ, [QQ.from_int(1)]),
-                                   collapse=PAGE3)
-    assert crit.is_critical and crit.consistent_with_page
-    wide = classify_representation(D, Representation(QQ, [QQ.from_int(2)]),
-                                   collapse=PAGE2)
-    assert not wide.is_critical and wide.consistent_with_page
-    bad = classify_representation(D, Representation(QQ, [QQ.from_int(2)]),
-                                  collapse=PAGE3)
-    assert bad.consistent_with_page is False and bad.notes
-    narrow = classify_representation(D, Representation(QQ, [QQ.from_int(1)]),
-                                     collapse=PAGE2)
-    assert narrow.is_critical and narrow.consistent_with_page is False
-    assert narrow.notes == ["page-2 collapse requires a noncritical "
-                            "representation"]
 
 
 def test_representation_rejects_zero_coordinate():

@@ -11,6 +11,7 @@ from qrtorsion.fields import QQ, GF, SignClass
 from qrtorsion.threefold import ThreefoldHomology, TripleForm
 from qrtorsion.models import realize_morse, homology_bases, random_pearl
 from qrtorsion.torsion import quantum_torsion
+from qrtorsion.spectral import PAGE2, PAGE3
 from qrtorsion.generate import generate_instance, mutate_d2
 from qrtorsion.verifier import (Instance, torsion_ratio, e1_milnor_torsion,
                                 torsion_via_page2_formula,
@@ -204,6 +205,36 @@ def test_verify_with_discs():
     assert rep.implied.get("w_constant") is True
 
 
+CONSTANT = ("potential is constant: gradient and discriminant vanish "
+            "identically")
+PAGE2_NOTE = "page-2 collapse requires a noncritical representation"
+PAGE3_NOTE = "page-3 collapse requires a critical representation"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("page, discs, point, consistent, notes", [
+    (2, [([1, 0, 0], 1)], [1, 1, 1], True, []),
+    (2, [([1, -1, 0], 2), ([-1, 1, 0], 2)], [1, 1, 1], False, [PAGE2_NOTE]),
+    (2, [([0, 0, 0], 3)], [2, 1, 3], False, [CONSTANT, PAGE2_NOTE]),
+    (3, [([1, 0], 1), ([-1, 0], 1)], [1, 3], True, []),
+    (3, [([1, 0], 1)], [2, 3], False, [PAGE3_NOTE]),
+    (3, [([0, 0], 3)], [2, 3], True, [CONSTANT]),
+], ids=["page2-noncritical", "page2-critical", "page2-constant",
+        "page3-critical", "page3-noncritical", "page3-constant"])
+def test_verify_representation_page_rule(field, page, discs, point,
+                                         consistent, notes):
+    # page-3 collapse exactly at a critical point of W, with one note when
+    # the representation disagrees with the page and one when W is constant
+    inst = generate_instance(page, len(point), field, 1)
+    inst.discs = DiscSystem(len(point), discs)
+    inst.representation = Representation(field,
+                                         [field.from_int(x) for x in point])
+    rep = verify_main_theorem(inst)
+    assert rep.collapse == (PAGE2 if page == 2 else PAGE3)
+    assert rep.flags["representation_page_consistent"] is consistent
+    assert rep.notes == notes
+
+
 @pytest.mark.parametrize("disc, holds", [([1, 0], True), ([1, 1], False)],
                          ids=["W=z1", "W=z1z2"])
 def test_verify_symmetrized_identity_with_a_nonconstant_potential(disc, holds):
@@ -229,9 +260,10 @@ def test_verify_symmetrized_identity_with_a_nonconstant_potential(disc, holds):
 
 def test_page3_verify_evaluates_each_disc_witness_once(monkeypatch):
     # a critical representation: the disc row, the page check and the
-    # symmetrized-product identity read the log gradient and the Hessian
+    # symmetrized-product identity read one W, its one log gradient and
+    # its one Hessian
     from qrtorsion import superpotential, verifier
-    calls = {"hessian": 0, "log_gradient": 0}
+    calls = {"build_potential": 0, "hessian": 0, "log_gradient": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -249,7 +281,7 @@ def test_page3_verify_evaluates_each_disc_witness_once(monkeypatch):
     inst.representation = Representation(QQ, [QQ.one(), QQ.from_int(3)])
     rep = verify_main_theorem(inst)
     assert rep.flags["representation_page_consistent"]
-    assert calls == {"hessian": 1, "log_gradient": 2}
+    assert calls == {"build_potential": 1, "hessian": 1, "log_gradient": 1}
 
 
 def _spectral_counters(monkeypatch):
