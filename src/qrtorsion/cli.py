@@ -4,8 +4,9 @@ Verbs: torsion, spectral, classify, generate, potential, verify, batch.
 All reports are JSON with sorted keys, so output is byte-identical for
 identical (command line, input files, seed).  Errors go to standard
 error as {"error": ..., "where": ...}; exit codes are 0 for success or
-an all-pass verification, 1 for a verification failure, 2 for bad input,
-3 for an unexpected internal error.
+an all-pass verification, 1 for a verification failure, 2 for bad input
+(a usage error on the command line included), 3 for an unexpected
+internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import sys
 
 from . import schemas
@@ -206,8 +208,31 @@ def cmd_batch(args):
     return 0 if passed == args.count else 1
 
 
+class UsageError(Exception):
+    """A command line argparse refuses, with the verb it names (where)."""
+
+    def __init__(self, message, where):
+        super().__init__(message)
+        self.where = where
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises UsageError where it would print its usage and
+    exit, so that main reports the error as every other bad input.  A
+    value that starts with "-" and a digit, such as the point -1,2, is a
+    value and not an option (argparse alone takes only a plain negative
+    number so): no option of this command line looks like that."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        raise UsageError(message, self.prog.partition(" ")[2] or self.prog)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qrtorsion",
         description="Exact torsion invariants of twisted pearl complexes.")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -267,20 +292,25 @@ def build_parser():
     return p
 
 
+def _fail(message, where, code):
+    json.dump({"error": message, "where": where}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as e:
+        return _fail(str(e), e.where, 2)
     if args.verb == "batch" and args.b is None:
         args.b = 3 if args.page == 2 else 2
     try:
         return args.run(args)
     except INPUT_ERRORS as e:
-        message, code = str(e), 2
+        return _fail(str(e), args.verb, 2)
     except Exception as e:
-        message, code = f"internal error: {type(e).__name__}: {e}", 3
-    json.dump({"error": message, "where": args.verb}, sys.stderr)
-    sys.stderr.write("\n")
-    return code
+        return _fail(f"internal error: {type(e).__name__}: {e}", args.verb, 3)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .fields import Field, QQ
 from .linalg import Matrix
 from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
                         integral_homology, admissibility_error)
-from .threefold import ThreefoldHomology, TripleForm
+from .threefold import ThreefoldHomology, TripleForm, unpack_row
 from .spectral import Contraction, Spectrum, PAGE2, PAGE3
 
 
@@ -196,23 +196,24 @@ def solve_leibniz_derivation(I: TripleForm, r, field: Field):
     right-hand sides.  R has rank >= b - 1, so whenever a derivation exists
     the alternating S has rank b - 1 and kernel e_i0, and the r^T row kills
     that kernel.  The solution is then unique, so it is the derivation.
+    The system is built from the slice's integer rows (``slice_rows``), r
+    and R in integers, each reduced into the field once.
 
     The degree-2 product equations sum_k I(i,j,k) c_mk = r_i d_jm - r_j d_im
     are implied: read as (i,m,j), the pairing row (i,j,k) differs from the
     product row (i,j,m) by antisymmetry rows, whose right-hand side is 0.
     """
     b, F = I.b, field
-    rF = [F.from_int(x) for x in r]
-    i0 = next((i for i, x in enumerate(rF) if not F.is_zero(x)), None)
+    i0 = next((i for i, x in enumerate(r) if not F.is_zero(F.from_int(x))),
+              None)
     if i0 is None:
         raise ModelError("not page-2 narrow: rate vector vanishes over the "
                          "field")
-    zero = F.zero()
-    S = I.slice_matrix([int(i == i0) for i in range(b)], F)
-    minus_R = [[F.sub(rF[k] if j == i0 else zero, rF[i0] if j == k else zero)
+    S = I.slice_rows([int(i == i0) for i in range(b)])
+    minus_R = [[(r[k] if j == i0 else 0) - (r[i0] if j == k else 0)
                 for j in range(b)] for k in range(b)]
-    return Matrix(F, S.rows + [rF], b + 1, b).solve(
-        Matrix(F, minus_R + [[zero] * b], b + 1, b))
+    return Matrix.from_int_rows(F, S + [list(r)], b + 1, b).solve(
+        Matrix.from_int_rows(F, minus_R + [[0] * b], b + 1, b))
 
 
 def _checked_derivation(I: TripleForm, r, c: Matrix) -> Matrix:
@@ -220,22 +221,27 @@ def _checked_derivation(I: TripleForm, r, c: Matrix) -> Matrix:
     solve_leibniz_derivation; else ModelError names the first one it fails.
     c is the integer rows C over one denominator d, and each equation is
     checked as d times itself in integers.  The pairing row (i, k) is
-    sum_m I(i,m,k) C[m] = -I.contract(C)[i][k]; the form is alternating, so
+    sum_m I(i,m,k) C[m] = -contract(C)[i][k]; the form is alternating, so
     the residual at (k, i) is minus the one at (i, k) and vanishes at
-    i = k, and only the rows i < k are checked, in O(|coeffs| b) work and
-    b^2 (b - 1) / 2 compares."""
-    b, ok = I.b, c.field.is_zero
+    i = k, and only the rows i < k are checked.  Each residual row is the
+    packed row of I.packed_contract(C) plus d r_i at slot k less d r_k at
+    slot i, in slots with room for max|C| sum|coeff| + max|d r| (threefold
+    module docstring), so it costs O(|coeffs|) multiply-adds of b-slot
+    integers.  Over Q the signed slots of a packed integer are unique, so
+    a row vanishes when its integer is 0; over F_p each slot is reduced."""
+    b, p = I.b, c.field.char
     C, d = c.num, c.den
     rd = [d * x for x in r]
     fail = NO_DERIVATION + ": the slice solution fails "
-    up = I.contract(C)
+    acc, s = I.packed_contract(C, max(map(abs, rd), default=0))
+    at = [1 << (s * t) for t in range(b)]
     for i in range(b):
+        row = acc[i]
         for k in range(i + 1, b):
-            row = up[i][k]
-            row[k] += rd[i]
-            row[i] -= rd[k]
-            if not all(map(ok, row)):
+            res = row[k] + rd[i] * at[k] - rd[k] * at[i]
+            if res and (not p or any(x % p for x in unpack_row(res, s, b))):
                 raise ModelError(fail + "the duality pairing")
+    ok = c.field.is_zero
     if not all(ok(C[i][j] + C[j][i]) for i in range(b) for j in range(i, b)):
         raise ModelError(fail + "antisymmetry")
     if not all(ok(sum(map(mul, row, r))) for row in C):

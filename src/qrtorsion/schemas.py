@@ -21,7 +21,7 @@ from .fields import Field, field_from_string, field_to_string
 from .linalg import Matrix
 from .complexes import (BasedChainComplex, TwistedPearlComplex, PeriodicComplex,
                         admissibility_error)
-from .threefold import ThreefoldHomology, TripleForm
+from .threefold import MAX_B, ThreefoldHomology, TripleForm
 from .superpotential import DiscSystem, Representation
 from .verifier import Instance, VerificationReport
 
@@ -134,7 +134,15 @@ class _Reader:
 
 
 def matrix_to_json(M: Matrix):
-    return [[M.field.format(x) for x in row] for row in M.rows]
+    """M's entries as scalar strings, as ``field.format`` writes them, read
+    straight off ``num`` and ``den``: an integer row is its decimals, and
+    over Q an entry n / den is reduced by gcd(n, den), written "p/q" when
+    the reduced denominator is not 1."""
+    d = M.den
+    if d == 1:
+        return [list(map(str, row)) for row in M.num]
+    return [[str(n // g) if (g := gcd(n, d)) == d else f"{n // g}/{d // g}"
+             for n in row] for row in M.num]
 
 
 def matrix_from_json(field: Field, data, nrows, ncols, where):
@@ -228,10 +236,45 @@ def form_to_json(I: TripleForm):
                                   for k, v in I.entries()]}
 
 
+def _ascending_form(doc):
+    """The form of a document as form_to_json writes it: "b" an integer in
+    0..MAX_B and every entry {"ijk": [i, j, k], "v": v} of exact JSON
+    integers with 1 <= i < j < k <= b, the triples in strictly ascending
+    order (so none repeats).  Its coefficients are stored as they stand;
+    None at the first thing that is not so."""
+    if type(doc) is not dict:
+        return None
+    b, entries = doc.get("b"), doc.get("entries", [])
+    if type(b) is not int or not 0 <= b <= MAX_B or type(entries) is not list:
+        return None
+    coeffs, last = {}, (0, 0, 0)
+    for e in entries:
+        if type(e) is not dict:
+            return None
+        ijk, v = e.get("ijk"), e.get("v")
+        if type(ijk) is not list or len(ijk) != 3 or type(v) is not int:
+            return None
+        i, j, k = key = tuple(ijk)
+        if not (type(i) is int and type(j) is int and type(k) is int
+                and last < key and 0 < i < j < k <= b):
+            return None
+        last = key
+        if v:
+            coeffs[key] = v
+    I = TripleForm(b)
+    I.coeffs = coeffs
+    return I
+
+
 def form_from_json(doc) -> TripleForm:
-    """The form of a document.  An entry {"ijk": [i, j, k], "v": v} of exact
-    JSON integers is read as it stands; any other entry is read key by key,
-    and the first key at fault names the error."""
+    """The form of a document.  A document as form_to_json writes it is
+    read by _ascending_form; any other is read from the start here: an
+    entry {"ijk": [i, j, k], "v": v} of exact JSON integers as it stands,
+    any other entry key by key, and the first key at fault names the
+    error."""
+    I = _ascending_form(doc)
+    if I is not None:
+        return I
     b = _int(_require(doc, "b", "triple form"), "triple form b")
     entries = []
     seen = set()    # each unordered triple once: a repeat would overwrite
@@ -373,14 +416,16 @@ def _json(o, nl):
     vocabulary: exact str, int, bool and None leaves, lists, and dicts with
     str keys.  Any other value raises _Other.  Exact str and int list items
     and str, int, true, false and null dict values (a report's flags, a
-    form entry's coefficient) are written without a call."""
+    form entry's coefficient) are written without a call, and a list of
+    dicts by _dict_items, which fills each form entry into a template."""
     if type(o) is list:
         if not o:
             return "[]"
         inner = nl + "  "
-        items = [_quote(x) if type(x) is str else
-                 int.__repr__(x) if type(x) is int else _json(x, inner)
-                 for x in o]
+        items = (_dict_items(o, inner) if type(o[0]) is dict else
+                 [_quote(x) if type(x) is str else
+                  int.__repr__(x) if type(x) is int else _json(x, inner)
+                  for x in o])
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if type(o) is dict:
         if not o:
@@ -405,6 +450,27 @@ def _json(o, nl):
     if o is None or type(o) is bool:
         return "null" if o is None else "true" if o else "false"
     raise _Other
+
+
+def _dict_items(o, nl):
+    """The items of the list o as _json writes them on lines indented by
+    nl, with each form entry {"ijk": [i, j, k], "v": v} of exact ints
+    filled into one template ("ijk" sorts before "v") and any other item
+    left to _json."""
+    i2, i3 = nl + "  ", nl + "    "
+    entry = ("{" + i2 + '"ijk": [' + i3 + "%d," + i3 + "%d," + i3 + "%d"
+             + i2 + "]," + i2 + '"v": %d' + nl + "}")
+    out = []
+    for x in o:
+        if (type(x) is dict and len(x) == 2
+                and type(ijk := x.get("ijk")) is list and len(ijk) == 3
+                and type(v := x.get("v")) is int):
+            i, j, k = ijk
+            if type(i) is int and type(j) is int and type(k) is int:
+                out.append(entry % (i, j, k, v))
+                continue
+        out.append(_json(x, nl))
+    return out
 
 
 def dump(doc, path=None):

@@ -8,11 +8,19 @@ dichotomy: either some degree-2 vector induces a symplectic form on a
 complement (possible only for odd b), or the triple form vanishes.
 
 A form is stored by its coefficients on sorted triples and read straight
-from them.  Its one kernel, ``contract``, sums rows W[x] against the form's
-first index: a slice along v is contract([[w_i]]) mirrored into an
-alternating matrix, and the page-2 derivation check
-(``models._checked_derivation``) is contract(C).  The sign convention is
-written once, in ``_upper_terms``.
+from them.  Its one kernel, ``packed_contract``, sums rows W[x] against the
+form's first index with each row packed into one integer (Kronecker
+substitution): entry t of a row sits in an s-bit slot at bit s t, and s
+holds max|W| * sum|coeff| plus any slack the caller adds, and a sign bit,
+so every slot of every sum is a signed digit below 2^(s-1) in size and the
+packed sum determines its slots.  Each of the three signed terms per
+coefficient is then one multiply-add of integers.  A slice along v reads
+the accumulated integers of the one-slot rows [[w_i]] (at one slot the
+packed row is the entry), the page-2 derivation check
+(``models._checked_derivation``) tests the packed rows of
+packed_contract(C), and ``contract`` unpacks them into rows.  The sign
+convention is written once, in ``_upper_terms``, and
+``apply_unimodular`` packs its last index the same way.
 """
 
 from __future__ import annotations
@@ -139,58 +147,125 @@ class TripleForm:
             out += ((x, y, z, s), (x, z, y, -s))
         return out
 
-    def contract(self, W):
-        """The upper triangle of sum_x W[x] I(x, ., .) for b integer rows W
-        of one width: up[y][z] is the row sum_x I(x,y,z) W[x] for y < z and
-        a zero row otherwise, read off coeffs in three signed row updates
-        per stored coefficient, skipping the zero rows of W."""
+    def packed_contract(self, W, slack=0):
+        """(acc, s): acc[y][z] is the packed row sum_x I(x,y,z) W[x] for
+        y < z and 0 otherwise, for b integer rows W of one width n, in
+        s-bit slots (module docstring) with room for slack more in each
+        slot.  Each row is packed once and each signed term of
+        ``_upper_terms`` is one multiply-add, skipping the zero rows of W.
+        At n = 1 the packed row is the entry itself and s is 0."""
         b = self.b
         n = len(W[0]) if W else 0
-        live = [any(row) for row in W]
-        up = [[[0] * n for _ in range(b)] for _ in range(b)]
-        for x, y, z, s in self._upper_terms():
-            if live[x]:
-                row = up[y]
-                row[z] = [t + s * u for t, u in zip(row[z], W[x])]
-        return up
+        s = 0
+        if n > 1:
+            bound = (max(abs(x) for row in W for x in row)
+                     * sum(map(abs, self.coeffs.values())) + slack)
+            s = bound.bit_length() + 1
+        P = [pack_row(row, s) for row in W]
+        acc = [[0] * b for _ in range(b)]
+        for x, y, z, t in self._upper_terms():
+            u = P[x]
+            if u:
+                acc[y][z] += t * u
+        return acc, s
+
+    def contract(self, W):
+        """The upper triangle of sum_x W[x] I(x, ., .) for b integer rows W
+        of one width n: up[y][z] is the row sum_x I(x,y,z) W[x] for y < z,
+        unpacked from ``packed_contract``, and a zero row otherwise."""
+        b = self.b
+        n = len(W[0]) if W else 0
+        acc, s = self.packed_contract(W)
+        return [[unpack_row(acc[y][z], s, n) if y < z else [0] * n
+                 for z in range(b)] for y in range(b)]
 
     def slice_matrix(self, v, field: Field) -> Matrix:
         """The alternating matrix of the pairing (x, y) -> form(v, x, y); v is
         a length-b column of integers or field scalars and has itself in the
         kernel.  Over Q, v is scaled to integers w = d v by the lcm d of its
-        denominators; the slice is contract([[w_i]]), summed in integers,
-        and the integer matrix is scaled back by 1/d."""
-        b = self.b
-        if len(v) != b:
+        denominators; the slice is the integer matrix of slice_rows(w),
+        scaled back by 1/d."""
+        if len(v) != self.b:
             raise ThreefoldError("vector length mismatch")
         if field.char:
             d, w = 1, v
         else:
             d = lcm(*(x.denominator for x in v))
             w = [x.numerator * (d // x.denominator) for x in v]
-        up = self.contract([[x] for x in w])
-        rows = [[up[y][z][0] - up[z][y][0] for z in range(b)]
-                for y in range(b)]
-        M = Matrix.from_int_rows(field, rows, b, b)
+        M = Matrix.from_int_rows(field, self.slice_rows(w), self.b, self.b)
         return M if d == 1 else M.scale(Fraction(1, d))
+
+    def slice_rows(self, w):
+        """The integer rows of the slice along the integer column w: the
+        one-slot sums acc[y][z] of packed_contract([[w_i]]), mirrored into
+        an alternating matrix."""
+        b = self.b
+        acc, _ = self.packed_contract([[x] for x in w])
+        return [[acc[y][z] - acc[z][y] for z in range(b)] for y in range(b)]
 
     def apply_unimodular(self, U) -> "TripleForm":
         """Pull the form back along the integer basis change e_i -> sum_j
         U[j][i] e_j (columns of U are the new basis vectors): the value at
         i < j < k is the sum of s U[x][i] U[y][j] U[z][k] over the signed
-        terms (x, y, z, s), contracted one index at a time."""
+        terms (x, y, z, s), contracted one index at a time.  The last index
+        is packed (module docstring): the rows U[z] are packed once, in
+        slots with room for 6 sum|coeff| max|U|^3, and for each i < j one
+        packed sum of a U[y][j] U[z] over the terms holds the values at
+        every k.  Its slots k <= j sum to less than 2^(s (j + 1) - 1) in
+        size, so adding that and shifting by s (j + 1) drops them exactly;
+        the rest are unpacked."""
         b = self.b
         out = TripleForm(b)
-        terms = [(s, U[x], U[y], U[z]) for x, y, z, s in self.signed_terms()]
+        if not self.coeffs:
+            return out
+        bound = (6 * sum(map(abs, self.coeffs.values()))
+                 * max(abs(x) for row in U for x in row) ** 3)
+        s = bound.bit_length() + 1
+        P = [pack_row(row, s) for row in U]
+        terms = [(t, U[x], U[y], P[z]) for x, y, z, t in self.signed_terms()]
         for i in range(b):
-            ti = [(s * Ux[i], Uy, Uz) for s, Ux, Uy, Uz in terms if Ux[i]]
+            ti = [(t * Ux[i], Uy, Pz) for t, Ux, Uy, Pz in terms if Ux[i]]
             for j in range(i + 1, b):
-                tj = [(a * Uy[j], Uz) for a, Uy, Uz in ti if Uy[j]]
-                for k in range(j + 1, b):
-                    val = sum(a * Uz[k] for a, Uz in tj)
-                    if val:
-                        out.coeffs[i + 1, j + 1, k + 1] = val
+                tot = 0
+                for a, Uy, Pz in ti:
+                    if Uy[j]:
+                        tot += a * Uy[j] * Pz
+                if tot:
+                    low = s * (j + 1)
+                    high = (tot + (1 << (low - 1))) >> low
+                    for k, val in enumerate(unpack_row(high, s, b - j - 1),
+                                            j + 2):
+                        if val:
+                            out.coeffs[i + 1, j + 1, k] = val
         return out
+
+
+def pack_row(row, s):
+    """The integer sum_t row[t] 2^(s t): the row's entries in s-bit slots,
+    lowest first."""
+    v = 0
+    for x in reversed(row):
+        v = (v << s) + x
+    return v
+
+
+def unpack_row(v, s, n):
+    """The n slots of v = sum_t d_t 2^(s t) with |d_t| < 2^(s-1), lowest
+    first: each is the low s bits of v read as a signed digit, and v less
+    that digit, shifted down, carries the borrow to the next slot; the top
+    slot is what is left."""
+    if n < 2:
+        return [v] * n
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    out = []
+    for _ in range(n - 1):
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> s
+    out.append(v)
+    return out
 
 
 def symplectic_slice(I: TripleForm, v, field: Field):

@@ -688,6 +688,54 @@ def test_potential_malformed_point_exits_2(tmp_path, capsys, flavor, at):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("flavor", ["eval", "grad", "disc"])
+@pytest.mark.parametrize("at", ["-1,1", "-1,-1", "-2/2,1"])
+def test_potential_point_starting_with_minus(tmp_path, capsys, flavor, at):
+    # argparse alone takes "-1,1" for an option, as it is not a plain
+    # negative number; the point reads as with --at=.  W = z1 + 1/z1 +
+    # z2 + 1/z2 is critical at each point, so disc evaluates too
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"b": 2, "discs": [
+        {"d": d, "m0": 1} for d in ([1, 0], [-1, 0], [0, 1], [0, -1])]}))
+    joined = run(capsys, "potential", flavor, str(path), f"--at={at}")
+    assert joined[0] == 0 and joined[2] == ""
+    assert run(capsys, "potential", flavor, str(path), "--at", at) == joined
+
+
+@pytest.mark.parametrize("argv, where, message", [
+    (["generate", "--page", "2"], "generate",
+     "the following arguments are required: --b"),
+    (["generate", "--page", "4", "--b", "3"], "generate",
+     "argument --page: invalid choice: 4 (choose from 2, 3)"),
+    (["generate", "--page", "2", "--b", "x"], "generate",
+     "argument --b: invalid int value: 'x'"),
+    (["generate", "--page", "2", "--b", "3", "--bogus", "1"], "qrtorsion",
+     "unrecognized arguments: --bogus 1"),
+    (["potential", "eval", "w.json", "--at"], "potential",
+     "argument --at: expected one argument"),
+    ([], "qrtorsion", "the following arguments are required: verb"),
+    (["frobnicate"], "qrtorsion",
+     "argument verb: invalid choice: 'frobnicate' (choose from 'torsion', "
+     "'spectral', 'classify', 'generate', 'potential', 'verify', 'batch')"),
+], ids=["missing-b", "bad-page", "non-int-b", "unknown-option", "missing-at",
+        "no-verb", "unknown-verb"])
+def test_usage_errors_are_one_json_line_with_exit_2(capsys, argv, where,
+                                                    message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == json.dumps({"error": message, "where": where}) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["generate", "-h"],
+                                  ["potential", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: qrtorsion") and out.err == ""
+
+
 def test_batch_deterministic_digest(capsys):
     argv = ["batch", "--page", "3", "--count", "5", "--seed", "7"]
     code1, out1, _ = run(capsys, *argv)

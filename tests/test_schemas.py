@@ -430,3 +430,108 @@ def test_dump_is_json_dumps_on_every_document_kind(tmp_path, monkeypatch,
     for name in ("page2", "report", *files):
         text = (tmp_path / f"{name}.json").read_text()
         assert text == _json_dumps(json.loads(text))
+
+
+def test_form_document_is_written_as_json_and_read_back():
+    # the form-entry template of dump and the ascending fast path of
+    # form_from_json, against json and the form itself, at the top level
+    # and nested one level deeper (as in an instance)
+    pytest.importorskip("hypothesis")
+    from itertools import combinations
+    from hypothesis import given, settings, strategies as st
+    coeffs = st.one_of(st.integers(-2 ** 90, 2 ** 90),
+                       st.sampled_from([-1, 1, -10 ** 20, 10 ** 20]))
+
+    @st.composite
+    def forms(draw):
+        b = draw(st.integers(0, 12))
+        triples = list(combinations(range(1, b + 1), 3))
+        chosen = draw(st.lists(st.sampled_from(triples), unique=True,
+                               max_size=40)) if triples else []
+        return TripleForm(b, {t: draw(coeffs) for t in chosen})
+
+    @settings(max_examples=150, deadline=None)
+    @given(forms())
+    def check(I):
+        doc = schemas.form_to_json(I)
+        for value in (doc, {"form": doc, "b": [doc]}):
+            assert schemas.dump(value) == _json_dumps(value)
+        back = schemas.form_from_json(json.loads(schemas.dump(doc)))
+        assert back.b == I.b and back.coeffs == I.coeffs
+        assert schemas._ascending_form(doc).coeffs == I.coeffs
+
+    check()
+
+
+def test_matrix_to_json_is_the_field_format_of_each_entry():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from qrtorsion.linalg import Matrix
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([QQ, GF(7), GF(2 ** 61 - 1)]), st.integers(0, 4),
+           st.integers(0, 4), st.data())
+    def check(F, m, n, data):
+        num = st.integers(-2 ** 70, 2 ** 70)
+        den = st.one_of(st.just(1), st.integers(1, 2 ** 70))
+        # over Q any denominators, so den != 1 and negative entries;
+        # over F_p residues of large integers of either sign
+        rows = [[Fraction(data.draw(num), d) if not F.char
+                 else F.from_int(data.draw(num))
+                 for d in data.draw(st.lists(den, min_size=n, max_size=n))]
+                for _ in range(m)]
+        M = Matrix(F, rows, m, n)
+        assert schemas.matrix_to_json(M) == \
+            [[F.format(x) for x in r] for r in M.rows]
+
+    check()
+    M = Matrix(QQ, [[Fraction(-1, 2), Fraction(0), Fraction(4, 6)],
+                    [Fraction(3), Fraction(-5, 3), Fraction(-6, 2)]])
+    assert M.den == 6
+    assert schemas.matrix_to_json(M) == [["-1/2", "0", "2/3"],
+                                         ["3", "-5/3", "-3"]]
+
+
+# entries that form_to_json writes, then one that it does not
+_ASCENDING_HEAD = [{"ijk": [1, 2, 3], "v": 2}, {"ijk": [1, 2, 4], "v": -1},
+                   {"ijk": [2, 3, 4], "v": 5}]
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"ijk": [3, 2, 1], "v": 1},
+     "form entry [3, 2, 1] repeats the triple [1, 2, 3]"),
+    ({"ijk": [1, 2, 4], "v": 3},
+     "form entry [1, 2, 4] repeats the triple [1, 2, 4]"),
+    ({"ijk": [2, 2, 4], "v": 1}, "repeated index in (2,2,4) forces 0"),
+    ({"ijk": [2, 4, 5], "v": True},
+     "form entry v must be an integer, got True"),
+    ({"ijk": [2, 4, 5], "v": 1.0}, "form entry v must be an integer, got 1.0"),
+    ({"ijk": [2, 4, 5], "v": "1"}, "form entry v must be an integer, got '1'"),
+    ({"ijk": [2, True, 5], "v": 1},
+     "form entry ijk must be an integer, got True"),
+    ({"ijk": [0, 4, 5], "v": 1}, "index 0 out of range 1..5"),
+    ({"ijk": [3, 4, 6], "v": 1}, "index 6 out of range 1..5"),
+    ({"ijk": [3, 4], "v": 1}, "form entries index three generators"),
+    ({"ijk": [3, 4, 5]}, "missing key 'v' in form entry"),
+    ([3, 4, 5], "form entry must be a JSON object"),
+], ids=["descending-repeat", "repeat", "repeated-index", "bool", "float",
+        "str", "bool-index", "index-0", "index-b+1", "two-indices", "no-v",
+        "not-object"])
+def test_form_reader_leaving_the_fast_path_keeps_each_refusal(
+        tmp_path, capsys, entry, message):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"b": 5, "entries": _ASCENDING_HEAD + [entry]}))
+    assert cli.main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == json.dumps({"error": message, "where": "classify"}) + "\n"
+
+
+@pytest.mark.parametrize("entry", [
+    {"ijk": [4, 3, 1], "v": 1}, {"ijk": [1, 3, 4], "v": 0},
+    {"ijk": [2, 2, 4], "v": 0}, {"ijk": [2, 4, 5], "v": 3, "note": "x"},
+], ids=["descending", "out-of-order", "repeated-index-zero", "extra-key"])
+def test_form_reader_leaving_the_fast_path_reads_the_same_form(entry):
+    entries = _ASCENDING_HEAD + [entry]
+    I = schemas.form_from_json({"b": 5, "entries": entries})
+    assert I.coeffs == TripleForm(5, [(e["ijk"], e["v"])
+                                      for e in entries]).coeffs
