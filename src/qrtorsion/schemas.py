@@ -268,10 +268,8 @@ def _ascending_form(doc):
 
 def form_from_json(doc) -> TripleForm:
     """The form of a document.  A document as form_to_json writes it is
-    read by _ascending_form; any other is read from the start here: an
-    entry {"ijk": [i, j, k], "v": v} of exact JSON integers as it stands,
-    any other entry key by key, and the first key at fault names the
-    error."""
+    read by _ascending_form; any other is read from the start here, entry
+    by entry and key by key, and the first key at fault names the error."""
     I = _ascending_form(doc)
     if I is not None:
         return I
@@ -279,22 +277,16 @@ def form_from_json(doc) -> TripleForm:
     entries = []
     seen = set()    # each unordered triple once: a repeat would overwrite
     for e in _list(doc.get("entries", []), "form entries"):
-        exact = (type(e) is dict and type(ijk := e.get("ijk")) is list
-                 and len(ijk) == 3 and type(ijk[0]) is int
-                 and type(ijk[1]) is int and type(ijk[2]) is int
-                 and type(v := e.get("v")) is int)
-        if not exact:
-            ijk = _ints(_require(e, "ijk", "form entry"), "form entry ijk")
-            if len(ijk) != 3:
-                raise SchemaError("form entries index three generators")
+        ijk = _ints(_require(e, "ijk", "form entry"), "form entry ijk")
+        if len(ijk) != 3:
+            raise SchemaError("form entries index three generators")
         key = tuple(sorted(ijk))
         if key in seen:
             raise SchemaError(f"form entry {ijk} repeats the triple "
                               f"{list(key)}")
         seen.add(key)
-        if not exact:
-            v = _int(_require(e, "v", "form entry"), "form entry v")
-        entries.append((ijk, v))
+        entries.append((ijk, _int(_require(e, "v", "form entry"),
+                                  "form entry v")))
     return TripleForm(b, entries)
 
 
