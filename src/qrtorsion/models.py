@@ -32,7 +32,7 @@ import random
 from operator import mul
 
 from .fields import Field, QQ
-from .linalg import Matrix
+from .linalg import LinAlgError, Matrix
 from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
                         integral_homology, admissibility_error)
 from .threefold import ThreefoldHomology, TripleForm, unpack_row
@@ -221,7 +221,8 @@ def _checked_derivation(I: TripleForm, r, c: Matrix) -> Matrix:
     solve_leibniz_derivation; else ModelError names the first one it fails.
     c is the integer rows C over one denominator d, and each equation is
     checked as d times itself in integers.  The pairing row (i, k) is
-    sum_m I(i,m,k) C[m] = -contract(C)[i][k]; the form is alternating, so
+    sum_m I(i,m,k) C[m] = -sum_x I(x,i,k) C[x], the negated row that
+    I.packed_contract(C) packs at (i, k); the form is alternating, so
     the residual at (k, i) is minus the one at (i, k) and vanishes at
     i = k, and only the rows i < k are checked.  Each residual row is the
     packed row of I.packed_contract(C) plus d r_i at slot k less d r_k at
@@ -350,7 +351,7 @@ def lift_derivation_page3(spec: Page3Spec, morse: BasedChainComplex,
     Qp = Matrix.from_int_rows(F, spec.Qprime, nrows=b, ncols=b)
     try:
         A = Qp.inverse().scale(rF)
-    except Exception as e:
+    except LinAlgError as e:
         raise ModelError("pairing matrix is singular over the field") from e
     delta = [Matrix.zeros(F, b, 1), A, Matrix.zeros(F, 1, b)]
     P, S = _lift_pearl(morse.to_field(F), H, delta, rng, PAGE3, rF)

@@ -14,6 +14,7 @@ any other value to its one fallback, json.dumps.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import gcd
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -21,7 +22,7 @@ from .fields import Field, field_from_string, field_to_string
 from .linalg import Matrix
 from .complexes import (BasedChainComplex, TwistedPearlComplex, PeriodicComplex,
                         admissibility_error)
-from .threefold import MAX_B, ThreefoldHomology, TripleForm
+from .threefold import ThreefoldHomology, TripleForm
 from .superpotential import DiscSystem, Representation
 from .verifier import Instance, VerificationReport
 
@@ -236,58 +237,50 @@ def form_to_json(I: TripleForm):
                                   for k, v in I.entries()]}
 
 
-def _ascending_form(doc):
-    """The form of a document as form_to_json writes it: "b" an integer in
-    0..MAX_B and every entry {"ijk": [i, j, k], "v": v} of exact JSON
-    integers with 1 <= i < j < k <= b, the triples in strictly ascending
-    order (so none repeats).  Its coefficients are stored as they stand;
-    None at the first thing that is not so."""
-    if type(doc) is not dict:
-        return None
-    b, entries = doc.get("b"), doc.get("entries", [])
-    if type(b) is not int or not 0 <= b <= MAX_B or type(entries) is not list:
-        return None
-    coeffs, last = {}, (0, 0, 0)
+def form_from_json(doc) -> TripleForm:
+    """The form of a document, read in one pass over its entries.  While
+    they are as form_to_json writes them, {"ijk": [i, j, k], "v": v} of
+    exact JSON integers with 1 <= i < j < k <= b and the triples strictly
+    ascending (so none repeats), their coefficients are stored as they
+    stand.  From the first entry that is not so, each entry is checked
+    key by key, and one that repeats a triple read before it (one of
+    value 0 too) is refused; these entries are set on the form after the
+    check on b, in document order, so the first key at fault names the
+    error."""
+    b = _int(_require(doc, "b", "triple form"), "triple form b")
+    entries = iter(_list(doc.get("entries", []), "form entries"))
+    coeffs, zeros, rest, last = {}, [], [], (0, 0, 0)
     for e in entries:
-        if type(e) is not dict:
-            return None
-        ijk, v = e.get("ijk"), e.get("v")
-        if type(ijk) is not list or len(ijk) != 3 or type(v) is not int:
-            return None
-        i, j, k = key = tuple(ijk)
-        if not (type(i) is int and type(j) is int and type(k) is int
-                and last < key and 0 < i < j < k <= b):
-            return None
-        last = key
-        if v:
-            coeffs[key] = v
+        if type(e) is dict:
+            ijk, v = e.get("ijk"), e.get("v")
+            if type(ijk) is list and len(ijk) == 3 and type(v) is int:
+                i, j, k = key = tuple(ijk)
+                if (type(i) is int and type(j) is int and type(k) is int
+                        and last < key and 0 < i < j < k <= b):
+                    last = key
+                    if v:
+                        coeffs[key] = v
+                    else:
+                        zeros.append(key)
+                    continue
+        seen = {*coeffs, *zeros}    # each unordered triple once
+        for e in chain((e,), entries):
+            ijk = _ints(_require(e, "ijk", "form entry"), "form entry ijk")
+            if len(ijk) != 3:
+                raise SchemaError("form entries index three generators")
+            key = tuple(sorted(ijk))
+            if key in seen:
+                raise SchemaError(f"form entry {ijk} repeats the triple "
+                                  f"{list(key)}")
+            seen.add(key)
+            rest.append((ijk, _int(_require(e, "v", "form entry"),
+                                   "form entry v")))
+        break
     I = TripleForm(b)
     I.coeffs = coeffs
+    for (i, j, k), v in rest:
+        I.set(i, j, k, v)
     return I
-
-
-def form_from_json(doc) -> TripleForm:
-    """The form of a document.  A document as form_to_json writes it is
-    read by _ascending_form; any other is read from the start here, entry
-    by entry and key by key, and the first key at fault names the error."""
-    I = _ascending_form(doc)
-    if I is not None:
-        return I
-    b = _int(_require(doc, "b", "triple form"), "triple form b")
-    entries = []
-    seen = set()    # each unordered triple once: a repeat would overwrite
-    for e in _list(doc.get("entries", []), "form entries"):
-        ijk = _ints(_require(e, "ijk", "form entry"), "form entry ijk")
-        if len(ijk) != 3:
-            raise SchemaError("form entries index three generators")
-        key = tuple(sorted(ijk))
-        if key in seen:
-            raise SchemaError(f"form entry {ijk} repeats the triple "
-                              f"{list(key)}")
-        seen.add(key)
-        entries.append((ijk, _int(_require(e, "v", "form entry"),
-                                  "form entry v")))
-    return TripleForm(b, entries)
 
 
 def homology_to_json(H: ThreefoldHomology):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import Matrix
+from .linalg import LinAlgError, Matrix
 from .complexes import BasedChainComplex, TwistedPearlComplex, validate_pearl
 from .torsion import _image_and_section
 
@@ -121,7 +121,7 @@ class Contraction:
                 raise SpectralError(f"homology basis in degree {k} has the wrong rank")
             try:
                 self.coords.append(_inverse_rows_beside(M, S, P))
-            except Exception as e:
+            except LinAlgError as e:
                 raise SpectralError(f"degree {k}: homology representatives do not "
                                     "base the Morse homology") from e
         if not all((C.boundary(k) * H[k]).is_zero() for k in range(4)):
@@ -186,11 +186,10 @@ def _rate_from_page1(P: TwistedPearlComplex, pg1: PageOne):
     # E^2 at the degree-0 slot: pairs (x0, x2) with d1 x0 + d_M x2 = 0,
     # modulo d_M-cycles in C_2 and the boundary pairs (d_M y1, d1 y1 + d_M y3).
     big = P.d1_map(0).hstack(P.dM(2))
-    V = big.kernel_basis()                      # columns in C_0 + C_2
     z2 = P.dM(2).kernel_basis()
     W = Matrix.block(F, [[None, P.dM(1), None], [z2, P.d1_map(1), P.dM(3)]],
                      [r0, r2], [z2.ncols, r1, r3])
-    dimE2 = V.ncols - W.rank()                  # V's columns are independent
+    dimE2 = big.ncols - big.rank() - W.rank()   # dim ker(big) - rank W
     if dimE2 != 1:
         raise WrongPageError(f"E^2 at the bottom slot has rank {dimE2}, expected 1")
     # representative of the generator: the degree-0 homology class lifted so

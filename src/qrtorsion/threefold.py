@@ -13,14 +13,14 @@ form's first index with each row packed into one integer (Kronecker
 substitution): entry t of a row sits in an s-bit slot at bit s t, and s
 holds max|W| * sum|coeff| plus any slack the caller adds, and a sign bit,
 so every slot of every sum is a signed digit below 2^(s-1) in size and the
-packed sum determines its slots.  Each of the three signed terms per
-coefficient is then one multiply-add of integers.  A slice along v reads
-the accumulated integers of the one-slot rows [[w_i]] (at one slot the
-packed row is the entry), the page-2 derivation check
-(``models._checked_derivation``) tests the packed rows of
-packed_contract(C), and ``contract`` unpacks them into rows.  The sign
-convention is written once, in ``_upper_terms``, and
-``apply_unimodular`` packs its last index the same way.
+packed sum determines its slots, which ``unpack_row`` reads back.  Each
+of the three signed terms per coefficient is then one multiply-add of
+integers.  A slice along v reads the accumulated integers of the one-slot
+rows [[w_i]] (at one slot the packed row is the entry), and the page-2
+derivation check (``models._checked_derivation``) tests the packed rows
+of packed_contract(C).  The sign convention is written once, in
+``_upper_terms``, and ``apply_unimodular`` packs its last index the same
+way.
 """
 
 from __future__ import annotations
@@ -168,16 +168,6 @@ class TripleForm:
             if u:
                 acc[y][z] += t * u
         return acc, s
-
-    def contract(self, W):
-        """The upper triangle of sum_x W[x] I(x, ., .) for b integer rows W
-        of one width n: up[y][z] is the row sum_x I(x,y,z) W[x] for y < z,
-        unpacked from ``packed_contract``, and a zero row otherwise."""
-        b = self.b
-        n = len(W[0]) if W else 0
-        acc, s = self.packed_contract(W)
-        return [[unpack_row(acc[y][z], s, n) if y < z else [0] * n
-                 for z in range(b)] for y in range(b)]
 
     def slice_matrix(self, v, field: Field) -> Matrix:
         """The alternating matrix of the pairing (x, y) -> form(v, x, y); v is

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from .fields import Field, SignClass
-from .linalg import Matrix
+from .linalg import LinAlgError, Matrix
 from .complexes import (BasedChainComplex, PeriodicComplex,
                         TwistedPearlComplex, admissibility_error,
                         fold_periodic, integral_homology)
@@ -136,7 +136,7 @@ def torsion_basis_change(C: BasedChainComplex, homology_bases, new_c, new_h,
             raise TorsionError(f"new basis in degree {k} has wrong shape")
         try:
             inv_c.append(new_c[k].inverse())
-        except Exception as e:
+        except LinAlgError as e:
             raise TorsionError(f"singular change matrix in degree {k}") from e
     new_d = [inv_c[k - 1] * C.boundary(k) * new_c[k] for k in range(1, n + 1)]
     Cnew = BasedChainComplex(F, C.ranks, new_d)

@@ -211,6 +211,27 @@ def test_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):
                                "where": "verify"}
 
 
+@pytest.mark.parametrize("page, b, field", [(3, 2, "Q"), (2, 3, "F7")])
+def test_internal_error_in_inverse_exits_3(tmp_path, capsys, monkeypatch,
+                                           page, b, field):
+    # only a LinAlgError of inverse() means bad input: any other error in
+    # it (here the Contraction's) is internal, not a failed verification
+    from qrtorsion.linalg import Matrix
+
+    def broken(self):
+        raise TypeError("injected")
+
+    path = str(tmp_path / "inst.json")
+    code, _, _ = run(capsys, "generate", "--page", str(page), "--b", str(b),
+                     "--field", field, "--seed", "1", "-o", path)
+    assert code == 0
+    monkeypatch.setattr(Matrix, "inverse", broken)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "internal error: TypeError: injected",
+                               "where": "verify"}
+
+
 def test_verify_inconsistent_instance_exits_2(tmp_path, capsys):
     path = _edited_instance(tmp_path, capsys,
                             lambda doc: doc["form"].update(b=3))

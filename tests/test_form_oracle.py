@@ -1,6 +1,7 @@
-"""Oracle tests of the triple form's expansions: apply_unimodular,
-contract and slice_matrix against brute-force sums of ``value`` over every
-index triple, and symplectic_slice against sympy's determinant of the
+"""Oracle tests of the triple form's expansions: apply_unimodular, the
+contraction (``packed_contract`` read back through ``unpack_row``) and
+slice_matrix against brute-force sums of ``value`` over every index
+triple, and symplectic_slice against sympy's determinant of the
 complement minor, on random sparse forms with b <= 7.  The packed kernel
 (``packed_contract``) is also checked at its edges: entries and
 coefficients up to 2^80 of mixed signs, dense forms, zero rows, sums that
@@ -68,7 +69,7 @@ def test_contract_matches_brute_force(I, n, data):
     expected = [[[sum(W[x][t] * I.value(x + 1, y + 1, z + 1)
                       for x in range(b)) if y < z else 0 for t in range(n)]
                  for z in range(b)] for y in range(b)]
-    assert I.contract(W) == expected
+    assert _unpacked_contract(I, W) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,6 +160,15 @@ def _denominator(F, data):
     return F.from_int(d + 1 if F.char and d % F.char == 0 else d)
 
 
+def _unpacked_contract(I, W):
+    """The rows of I.packed_contract(W) through unpack_row, as
+    _checked_derivation reads them: the row sum_x I(x,y,z) W[x] at y < z,
+    and a zero row elsewhere, where the packed sum is 0."""
+    n = len(W[0]) if W else 0
+    acc, s = I.packed_contract(W)
+    return [[unpack_row(v, s, n) for v in row] for row in acc]
+
+
 def _brute_contract(I, W):
     b, n = I.b, len(W[0]) if W else 0
     return [[[sum(W[x][t] * I.value(x + 1, y + 1, z + 1) for x in range(b))
@@ -170,16 +180,7 @@ def _brute_contract(I, W):
 @given(big_forms().flatmap(lambda I: st.tuples(st.just(I), big_rows(I.b))))
 def test_packed_contract_matches_brute_force_at_large_entries(case):
     I, W = case
-    b, n = I.b, len(W[0]) if W else 0
-    expected = _brute_contract(I, W)
-    assert I.contract(W) == expected
-    acc, s = I.packed_contract(W)
-    for y in range(b):
-        for z in range(b):
-            if y < z:
-                assert unpack_row(acc[y][z], s, n) == expected[y][z]
-            else:
-                assert acc[y][z] == 0
+    assert _unpacked_contract(I, W) == _brute_contract(I, W)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,7 +203,7 @@ def test_contract_sums_that_cancel_to_zero():
     I = TripleForm(b, {(1, 2, 3): BIG, (2, 3, 4): BIG, (1, 4, 5): -BIG})
     row = [BIG, -BIG, 1, -1, BIG - 1, 0]
     W = [row, [7] * 6, [0] * 6, [-x for x in row], [BIG] * 6]
-    up = I.contract(W)
+    up = _unpacked_contract(I, W)
     assert up == _brute_contract(I, W)
     assert up[1][2] == [0] * 6
     assert any(any(r) for line in up for r in line)

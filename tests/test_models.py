@@ -276,6 +276,48 @@ def test_page3_spec_rejects_symmetric_pairing():
         Page3Spec(ThreefoldHomology(2), [[0, 1], [1, 0]], 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Page2Spec(ThreefoldHomology(2), TripleForm(2), [1, 1]),
+     "odd Betti number required"),
+    (lambda: Page2Spec(ThreefoldHomology(3), TripleForm(5), [1, 1, 1]),
+     "form rank does not match the Betti number"),
+    (lambda: Page2Spec(ThreefoldHomology(3), TripleForm(3), [1, 1]),
+     "rate vector must be nonzero of length b"),
+    (lambda: Page2Spec(ThreefoldHomology(3), TripleForm(3), [0, 0, 0]),
+     "rate vector must be nonzero of length b"),
+    (lambda: Page3Spec(ThreefoldHomology(3), [[0] * 3] * 3, 1),
+     "no invertible antisymmetric matrix in odd dimension"),
+    (lambda: Page3Spec(ThreefoldHomology(2), [[0, 1]], 1),
+     "pairing matrix must be b x b"),
+    (lambda: Page3Spec(ThreefoldHomology(2), [[0, 1], [-1]], 1),
+     "pairing matrix must be b x b"),
+    (lambda: Page3Spec(ThreefoldHomology(2), [[0, 1], [1, 0]], 1),
+     "pairing matrix must be antisymmetric"),
+    (lambda: Page3Spec(ThreefoldHomology(2), [[0, 1], [-1, 0]], 0),
+     "rate must be nonzero"),
+    (lambda: Page3Spec(ThreefoldHomology(4), [[0, 1, 0, 0], [-1, 0, 0, 0],
+                                              [0] * 4, [0] * 4], 1),
+     "pairing matrix must be invertible"),
+    (lambda: realize_morse(ThreefoldHomology(3), (0, -1, -1, 0)),
+     "negative surplus"),
+    (lambda: lift_derivation_page3(
+        Page3Spec(ThreefoldHomology(2), [[0, 1], [-1, 0]], 7),
+        realize_morse(ThreefoldHomology(2)), GF(7)),
+     "rate vanishes over the field"),
+    (lambda: lift_derivation_page3(
+        Page3Spec(ThreefoldHomology(2), [[0, 7], [-7, 0]], 1),
+        realize_morse(ThreefoldHomology(2)), GF(7)),
+     "pairing matrix is singular over the field"),
+], ids=["page2-even-b", "page2-form-rank", "page2-rate-length",
+        "page2-rate-zero", "page3-odd-b", "page3-rows", "page3-row-length",
+        "page3-symmetric", "page3-rate-zero", "page3-singular",
+        "negative-surplus", "page3-rate-mod-p", "page3-singular-mod-p"])
+def test_model_refusals_name_their_argument(build, message):
+    with pytest.raises(ModelError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_page3_lift_with_torsion_field():
     H2t = ThreefoldHomology(2, [5])
     C = realize_morse(H2t, (0, 1, 1, 0), seed=9)

@@ -433,9 +433,9 @@ def test_dump_is_json_dumps_on_every_document_kind(tmp_path, monkeypatch,
 
 
 def test_form_document_is_written_as_json_and_read_back():
-    # the form-entry template of dump and the ascending fast path of
-    # form_from_json, against json and the form itself, at the top level
-    # and nested one level deeper (as in an instance)
+    # the form-entry template of dump and form_from_json on the entries it
+    # writes, against json and the form itself, at the top level and
+    # nested one level deeper (as in an instance)
     pytest.importorskip("hypothesis")
     from itertools import combinations
     from hypothesis import given, settings, strategies as st
@@ -458,7 +458,7 @@ def test_form_document_is_written_as_json_and_read_back():
             assert schemas.dump(value) == _json_dumps(value)
         back = schemas.form_from_json(json.loads(schemas.dump(doc)))
         assert back.b == I.b and back.coeffs == I.coeffs
-        assert schemas._ascending_form(doc).coeffs == I.coeffs
+        assert list(schemas.form_from_json(doc).coeffs) == sorted(I.coeffs)
 
     check()
 
@@ -535,3 +535,53 @@ def test_form_reader_leaving_the_fast_path_reads_the_same_form(entry):
     I = schemas.form_from_json({"b": 5, "entries": entries})
     assert I.coeffs == TripleForm(5, [(e["ijk"], e["v"])
                                       for e in entries]).coeffs
+
+
+class _CountedList(list):
+    """A list that counts the passes made over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("entries, keyed", [
+    (_ASCENDING_HEAD + [{"ijk": [2, 4, 5], "v": 1}], 0),
+    (_ASCENDING_HEAD + [{"ijk": [4, 3, 1], "v": 1}], 1),
+    ([{"ijk": [2, 1, 3], "v": -2}, {"ijk": [1, 3, 4], "v": 0}]
+     + _ASCENDING_HEAD[1:], 4),
+], ids=["written", "last-entry-breaks", "not-written"])
+def test_form_reader_makes_one_pass(monkeypatch, entries, keyed):
+    # the entries as form_to_json writes them are stored as they stand;
+    # from the first that is not, each is set key by key in the same pass,
+    # and the form, with its coefficients' order, is the one set entry by
+    # entry from the start
+    expected = TripleForm(5, [(e["ijk"], e["v"]) for e in entries]).coeffs
+    calls = []
+    set_ = TripleForm.set
+    monkeypatch.setattr(TripleForm, "set",
+                        lambda I, *a: calls.append(a) or set_(I, *a))
+    doc = {"b": 5, "entries": _CountedList(entries)}
+    I = schemas.form_from_json(doc)
+    assert doc["entries"].passes == 1
+    assert len(calls) == keyed
+    assert list(I.coeffs.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"ijk": [1, 2, 3], "v": 0}, {"ijk": [1, 2, 4], "v": 1},
+      {"ijk": [3, 2, 1], "v": 1}],
+     "form entry [3, 2, 1] repeats the triple [1, 2, 3]"),
+    ([{"ijk": [2, 1, 3], "v": 1}, {"ijk": [1, 2, 4], "v": 0},
+      {"ijk": [4, 2, 1], "v": 1}],
+     "form entry [4, 2, 1] repeats the triple [1, 2, 4]"),
+    ([{"ijk": [2, 1, 3], "v": 1}, {"ijk": [1, 2, 9], "v": 1},
+      {"ijk": [1, 2], "v": 1}], "form entries index three generators"),
+], ids=["zero-before-switch", "zero-after-switch", "schema-before-range"])
+def test_form_reader_refuses_across_the_switch(entries, message):
+    # a written entry of value 0 still counts for the repeat check, and a
+    # key at fault anywhere is named before any index out of range
+    with pytest.raises(schemas.SchemaError) as err:
+        schemas.form_from_json({"b": 5, "entries": entries})
+    assert str(err.value) == message

@@ -121,7 +121,7 @@ def test_set_after_a_slice_shows_in_the_next_slice(field):
 
 
 def test_slices_and_the_derivation_check_build_no_expansion(monkeypatch):
-    # both read coeffs through contract: no signed_terms, nothing cached
+    # both read coeffs through packed_contract: no signed_terms, nothing cached
     from qrtorsion import models
     from qrtorsion.models import _unimodular, solve_leibniz_derivation
     from qrtorsion.generate import canonical_form
