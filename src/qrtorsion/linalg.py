@@ -13,7 +13,12 @@ Modern Computer Algebra, ch. 5).  The constructor reads raw field values
 
 An integer matrix is a :class:`Matrix` over Q at denominator 1
 (``from_int_rows``): ``smith_normal_form`` takes no other, and ``to_field``
-reduces one mod p.
+reduces one mod p.  ``smith_normal_form`` is the one Smith pass; it carries
+only the transforms its caller names (Uinv, V, Vinv; all by default).  Its
+operations are chosen from D alone, so every transform it carries is the
+one the full pass gives.  It stops the pivot search at the first +-1 entry
+and skips the divisibility scan under a +-1 pivot; the full search and scan
+would choose the same operations there.
 
 Every product goes through one kernel on integer rows, ``_product``, a
 row-wise product after Gustavson (ACM TOMS 4(3), 1978) for the sparse maps
@@ -29,9 +34,11 @@ is the only elimination pass; over Q it is Bareiss's fraction-free
 elimination on ``num``.  Each caller runs only the part it reads: ``rank``,
 ``determinant`` and the pivot read of ``torsion._image_and_section`` stop
 at an echelon form (the forward sweep, which fixes the pivots, the row
-swaps and det), while ``rref``, ``solve`` and ``kernel_basis`` carry the
-pass through to Gauss-Jordan form, and ``solve`` and ``kernel_basis`` read
-its rows directly, so only their own result is put in canonical form.
+swaps and det), while ``rref``, ``solve``, ``kernel_basis`` and ``inverse``
+carry the pass through to Gauss-Jordan form, and ``solve``,
+``kernel_basis`` and ``inverse`` read its rows directly, so only their own
+result is put in canonical form.  ``inverse`` eliminates [num | den I] and
+checks its product in place, building no identity or stacked matrix.
 0 x n and n x 0 matrices are legal everywhere; the determinant of the 0 x 0
 matrix is 1 (empty-product convention).
 """
@@ -60,6 +67,13 @@ def _shape(rows, nrows, ncols):
     if any(len(r) != ncols for r in rows):
         raise LinAlgError("ragged rows")
     return len(rows) if nrows is None else nrows, ncols
+
+
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def _product(A, B, ncols, p):
@@ -166,10 +180,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        num = [[0] * n for _ in range(n)]
-        for i in range(n):
-            num[i][i] = 1
-        return cls._make(field, num, 1, n, n)
+        return cls._make(field, _identity_rows(n), 1, n, n)
 
     @classmethod
     def from_int_rows(cls, field, int_rows, nrows=None, ncols=None):
@@ -458,13 +469,25 @@ class Matrix:
         return Matrix._make(self.field, num, prev, n, b.ncols)
 
     def inverse(self):
-        if self.nrows != self.ncols:
+        """X = self^-1, read off one Gauss-Jordan pass on the integer rows
+        [num | den I]: num X = den I, so X is the right block of
+        R = rows / prev.  The product check self X = I is read in place,
+        as num times that block equals den prev I."""
+        n = self.nrows
+        if n != self.ncols:
             raise LinAlgError("inverse of non-square matrix")
-        I = Matrix.identity(self.field, self.nrows)
-        X = self.solve(I)
-        if X is None or not (self * X == I):
+        wide = [r + [0] * n for r in self.num]
+        for i, r in enumerate(wide):
+            r[n + i] = self.den
+        rows, prev, pivots, _ = Matrix._make(self.field, wide, 1, n,
+                                             2 * n)._eliminate()
+        X = [r[n:] for r in rows]
+        one = self.den * prev
+        if pivots != list(range(n)) or any(
+                r[i] != one or r.count(0) != n - 1 for i, r in
+                enumerate(_product(self.num, X, n, self.field.char))):
             raise LinAlgError("matrix is singular")
-        return X
+        return Matrix._make(self.field, X, prev, n, n)
 
     def __repr__(self):
         F = self.field
@@ -476,15 +499,19 @@ class Matrix:
 # Smith normal form of integer matrices (over Q at denominator 1)
 # ---------------------------------------------------------------------------
 
+SMITH_TRANSFORMS = ("Uinv", "V", "Vinv")
+
+
 @dataclass(slots=True)
 class SmithDecomposition:
     """A @ V = Uinv @ D with Uinv, V unimodular and D diagonal with a
-    divisibility chain; Vinv is the inverse of V; all four integer matrices."""
+    divisibility chain; Vinv is the inverse of V; all integer matrices.  A
+    transform the pass was not asked to carry is None."""
 
-    Uinv: Matrix
+    Uinv: Matrix | None
     D: Matrix
-    V: Matrix
-    Vinv: Matrix
+    V: Matrix | None
+    Vinv: Matrix | None
 
     @property
     def diagonal(self):
@@ -492,71 +519,89 @@ class SmithDecomposition:
         return [self.D.num[i][i] for i in range(n)]
 
 
-def smith_normal_form(A: Matrix) -> SmithDecomposition:
-    """Smith normal form with transforms of an integer matrix, in one pass
-    on a copy of ``A.num`` and on identity rows, which the results wrap;
-    any other matrix raises :class:`LinAlgError`.
+def smith_normal_form(A: Matrix, *, transforms=SMITH_TRANSFORMS
+                      ) -> SmithDecomposition:
+    """Smith normal form of an integer matrix, carrying the transforms named
+    in ``transforms`` (a subset of ``SMITH_TRANSFORMS``, all by default),
+    in one pass on a copy of ``A.num`` and on identity rows; any other
+    matrix raises :class:`LinAlgError`.
 
-    Pivoting picks the smallest-absolute-value nonzero entry (rows swapped
-    before columns) so the output is deterministic.  Each row operation on D is recorded on
-    Uinv as the inverse column operation, and each column operation on V as
-    the inverse row operation on Vinv, so A V = Uinv D.
+    Pivoting picks the smallest-absolute-value nonzero entry, the first in
+    row-major order among equals (rows swapped before columns), so the
+    output is deterministic.  Each row operation on D is recorded on Uinv
+    as the inverse column operation, and each column operation on V as the
+    inverse row operation on Vinv, so A V = Uinv D.  The operations are
+    chosen from D alone, so a transform left out changes none of them and
+    every transform carried is the one the full pass gives.
 
     A pivot is kept only once it divides every entry of the block below and
     to the right of it.  Integer row and column operations keep that block a
     multiple of the pivot, so every later pivot is a multiple of this one:
     the diagonal comes out as a divisibility chain with no repair pass.
+    Nothing is smaller than a +-1 entry, so the pivot search stops at the
+    first one, and nothing fails to divide by it, so a +-1 pivot skips the
+    divisibility scan: neither shortcut changes an operation.
     """
     A._check_integral("Smith normal form")
+    if not set(transforms) <= set(SMITH_TRANSFORMS):
+        raise LinAlgError(f"unknown Smith transforms {sorted(transforms)}")
     F, n, m = A.field, A.nrows, A.ncols
-    out = SmithDecomposition(Matrix.identity(F, n),
-                             Matrix._make(F, [list(r) for r in A.num], 1, n, m),
-                             Matrix.identity(F, m), Matrix.identity(F, m))
-    # the pass writes these rows in place; no caller holds them yet
-    Uinv, D, V, Vinv = out.Uinv.num, out.D.num, out.V.num, out.Vinv.num
+    D = [list(r) for r in A.num]
+    # Uinv and V are carried transposed, so their column operations are
+    # operations on rows
+    UT = _identity_rows(n) if "Uinv" in transforms else None
+    VT = _identity_rows(m) if "V" in transforms else None
+    Vinv = _identity_rows(m) if "Vinv" in transforms else None
 
     def row_op(i, j, q):
         # row_i -= q * row_j in D; col_j += q * col_i in Uinv
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        for r in Uinv:
-            r[j] += q * r[i]
+        if UT is not None:
+            UT[j] = [a + q * b for a, b in zip(UT[j], UT[i])]
 
-    def col_op(i, j, q):
-        # col_i -= q * col_j in D and V; row_j += q * row_i in Vinv
-        for M in (D, V):
-            for r in M:
-                r[i] -= q * r[j]
-        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
+    def col_op(i, j, q, rows):
+        # col_i -= q * col_j in D and V; row_j += q * row_i in Vinv.  Only
+        # the given rows of D can hold a nonzero entry in col_j.
+        for r in rows:
+            r[i] -= q * r[j]
+        if VT is not None:
+            VT[i] = [a - q * b for a, b in zip(VT[i], VT[j])]
+        if Vinv is not None:
+            Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for M in (D, V):
-            for r in M:
-                r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+    def smallest(t):
+        # the first nonzero entry of least absolute value in the block at
+        # (t, t), or None when the block is zero
+        best, least = None, 0
+        for i in range(t, n):
+            row = D[i]
+            for j in range(t, m):
+                a = row[j]
+                if a and (best is None or abs(a) < least):
+                    if a == 1 or a == -1:
+                        return i, j
+                    best, least = (i, j), abs(a)
+        return best
 
     for t in range(min(n, m)):
         # re-select the smallest-abs nonzero pivot on every pass; this keeps
         # intermediate entries from exploding on scrambled inputs
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    a = D[i][j]
-                    if a != 0 and (best is None or
-                                   abs(a) < abs(D[best[0]][best[1]])):
-                        best = (i, j)
+            best = smallest(t)
             if best is None:
-                return out
+                break
             bi, bj = best
             if bi != t:
-                swap_rows(t, bi)
+                D[t], D[bi] = D[bi], D[t]
+                if UT is not None:
+                    UT[t], UT[bi] = UT[bi], UT[t]
             if bj != t:
-                swap_cols(t, bj)
+                for r in D:
+                    r[t], r[bj] = r[bj], r[t]
+                if VT is not None:
+                    VT[t], VT[bj] = VT[bj], VT[t]
+                if Vinv is not None:
+                    Vinv[t], Vinv[bj] = Vinv[bj], Vinv[t]
             p = D[t][t]
             cleared = True
             for i in range(t + 1, n):
@@ -565,24 +610,38 @@ def smith_normal_form(A: Matrix) -> SmithDecomposition:
                     row_op(i, t, a // p)
                     if D[i][t] != 0:
                         cleared = False
+            # rows above t are zero past their pivots, so once column t is
+            # cleared below the pivot, only row t has an entry in it
+            rows = (D[t],) if cleared else D
             for j in range(t + 1, m):
                 a = D[t][j]
                 if a != 0:
-                    col_op(j, t, a // p)
+                    col_op(j, t, a // p, rows)
                     if D[t][j] != 0:
                         cleared = False
             if not cleared:
                 continue
-            bad = next(((i, j) for i in range(t + 1, n)
+            if p == 1 or p == -1:
+                break
+            bad = next((i for i in range(t + 1, n)
                         for j in range(t + 1, m) if D[i][j] % p), None)
             if bad is None:
                 break
             # fold a non-divisible row into the pivot row so the next pass
             # strictly shrinks the pivot
-            row_op(t, bad[0], -1)
+            row_op(t, bad, -1)
+        if best is None:
+            break
         if D[t][t] < 0:
             # negate row t of D, which negates column t of Uinv
             D[t] = [-a for a in D[t]]
-            for r in Uinv:
-                r[t] = -r[t]
-    return out
+            if UT is not None:
+                UT[t] = [-a for a in UT[t]]
+
+    def transposed(T):
+        return None if T is None else \
+            Matrix._make(F, [list(c) for c in zip(*T)], 1, len(T), len(T))
+
+    return SmithDecomposition(
+        transposed(UT), Matrix._make(F, D, 1, n, m), transposed(VT),
+        None if Vinv is None else Matrix._make(F, Vinv, 1, m, m))

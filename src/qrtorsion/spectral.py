@@ -22,6 +22,7 @@ number two).
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 
 from .linalg import LinAlgError, Matrix
 from .complexes import BasedChainComplex, TwistedPearlComplex, validate_pearl
@@ -64,22 +65,32 @@ class PageOne:
         return all(r == 0 for r in self.homology_ranks())
 
 
-def _inverse_rows_beside(M: Matrix, S: Matrix, P):
-    """The first M.ncols rows of [M | S]^-1 for square [M | S].  When S is
-    the unit columns at the ascending rows P (P is not None), they are
-    M_Q^-1 placed on the columns Q outside P, for the square minor M_Q of M
-    on the rows Q, which is singular exactly when [M | S] is."""
-    m, n = M.ncols, M.nrows
+def _inverse_rows_beside(H: Matrix, B: Matrix, S: Matrix, P):
+    """The first m rows of [H | B | S]^-1 for square [H | B | S], where m
+    counts the columns of H and B.  When S is the unit columns at the
+    ascending rows P (P is not None), they are M_Q^-1 placed on the columns
+    Q outside P, for the square minor M_Q of M = [H | B] on the rows Q,
+    which is singular exactly when [M | S] is.  M_Q is built straight from
+    the rows Q of H and B, over the lcm of their denominators."""
+    n, m = H.nrows, H.ncols + B.ncols
     if P is None:
-        return M.hstack(S).inverse().submatrix(range(m), range(n))
+        return H.hstack(B, S).inverse().submatrix(range(m), range(n))
     rows = set(P)
     Q = [i for i in range(n) if i not in rows]
-    X = M.submatrix(Q, range(m)).inverse()
+    d = lcm(H.den, B.den)
+
+    def row(M, i):
+        # row i of M over the denominator d
+        k = d // M.den
+        return M.num[i] if k == 1 else [k * x for x in M.num[i]]
+
+    X = Matrix._make(H.field, [row(H, i) + row(B, i) for i in Q], d, len(Q),
+                     m).inverse()
     num = [[0] * n for _ in range(m)]
     for r, x in zip(num, X.num):
         for q, v in zip(Q, x):
             r[q] = v
-    return Matrix._make(M.field, num, X.den, m, n)
+    return Matrix._make(H.field, num, X.den, m, n)
 
 
 class Contraction:
@@ -114,13 +125,16 @@ class Contraction:
             pivots.append(pk)
         self.coords = []   # the [h_k | b_k] rows of T_k^-1, per degree
         for k in range(4):
-            M = H[k].hstack(self.b[k])
+            h, bk = H[k], self.b[k]
+            h._check_shape(bk)
             S, P = ((self.s[k - 1], pivots[k - 1]) if k
                     else (Matrix.zeros(F, C.ranks[0], 0), []))
-            if M.ncols + S.ncols != C.ranks[k]:
+            if h.nrows != C.ranks[k]:
+                raise SpectralError(f"homology basis in degree {k} has the wrong length")
+            if h.ncols + bk.ncols + S.ncols != C.ranks[k]:
                 raise SpectralError(f"homology basis in degree {k} has the wrong rank")
             try:
-                self.coords.append(_inverse_rows_beside(M, S, P))
+                self.coords.append(_inverse_rows_beside(h, bk, S, P))
             except LinAlgError as e:
                 raise SpectralError(f"degree {k}: homology representatives do not "
                                     "base the Morse homology") from e

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -61,8 +62,7 @@ def test_integer_matrix_guards_refuse_other_matrices(field, rows):
     with pytest.raises(LinAlgError):
         A.to_field(GF(3))
     with pytest.raises(ComplexError):
-        # over Q the Smith form of the zero d_0 passes, and that of the
-        # boundaries in its kernel, A / 1, refuses
+        # the Smith pass of d_1 = A / 1 refuses
         BasedChainComplex(field, [1, 1], [A]).homology
 
 
@@ -152,6 +152,33 @@ def test_integral_homology_matches_q_solve_on_morse_complexes(b):
             _check_against_q_solve(C)
 
 
+def _digest(complexes):
+    """sha256 of what the Morse layer hands on, complex by complex: the
+    boundaries, free ranks, invariant factors and representative rows."""
+    h = hashlib.sha256()
+    for C in complexes:
+        H, reps = integral_homology(C)
+        h.update(repr((H.free_ranks, H.torsion, [R.num for R in reps],
+                       [d.num for d in C.boundaries[1:]])).encode())
+    return h.hexdigest()
+
+
+def test_morse_layer_output_is_pinned():
+    grid = (realize_morse(ThreefoldHomology(b, tor), shape, seed)
+            for b in (1, 2, 3, 4, 9) for tor in ((), (3,), (3, 9))
+            for shape in ((0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2),
+                          (0, 2, 2, 0))
+            for seed in range(50))
+    assert _digest(grid) == \
+        "f19bf8036bbe647c4e19fe3a8a328a6628b5ec8600be8e5ed43690c1aa5d3d5b"
+
+
+def test_integral_homology_of_random_complexes_is_pinned():
+    rng = random.Random(8)
+    assert _digest(_random_integral_complex(rng) for _ in range(150)) == \
+        "beda163d8b72497b4ad9eba92f48e6333cfdb9d1810b741cb26361e1d0829d17"
+
+
 def test_integral_homology_is_computed_once_on_integers(monkeypatch):
     C = realize_morse(ThreefoldHomology(3, [3]), (1, 1, 1, 1), seed=2)
     fresh = BasedChainComplex(QQ, C.ranks, C.boundaries[1:])
@@ -162,17 +189,19 @@ def test_integral_homology_is_computed_once_on_integers(monkeypatch):
         built.append(field)
         real_init(self, field, *args, **kwargs)
 
-    def counting(A):
+    def counting(A, **kwargs):
         snf.append(A)
-        return real_snf(A)
+        return real_snf(A, **kwargs)
 
     monkeypatch.setattr(Matrix, "__init__", init)
     monkeypatch.setattr("qrtorsion.complexes.smith_normal_form", counting)
     first = integral_homology(fresh)
-    # two Smith forms per degree (d_k, then the boundaries in ker d_k), and
-    # no matrix read from field values (Matrix.__init__)
-    assert len(snf) == 2 * 4 and built == []
-    assert integral_homology(fresh) is first and len(snf) == 8
+    # five Smith passes: one of d_1, whose Uinv serves degree 0 and whose V
+    # serves degree 1, then for d_2 and d_3 a pass of the boundaries in the
+    # kernel below and a pass of the map itself; the top degree has no
+    # boundaries.  No matrix is read from field values (Matrix.__init__)
+    assert len(snf) == 5 and built == []
+    assert integral_homology(fresh) is first and len(snf) == 5
     assert first == integral_homology(C)
 
 

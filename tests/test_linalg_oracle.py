@@ -10,6 +10,7 @@ them.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -23,7 +24,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from qrtorsion.fields import QQ, GF
 from qrtorsion.generate import canonical_form
-from qrtorsion.linalg import LinAlgError, Matrix, smith_normal_form
+from qrtorsion.linalg import (SMITH_TRANSFORMS, LinAlgError, Matrix,
+                             smith_normal_form)
 from qrtorsion.models import (ModelError, NO_DERIVATION, Page2Spec,
                               lift_derivation_page2, realize_morse,
                               solve_leibniz_derivation, _checked_derivation,
@@ -513,6 +515,106 @@ def test_smith_normal_form_matches_sympy(data):
         return
     S = sympy_snf(SMatrix(rows), domain=SZZ)
     assert s.diagonal == [abs(int(S[i, i])) for i in range(min(m, n))]
+
+
+def _smith_as_first_written(rows, m, n):
+    """(Uinv, D, V, Vinv) of the Smith pass as first written, kept as the
+    reference: a full scan for each pivot, a full divisibility scan under
+    every pivot, and all four matrices updated entry by entry."""
+    D = [list(r) for r in rows]
+    U, V, W = ([[int(i == j) for j in range(k)] for i in range(k)]
+               for k in (m, n, n))
+
+    def row_op(i, j, q):
+        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
+        for r in U:
+            r[j] += q * r[i]
+
+    def col_op(i, j, q):
+        for M in (D, V):
+            for r in M:
+                r[i] -= q * r[j]
+        W[j] = [a + q * b for a, b in zip(W[j], W[i])]
+
+    for t in range(min(m, n)):
+        while True:
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    if D[i][j] and (best is None or
+                                    abs(D[i][j]) < abs(D[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                return U, D, V, W
+            bi, bj = best
+            D[t], D[bi] = D[bi], D[t]
+            for r in U:
+                r[t], r[bi] = r[bi], r[t]
+            for M in (D, V):
+                for r in M:
+                    r[t], r[bj] = r[bj], r[t]
+            W[t], W[bj] = W[bj], W[t]
+            p = D[t][t]
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    row_op(i, t, D[i][t] // p)
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    col_op(j, t, D[t][j] // p)
+            if any(D[i][t] for i in range(t + 1, m)) or any(D[t][t + 1:]):
+                continue
+            bad = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                        if D[i][j] % p), None)
+            if bad is None:
+                break
+            row_op(t, bad, -1)
+        if D[t][t] < 0:
+            D[t] = [-a for a in D[t]]
+            for r in U:
+                r[t] = -r[t]
+    return U, D, V, W
+
+
+@st.composite
+def smith_inputs(draw):
+    """(rows, m, n) of an integer matrix, 0 x n and n x 0 included: units,
+    negative entries and factors that need not divide each other, with a
+    zero block at the bottom right half of the time."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.sampled_from([1, -1, 2, -3, 4, 6, -9]),
+                      st.integers(-40, 40))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, m)), draw(st.integers(0, n))
+        for r in rows[i:]:
+            r[j:] = [0] * (n - j)
+    return rows, m, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_inputs())
+@example(([], 0, 3))
+@example(([[], []], 2, 0))
+@example(([[2, 0], [0, 3]], 2, 2))       # no pivot divides the other
+@example(([[0, -4], [6, 0]], 2, 2))      # a negative pivot
+@example(([[-1, 2], [3, -1]], 2, 2))     # two -1 pivots
+def test_smith_transform_selections_match_the_full_pass(data):
+    rows, m, n = data
+    A = Matrix.from_int_rows(QQ, rows, m, n)
+    full = smith_normal_form(A)
+    # the full pass is the pass as first written, operation for operation
+    want = _smith_as_first_written(rows, m, n)
+    assert [M.num for M in (full.Uinv, full.D, full.V, full.Vinv)] == \
+        [list(M) for M in want]
+    for k in range(len(SMITH_TRANSFORMS) + 1):
+        for chosen in combinations(SMITH_TRANSFORMS, k):
+            s = smith_normal_form(A, transforms=chosen)
+            assert A.num == rows
+            assert s.D == full.D and s.diagonal == full.diagonal
+            for name in SMITH_TRANSFORMS:
+                assert getattr(s, name) == (getattr(full, name)
+                                            if name in chosen else None)
 
 
 # -- the representation: integer rows over one denominator -------------------
