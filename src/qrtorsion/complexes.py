@@ -65,62 +65,41 @@ class BasedChainComplex:
         first use and shared by every caller; see :func:`integral_homology`.
         Any other complex raises ComplexError.
 
-        In degree k a kernel pass d_k V = Uinv D bases Z = ker d_k by the
-        columns of V past r = rank d_k, and the rows of V^-1 d_{k+1} past r
-        are the boundaries in that basis.  Its first r rows are zero:
-        Uinv D V^-1 d_{k+1} = d_k d_{k+1} = 0 (checked by __init__), Uinv
-        is invertible and D's first r diagonal entries are not zero.  So
-        only the rows of V^-1 past r multiply d_{k+1}.  A quotient pass on
-        the product carries Uinv, whose columns past the image rank give
-        the free-part representatives.  Degree 0's kernel is all of C_0
-        and its boundaries are d_1 itself, so one pass of d_1, carrying all
-        three transforms, serves as degree 0's quotient pass and degree
-        1's kernel pass; the top degree has no boundaries, so no quotient
-        pass.  A complex of length n takes 2n - 1 passes, each carrying
-        only the transforms it reads, all on integer rows; a Matrix is
-        built only for each representative and each Smith input.
+        One Smith pass per boundary (Cohen, GTM 138, §2.4.3).  Let the
+        columns of Z base ker d_{k-1} (Z is the identity in degree 0) and
+        write d_k = Z W.  The pass W V = Uinv D, of rank r, gives degree
+        k - 1's invariant factors, and its representatives as Z times the
+        columns of Uinv past r.  Z is injective, so ker d_k = ker W, based
+        by the columns of V past r: the next Z.  Since d_k d_{k+1} = 0 the
+        first r rows of V^-1 d_{k+1} are zero, so the next W is the rows of
+        V^-1 past r times d_{k+1}.  The top degree's representatives are
+        its Z.  A complex of length n takes n passes, all on integer rows.
         """
         F, n, ranks = self.field, self.top_degree, self.ranks
         free_ranks, torsion, reps = [], [], []
-
-        def add_degree(k, Z, zk, q):
-            # Z: the rows of a basis of ker d_k, None for the unit basis; q:
-            # the quotient pass on the boundaries in that basis, None when
-            # there are none.  The representatives are Z times the columns
-            # of q's Uinv past the image rank.
-            diagonal = [] if q is None else q.diagonal
-            rank_im = sum(1 for a in diagonal if a != 0)
-            free_ranks.append(zk - rank_im)
-            torsion.append([a for a in diagonal if a > 1])
-            if q is None:
-                rows = _identity_rows(zk) if Z is None else Z
-            else:
-                rows = [r[rank_im:] for r in q.Uinv.num]
-                if Z is not None:
-                    rows = _product(Z, rows, zk - rank_im, 0)
-            reps.append(Matrix._make(F, rows, 1, ranks[k], zk - rank_im))
-
+        Z = Vinv = _identity_rows(ranks[0])   # ker d_0 is all of C_0
+        zk, rank = ranks[0], 0
         try:
-            Z, zk = None, ranks[0]   # ker d_0 is all of C_0
             for k in range(1, n + 1):
+                # W over d_k's denominator: W is an integer matrix only if
+                # d_k is one, and the pass refuses any other
                 dk = self.boundaries[k]
-                if k == 1:
-                    s = smith_normal_form(dk)
-                    add_degree(0, Z, zk, s)
-                else:
-                    s = smith_normal_form(dk, transforms=("V", "Vinv"))
-                    # degree k - 1's boundaries, in its kernel basis
-                    W = _product(Vinv[rank:], dk.num, ranks[k], 0)
-                    add_degree(k - 1, Z, zk, smith_normal_form(
-                        Matrix._make(F, W, 1, zk, ranks[k]),
-                        transforms=("Uinv",)))
+                s = smith_normal_form(Matrix._make(
+                    F, _product(Vinv[rank:], dk.num, ranks[k], 0), dk.den,
+                    zk, ranks[k]))
                 rank = sum(1 for a in s.diagonal if a != 0)
+                free_ranks.append(zk - rank)
+                torsion.append([a for a in s.diagonal if a > 1])
+                reps.append(Matrix._make(F, _product(
+                    Z, [r[rank:] for r in s.Uinv.num], zk - rank, 0), 1,
+                    ranks[k - 1], zk - rank))
+                Z, Vinv = [r[rank:] for r in s.V.num], s.Vinv.num
                 zk = ranks[k] - rank
-                Z = [r[rank:] for r in s.V.num]
-                Vinv = s.Vinv.num
-            add_degree(n, Z, zk, None)
         except LinAlgError as e:
             raise ComplexError(f"integral homology: {e}") from None
+        free_ranks.append(zk)
+        torsion.append([])
+        reps.append(Matrix._make(F, Z, 1, ranks[n], zk))
         return IntegralHomology(free_ranks, torsion), tuple(reps)
 
     def to_field(self, field: Field) -> "BasedChainComplex":

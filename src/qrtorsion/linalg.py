@@ -13,12 +13,8 @@ Modern Computer Algebra, ch. 5).  The constructor reads raw field values
 
 An integer matrix is a :class:`Matrix` over Q at denominator 1
 (``from_int_rows``): ``smith_normal_form`` takes no other, and ``to_field``
-reduces one mod p.  ``smith_normal_form`` is the one Smith pass; it carries
-only the transforms its caller names (Uinv, V, Vinv; all by default).  Its
-operations are chosen from D alone, so every transform it carries is the
-one the full pass gives.  It stops the pivot search at the first +-1 entry
-and skips the divisibility scan under a +-1 pivot; the full search and scan
-would choose the same operations there.
+reduces one mod p.  ``smith_normal_form`` is the one Smith pass, carrying
+Uinv, V and V^-1.
 
 Every product goes through one kernel on integer rows, ``_product``, a
 row-wise product after Gustavson (ACM TOMS 4(3), 1978) for the sparse maps
@@ -499,19 +495,15 @@ class Matrix:
 # Smith normal form of integer matrices (over Q at denominator 1)
 # ---------------------------------------------------------------------------
 
-SMITH_TRANSFORMS = ("Uinv", "V", "Vinv")
-
-
 @dataclass(slots=True)
 class SmithDecomposition:
     """A @ V = Uinv @ D with Uinv, V unimodular and D diagonal with a
-    divisibility chain; Vinv is the inverse of V; all integer matrices.  A
-    transform the pass was not asked to carry is None."""
+    divisibility chain; Vinv is the inverse of V; all integer matrices."""
 
-    Uinv: Matrix | None
+    Uinv: Matrix
     D: Matrix
-    V: Matrix | None
-    Vinv: Matrix | None
+    V: Matrix
+    Vinv: Matrix
 
     @property
     def diagonal(self):
@@ -519,20 +511,16 @@ class SmithDecomposition:
         return [self.D.num[i][i] for i in range(n)]
 
 
-def smith_normal_form(A: Matrix, *, transforms=SMITH_TRANSFORMS
-                      ) -> SmithDecomposition:
-    """Smith normal form of an integer matrix, carrying the transforms named
-    in ``transforms`` (a subset of ``SMITH_TRANSFORMS``, all by default),
-    in one pass on a copy of ``A.num`` and on identity rows; any other
-    matrix raises :class:`LinAlgError`.
+def smith_normal_form(A: Matrix) -> SmithDecomposition:
+    """Smith normal form of an integer matrix, in one pass on a copy of
+    ``A.num`` and on identity rows; any other matrix raises
+    :class:`LinAlgError`.
 
     Pivoting picks the smallest-absolute-value nonzero entry, the first in
     row-major order among equals (rows swapped before columns), so the
     output is deterministic.  Each row operation on D is recorded on Uinv
     as the inverse column operation, and each column operation on V as the
-    inverse row operation on Vinv, so A V = Uinv D.  The operations are
-    chosen from D alone, so a transform left out changes none of them and
-    every transform carried is the one the full pass gives.
+    inverse row operation on Vinv, so A V = Uinv D.
 
     A pivot is kept only once it divides every entry of the block below and
     to the right of it.  Integer row and column operations keep that block a
@@ -543,31 +531,24 @@ def smith_normal_form(A: Matrix, *, transforms=SMITH_TRANSFORMS
     divisibility scan: neither shortcut changes an operation.
     """
     A._check_integral("Smith normal form")
-    if not set(transforms) <= set(SMITH_TRANSFORMS):
-        raise LinAlgError(f"unknown Smith transforms {sorted(transforms)}")
     F, n, m = A.field, A.nrows, A.ncols
     D = [list(r) for r in A.num]
     # Uinv and V are carried transposed, so their column operations are
     # operations on rows
-    UT = _identity_rows(n) if "Uinv" in transforms else None
-    VT = _identity_rows(m) if "V" in transforms else None
-    Vinv = _identity_rows(m) if "Vinv" in transforms else None
+    UT, VT, Vinv = _identity_rows(n), _identity_rows(m), _identity_rows(m)
 
     def row_op(i, j, q):
         # row_i -= q * row_j in D; col_j += q * col_i in Uinv
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        if UT is not None:
-            UT[j] = [a + q * b for a, b in zip(UT[j], UT[i])]
+        UT[j] = [a + q * b for a, b in zip(UT[j], UT[i])]
 
     def col_op(i, j, q, rows):
         # col_i -= q * col_j in D and V; row_j += q * row_i in Vinv.  Only
         # the given rows of D can hold a nonzero entry in col_j.
         for r in rows:
             r[i] -= q * r[j]
-        if VT is not None:
-            VT[i] = [a - q * b for a, b in zip(VT[i], VT[j])]
-        if Vinv is not None:
-            Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
+        VT[i] = [a - q * b for a, b in zip(VT[i], VT[j])]
+        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     def smallest(t):
         # the first nonzero entry of least absolute value in the block at
@@ -593,15 +574,12 @@ def smith_normal_form(A: Matrix, *, transforms=SMITH_TRANSFORMS
             bi, bj = best
             if bi != t:
                 D[t], D[bi] = D[bi], D[t]
-                if UT is not None:
-                    UT[t], UT[bi] = UT[bi], UT[t]
+                UT[t], UT[bi] = UT[bi], UT[t]
             if bj != t:
                 for r in D:
                     r[t], r[bj] = r[bj], r[t]
-                if VT is not None:
-                    VT[t], VT[bj] = VT[bj], VT[t]
-                if Vinv is not None:
-                    Vinv[t], Vinv[bj] = Vinv[bj], Vinv[t]
+                VT[t], VT[bj] = VT[bj], VT[t]
+                Vinv[t], Vinv[bj] = Vinv[bj], Vinv[t]
             p = D[t][t]
             cleared = True
             for i in range(t + 1, n):
@@ -635,13 +613,10 @@ def smith_normal_form(A: Matrix, *, transforms=SMITH_TRANSFORMS
         if D[t][t] < 0:
             # negate row t of D, which negates column t of Uinv
             D[t] = [-a for a in D[t]]
-            if UT is not None:
-                UT[t] = [-a for a in UT[t]]
+            UT[t] = [-a for a in UT[t]]
 
     def transposed(T):
-        return None if T is None else \
-            Matrix._make(F, [list(c) for c in zip(*T)], 1, len(T), len(T))
+        return Matrix._make(F, [list(c) for c in zip(*T)], 1, len(T), len(T))
 
-    return SmithDecomposition(
-        transposed(UT), Matrix._make(F, D, 1, n, m), transposed(VT),
-        None if Vinv is None else Matrix._make(F, Vinv, 1, m, m))
+    return SmithDecomposition(transposed(UT), Matrix._make(F, D, 1, n, m),
+                              transposed(VT), Matrix._make(F, Vinv, 1, m, m))

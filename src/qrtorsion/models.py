@@ -35,7 +35,8 @@ from .fields import Field, QQ
 from .linalg import LinAlgError, Matrix, _product
 from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
                         integral_homology, admissibility_error)
-from .threefold import ThreefoldHomology, TripleForm, unpack_row
+from .threefold import (MAX_B, MAX_TORSION_FACTORS, ThreefoldHomology,
+                        TripleForm, unpack_row)
 from .spectral import Contraction, Spectrum, PAGE2, PAGE3
 
 
@@ -51,6 +52,11 @@ NO_DERIVATION = ("not page-2 narrow: no derivation satisfies the product "
 # with surplus (0, s, s, 0) takes 0.11 s at s = 50 and 0.37 s at s = 64,
 # in-process, Python 3.11 on a shared 2-vCPU Xeon VM).
 MAX_SURPLUS = 64
+# The largest chain rank a document may declare: realize_morse's largest
+# rank (b + factors + surplus, in degree 1 or 2) plus its largest in the
+# other degree of the same parity (1 + surplus), so that every generated
+# pearl and its 2-periodic fold read back.
+MAX_RANK = MAX_B + MAX_TORSION_FACTORS + MAX_SURPLUS + 1 + MAX_SURPLUS
 
 
 class Page2Spec:

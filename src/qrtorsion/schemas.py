@@ -23,6 +23,7 @@ from .linalg import Matrix
 from .complexes import (BasedChainComplex, TwistedPearlComplex, PeriodicComplex,
                         admissibility_error)
 from .threefold import ThreefoldHomology, TripleForm
+from .models import MAX_RANK
 from .superpotential import DiscSystem, Representation
 from .verifier import Instance, VerificationReport
 
@@ -65,6 +66,20 @@ def _ints(values, where):
         if type(x) is not int:
             _int(x, where)
     return list(values)
+
+
+def _rank(value, where):
+    # a declared chain rank, refused before any matrix of that size is built
+    if not 0 <= _int(value, where) <= MAX_RANK:
+        raise SchemaError(f"{where} must be between 0 and {MAX_RANK}, "
+                          f"got {value}")
+    return value
+
+
+def _ranks(values, where):
+    if not _list(values, where):
+        raise SchemaError(f"{where} must not be empty")
+    return [_rank(x, where) for x in values]
 
 
 def _parse(field: Field, x):
@@ -161,7 +176,7 @@ def field_from_doc(doc, where="document") -> Field:
 
 def complex_from_json(doc) -> BasedChainComplex:
     F = field_from_doc(doc, "complex")
-    ranks = _ints(_require(doc, "ranks", "complex"), "complex ranks")
+    ranks = _ranks(_require(doc, "ranks", "complex"), "complex ranks")
     data = _list(_require(doc, "boundaries", "complex"),
                  "complex boundaries (one per positive degree)", len(ranks) - 1)
     read = _Reader(F)
@@ -203,8 +218,8 @@ def pearl_from_json(doc) -> TwistedPearlComplex:
 
 
 def _pearl(read, doc) -> TwistedPearlComplex:
-    ranks = _ints(_list(_require(doc, "ranks", "pearl"),
-                        "pearl ranks (degrees 0..3)", 4), "pearl ranks")
+    ranks = _ranks(_list(_require(doc, "ranks", "pearl"),
+                         "pearl ranks (degrees 0..3)", 4), "pearl ranks")
     dM = [read.matrix(m, ranks[k], ranks[k + 1], f"dM_{k + 1}")
           for k, m in enumerate(_list(_require(doc, "dM", "pearl"), "dM", 3))]
     d1 = [read.matrix(m, ranks[k + 1], ranks[k], f"d1_{k}")
@@ -222,8 +237,8 @@ def periodic_to_json(P: PeriodicComplex):
 
 def periodic_from_json(doc) -> PeriodicComplex:
     F = field_from_doc(doc, "periodic complex")
-    n_odd = _int(_require(doc, "n_odd", "periodic complex"), "n_odd")
-    n_even = _int(_require(doc, "n_even", "periodic complex"), "n_even")
+    n_odd = _rank(_require(doc, "n_odd", "periodic complex"), "n_odd")
+    n_even = _rank(_require(doc, "n_even", "periodic complex"), "n_even")
     read = _Reader(F)
     d_oe = read.matrix(_require(doc, "d_oe", "periodic"), n_even, n_odd,
                        "d_oe")

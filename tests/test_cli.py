@@ -6,6 +6,8 @@ from qrtorsion import schemas
 from qrtorsion.cli import main
 from qrtorsion.complexes import ComplexError, fold_periodic, validate_pearl
 from qrtorsion.fields import digit_limit
+from qrtorsion.linalg import Matrix
+from qrtorsion.models import MAX_RANK
 
 
 # verbs that read one document through schemas.load
@@ -621,6 +623,60 @@ def test_invariant_factors_beyond_the_bound_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1
         assert json.loads(err)["error"] == "17 invariant factors exceed 16"
+
+
+def _pearl_doc(r):
+    # zero matrices of the declared shapes, so that only the ranks are refused
+    def zeros(m, n):
+        return [["0"] * n for _ in range(m)]
+    return {"v": 1, "kind": "pearl", "field": "Q", "ranks": r,
+            "dM": [zeros(r[k], r[k + 1]) for k in range(3)],
+            "d1": [zeros(r[k + 1], r[k]) for k in range(3)],
+            "d2": zeros(r[3], r[0])}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    (["torsion", "graded"], {"v": 1, "kind": "complex", "field": "Q",
+                             "ranks": [MAX_RANK + 1], "boundaries": []},
+     f"complex ranks must be between 0 and {MAX_RANK}, got {MAX_RANK + 1}"),
+    (["torsion", "graded"], {"v": 1, "kind": "complex", "field": "Q",
+                             "ranks": [2, -1], "boundaries": [[]]},
+     f"complex ranks must be between 0 and {MAX_RANK}, got -1"),
+    (["torsion", "graded"], {"v": 1, "kind": "complex", "field": "Q",
+                             "ranks": [], "boundaries": []},
+     "complex ranks must not be empty"),
+    (["torsion", "quantum"], _pearl_doc([MAX_RANK + 1, 0, 0, 0]),
+     f"pearl ranks must be between 0 and {MAX_RANK}, got {MAX_RANK + 1}"),
+    (["torsion", "quantum"], _pearl_doc([0, -1, 0, 0]),
+     f"pearl ranks must be between 0 and {MAX_RANK}, got -1"),
+    (["torsion", "periodic"], {"v": 1, "kind": "periodic", "field": "Q",
+                               "n_odd": MAX_RANK + 1, "n_even": 0,
+                               "d_oe": [], "d_eo": [[]] * (MAX_RANK + 1)},
+     f"n_odd must be between 0 and {MAX_RANK}, got {MAX_RANK + 1}"),
+    (["torsion", "periodic"], {"v": 1, "kind": "periodic", "field": "Q",
+                               "n_odd": 0, "n_even": -1,
+                               "d_oe": [], "d_eo": []},
+     f"n_even must be between 0 and {MAX_RANK}, got -1"),
+], ids=["complex-above", "complex-negative", "complex-empty", "pearl-above",
+        "pearl-negative", "periodic-above", "periodic-negative"])
+def test_declared_ranks_beyond_the_bound_exit_2(tmp_path, capsys, monkeypatch,
+                                                verb, doc, message):
+    # a complex of rank 10^9 once allocated zero matrices until it was
+    # killed; a rank is refused before any matrix is built
+    built = []
+    monkeypatch.setattr(Matrix, "_make", classmethod(
+        lambda cls, *args: built.append(args)))
+    code, out, err = run(capsys, *verb, _document(tmp_path, doc))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == message and built == []
+
+
+def test_ranks_at_the_bound_are_read():
+    # MAX_RANK admits realize_morse's largest ranks and their fold; a pearl
+    # with zero-column matrices reaches it with no large document
+    P = schemas.pearl_from_json(_pearl_doc([MAX_RANK, 0, 0, 0]))
+    F = schemas.periodic_from_json(schemas.periodic_to_json(fold_periodic(P)))
+    assert P.ranks == [MAX_RANK, 0, 0, 0] and F.n_even == MAX_RANK
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -62,7 +62,7 @@ def test_integer_matrix_guards_refuse_other_matrices(field, rows):
     with pytest.raises(LinAlgError):
         A.to_field(GF(3))
     with pytest.raises(ComplexError):
-        # the Smith pass of d_1 = A / 1 refuses
+        # the Smith pass of d_1 = A refuses
         BasedChainComplex(field, [1, 1], [A]).homology
 
 
@@ -84,26 +84,29 @@ def test_integral_homology_matches_realize_morse():
 
 
 def _q_solve_homology(C):
-    """integral_homology as first written, kept as the reference: the
-    boundaries' coordinates in the kernel basis come from a solve over Q."""
+    """integral_homology with the boundaries' coordinates from a solve over
+    Q, kept as the reference: d_k = Z Y with Z the kernel basis of degree
+    k - 1 (the unit basis in degree 0), and the Smith pass of Y gives
+    degree k - 1's factors and representatives and, past its rank, the
+    kernel basis of degree k."""
     free_ranks, torsion, reps = [], [], []
-    for k in range(C.top_degree + 1):
-        dk, dk1 = C.boundary(k), C.boundary(k + 1)
-        s = smith_normal_form(dk)
-        rank_dk = sum(1 for a in s.diagonal if a != 0)
-        zk = dk.ncols - rank_dk
-        Z = Matrix.from_int_rows(QQ, [r[rank_dk:] for r in s.V.num],
-                                 dk.ncols, zk)
-        Y = Z.to_field(QQ).solve(dk1.to_field(QQ))
+    Z = Matrix.identity(QQ, C.ranks[0])
+    for k in range(1, C.top_degree + 1):
+        Y = Z.solve(C.boundary(k))
         assert Y is not None
         assert all(x.denominator == 1 for r in Y.rows for x in r)
-        sq = smith_normal_form(Matrix.from_int_rows(
-            QQ, [[x.numerator for x in r] for r in Y.rows], zk, dk1.ncols))
-        rank_im = sum(1 for a in sq.diagonal if a != 0)
-        free_ranks.append(zk - rank_im)
-        torsion.append([a for a in sq.diagonal if a > 1])
+        s = smith_normal_form(Matrix.from_int_rows(
+            QQ, [[x.numerator for x in r] for r in Y.rows], Y.nrows, Y.ncols))
+        rank = sum(1 for a in s.diagonal if a != 0)
+        free_ranks.append(Y.nrows - rank)
+        torsion.append([a for a in s.diagonal if a > 1])
         reps.append(Z * Matrix.from_int_rows(
-            QQ, [r[rank_im:] for r in sq.Uinv.num], zk, zk - rank_im))
+            QQ, [r[rank:] for r in s.Uinv.num], Y.nrows, Y.nrows - rank))
+        Z = Matrix.from_int_rows(QQ, [r[rank:] for r in s.V.num],
+                                 Y.ncols, Y.ncols - rank)
+    free_ranks.append(Z.ncols)
+    torsion.append([])
+    reps.append(Z)
     return free_ranks, torsion, reps
 
 
@@ -152,6 +155,40 @@ def test_integral_homology_matches_q_solve_on_morse_complexes(b):
             _check_against_q_solve(C)
 
 
+def _check_representatives_base_the_free_part(C):
+    """What integral_homology promises, whatever representatives it picks:
+    integral cycles whose classes stay independent modulo the boundaries
+    over Q and over every prime field dividing no invariant factor,
+    rank [d_{k+1} | R_k] = rank d_{k+1} + free_k."""
+    H, reps = integral_homology(C)
+    factors = [a for t in H.torsion for a in t]
+    fields = [QQ] + [F for F in map(GF, (3, 5, 7, 11, 101))
+                     if admissibility_error(factors, F) is None]
+    for k, R in enumerate(reps):
+        assert R.field == QQ and R.den == 1
+        assert (R.nrows, R.ncols) == (C.ranks[k], H.free_ranks[k])
+        assert (C.boundary(k) * R).is_zero()
+        for F in fields:
+            d, Rp = C.boundary(k + 1).to_field(F), R.to_field(F)
+            both = Matrix.block(F, [[d, Rp]], [C.ranks[k]],
+                                [d.ncols, Rp.ncols])
+            assert both.rank() == d.rank() + H.free_ranks[k]
+
+
+def test_representatives_base_the_free_part_modulo_admissible_primes():
+    rng = random.Random(8)
+    for _ in range(150):
+        _check_representatives_base_the_free_part(
+            _random_integral_complex(rng))
+    for b in (0, 1, 2, 3, 5):
+        for tor, shape in [([], (0, 0, 0, 0)), ([3], (1, 1, 1, 1)),
+                           ([2, 6], (0, 2, 2, 0)), ([5, 25], (2, 3, 3, 2)),
+                           ([3, 9], (2, 3, 3, 2))]:
+            for seed in range(3):
+                _check_representatives_base_the_free_part(
+                    realize_morse(ThreefoldHomology(b, tor), shape, seed))
+
+
 def _digest(complexes):
     """sha256 of what the Morse layer hands on, complex by complex: the
     boundaries, free ranks, invariant factors and representative rows."""
@@ -170,13 +207,13 @@ def test_morse_layer_output_is_pinned():
                           (0, 2, 2, 0))
             for seed in range(50))
     assert _digest(grid) == \
-        "f19bf8036bbe647c4e19fe3a8a328a6628b5ec8600be8e5ed43690c1aa5d3d5b"
+        "64e721776762cbe5bcae350de738da16f152c646f922aee887541c25eeadcd90"
 
 
 def test_integral_homology_of_random_complexes_is_pinned():
     rng = random.Random(8)
     assert _digest(_random_integral_complex(rng) for _ in range(150)) == \
-        "beda163d8b72497b4ad9eba92f48e6333cfdb9d1810b741cb26361e1d0829d17"
+        "b4821661f776d4ab14064cf3fae879dc2eb56cd32a198b91bade67d9117bc117"
 
 
 def test_integral_homology_is_computed_once_on_integers(monkeypatch):
@@ -189,19 +226,19 @@ def test_integral_homology_is_computed_once_on_integers(monkeypatch):
         built.append(field)
         real_init(self, field, *args, **kwargs)
 
-    def counting(A, **kwargs):
+    def counting(A):
         snf.append(A)
-        return real_snf(A, **kwargs)
+        return real_snf(A)
 
     monkeypatch.setattr(Matrix, "__init__", init)
     monkeypatch.setattr("qrtorsion.complexes.smith_normal_form", counting)
     first = integral_homology(fresh)
-    # five Smith passes: one of d_1, whose Uinv serves degree 0 and whose V
-    # serves degree 1, then for d_2 and d_3 a pass of the boundaries in the
-    # kernel below and a pass of the map itself; the top degree has no
-    # boundaries.  No matrix is read from field values (Matrix.__init__)
-    assert len(snf) == 5 and built == []
-    assert integral_homology(fresh) is first and len(snf) == 5
+    # three Smith passes, one per boundary in the kernel basis below it:
+    # each pass's Uinv serves the degree below and its V the degree of the
+    # boundary; the top degree has no boundaries.  No matrix is read from
+    # field values (Matrix.__init__)
+    assert len(snf) == 3 and built == []
+    assert integral_homology(fresh) is first and len(snf) == 3
     assert first == integral_homology(C)
 
 

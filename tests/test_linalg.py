@@ -77,13 +77,6 @@ def test_smith_normal_form_random():
         assert abs(snf.V.to_field(QQ).determinant()) == 1
 
 
-def test_smith_normal_form_refuses_an_unknown_transform():
-    A = Matrix.from_int_rows(QQ, [[2, 4]], 1, 2)
-    with pytest.raises(LinAlgError, match="unknown Smith transforms"):
-        smith_normal_form(A, transforms=("U",))
-    assert smith_normal_form(A, transforms=()).diagonal == [2]
-
-
 def test_block_and_stack():
     F = GF(5)
     A = Matrix.from_int_rows(F, [[1, 2]], 1, 2)

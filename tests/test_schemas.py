@@ -260,11 +260,11 @@ def test_instance_json_pinned(page, b, field, digest):
     (2, 3, "F7", (3,), (1, 1, 1, 1),
      "ae82d7371a3d919d87364059e36e248214654700191c426080c9b904f1becc17"),
     (3, 4, "Q", (5, 25), (2, 3, 3, 2),
-     "8ccb9eac9f954f5194fbca55d7d9c993df2307139c98a86feef764f64f7c1336"),
+     "a99df2f51fe9fc73c4049ce4a7c52cbaf777ac76fab53190918620030f7da6b1"),
     (2, 5, "Q", (3, 9), (2, 3, 3, 2),
-     "8bf9437ccdf0f3406b22c5dee98b071d200f2a81633e9843e43789a7ff7c4ebb"),
+     "ee33c0b6cf837c788d69e03329cb1593ae577d783bb7273c7c2ac1640287be73"),
     (3, 2, "F7", (5,), (1, 2, 2, 1),
-     "d40cdb307f47b31f482b02c0a04d6541c51a73c6b181048af7d439df6629d113")))
+     "c6b18960db1aeed447af4d56c1c0f448015edf02bfa6ffbcf88c8fd724e79e83")))
 def test_instance_json_pinned_on_the_smith_form_path(page, b, field, torsion,
                                                      surplus, digest):
     # integral torsion and Morse surplus route generation through Smith
