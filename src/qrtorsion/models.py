@@ -212,8 +212,7 @@ def solve_leibniz_derivation(I: TripleForm, r, field: Field):
     product row (i,j,m) by antisymmetry rows, whose right-hand side is 0.
     """
     b, F = I.b, field
-    i0 = next((i for i, x in enumerate(r) if not F.is_zero(F.from_int(x))),
-              None)
+    i0 = next((i for i, x in enumerate(r) if not F.is_zero(x)), None)
     if i0 is None:
         raise ModelError("not page-2 narrow: rate vector vanishes over the "
                          "field")
@@ -263,8 +262,8 @@ def _lift_failed(condition):
 
 
 def _random_matrix(field, rng, m, n):
-    return Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(n)]
-                          for _ in range(m)], m, n)
+    return Matrix.from_int_rows(
+        field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)], m, n)
 
 
 def _lift_chain(morse_F, H, delta, rng, x=None):
@@ -330,9 +329,8 @@ def lift_derivation_page2(spec: Page2Spec, morse: BasedChainComplex,
     F = field
     H = homology_bases(morse, F)
     rng = random.Random(seed)
-    rF = [F.from_int(x) for x in spec.r]
-    delta0 = Matrix(F, [[x] for x in rF])
-    delta2 = Matrix(F, [list(rF)])
+    delta0 = Matrix.from_int_rows(F, [[x] for x in spec.r])
+    delta2 = Matrix.from_int_rows(F, [spec.r])
     c = solve_leibniz_derivation(spec.I, spec.r, F)
     if c is None:
         raise ModelError(NO_DERIVATION)

@@ -15,19 +15,22 @@ holds max|W| * sum|coeff| plus any slack the caller adds, and a sign bit,
 so every slot of every sum is a signed digit below 2^(s-1) in size and the
 packed sum determines its slots, which ``unpack_row`` reads back.  Each
 of the three signed terms per coefficient is then one multiply-add of
-integers.  A slice along v reads the accumulated integers of the one-slot
-rows [[w_i]] (at one slot the packed row is the entry), and the page-2
-derivation check (``models._checked_derivation``) tests the packed rows
-of packed_contract(C).  The sign convention is written once, in
-``_upper_terms``, and ``apply_unimodular`` packs its last index the same
-way.
+integers.  A slice vector v is a column of integers, and so is each
+witness of the search; a slice reads the accumulated integers of the
+one-slot rows [[v_i]] (at one slot the packed row is the entry), and only
+its minor is reduced into the field.  The page-2 derivation check
+(``models._checked_derivation``) tests the packed rows of
+packed_contract(C).  The sign convention is written once, in
+``_upper_terms``; ``apply_unimodular`` reads each of its terms with its
+mirror and packs its last index the same way.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import lcm, prod
+from itertools import chain
+from math import prod
+from operator import index
 
 from .fields import Field
 from .linalg import Matrix
@@ -125,7 +128,7 @@ class TripleForm:
         return sorted(self.coeffs.items())
 
     def is_zero_over(self, field: Field) -> bool:
-        return all(field.is_zero(field.from_int(v)) for v in self.coeffs.values())
+        return all(map(field.is_zero, self.coeffs.values()))
 
     def _upper_terms(self):
         """Each stored coefficient I(a,c,e) = v, a < c < e, under the three
@@ -137,15 +140,6 @@ class TripleForm:
             yield a, c, e, v
             yield c, a, e, -v
             yield e, a, c, v
-
-    def signed_terms(self):
-        """The nonzero values of the form on ordered triples, as flat
-        (x, y, z, value) tuples with 0-based indices: each of _upper_terms
-        and its mirror (x, z, y, -value), six per stored coefficient."""
-        out = []
-        for x, y, z, s in self._upper_terms():
-            out += ((x, y, z, s), (x, z, y, -s))
-        return out
 
     def packed_contract(self, W, slack=0):
         """(acc, s): acc[y][z] is the packed row sum_x I(x,y,z) W[x] for
@@ -169,41 +163,26 @@ class TripleForm:
                 acc[y][z] += t * u
         return acc, s
 
-    def slice_matrix(self, v, field: Field) -> Matrix:
-        """The alternating matrix of the pairing (x, y) -> form(v, x, y); v is
-        a length-b column of integers or field scalars and has itself in the
-        kernel.  Over Q, v is scaled to integers w = d v by the lcm d of its
-        denominators; the slice is the integer matrix of slice_rows(w),
-        scaled back by 1/d."""
-        if len(v) != self.b:
-            raise ThreefoldError("vector length mismatch")
-        if field.char:
-            d, w = 1, v
-        else:
-            d = lcm(*(x.denominator for x in v))
-            w = [x.numerator * (d // x.denominator) for x in v]
-        M = Matrix.from_int_rows(field, self.slice_rows(w), self.b, self.b)
-        return M if d == 1 else M.scale(Fraction(1, d))
-
-    def slice_rows(self, w):
-        """The integer rows of the slice along the integer column w: the
-        one-slot sums acc[y][z] of packed_contract([[w_i]]), mirrored into
+    def slice_rows(self, v):
+        """The integer rows of the slice along the integer column v: the
+        one-slot sums acc[y][z] of packed_contract([[v_i]]), mirrored into
         an alternating matrix."""
         b = self.b
-        acc, _ = self.packed_contract([[x] for x in w])
+        acc, _ = self.packed_contract([[x] for x in v])
         return [[acc[y][z] - acc[z][y] for z in range(b)] for y in range(b)]
 
     def apply_unimodular(self, U) -> "TripleForm":
         """Pull the form back along the integer basis change e_i -> sum_j
         U[j][i] e_j (columns of U are the new basis vectors): the value at
-        i < j < k is the sum of s U[x][i] U[y][j] U[z][k] over the signed
-        terms (x, y, z, s), contracted one index at a time.  The last index
-        is packed (module docstring): the rows U[z] are packed once, in
-        slots with room for 6 sum|coeff| max|U|^3, and for each i < j one
-        packed sum of a U[y][j] U[z] over the terms holds the values at
-        every k.  Its slots k <= j sum to less than 2^(s (j + 1) - 1) in
-        size, so adding that and shifting by s (j + 1) drops them exactly;
-        the rest are unpacked."""
+        i < j < k is the sum of s U[x][i] U[y][j] U[z][k] over the terms
+        (x, y, z, s) of ``_upper_terms`` and their mirrors (x, z, y, -s),
+        contracted one index at a time.  The last index is packed (module
+        docstring): the rows U[z] are packed once, in slots with room for
+        6 sum|coeff| max|U|^3, and for each i < j one packed sum of
+        a U[y][j] U[z] over the terms holds the values at every k.  Its
+        slots k <= j sum to less than 2^(s (j + 1) - 1) in size, so adding
+        that and shifting by s (j + 1) drops them exactly; the rest are
+        unpacked."""
         b = self.b
         out = TripleForm(b)
         if not self.coeffs:
@@ -212,7 +191,9 @@ class TripleForm:
                  * max(abs(x) for row in U for x in row) ** 3)
         s = bound.bit_length() + 1
         P = [pack_row(row, s) for row in U]
-        terms = [(t, U[x], U[y], P[z]) for x, y, z, t in self.signed_terms()]
+        terms = []
+        for x, y, z, t in self._upper_terms():
+            terms += ((t, U[x], U[y], P[z]), (-t, U[x], U[z], P[y]))
         for i in range(b):
             ti = [(t * Ux[i], Uy, Pz) for t, Ux, Uy, Pz in terms if Ux[i]]
             for j in range(i + 1, b):
@@ -259,17 +240,21 @@ def unpack_row(v, s, n):
 
 
 def symplectic_slice(I: TripleForm, v, field: Field):
-    """Determinant of the alternating pairing induced by v on the complement
-    obtained by dropping v's pivot coordinate; None when degenerate, as it
-    always is for even b, where the minor is an odd alternating matrix.
+    """Determinant of the alternating pairing induced by the integer vector
+    v on the complement obtained by dropping v's pivot coordinate, its
+    first entry nonzero in the field; None when degenerate, as it always is
+    for even b, where the minor is an odd alternating matrix.  Entries are
+    read through operator.index, so a Fraction raises TypeError.
     """
-    if all(field.is_zero(x) for x in v):
+    v = [index(x) for x in v]
+    pivot = next((i for i, x in enumerate(v) if not field.is_zero(x)), None)
+    if pivot is None:
         raise ThreefoldError("slice vector must be nonzero")
-    M = I.slice_matrix(v, field)
-    pivot = next(i for i, x in enumerate(v) if not field.is_zero(x))
-    keep = [i for i in range(I.b) if i != pivot]
-    sub = M.submatrix(keep, keep)
-    det = sub.determinant()
+    if len(v) != I.b:
+        raise ThreefoldError("vector length mismatch")
+    minor = [row[:pivot] + row[pivot + 1:]
+             for i, row in enumerate(I.slice_rows(v)) if i != pivot]
+    det = Matrix.from_int_rows(field, minor, I.b - 1, I.b - 1).determinant()
     return None if field.is_zero(det) else det
 
 
@@ -307,35 +292,27 @@ def exhaustive_search(field: Field, b: int) -> bool:
 
 
 def find_slice(I: TripleForm, field: Field, seed: int = 0):
-    """Search for a vector with a nondegenerate slice: standard basis
-    vectors first, then every line (see exhaustive_search) or seeded random
-    vectors.  Returns (vector, determinant) or None, at once for even b
-    (see no_slice_exists).
+    """Search for an integer vector with a nondegenerate slice: standard
+    basis vectors first, then every line (see exhaustive_search) or seeded
+    random vectors with entries in [-9, 9].  Returns (vector, determinant)
+    with the vector as integers, or None, at once for even b (see
+    no_slice_exists).
     """
     b = I.b
     if no_slice_exists(b):
         return None
-    one, zero = field.one(), field.zero()
-    for i in range(b):
-        v = [one if j == i else zero for j in range(b)]
-        det = symplectic_slice(I, v, field)
-        if det is not None:
-            return v, det
+    units = ([int(j == i) for j in range(b)] for i in range(b))
     if exhaustive_search(field, b):
-        for ints in _projective_vectors(field.char, b):
-            v = [field.from_int(x) for x in ints]
+        rest = _projective_vectors(field.char, b)
+    else:
+        rng = random.Random(seed)
+        rest = ([rng.randint(-9, 9) for _ in range(b)]
+                for _ in range(SLICE_TRIALS))
+    for v in chain(units, rest):
+        if not all(map(field.is_zero, v)):
             det = symplectic_slice(I, v, field)
             if det is not None:
                 return v, det
-        return None
-    rng = random.Random(seed)
-    for _ in range(SLICE_TRIALS):
-        v = [field.from_int(rng.randint(-9, 9)) for _ in range(b)]
-        if all(field.is_zero(x) for x in v):
-            continue
-        det = symplectic_slice(I, v, field)
-        if det is not None:
-            return v, det
     return None
 
 

@@ -138,7 +138,7 @@ def torsion_via_page2_formula(inst: Instance) -> SignClass:
     rates = [d1[i][0] for i in range(b)]
     # page 1 is exact, so d1*_0 is injective and some rate is nonzero
     pivot = next(i for i, x in enumerate(rates) if not F.is_zero(x))
-    v = [F.one() if j == pivot else F.zero() for j in range(b)]
+    v = [int(j == pivot) for j in range(b)]
     det_slice = symplectic_slice(inst.form, v, F)
     if det_slice is None:
         raise VerifierError("slice at the pivot index is degenerate")

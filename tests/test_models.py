@@ -118,11 +118,11 @@ def test_transported_leibniz_system_has_full_column_rank(field, b):
     # solve_leibniz_derivation solves has full column rank: c is unique
     U = _unimodular(random.Random(b), b)
     I = canonical_form(b).apply_unimodular(U)
-    r = [field.from_int(x) for x in U[0]]  # U^T e_1
+    r = U[0]  # U^T e_1
     i0 = next(i for i, x in enumerate(r) if not field.is_zero(x))
-    S = I.slice_matrix([int(i == i0) for i in range(b)], field)
-    assert S.rank() == b - 1
-    assert Matrix(field, S.rows + [r], b + 1, b).rank() == b
+    S = I.slice_rows([int(i == i0) for i in range(b)])
+    assert Matrix.from_int_rows(field, S, b, b).rank() == b - 1
+    assert Matrix.from_int_rows(field, S + [r], b + 1, b).rank() == b
 
 
 @pytest.mark.parametrize("page, b", [(2, 1), (2, 3), (3, 0), (3, 2)])

@@ -1,4 +1,7 @@
+import hashlib
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -41,21 +44,19 @@ def test_form_alternation():
 
 def test_slice_matrix_volume_form():
     I = TripleForm(3, {(1, 2, 3): 1})
-    F = QQ
-    v = [F.one(), F.zero(), F.zero()]
-    M = I.slice_matrix(v, F)
-    assert M.rows[1][2] == F.one() and M.rows[2][1] == F.neg(F.one())
+    v = [1, 0, 0]
+    S = I.slice_rows(v)
+    assert S[1][2] == 1 and S[2][1] == -1
     # slice determinant: the 2x2 alternating block has determinant 1
-    assert symplectic_slice(I, v, F) == F.one()
+    assert symplectic_slice(I, v, QQ) == QQ.one()
 
 
 def test_symplectic_slice_degenerate():
-    I = TripleForm(3, {(1, 2, 3): 1})
-    F = QQ
-    # the form vanishes against this vector only on a 1-dim complement: any
-    # vector works here, but the zero form never slices
+    # the zero form never slices, whatever the vector
     Z = TripleForm(3)
-    assert symplectic_slice(Z, [F.one(), F.zero(), F.zero()], F) is None
+    for F in (QQ, GF(5)):
+        assert symplectic_slice(Z, [1, 0, 0], F) is None
+        assert symplectic_slice(Z, [-4, 7, 2], F) is None
 
 
 def test_find_slice_exhaustive_small_field():
@@ -73,55 +74,107 @@ NO_BASIS_SLICE = TripleForm(7, {(1, 2, 7): -1, (1, 3, 5): -1, (2, 4, 7): 2,
 @pytest.mark.parametrize("field, exhaustive", [(GF(3), True), (QQ, False)])
 def test_find_slice_beyond_the_standard_basis(field, exhaustive):
     I = NO_BASIS_SLICE
-    one, zero = field.one(), field.zero()
     for i in range(I.b):
-        e = [one if j == i else zero for j in range(I.b)]
+        e = [int(j == i) for j in range(I.b)]
         assert symplectic_slice(I, e, field) is None
     assert exhaustive_search(field, I.b) == exhaustive
     v, det = find_slice(I, field)
+    assert all(type(x) is int for x in v)
     assert sum(not field.is_zero(x) for x in v) > 1
     assert symplectic_slice(I, v, field) == det and not field.is_zero(det)
     if exhaustive:
-        assert v == [field.from_int(x) for x in (1, 1, 0, 0, 1, 0, 0)]
+        assert v == [1, 1, 0, 0, 1, 0, 0]
 
 
 def test_find_slice_random_trial_witness_over_q_is_pinned():
     # the first seeded random vector with a nondegenerate slice, and its
     # determinant: the search and the slice arithmetic must not move them
     v, det = find_slice(NO_BASIS_SLICE, QQ)
-    assert v == [QQ.from_int(x) for x in (3, 4, -8, -1, 7, 6, 3)]
+    assert v == [3, 4, -8, -1, 7, 6, 3]
     assert det == QQ.from_int(14400)
+
+
+GRID_FIELDS = [QQ, GF(3), GF(5), GF(7), GF(101), GF(2 ** 61 - 1)]
+
+
+def _grid_forms(b):
+    """Seeded random forms of rank b with 1 to 8 coefficients (9 and 18 at
+    b = 7, where sparse forms would make the F_5 enumeration long), and
+    NO_BASIS_SLICE at b = 7."""
+    rng = random.Random(b)
+    triples = list(combinations(range(1, b + 1), 3))
+    forms = [TripleForm(b, {t: rng.randint(-3, 3)
+                            for t in rng.sample(triples, min(k, len(triples)))})
+             for k in ((1, 2, 3, 5, 8) if b < 7 else (9, 18))]
+    return forms + [NO_BASIS_SLICE] * (b == 7)
+
+
+def test_search_over_a_seeded_grid_is_pinned():
+    # the class and the (witness in the field, det) pair of every form of
+    # the grid, through all three branches of the search
+    h = hashlib.sha256()
+    branches = set()
+    for b in (1, 3, 4, 5, 7):
+        for I in _grid_forms(b):
+            for F in GRID_FIELDS:
+                found = find_slice(I, F)
+                line = [repr(F), b, str(I.entries()), dichotomy_class(I, F)]
+                if found is not None:
+                    v, det = found
+                    branches.add("unit" if sorted(v) == [0] * (b - 1) + [1]
+                                 else "lines" if exhaustive_search(F, b)
+                                 else "random")
+                    line += [[F.format(F.from_int(x)) for x in v],
+                             F.format(det)]
+                h.update(repr(line).encode())
+    assert branches == {"unit", "lines", "random"}
+    assert h.hexdigest() == ("2def0a6787a658b9c8bd293c4c028e2f"
+                             "74d7a41bfeac7c2b8306e95ffee6566c")
 
 
 def test_slice_vector_must_be_nonzero_and_of_length_b():
     I = TripleForm(3, {(1, 2, 3): 1})
     for F in (QQ, GF(5)):
         with pytest.raises(ThreefoldError, match="must be nonzero"):
-            symplectic_slice(I, [F.zero()] * 3, F)
-        for v in ([F.one()] * 2, [F.one()] * 4):
+            symplectic_slice(I, [0] * 3, F)
+        for v in ([1] * 2, [1] * 4):
             with pytest.raises(ThreefoldError, match="length mismatch"):
                 symplectic_slice(I, v, F)
-            with pytest.raises(ThreefoldError, match="length mismatch"):
-                I.slice_matrix(v, F)
+    # zero is read in the field
+    with pytest.raises(ThreefoldError, match="must be nonzero"):
+        symplectic_slice(I, [5, -10, 0], GF(5))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_symplectic_slice_refuses_fractions(field):
+    # slice vectors are integers: a Fraction entry is refused, integral or
+    # not, before the vector is checked for zero or for its length
+    I = TripleForm(3, {(1, 2, 3): 1})
+    for v in ([Fraction(1), 0, 0], [1, Fraction(1, 2), 0], [Fraction(0)] * 3,
+              [0, Fraction(1)]):
+        with pytest.raises(TypeError):
+            symplectic_slice(I, v, field)
+    # the zero check comes before the length check
+    for v in ([0] * 2, [0] * 4):
+        with pytest.raises(ThreefoldError, match="must be nonzero"):
+            symplectic_slice(I, v, field)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
 def test_set_after_a_slice_shows_in_the_next_slice(field):
     I = TripleForm(5, {(1, 2, 3): 1})
-    e1 = [field.one()] + [field.zero()] * 4
+    e1 = [1, 0, 0, 0, 0]
     assert symplectic_slice(I, e1, field) is None
     I.set(5, 4, 1, 2)  # I(1, 4, 5) = -2
-    M = I.slice_matrix(e1, field)
-    assert M.rows[3][4] == field.from_int(-2)
-    assert M.rows[4][3] == field.from_int(2)
+    S = I.slice_rows(e1)
+    assert S[3][4] == -2 and S[4][3] == 2
     assert symplectic_slice(I, e1, field) == field.from_int(4)
     I.set(1, 4, 5, 0)
-    assert I.slice_matrix(e1, field) == \
-        TripleForm(5, {(1, 2, 3): 1}).slice_matrix(e1, field)
+    assert I.slice_rows(e1) == TripleForm(5, {(1, 2, 3): 1}).slice_rows(e1)
 
 
 def test_slices_and_the_derivation_check_build_no_expansion(monkeypatch):
-    # both read coeffs through packed_contract: no signed_terms, nothing cached
+    # both read coeffs through packed_contract, once each: nothing cached
     from qrtorsion import models
     from qrtorsion.models import _unimodular, solve_leibniz_derivation
     from qrtorsion.generate import canonical_form
@@ -130,19 +183,20 @@ def test_slices_and_the_derivation_check_build_no_expansion(monkeypatch):
     I = canonical_form(b).apply_unimodular(U)
     r = list(U[0])
     calls = []
-    real = TripleForm.signed_terms
+    real = TripleForm.packed_contract
 
-    def counting(self):
+    def counting(self, *args):
         calls.append(self)
-        return real(self)
+        return real(self, *args)
 
-    monkeypatch.setattr(TripleForm, "signed_terms", counting)
-    # solve_leibniz_derivation takes one slice, and four more follow
+    monkeypatch.setattr(TripleForm, "packed_contract", counting)
+    # solve_leibniz_derivation takes one slice and the check one contraction;
+    # four more slices follow
     c = solve_leibniz_derivation(I, r, F)
     assert models._checked_derivation(I, r, c) is c
     for i in range(4):
-        I.slice_matrix([F.from_int(int(j == i)) for j in range(b)], F)
-    assert calls == []
+        symplectic_slice(I, [int(j == i) for j in range(b)], F)
+    assert calls == [I] * 6
     assert set(vars(I)) == {"b", "coeffs"}
 
 
