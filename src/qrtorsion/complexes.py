@@ -4,6 +4,8 @@ A based complex carries the standard basis of each chain group as its
 preferred basis.  Pearl complexes are stored over a field, already twisted:
 the Morse part lowers degree by one, the disc corrections d1 (degree +1) and
 d2 (degree +3) come from the minimal Maslov number being two on a 3-fold.
+A pearl's d^2 = 0 is checked once, on the two squares of its 2-periodic
+fold, and folding it for torsion reuses those checked blocks.
 """
 
 from __future__ import annotations
@@ -144,8 +146,9 @@ class TwistedPearlComplex:
 
     dM[k] : C_k -> C_{k-1} (k=1..3), d1[k] : C_k -> C_{k+1} (k=0..2),
     d2 : C_0 -> C_3.  A pearl is immutable once built: nothing changes its
-    matrices afterwards (``generate.mutate_d2`` builds a new pearl), so the
-    d^2 = 0 check is computed once, as :attr:`defects`.
+    matrices afterwards (``generate.mutate_d2`` builds a new pearl), so its
+    2-periodic fold is built once and the d^2 = 0 check is computed once, on
+    the fold's two squares, as :attr:`defects`.
     """
 
     def __init__(self, field, ranks, dM, d1, d2):
@@ -178,27 +181,45 @@ class TwistedPearlComplex:
         return Matrix.zeros(self.field, rows, cols)
 
     @cached_property
+    def _fold(self) -> tuple[Matrix, Matrix]:
+        """(d_oe, d_eo) of the 2-periodic fold, built on first use:
+        d_oe : C_1 + C_3 -> C_0 + C_2 and d_eo : C_0 + C_2 -> C_1 + C_3,
+        with blocks taken from d_M, d1, d2 by degree.  The blocks only
+        rearrange the pearl's own matrices."""
+        F, r = self.field, self.ranks
+        d_oe = Matrix.block(F, [[self.dM(1), None],
+                                [self.d1[1], self.dM(3)]],
+                            [r[0], r[2]], [r[1], r[3]])
+        d_eo = Matrix.block(F, [[self.d1[0], self.dM(2)],
+                                [self.d2, self.d1[2]]],
+                            [r[1], r[3]], [r[0], r[2]])
+        return d_oe, d_eo
+
+    @cached_property
     def defects(self) -> tuple[str, ...]:
         """The graded components of d^2 = 0 that fail, checked on first use;
-        empty iff valid."""
-        bad = []
-        # d_M^2 = 0 is enforced by BasedChainComplex; check the two disc identities.
-        for k in range(4):
-            # (d_M d1 + d1 d_M) : C_k -> C_k
-            t = self.dM(k + 1) * self.d1_map(k)
-            t = t + self.d1_map(k - 1) * self.dM(k)
-            if not t.is_zero():
-                bad.append(f"d_M d1 + d1 d_M != 0 in degree {k}")
-        for k in range(2):
-            # (d1^2 + d_M d2 + d2 d_M) : C_k -> C_{k+2}
-            t = self.d1_map(k + 1) * self.d1_map(k)
-            if k == 0:
-                t = t + self.dM(3) * self.d2
-            if k == 1:
-                t = t + self.d2 * self.dM(1)
-            if not t.is_zero():
-                bad.append(f"d1^2 + d_M d2 + d2 d_M != 0 in degree {k}")
-        return tuple(bad)
+        empty iff valid.
+
+        d^2 = 0 is checked once, on the fold's two squares: E = d_oe d_eo on
+        C_0 + C_2 and O = d_eo d_oe on C_1 + C_3.  Their diagonal blocks in
+        degrees 0, 1, 2, 3 are d_M d1 + d1 d_M, E(C_2 <- C_0) and
+        O(C_3 <- C_1) are d1^2 + d_M d2 + d2 d_M in degrees 0 and 1, and the
+        other two blocks are d_M^2, which BasedChainComplex has checked.
+        """
+        d_oe, d_eo = self._fold
+        E, O = d_oe * d_eo, d_eo * d_oe
+        r0, r1 = self.ranks[:2]
+        c0, c2 = slice(0, r0), slice(r0, None)   # C_0, C_2 inside C_0 + C_2
+        c1, c3 = slice(0, r1), slice(r1, None)   # C_1, C_3 inside C_1 + C_3
+        # (square, target rows, source columns) of each named component, in
+        # report order
+        blocks = [(E, c0, c0), (O, c1, c1), (E, c2, c2), (O, c3, c3),
+                  (E, c2, c0), (O, c3, c1)]
+        names = ([f"d_M d1 + d1 d_M != 0 in degree {k}" for k in range(4)]
+                 + [f"d1^2 + d_M d2 + d2 d_M != 0 in degree {k}"
+                    for k in range(2)])
+        return tuple(name for name, (S, rows, cols) in zip(names, blocks)
+                     if any(any(row[cols]) for row in S.num[rows]))
 
 
 def validate_pearl(P: TwistedPearlComplex) -> list[str]:
@@ -207,20 +228,26 @@ def validate_pearl(P: TwistedPearlComplex) -> list[str]:
 
 
 class PeriodicComplex:
-    """2-periodic complex: d_oe : C_odd -> C_even and d_eo : C_even -> C_odd."""
+    """2-periodic complex: d_oe : C_odd -> C_even and d_eo : C_even -> C_odd.
+
+    Built directly, it checks that both squares d_oe d_eo and d_eo d_oe
+    vanish; :func:`fold_periodic` holds a pearl's fold, whose squares the
+    pearl's own d^2 = 0 check has computed, without a second product."""
 
     def __init__(self, field, n_odd, n_even, d_oe, d_eo):
-        self.field = field
-        self.n_odd = n_odd
-        self.n_even = n_even
         if d_oe.nrows != n_even or d_oe.ncols != n_odd:
             raise ComplexError("d_oe must map C_odd -> C_even")
         if d_eo.nrows != n_odd or d_eo.ncols != n_even:
             raise ComplexError("d_eo must map C_even -> C_odd")
-        self.d_oe = d_oe
-        self.d_eo = d_eo
         if not (d_oe * d_eo).is_zero() or not (d_eo * d_oe).is_zero():
             raise ComplexError("periodic differentials do not compose to zero")
+        self._hold(field, d_oe, d_eo)
+
+    def _hold(self, field, d_oe, d_eo):
+        """Hold differentials of matching shapes whose squares vanish."""
+        self.field, self.d_oe, self.d_eo = field, d_oe, d_eo
+        self.n_odd, self.n_even = d_oe.ncols, d_oe.nrows
+        return self
 
     def is_acyclic(self) -> bool:
         # im(d_eo) sits inside ker(d_oe); equality is a rank count (same on
@@ -230,16 +257,11 @@ class PeriodicComplex:
 
 def fold_periodic(P: TwistedPearlComplex) -> PeriodicComplex:
     """Fold the pearl complex to its 2-periodic form: C_odd = C_1 + C_3,
-    C_even = C_0 + C_2, blocks taken from d_M, d1, d2 by degree."""
+    C_even = C_0 + C_2, blocks taken from d_M, d1, d2 by degree.
+
+    The fold is the pearl's own, and d^2 = 0 was checked on its squares by
+    :func:`validate_pearl`, so folding multiplies nothing."""
     bad = validate_pearl(P)
     if bad:
         raise ComplexError("invalid pearl complex: " + "; ".join(bad))
-    F = P.field
-    r = P.ranks
-    d_oe = Matrix.block(F, [[P.dM(1), None],
-                            [P.d1_map(1), P.dM(3)]],
-                        [r[0], r[2]], [r[1], r[3]])
-    d_eo = Matrix.block(F, [[P.d1_map(0), P.dM(2)],
-                            [P.d2, P.d1_map(2)]],
-                        [r[1], r[3]], [r[0], r[2]])
-    return PeriodicComplex(F, r[1] + r[3], r[0] + r[2], d_oe, d_eo)
+    return PeriodicComplex.__new__(PeriodicComplex)._hold(P.field, *P._fold)

@@ -30,7 +30,8 @@ is the only elimination pass; over Q it is Bareiss's fraction-free
 elimination on ``num``.  Each caller runs only the part it reads: ``rank``,
 ``determinant`` and the pivot read of ``torsion._image_and_section`` stop
 at an echelon form (the forward sweep, which fixes the pivots, the row
-swaps and det), while ``rref``, ``solve``, ``kernel_basis`` and ``inverse``
+swaps and det, and which ``_determinant`` reads det off when a caller
+keeps it), while ``rref``, ``solve``, ``kernel_basis`` and ``inverse``
 carry the pass through to Gauss-Jordan form, and ``solve``,
 ``kernel_basis`` and ``inverse`` read its rows directly, so only their own
 result is put in canonical form.  ``inverse`` eliminates [num | den I] and
@@ -443,9 +444,14 @@ class Matrix:
 
     def determinant(self):
         """det(num) / den^n: a Fraction over Q, a residue over F_p."""
+        return self._determinant(self._eliminate(reduce=False))
+
+    def _determinant(self, forward):
+        """The determinant read off ``forward``, this matrix's forward pass
+        ``_eliminate(reduce=False)``: det(num) / den^n."""
         if self.nrows != self.ncols:
             raise LinAlgError("determinant of non-square matrix")
-        det = self._eliminate(reduce=False)[3]
+        det = forward[3]
         if self.field.char:
             return det
         return Fraction(det, self.den ** self.nrows)

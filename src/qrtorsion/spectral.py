@@ -52,9 +52,20 @@ class PageOne:
         self.bases = list(bases)
 
     @cached_property
+    def _forward(self):
+        """One forward elimination pass of each d1star_k, run once: its rank
+        and its determinant are read off it."""
+        return [d._eliminate(reduce=False) for d in self.d1star]
+
+    @property
     def d1star_ranks(self):
-        """Rank of each d1star_k, computed once."""
-        return [d.rank() for d in self.d1star]
+        """Rank of each d1star_k."""
+        return [len(f[2]) for f in self._forward]
+
+    def d1star_det(self, k):
+        """det d1star_k, off the pass that ranks it; LinAlgError unless
+        d1star_k is square."""
+        return self.d1star[k]._determinant(self._forward[k])
 
     def homology_ranks(self):
         """Ranks of the homology of (E^1, d1star), degree by degree."""

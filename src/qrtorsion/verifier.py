@@ -5,7 +5,8 @@ The two torsion paths are the point: the direct path folds the pearl complex
 and takes periodic torsion of the chain-level matrices; the formula path only
 sees homology-level data (rates, intersection forms, the pairing Q).  Their
 agreement, as sign classes, is the verified content of the torsion theorems.
-On page 3, q_form reads det Q and Q's antisymmetry off A; only the
+On page 3, det A is read off the elimination pass page 1 ranks A with,
+q_form reads det Q and Q's antisymmetry off A, and only the
 symmetrized-product identity builds Q's entries.
 
 Only the formula path reads the instance's Spectrum.  A generated instance
@@ -233,7 +234,7 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
         flags["dichotomy_consistent"] = inst.form.is_zero_over(F)
         try:
             A = S.page1.d1star[1]
-            A_det = A.determinant()
+            A_det = S.page1.d1star_det(1)
             r_val = S.rate
             flags["rate_cross_check"] = r_val == S.closed_form_rate
             qf = q_form(A, r_val, F, A_det)

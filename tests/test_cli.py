@@ -520,6 +520,52 @@ def test_page2_formula_failure_exits_1(tmp_path, capsys):
     assert rep["notes"] == ["slice at the pivot index is degenerate"]
 
 
+def _verified_edit(tmp_path, capsys, generate, edit):
+    """The report of verify on a generated document after edit, and the
+    flags that fail in it; verify must exit 1."""
+    path = tmp_path / "inst.json"
+    code, _, _ = run(capsys, "generate", *generate, "-o", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    rep = json.loads(out)
+    return rep, [flag for flag, ok in rep["flags"].items() if not ok]
+
+
+@pytest.mark.parametrize("page, b, field, direct, formula", [
+    (2, 3, "Q", "1/3", "1"), (3, 2, "Q", None, None),
+    (3, 4, "F7", None, None)])
+def test_wrong_torsion_claim_fails_only_the_two_path_torsion(
+        tmp_path, capsys, page, b, field, direct, formula):
+    # the fold never reads the claimed homology torsion, and the formula
+    # path reads it on both of its sides, so only the comparison of the two
+    # paths can see a claim of () for a pearl whose H_1 has torsion (3)
+    rep, failed = _verified_edit(
+        tmp_path, capsys, ["--page", str(page), "--b", str(b), "--field",
+                           field, "--torsion", "3", "--seed", "1"],
+        lambda doc: doc["homology"].update(torsion=[]))
+    assert failed == ["two_path_torsion"]
+    assert rep["torsion_direct"] != rep["torsion_formula"]
+    if direct is not None:
+        assert (rep["torsion_direct"], rep["torsion_formula"]) == \
+            (direct, formula)
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_nonzero_form_on_page3_fails_only_dichotomy_consistent(
+        tmp_path, capsys, field):
+    # an even b forces the form to vanish; no other flag reads the form
+    rep, failed = _verified_edit(
+        tmp_path, capsys, ["--page", "3", "--b", "4", "--field", field,
+                           "--seed", "1"],
+        lambda doc: doc["form"].update(entries=[{"ijk": [1, 2, 3], "v": 1}]))
+    assert failed == ["dichotomy_consistent"]
+    assert rep["collapse"] == "Page3"
+
+
 def test_spectral_verb(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     run(capsys, "generate", "--page", "3", "--b", "2", "--seed", "4",

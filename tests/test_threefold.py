@@ -1,12 +1,13 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from qrtorsion.fields import QQ, GF
 from qrtorsion import threefold
+from qrtorsion.models import solve_leibniz_derivation
 from qrtorsion.threefold import (ThreefoldHomology, ThreefoldError, TripleForm,
                                  symplectic_slice, find_slice, dichotomy_class,
                                  exhaustive_search, no_slice_exists,
@@ -92,6 +93,17 @@ def test_find_slice_random_trial_witness_over_q_is_pinned():
     v, det = find_slice(NO_BASIS_SLICE, QQ)
     assert v == [3, 4, -8, -1, 7, 6, 3]
     assert det == QQ.from_int(14400)
+
+
+def test_no_basis_slice_form_is_compatible_but_not_liftable():
+    # a slice exists, so the form is compatible with page 2, yet no nonzero
+    # rate over F3 has a page-2 derivation for it
+    F = GF(3)
+    assert dichotomy_class(NO_BASIS_SLICE, F) == SLICED_ODD_B
+    rates = [list(r) for r in product(range(3), repeat=7) if any(r)]
+    assert len(rates) == 2186
+    assert all(solve_leibniz_derivation(NO_BASIS_SLICE, r, F) is None
+               for r in rates)
 
 
 GRID_FIELDS = [QQ, GF(3), GF(5), GF(7), GF(101), GF(2 ** 61 - 1)]

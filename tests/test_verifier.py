@@ -380,23 +380,29 @@ def test_verify_eliminates_each_map_once(monkeypatch):
     eliminate = Matrix._eliminate
 
     def recorded(self, reduce=True):
-        calls.append((sys._getframe(1).f_code.co_name, reduce))
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):
+            caller = caller.f_back  # a comprehension's frame (before 3.12)
+        calls.append((caller.f_code.co_name, reduce))
         return eliminate(self, reduce)
 
     monkeypatch.setattr(Matrix, "_eliminate", recorded)
     # each boundary's image basis and section come from one elimination,
-    # each d1star is ranked once, and the Q form inverts nothing
-    for inst, count in [(page2_json, 25), (page3_json, 32),
+    # each d1star is ranked once, det A is read off A's rank pass, and the Q
+    # form inverts nothing
+    for inst, count in [(page2_json, 25), (page3_json, 31),
                         # page 1, its ranks and the literal rate come with
                         # a generated instance
-                        (page2, 14), (page3, 16)]:
+                        (page2, 14), (page3, 15)]:
         calls.clear()
         assert verify_main_theorem(inst).all_pass
         assert len(calls) == count
         # only the callers that read R run a Gauss-Jordan pass; rank,
-        # determinant and the pivot read stop at an echelon form
+        # determinant, page 1's pass over each d1star and the pivot read
+        # stop at an echelon form
         for caller, reduce in calls:
-            if caller in ("rank", "determinant", "_image_and_section"):
+            if caller in ("rank", "determinant", "_forward",
+                          "_image_and_section"):
                 assert reduce is False
             else:
                 assert caller in ("solve", "kernel_basis", "inverse") and reduce
@@ -404,18 +410,19 @@ def test_verify_eliminates_each_map_once(monkeypatch):
 
 def test_verify_page3_computes_det_A_once(monkeypatch):
     _, inst = _generated_and_read_back(3, 2, QQ, 1, surplus=(1, 1, 1, 1))
-    calls = []
-    determinant = Matrix.determinant
+    calls = []  # the caller of each determinant read off a forward pass
+    determinant = Matrix._determinant
 
-    def counting(self):
-        calls.append((self.nrows, self.ncols))
-        return determinant(self)
+    def counting(self, forward):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return determinant(self, forward)
 
-    monkeypatch.setattr(Matrix, "determinant", counting)
+    monkeypatch.setattr(Matrix, "_determinant", counting)
     assert verify_main_theorem(inst).all_pass
-    # det A once for the formula, the Q form and the power identity, and two
-    # in the fold's periodic torsion; det Q is r^b / det A
-    assert len(calls) == 3
+    # det A once for the formula, the Q form and the power identity, read
+    # off the pass page 1 ranks A with, and two in the fold's periodic
+    # torsion; det Q is r^b / det A
+    assert sorted(calls) == ["d1star_det", "determinant", "determinant"]
 
 
 @pytest.mark.parametrize("page, b", [(2, 3), (3, 2)])
@@ -456,24 +463,41 @@ def test_generate_reduces_the_homology_bases_once(monkeypatch, page, b):
 
 
 def test_verify_checks_the_pearl_once(monkeypatch):
-    from qrtorsion.complexes import TwistedPearlComplex
-    defects = TwistedPearlComplex.defects.func.__code__
-    inside = []
-    product = Matrix.__mul__
+    from qrtorsion import complexes
+    defects = complexes.TwistedPearlComplex.defects.func.__code__
+    inside, elsewhere = [], []  # products made in defects, and elsewhere in
+    product = Matrix.__mul__    # complexes.py (the fold and its check)
+    block = Matrix.block.__func__
+    folds = []
 
     def counting(self, other):
-        if sys._getframe(1).f_code is defects:
+        caller = sys._getframe(1).f_code
+        if caller is defects:
             inside.append((self.nrows, self.ncols, other.ncols))
+        elif caller.co_filename == complexes.__file__:
+            elsewhere.append(caller.co_name)
         return product(self, other)
 
-    # a pearl read back from JSON, as `verify` sees it, has not been checked
-    inst = instance_from_json(instance_to_json(
-        generate_instance(3, 2, QQ, 1, surplus=(1, 1, 1, 1))))
+    def building(cls, *args):
+        folds.append(sys._getframe(1).f_code.co_name)
+        return block(cls, *args)
+
+    inst, back = _generated_and_read_back(3, 2, QQ, 1, surplus=(1, 1, 1, 1))
     monkeypatch.setattr(Matrix, "__mul__", counting)
+    monkeypatch.setattr(Matrix, "block", classmethod(building))
+    # a pearl read back from JSON, as `verify` sees it, has not been checked:
+    # one check of d^2 = 0 takes 2 products, the fold's two squares, and the
+    # direct path's fold reuses the checked blocks without another product
+    assert verify_main_theorem(back).all_pass
+    r = back.pearl.ranks
+    assert inside == [(r[0] + r[2], r[1] + r[3], r[0] + r[2]),
+                      (r[1] + r[3], r[0] + r[2], r[1] + r[3])]
+    assert elsewhere == [] and folds.count("_fold") == 2
+    # a generated pearl was checked, and folded, by its lift
+    inside.clear()
+    folds.clear()
     assert verify_main_theorem(inst).all_pass
-    # one check of d^2 = 0 takes 12 products: 2 in each of the four degrees
-    # of d_M d1 + d1 d_M, 2 in each of the two of d1^2 + d_M d2 + d2 d_M
-    assert len(inside) == 12
+    assert inside == elsewhere == [] and "_fold" not in folds
 
 
 def test_disc_check_failure_is_flagged_and_size_mismatch_raises():
