@@ -33,12 +33,10 @@ class BasedChainComplex:
     """
 
     def __init__(self, field, ranks, boundaries):
-        self.field: Field = field
-        self.ranks = list(ranks)
-        n = len(self.ranks) - 1
+        n = len(ranks) - 1
         if len(boundaries) != n:
             raise ComplexError(f"expected {n} boundary maps, got {len(boundaries)}")
-        self.boundaries = [None] + list(boundaries)
+        self._hold(field, ranks, boundaries)
         for k in range(1, n + 1):
             d = self.boundaries[k]
             if d.nrows != self.ranks[k - 1] or d.ncols != self.ranks[k]:
@@ -47,6 +45,14 @@ class BasedChainComplex:
         for k in range(2, n + 1):
             if not (self.boundaries[k - 1] * self.boundaries[k]).is_zero():
                 raise ComplexError(f"d_{k - 1} d_{k} != 0")
+
+    def _hold(self, field, ranks, boundaries):
+        """Hold boundaries of matching shapes whose squares vanish, as
+        checked already (page 1's d1*), without multiplying them again."""
+        self.field: Field = field
+        self.ranks = list(ranks)
+        self.boundaries = [None] + list(boundaries)
+        return self
 
     @property
     def top_degree(self):

@@ -53,9 +53,13 @@ class PageOne:
 
     @cached_property
     def _forward(self):
-        """One forward elimination pass of each d1star_k, run once: its rank
-        and its determinant are read off it."""
+        """One forward elimination pass of each d1star_k, run once: its
+        pivots, rank and determinant are read off it."""
         return [d._eliminate(reduce=False) for d in self.d1star]
+
+    def d1star_pivots(self, k):
+        """Pivot columns of d1star_k, off the pass that ranks it."""
+        return self._forward[k][2]
 
     @property
     def d1star_ranks(self):

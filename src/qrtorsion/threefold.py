@@ -130,23 +130,29 @@ class TripleForm:
     def is_zero_over(self, field: Field) -> bool:
         return all(map(field.is_zero, self.coeffs.values()))
 
-    def _upper_terms(self):
+    def _upper_terms(self, live=None):
         """Each stored coefficient I(a,c,e) = v, a < c < e, under the three
         orderings (x, y, z, s) with y < z and I(x,y,z) = s, 0-based.  Cyclic
         rotations keep the sign and transpositions flip it; this is the one
-        place the sign convention is written."""
+        place the sign convention is written.  Given a set live of 0-based
+        indices, only the terms with x in live."""
+        if live is None:
+            live = range(self.b)
         for (a, c, e), v in self.coeffs.items():
             a, c, e = a - 1, c - 1, e - 1
-            yield a, c, e, v
-            yield c, a, e, -v
-            yield e, a, c, v
+            if a in live:
+                yield a, c, e, v
+            if c in live:
+                yield c, a, e, -v
+            if e in live:
+                yield e, a, c, v
 
     def packed_contract(self, W, slack=0):
         """(acc, s): acc[y][z] is the packed row sum_x I(x,y,z) W[x] for
         y < z and 0 otherwise, for b integer rows W of one width n, in
         s-bit slots (module docstring) with room for slack more in each
         slot.  Each row is packed once and each signed term of
-        ``_upper_terms`` is one multiply-add, skipping the zero rows of W.
+        ``_upper_terms`` with x at a nonzero row of W is one multiply-add.
         At n = 1 the packed row is the entry itself and s is 0."""
         b = self.b
         n = len(W[0]) if W else 0
@@ -157,10 +163,9 @@ class TripleForm:
             s = bound.bit_length() + 1
         P = [pack_row(row, s) for row in W]
         acc = [[0] * b for _ in range(b)]
-        for x, y, z, t in self._upper_terms():
-            u = P[x]
-            if u:
-                acc[y][z] += t * u
+        live = {x for x, u in enumerate(P) if u}
+        for x, y, z, t in self._upper_terms(live):
+            acc[y][z] += t * P[x]
         return acc, s
 
     def slice_rows(self, v):

@@ -41,16 +41,18 @@ def _random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
             return M
 
 
-def _image_and_section(d: Matrix, rng=None):
+def _image_and_section(d: Matrix, rng=None, pivots=None):
     """(B, S, P) with B a basis of im(d) and d S = B, from one forward
-    elimination pass on d, which finds its pivot columns P.
+    elimination pass on d, which finds its pivot columns P, or from the
+    pivots P of such a pass already run on d.
 
     B is the pivot columns P of d and S the unit columns at those pivots.
     With an rng both are mixed by one random invertible matrix, S gains
     random kernel columns, which leave d S unchanged, and P is None.
     """
     F = d.field
-    pivots = d._eliminate(reduce=False)[2]
+    if pivots is None:
+        pivots = d._eliminate(reduce=False)[2]
     B = d.cols(pivots)
     units = [[0] * len(pivots) for _ in range(d.ncols)]
     for j, p in enumerate(pivots):
@@ -83,20 +85,24 @@ def _det_beside(M: Matrix, S: Matrix, P):
     return F.neg(det) if t % 2 else det
 
 
-def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
+def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None, *,
+                   _pivots=None) -> SignClass:
     """Torsion of a based complex over a field with chosen homology bases.
 
     ``homology_bases[k]`` holds cycle representatives (columns) whose classes
     base H_k; an empty matrix where the complex is acyclic.  Passing an ``rng``
     randomizes the internal image bases and sections, which must not change
-    the result.
+    the result.  A ``_pivots[k]`` that is not None holds the pivots of a
+    forward pass already run on d_{k+1}, which is not eliminated again.
     """
     F = C.field
     n = C.top_degree
     if len(homology_bases) != n + 1:
         raise TorsionError("need one homology basis per degree")
-    # bs[k] = (B, S) of d_{k+1}: B bases its image in C_k, S lies in C_{k+1}
-    bs = [_image_and_section(C.boundary(k + 1), rng) for k in range(n + 1)]
+    pivots = _pivots or [None] * (n + 1)
+    # bs[k] = (B, S, P) of d_{k+1}: B bases its image in C_k, S lies in C_{k+1}
+    bs = [_image_and_section(C.boundary(k + 1), rng, pivots[k])
+          for k in range(n + 1)]
     value = F.one()
     for k in range(n + 1):
         h = homology_bases[k]

@@ -15,6 +15,16 @@ on page 3, the literal rate), so verifying it in memory computes none of
 them again; an instance read from JSON or built by mutate_d2 computes its
 own.  The closed-form rate always builds its own Contraction, so the
 literal-vs-closed-form check still compares independent computations.
+
+On page 2 the formula path computes each of its objects once: the Milnor
+cross-check takes each d1*'s image basis and section from the pass page 1
+ranked it with, and holds the page-1 complex without multiplying the
+squares page 1 checked; find_slice runs once, and its determinant serves
+both the dichotomy flag and the closed formula when its witness is the
+pivot's unit vector.  The compared paths stay independent: the fold reads
+none of these objects, the slice feeds only the closed formula and the
+dichotomy flag, and the d1* passes only page 1's ranks and the Milnor
+cross-check.
 """
 
 from __future__ import annotations
@@ -115,21 +125,27 @@ def e1_milnor_torsion(inst: Instance) -> SignClass:
 
     The page-1 differential ascends, so degree k of the complex holds the
     homology of degree 3 - k; that regrading flips every degree parity,
-    which inverts the torsion, so the inverse is returned.
+    which inverts the torsion, so the inverse is returned.  Its d_{k+1} is
+    d1star_{2-k}, held with page 1's checked squares and pivots (module
+    docstring), so only the zero map d_4 is eliminated here.
     """
     pg1 = inst.spectrum.page1
     if not pg1.is_exact():
         raise WrongPageError("page-1 complex is not acyclic")
-    C = BasedChainComplex(inst.field, pg1.ranks[::-1], pg1.d1star[::-1])
+    C = BasedChainComplex.__new__(BasedChainComplex)._hold(
+        inst.field, pg1.ranks[::-1], pg1.d1star[::-1])
     empty = [Matrix.zeros(inst.field, r, 0) for r in C.ranks]
-    return milnor_torsion(C, empty).inv()
+    pivots = [pg1.d1star_pivots(2 - k) for k in range(3)] + [None]
+    return milnor_torsion(C, empty, _pivots=pivots).inv()
 
 
-def torsion_via_page2_formula(inst: Instance) -> SignClass:
+def torsion_via_page2_formula(inst: Instance, *, _witness=None) -> SignClass:
     """The closed torsion formula for page-2 collapse: torsion ratio times
     r_i^{b-3} over the slice determinant at the pivot index i (the first
     index with nonzero rate), cross-checked against the page-1 Milnor
-    torsion path."""
+    torsion path.  verify_main_theorem passes its find_slice witness
+    (vector, determinant), whose determinant is reused when the vector is
+    e_i; otherwise the slice at e_i is computed here."""
     F = inst.field
     b = inst.homology.b
     pg1 = inst.spectrum.page1
@@ -140,7 +156,10 @@ def torsion_via_page2_formula(inst: Instance) -> SignClass:
     # page 1 is exact, so d1*_0 is injective and some rate is nonzero
     pivot = next(i for i, x in enumerate(rates) if not F.is_zero(x))
     v = [int(j == pivot) for j in range(b)]
-    det_slice = symplectic_slice(inst.form, v, F)
+    if _witness is not None and _witness[0] == v:
+        det_slice = _witness[1]
+    else:
+        det_slice = symplectic_slice(inst.form, v, F)
     if det_slice is None:
         raise VerifierError("slice at the pivot index is degenerate")
     ratio = torsion_ratio(inst.homology, F)
@@ -220,10 +239,11 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
         flags["b_parity"] = b % 2 == 1
         # slice test directly: for b = 1 the complement is 0-dimensional and
         # the slice exists vacuously even though the form is zero
-        flags["dichotomy_consistent"] = find_slice(inst.form, F) is not None
+        witness = find_slice(inst.form, F)
+        flags["dichotomy_consistent"] = witness is not None
         implied["rationally_prime"] = True
         try:
-            formula = torsion_via_page2_formula(inst)
+            formula = torsion_via_page2_formula(inst, _witness=witness)
             flags["e1_torsion_identity"] = True
         except (VerifierError, WrongPageError, SpectralError) as e:
             notes.append(str(e))

@@ -1,13 +1,18 @@
 import json
+import random
 
 import pytest
 
 from qrtorsion import schemas
 from qrtorsion.cli import main
 from qrtorsion.complexes import ComplexError, fold_periodic, validate_pearl
-from qrtorsion.fields import digit_limit
+from qrtorsion.fields import QQ, digit_limit
 from qrtorsion.linalg import Matrix
-from qrtorsion.models import MAX_RANK
+from qrtorsion.models import (MAX_RANK, _lift_pearl, homology_bases,
+                              realize_morse)
+from qrtorsion.spectral import PAGE3
+from qrtorsion.threefold import ThreefoldHomology, TripleForm
+from qrtorsion.verifier import Instance
 
 
 # verbs that read one document through schemas.load
@@ -564,6 +569,32 @@ def test_nonzero_form_on_page3_fails_only_dichotomy_consistent(
         lambda doc: doc["form"].update(entries=[{"ijk": [1, 2, 3], "v": 1}]))
     assert failed == ["dichotomy_consistent"]
     assert rep["collapse"] == "Page3"
+
+
+@pytest.mark.parametrize("b, failed", [
+    (2, ["q_antisymmetric"]), (3, ["b_parity", "q_antisymmetric"])],
+    ids=["b2", "b3"])
+def test_page3_pearl_on_a_pairing_that_is_not_antisymmetric_exits_1(
+        tmp_path, capsys, b, failed):
+    # a page-3 pearl lifted at rate 2 from an invertible A = 1 + (superdiagonal
+    # ones), so Q = r A^-1 is not antisymmetric; at odd b the parity fails too
+    homology = ThreefoldHomology(b)
+    morse = realize_morse(homology, seed=1)
+    H = homology_bases(morse, QQ)
+    A = Matrix.from_int_rows(QQ, [[int(j in (i, i + 1)) for j in range(b)]
+                                  for i in range(b)], b, b)
+    _, S = _lift_pearl(morse.to_field(QQ), H,
+                       [Matrix.zeros(QQ, b, 1), A, Matrix.zeros(QQ, 1, b)],
+                       random.Random(1), PAGE3, QQ.from_int(2))
+    path = tmp_path / "inst.json"
+    schemas.dump(schemas.instance_to_json(Instance.from_spectrum(
+        homology, TripleForm(b), QQ, S)), str(path))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    rep = json.loads(out)
+    assert [flag for flag, ok in rep["flags"].items() if not ok] == failed
+    assert rep["collapse"] == "Page3"
+    assert rep["torsion_direct"] == rep["torsion_formula"]
 
 
 def test_spectral_verb(tmp_path, capsys):

@@ -10,7 +10,8 @@ import qrtorsion
 from qrtorsion.fields import QQ, GF, SignClass
 from qrtorsion.threefold import ThreefoldHomology, TripleForm
 from qrtorsion.models import realize_morse, homology_bases, random_pearl
-from qrtorsion.torsion import quantum_torsion
+from qrtorsion.torsion import milnor_torsion, quantum_torsion
+from qrtorsion.complexes import BasedChainComplex
 from qrtorsion.spectral import PAGE2, PAGE3
 from qrtorsion.generate import generate_instance, mutate_d2
 from qrtorsion.verifier import (Instance, torsion_ratio, e1_milnor_torsion,
@@ -21,6 +22,33 @@ from qrtorsion.superpotential import DiscSystem, Representation
 from qrtorsion.linalg import Matrix
 from qrtorsion.schemas import (instance_from_json, instance_to_json,
                                report_to_json, dump)
+
+
+def _milnor_from_scratch(inst):
+    """The page-1 Milnor torsion as a new complex sees it: the squares
+    checked again and every d1star eliminated anew."""
+    pg1 = inst.spectrum.page1
+    C = BasedChainComplex(inst.field, pg1.ranks[::-1], pg1.d1star[::-1])
+    return milnor_torsion(C, [Matrix.zeros(inst.field, r, 0)
+                              for r in C.ranks]).inv()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=repr)
+def test_shared_pass_milnor_torsion_matches_a_fresh_complex(field):
+    pivots = set()
+    for surplus in [(0, 0, 0, 0), (1, 1, 1, 1), (2, 3, 3, 2)]:
+        for b, seeds in [(1, range(3)), (3, range(12)), (5, range(3))]:
+            for seed in seeds:
+                inst = generate_instance(2, b, field, seed, surplus=surplus)
+                back = instance_from_json(instance_to_json(inst))
+                rates = [row[0] for row in inst.spectrum.page1.d1star[0].rows]
+                pivots.add(next(i for i, x in enumerate(rates)
+                                if not field.is_zero(x)) > 0)
+                for i in (inst, back):
+                    assert e1_milnor_torsion(i) == _milnor_from_scratch(i)
+    # the rate vanishes at index 0 on some instances (b = 3, seed 10 in
+    # each field), so both pivot cases are covered
+    assert pivots == {False, True}
 
 
 def test_torsion_ratio():
@@ -376,36 +404,101 @@ def test_verify_eliminates_each_map_once(monkeypatch):
                                                  surplus=(1, 1, 1, 1))
     page3, page3_json = _generated_and_read_back(3, 2, GF(5), 1,
                                                  surplus=(1, 1, 1, 1))
-    calls = []  # (caller, reduce) of each elimination pass
+    calls = []  # (caller, reduce, matrix) of each elimination pass
     eliminate = Matrix._eliminate
 
     def recorded(self, reduce=True):
         caller = sys._getframe(1)
         while caller.f_code.co_name.startswith("<"):
             caller = caller.f_back  # a comprehension's frame (before 3.12)
-        calls.append((caller.f_code.co_name, reduce))
+        calls.append((caller.f_code.co_name, reduce, self))
         return eliminate(self, reduce)
 
     monkeypatch.setattr(Matrix, "_eliminate", recorded)
     # each boundary's image basis and section come from one elimination,
-    # each d1star is ranked once, det A is read off A's rank pass, and the Q
-    # form inverts nothing
-    for inst, count in [(page2_json, 25), (page3_json, 31),
+    # each d1star is ranked once, det A is read off A's rank pass, the Q
+    # form inverts nothing, and on page 2 the Milnor cross-check reads each
+    # d1star's image and section off page 1's pass and the formula reuses
+    # the dichotomy's slice determinant
+    for inst, count in [(page2_json, 21), (page3_json, 31),
                         # page 1, its ranks and the literal rate come with
                         # a generated instance
-                        (page2, 14), (page3, 15)]:
+                        (page2, 10), (page3, 15)]:
         calls.clear()
         assert verify_main_theorem(inst).all_pass
         assert len(calls) == count
         # only the callers that read R run a Gauss-Jordan pass; rank,
         # determinant, page 1's pass over each d1star and the pivot read
         # stop at an echelon form
-        for caller, reduce in calls:
+        for caller, reduce, _ in calls:
             if caller in ("rank", "determinant", "_forward",
                           "_image_and_section"):
                 assert reduce is False
             else:
                 assert caller in ("solve", "kernel_basis", "inverse") and reduce
+        # page 1's pass is the only one over each d1star: once when read
+        # from JSON, and none in memory, where the lift ran it
+        d1star = inst.spectrum.page1.d1star
+        on_d1star = [c for c, _, m in calls if any(m is d for d in d1star)]
+        assert on_d1star == (["_forward"] * 3 if inst in (page2_json,
+                                                         page3_json) else [])
+
+
+def test_verify_multiplies_page1_squares_once(monkeypatch):
+    page2, page2_json = _generated_and_read_back(2, 3, GF(5), 1,
+                                                 surplus=(1, 1, 1, 1))
+    operands = []  # (left, right) of each product
+    product = Matrix.__mul__
+
+    def recorded(self, other):
+        operands.append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", recorded)
+    for inst, times in [(page2_json, 1), (page2, 0)]:
+        operands.clear()
+        assert verify_main_theorem(inst).all_pass
+        # page 1 checks d1star_{k+1} d1star_k = 0 once, and the Milnor
+        # cross-check holds the complex without a second product; a
+        # generated instance's lift made the check
+        d1star = inst.spectrum.page1.d1star
+        for k in range(2):
+            assert sum(1 for L, R in operands
+                       if L is d1star[k + 1] and R is d1star[k]) == times
+
+
+@pytest.mark.parametrize("field, seed, slices", [
+    # the witness e_0 is the pivot's unit vector: its determinant is reused
+    (GF(5), 1, 1), (QQ, 1, 1),
+    # the witness e_0 is not: the rate vanishes at index 0, and the pivot
+    # is index 2 (seed 7) or 1 (seeds 10, 42)
+    (GF(7), 7, 2), (GF(7), 10, 2), (GF(7), 42, 2), (QQ, 10, 2)], ids=repr)
+def test_page2_verify_computes_the_pivot_slice_once(monkeypatch, field, seed,
+                                                    slices):
+    from qrtorsion import threefold, verifier
+    inst, back = _generated_and_read_back(2, 3, field, seed)
+    calls = []
+    real = threefold.symplectic_slice
+
+    def counting(I, v, F):
+        calls.append(list(v))
+        return real(I, v, F)
+
+    for mod in (threefold, verifier):
+        monkeypatch.setattr(mod, "symplectic_slice", counting)
+    rates = [row[0] for row in inst.spectrum.page1.d1star[0].rows]
+    pivot = next(i for i, x in enumerate(rates) if not field.is_zero(x))
+    assert (pivot == 0) == (slices == 1)
+    e_pivot = [int(j == pivot) for j in range(3)]
+    for i in (inst, back):
+        calls.clear()
+        report = verify_main_theorem(i)
+        assert report.all_pass
+        assert calls == [[1, 0, 0]] + [e_pivot] * (slices - 1)
+    # called alone, the formula computes its own slice at the pivot
+    calls.clear()
+    assert torsion_via_page2_formula(back) == report.torsion_formula
+    assert calls == [e_pivot]
 
 
 def test_verify_page3_computes_det_A_once(monkeypatch):
