@@ -5,7 +5,10 @@ preferred basis.  Pearl complexes are stored over a field, already twisted:
 the Morse part lowers degree by one, the disc corrections d1 (degree +1) and
 d2 (degree +3) come from the minimal Maslov number being two on a 3-fold.
 A pearl's d^2 = 0 is checked once, on the two squares of its 2-periodic
-fold, and folding it for torsion reuses those checked blocks.
+fold, and folding it for torsion reuses those checked blocks.  That fold
+(``PeriodicComplex._hold``) is the one complex not built through its
+checking constructor: its squares are the pearl's check, which names the
+graded components that fail, and the constructor would multiply them again.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class BasedChainComplex:
         n = len(ranks) - 1
         if len(boundaries) != n:
             raise ComplexError(f"expected {n} boundary maps, got {len(boundaries)}")
-        self._hold(field, ranks, boundaries)
+        self.field: Field = field
+        self.ranks = list(ranks)
+        self.boundaries = [None] + list(boundaries)
         for k in range(1, n + 1):
             d = self.boundaries[k]
             if d.nrows != self.ranks[k - 1] or d.ncols != self.ranks[k]:
@@ -45,14 +50,6 @@ class BasedChainComplex:
         for k in range(2, n + 1):
             if not (self.boundaries[k - 1] * self.boundaries[k]).is_zero():
                 raise ComplexError(f"d_{k - 1} d_{k} != 0")
-
-    def _hold(self, field, ranks, boundaries):
-        """Hold boundaries of matching shapes whose squares vanish, as
-        checked already (page 1's d1*), without multiplying them again."""
-        self.field: Field = field
-        self.ranks = list(ranks)
-        self.boundaries = [None] + list(boundaries)
-        return self
 
     @property
     def top_degree(self):

@@ -27,15 +27,15 @@ list.
 Elimination is where verification spends its time (the pearl complexes of
 large instances are tens of rows by tens of columns).  ``Matrix._eliminate``
 is the only elimination pass; over Q it is Bareiss's fraction-free
-elimination on ``num``.  Each caller runs only the part it reads: ``rank``,
-``determinant`` and the pivot read of ``torsion._image_and_section`` stop
-at an echelon form (the forward sweep, which fixes the pivots, the row
-swaps and det, and which ``_determinant`` reads det off when a caller
-keeps it), while ``rref``, ``solve``, ``kernel_basis`` and ``inverse``
-carry the pass through to Gauss-Jordan form, and ``solve``,
-``kernel_basis`` and ``inverse`` read its rows directly, so only their own
-result is put in canonical form.  ``inverse`` eliminates [num | den I] and
-checks its product in place, building no identity or stacked matrix.
+elimination on ``num``.  ``rank``, ``determinant`` and the pivot read of
+``torsion._image_and_section`` need only its forward sweep to an echelon
+form, which fixes the pivots, the row swaps and det; a matrix keeps the
+pivots and det of that sweep (not its rows) from the first such read, so it
+is swept forward at most once.  ``rref``, ``solve``, ``kernel_basis`` and
+``inverse`` carry a pass of their own, not kept, to Gauss-Jordan form, and
+the last three read its rows directly, so only their own result is put in
+canonical form.  ``inverse`` eliminates [num | den I] and checks its
+product in place, building no identity or stacked matrix.
 0 x n and n x 0 matrices are legal everywhere; the determinant of the 0 x 0
 matrix is 1 (empty-product convention).
 """
@@ -123,12 +123,13 @@ class Matrix:
     a fresh list of rows of field values (Fractions over Q).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "num", "den")
+    __slots__ = ("field", "nrows", "ncols", "num", "den", "_pass")
 
     def __init__(self, field: Field, rows, nrows=None, ncols=None):
         """The matrix of raw field values (Fractions or ints over Q)."""
         rows = [list(r) for r in rows]
         self.field = field
+        self._pass = None
         self.nrows, self.ncols = _shape(rows, nrows, ncols)
         p = field.char
         if p:
@@ -158,6 +159,7 @@ class Matrix:
                 den //= g
         m = cls.__new__(cls)
         m.field, m.num, m.den, m.nrows, m.ncols = field, num, den, nrows, ncols
+        m._pass = None
         return m
 
     @property
@@ -425,8 +427,17 @@ class Matrix:
         return Matrix._make(self.field, rows, prev, self.nrows,
                             self.ncols), pivots
 
+    def _forward(self):
+        """(pivots, det(num)) of the forward pass, kept from the first read;
+        callers must not write the pivot list."""
+        kept = self._pass
+        if kept is None:
+            _, _, pivots, det = self._eliminate(reduce=False)
+            kept = self._pass = pivots, det
+        return kept
+
     def rank(self):
-        return len(self._eliminate(reduce=False)[2])
+        return len(self._forward()[0])
 
     def kernel_basis(self):
         """Matrix whose columns form a basis of the kernel: for each free
@@ -444,14 +455,9 @@ class Matrix:
 
     def determinant(self):
         """det(num) / den^n: a Fraction over Q, a residue over F_p."""
-        return self._determinant(self._eliminate(reduce=False))
-
-    def _determinant(self, forward):
-        """The determinant read off ``forward``, this matrix's forward pass
-        ``_eliminate(reduce=False)``: det(num) / den^n."""
         if self.nrows != self.ncols:
             raise LinAlgError("determinant of non-square matrix")
-        det = forward[3]
+        det = self._forward()[1]
         if self.field.char:
             return det
         return Fraction(det, self.den ** self.nrows)

@@ -8,12 +8,18 @@ never materialized: each d_i carries a fixed power, so the bookkeeping is the
 degree index alone.
 
 Each spectral object is computed once per instance by a Spectrum (a
-generated instance keeps the one its lift was checked on), and no
-intermediate result crosses between the compared paths: the closed-form rate
-builds its own Contraction, and the direct fold path reads nothing from here.
-Page 1 reads d1* through the Contraction it is handed, or builds one: a lift
-hands over the one its projection pi came from (models._lift_chain), so each
-lift builds one Contraction, and the closed form still builds its own.
+generated instance keeps the one its lift was checked on).  Page 1 reads d1*
+through the Contraction it is handed, or builds one: a lift hands over the
+one its projection pi came from (models._lift_chain), so each lift builds one
+Contraction.  PageOne holds the checked page-1 complex, and each d1* map
+keeps its one forward pass (linalg).
+
+Independence: the direct fold path eliminates only its own block matrices
+(TwistedPearlComplex._fold), and nothing here ranks them.  The closed-form
+rate still builds its own Contraction and its own minor inverses, but it
+reads d_M's pivots from the same kept pass as the literal rate: a
+deterministic read of the same input, which a second run could not
+contradict.
 
 Degrees are 0..3 throughout (pearl complexes of 3-folds, minimal Maslov
 number two).
@@ -25,7 +31,8 @@ from functools import cached_property
 from math import lcm
 
 from .linalg import LinAlgError, Matrix
-from .complexes import BasedChainComplex, TwistedPearlComplex, validate_pearl
+from .complexes import (BasedChainComplex, ComplexError, TwistedPearlComplex,
+                        validate_pearl)
 from .torsion import _image_and_section
 
 
@@ -44,32 +51,25 @@ NOT_NARROW = "NotNarrow"
 
 class PageOne:
     """Homology ranks of the Morse part and the induced degree +1 differential
-    d1star_k : H_k -> H_{k+1} in the chosen homology bases."""
+    d1star_k : H_k -> H_{k+1} in the chosen homology bases, and the page-1
+    complex: degree k holds H_{3-k}, d_{k+1} is d1star_{2-k}, and its
+    constructor checks that d1star squares to zero."""
 
     def __init__(self, ranks, d1star, bases):
         self.ranks = list(ranks)
         self.d1star = list(d1star)
         self.bases = list(bases)
-
-    @cached_property
-    def _forward(self):
-        """One forward elimination pass of each d1star_k, run once: its
-        pivots, rank and determinant are read off it."""
-        return [d._eliminate(reduce=False) for d in self.d1star]
-
-    def d1star_pivots(self, k):
-        """Pivot columns of d1star_k, off the pass that ranks it."""
-        return self._forward[k][2]
+        try:
+            self.complex = BasedChainComplex(
+                self.d1star[0].field, self.ranks[::-1], self.d1star[::-1])
+        except ComplexError:
+            raise SpectralError(
+                "page-1 differential does not square to zero") from None
 
     @property
     def d1star_ranks(self):
         """Rank of each d1star_k."""
-        return [len(f[2]) for f in self._forward]
-
-    def d1star_det(self, k):
-        """det d1star_k, off the pass that ranks it; LinAlgError unless
-        d1star_k is square."""
-        return self.d1star[k]._determinant(self._forward[k])
+        return [d.rank() for d in self.d1star]
 
     def homology_ranks(self):
         """Ranks of the homology of (E^1, d1star), degree by degree."""
@@ -200,9 +200,6 @@ def page1(P: TwistedPearlComplex, H, con: Contraction = None) -> PageOne:
     """
     _check_valid(P)
     d1star = _d1star(P, H, Contraction(P.base, H) if con is None else con)
-    for k in range(2):
-        if not (d1star[k + 1] * d1star[k]).is_zero():
-            raise SpectralError("page-1 differential does not square to zero")
     return PageOne([H[k].ncols for k in range(4)], d1star, H)
 
 
@@ -257,8 +254,9 @@ def closed_form_r(P: TwistedPearlComplex, H):
     d1 at the degree-0 class) and M6 (top row of d1 on the section columns of
     C_2), and return alpha - M6 M1.
 
-    The page-1 ranks are checked from this path's own contraction, so it
-    shares no intermediate result with page2_rate."""
+    The page-1 ranks are checked from this path's own contraction and
+    d1* maps; only d_M's pivots are read off the pass it keeps (module
+    docstring)."""
     _check_valid(P)
     con = Contraction(P.base, H)
     _require_survivors(PageOne(con.hdims, _d1star(P, H, con), H))

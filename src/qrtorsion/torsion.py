@@ -4,8 +4,9 @@ All values live in the unit group of the field modulo sign.  The graded
 torsion multiplies determinants of assembled bases [h_i  b_i  s_{i-1}]
 against the preferred bases, where b_i bases the image of d_{i+1} and the
 section s_i satisfies d_{i+1} s_i = b_i.  Both are read off the pivots of
-one forward elimination pass on d_{i+1} (no reduced form is built): b_i is
-its pivot columns and s_i the unit columns at the same pivots.  With unit
+the forward elimination pass that d_{i+1} keeps (no reduced form is built;
+a map some caller has ranked already is not swept again): b_i is its pivot
+columns and s_i the unit columns at the same pivots.  With unit
 sections, each determinant of an assembled basis is a minor of [h_i  b_i]
 on the rows outside the pivots (``_det_beside``); ``spectral.Contraction``
 reads its inverses off the same minors.  The bases can be randomized to
@@ -41,18 +42,16 @@ def _random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
             return M
 
 
-def _image_and_section(d: Matrix, rng=None, pivots=None):
-    """(B, S, P) with B a basis of im(d) and d S = B, from one forward
-    elimination pass on d, which finds its pivot columns P, or from the
-    pivots P of such a pass already run on d.
+def _image_and_section(d: Matrix, rng=None):
+    """(B, S, P) with B a basis of im(d) and d S = B, read off the pivot
+    columns P of d's forward pass, which d keeps.
 
     B is the pivot columns P of d and S the unit columns at those pivots.
     With an rng both are mixed by one random invertible matrix, S gains
     random kernel columns, which leave d S unchanged, and P is None.
     """
     F = d.field
-    if pivots is None:
-        pivots = d._eliminate(reduce=False)[2]
+    pivots = d._forward()[0]
     B = d.cols(pivots)
     units = [[0] * len(pivots) for _ in range(d.ncols)]
     for j, p in enumerate(pivots):
@@ -85,24 +84,20 @@ def _det_beside(M: Matrix, S: Matrix, P):
     return F.neg(det) if t % 2 else det
 
 
-def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None, *,
-                   _pivots=None) -> SignClass:
+def milnor_torsion(C: BasedChainComplex, homology_bases, rng=None) -> SignClass:
     """Torsion of a based complex over a field with chosen homology bases.
 
     ``homology_bases[k]`` holds cycle representatives (columns) whose classes
     base H_k; an empty matrix where the complex is acyclic.  Passing an ``rng``
     randomizes the internal image bases and sections, which must not change
-    the result.  A ``_pivots[k]`` that is not None holds the pivots of a
-    forward pass already run on d_{k+1}, which is not eliminated again.
+    the result.
     """
     F = C.field
     n = C.top_degree
     if len(homology_bases) != n + 1:
         raise TorsionError("need one homology basis per degree")
-    pivots = _pivots or [None] * (n + 1)
     # bs[k] = (B, S, P) of d_{k+1}: B bases its image in C_k, S lies in C_{k+1}
-    bs = [_image_and_section(C.boundary(k + 1), rng, pivots[k])
-          for k in range(n + 1)]
+    bs = [_image_and_section(C.boundary(k + 1), rng) for k in range(n + 1)]
     value = F.one()
     for k in range(n + 1):
         h = homology_bases[k]

@@ -5,26 +5,29 @@ The two torsion paths are the point: the direct path folds the pearl complex
 and takes periodic torsion of the chain-level matrices; the formula path only
 sees homology-level data (rates, intersection forms, the pairing Q).  Their
 agreement, as sign classes, is the verified content of the torsion theorems.
-On page 3, det A is read off the elimination pass page 1 ranks A with,
-q_form reads det Q and Q's antisymmetry off A, and only the
-symmetrized-product identity builds Q's entries.
+On page 3, det A is read off the forward pass that A keeps from page 1's
+rank count (linalg), q_form reads det Q and Q's antisymmetry off A, and
+only the symmetrized-product identity builds Q's entries.
 
 Only the formula path reads the instance's Spectrum.  A generated instance
 carries the one generation checked its lift on (page 1, collapse page and,
 on page 3, the literal rate), so verifying it in memory computes none of
 them again; an instance read from JSON or built by mutate_d2 computes its
-own.  The closed-form rate always builds its own Contraction, so the
-literal-vs-closed-form check still compares independent computations.
+own.
 
-On page 2 the formula path computes each of its objects once: the Milnor
-cross-check takes each d1*'s image basis and section from the pass page 1
-ranked it with, and holds the page-1 complex without multiplying the
-squares page 1 checked; find_slice runs once, and its determinant serves
-both the dichotomy flag and the closed formula when its witness is the
-pivot's unit vector.  The compared paths stay independent: the fold reads
-none of these objects, the slice feeds only the closed formula and the
-dichotomy flag, and the d1* passes only page 1's ranks and the Milnor
-cross-check.
+On page 2 the Milnor cross-check runs on the checked complex page 1 holds,
+and reads each d1*'s image basis and section off the forward pass that d1*
+keeps from page 1's rank count.  The closed formula runs first, and
+find_slice only when it failed: a formula that holds has a nondegenerate
+slice at the pivot's unit vector, and find_slice tries every unit vector
+first, so the dichotomy flag is the same either way.
+
+Independence: the fold eliminates only its own block matrices
+(TwistedPearlComplex._fold), and nothing on the formula side ranks them.
+The closed-form rate still builds its own Contraction and its own minor
+inverses, but it reads d_M's pivots from the same kept pass as the literal
+rate: a deterministic read of the same input, which a second run could not
+contradict.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Any
 
 from .fields import Field, SignClass
 from .linalg import Matrix
-from .complexes import BasedChainComplex, TwistedPearlComplex, validate_pearl
+from .complexes import TwistedPearlComplex, validate_pearl
 from .torsion import milnor_torsion, quantum_torsion, NotNarrowError
 from .spectral import Spectrum, PAGE2, PAGE3, SpectralError, WrongPageError
 from .threefold import (ThreefoldHomology, TripleForm, symplectic_slice,
@@ -125,27 +128,23 @@ def e1_milnor_torsion(inst: Instance) -> SignClass:
 
     The page-1 differential ascends, so degree k of the complex holds the
     homology of degree 3 - k; that regrading flips every degree parity,
-    which inverts the torsion, so the inverse is returned.  Its d_{k+1} is
-    d1star_{2-k}, held with page 1's checked squares and pivots (module
-    docstring), so only the zero map d_4 is eliminated here.
+    which inverts the torsion, so the inverse is returned.  That complex is
+    the one page 1 holds, whose d_{k+1} is d1star_{2-k} and keeps page 1's
+    forward pass, so only the zero map d_4 is eliminated here.
     """
     pg1 = inst.spectrum.page1
     if not pg1.is_exact():
         raise WrongPageError("page-1 complex is not acyclic")
-    C = BasedChainComplex.__new__(BasedChainComplex)._hold(
-        inst.field, pg1.ranks[::-1], pg1.d1star[::-1])
+    C = pg1.complex
     empty = [Matrix.zeros(inst.field, r, 0) for r in C.ranks]
-    pivots = [pg1.d1star_pivots(2 - k) for k in range(3)] + [None]
-    return milnor_torsion(C, empty, _pivots=pivots).inv()
+    return milnor_torsion(C, empty).inv()
 
 
-def torsion_via_page2_formula(inst: Instance, *, _witness=None) -> SignClass:
+def torsion_via_page2_formula(inst: Instance) -> SignClass:
     """The closed torsion formula for page-2 collapse: torsion ratio times
     r_i^{b-3} over the slice determinant at the pivot index i (the first
     index with nonzero rate), cross-checked against the page-1 Milnor
-    torsion path.  verify_main_theorem passes its find_slice witness
-    (vector, determinant), whose determinant is reused when the vector is
-    e_i; otherwise the slice at e_i is computed here."""
+    torsion path."""
     F = inst.field
     b = inst.homology.b
     pg1 = inst.spectrum.page1
@@ -155,11 +154,8 @@ def torsion_via_page2_formula(inst: Instance, *, _witness=None) -> SignClass:
     rates = [d1[i][0] for i in range(b)]
     # page 1 is exact, so d1*_0 is injective and some rate is nonzero
     pivot = next(i for i, x in enumerate(rates) if not F.is_zero(x))
-    v = [int(j == pivot) for j in range(b)]
-    if _witness is not None and _witness[0] == v:
-        det_slice = _witness[1]
-    else:
-        det_slice = symplectic_slice(inst.form, v, F)
+    det_slice = symplectic_slice(inst.form, [int(j == pivot)
+                                             for j in range(b)], F)
     if det_slice is None:
         raise VerifierError("slice at the pivot index is degenerate")
     ratio = torsion_ratio(inst.homology, F)
@@ -172,10 +168,10 @@ def torsion_via_page2_formula(inst: Instance, *, _witness=None) -> SignClass:
     return formula
 
 
-def torsion_via_page3_formula(inst: Instance, A_det) -> SignClass:
-    """The page-3 torsion formula: torsion ratio times A_det over the page-2
-    rate, with the rate cross-checked against its closed form.  A_det is
-    det A of the page-1 degree-1 map A, which the caller has computed."""
+def torsion_via_page3_formula(inst: Instance) -> SignClass:
+    """The page-3 torsion formula: torsion ratio times det A over the page-2
+    rate, with the rate cross-checked against its closed form; A is the
+    page-1 degree-1 map d1star_1."""
     F = inst.field
     S = inst.spectrum
     r = S.rate
@@ -183,7 +179,8 @@ def torsion_via_page3_formula(inst: Instance, A_det) -> SignClass:
     if r != r_cf:
         raise VerifierError("page-2 rate disagrees with its closed form")
     ratio = torsion_ratio(inst.homology, F)
-    return SignClass(F, F.mul(ratio, F.div(A_det, r)))
+    return SignClass(F, F.mul(ratio, F.div(S.page1.d1star[1].determinant(),
+                                           r)))
 
 
 @dataclass
@@ -192,10 +189,11 @@ class QForm:
     antisymmetric: bool
 
 
-def q_form(A: Matrix, r, field: Field, A_det) -> QForm:
-    """det Q = r^b / A_det and the antisymmetry of Q = r * A^{-1}, read off
+def q_form(A: Matrix, r, field: Field) -> QForm:
+    """det Q = r^b / det A and the antisymmetry of Q = r * A^{-1}, read off
     A: Q + Q^T = r A^{-1} (A + A^T) A^{-T}, zero exactly when A + A^T is, as
-    A_det != 0 (refused here) and r != 0 (Spectrum.rate refuses it)."""
+    det A != 0 (refused here) and r != 0 (Spectrum.rate refuses it)."""
+    A_det = A.determinant()
     if field.is_zero(A_det):
         raise VerifierError("singular degree-1 differential on page 3")
     return QForm(field.div(field.pow(r, A.nrows), A_det),
@@ -237,32 +235,32 @@ def verify_main_theorem(inst: Instance) -> VerificationReport:
 
     if collapse == PAGE2:
         flags["b_parity"] = b % 2 == 1
-        # slice test directly: for b = 1 the complement is 0-dimensional and
-        # the slice exists vacuously even though the form is zero
-        witness = find_slice(inst.form, F)
-        flags["dichotomy_consistent"] = witness is not None
-        implied["rationally_prime"] = True
         try:
-            formula = torsion_via_page2_formula(inst, _witness=witness)
-            flags["e1_torsion_identity"] = True
+            formula = torsion_via_page2_formula(inst)
         except (VerifierError, WrongPageError, SpectralError) as e:
             notes.append(str(e))
-            flags["e1_torsion_identity"] = False
+        # slice test directly, where the formula found no slice at e_pivot
+        # (module docstring): for b = 1 the complement is 0-dimensional and
+        # the slice exists vacuously even though the form is zero
+        flags["dichotomy_consistent"] = (formula is not None or
+                                         find_slice(inst.form, F) is not None)
+        implied["rationally_prime"] = True
+        flags["e1_torsion_identity"] = formula is not None
         flags["two_path_torsion"] = formula is not None and direct == formula
     else:
         flags["b_parity"] = b % 2 == 0
         flags["dichotomy_consistent"] = inst.form.is_zero_over(F)
         try:
             A = S.page1.d1star[1]
-            A_det = S.page1.d1star_det(1)
+            A_det = A.determinant()
             r_val = S.rate
             flags["rate_cross_check"] = r_val == S.closed_form_rate
-            qf = q_form(A, r_val, F, A_det)
+            qf = q_form(A, r_val, F)
             Q_det = qf.det
             flags["q_antisymmetric"] = qf.antisymmetric
             # last, so that a rate refused by its closed form fails only
             # rate_cross_check and two_path_torsion
-            formula = torsion_via_page3_formula(inst, A_det)
+            formula = torsion_via_page3_formula(inst)
         except (VerifierError, WrongPageError, SpectralError) as e:
             notes.append(str(e))
             for name in ("rate_cross_check", "q_antisymmetric"):

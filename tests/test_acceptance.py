@@ -175,7 +175,7 @@ def test_criterion_05_page3_pipeline(page3_corpus):
         direct = quantum_torsion(inst.pearl, random.Random(0))
         pg = page1(inst.pearl, inst.bases)
         A = pg.d1star[1]
-        assert direct == torsion_via_page3_formula(inst, A.determinant())
+        assert direct == torsion_via_page3_formula(inst)
         r = page2_rate(inst.pearl, inst.bases)
         ratio = torsion_ratio(inst.homology, F)
         assert direct == SignClass(F, F.mul(ratio,

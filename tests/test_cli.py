@@ -11,6 +11,7 @@ from qrtorsion.linalg import Matrix
 from qrtorsion.models import (MAX_RANK, _lift_pearl, homology_bases,
                               realize_morse)
 from qrtorsion.spectral import PAGE3
+from qrtorsion.superpotential import DiscSystem, Representation
 from qrtorsion.threefold import ThreefoldHomology, TripleForm
 from qrtorsion.verifier import Instance
 
@@ -571,13 +572,11 @@ def test_nonzero_form_on_page3_fails_only_dichotomy_consistent(
     assert rep["collapse"] == "Page3"
 
 
-@pytest.mark.parametrize("b, failed", [
-    (2, ["q_antisymmetric"]), (3, ["b_parity", "q_antisymmetric"])],
-    ids=["b2", "b3"])
-def test_page3_pearl_on_a_pairing_that_is_not_antisymmetric_exits_1(
-        tmp_path, capsys, b, failed):
-    # a page-3 pearl lifted at rate 2 from an invertible A = 1 + (superdiagonal
-    # ones), so Q = r A^-1 is not antisymmetric; at odd b the parity fails too
+def _verified_pairing_pearl(tmp_path, capsys, b, discs=None):
+    """The report of verify on a page-3 pearl over Q lifted at rate 2 from
+    the invertible A = 1 + (superdiagonal ones), so Q = r A^-1 is not
+    antisymmetric, with the given discs at the representation (1, ..., 1),
+    and the flags that fail in it; verify must exit 1."""
     homology = ThreefoldHomology(b)
     morse = realize_morse(homology, seed=1)
     H = homology_bases(morse, QQ)
@@ -586,15 +585,44 @@ def test_page3_pearl_on_a_pairing_that_is_not_antisymmetric_exits_1(
     _, S = _lift_pearl(morse.to_field(QQ), H,
                        [Matrix.zeros(QQ, b, 1), A, Matrix.zeros(QQ, 1, b)],
                        random.Random(1), PAGE3, QQ.from_int(2))
+    inst = Instance.from_spectrum(homology, TripleForm(b), QQ, S)
+    if discs is not None:
+        inst.discs = DiscSystem(b, discs)
+        inst.representation = Representation(QQ, [QQ.one()] * b)
     path = tmp_path / "inst.json"
-    schemas.dump(schemas.instance_to_json(Instance.from_spectrum(
-        homology, TripleForm(b), QQ, S)), str(path))
+    schemas.dump(schemas.instance_to_json(inst), str(path))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     rep = json.loads(out)
-    assert [flag for flag, ok in rep["flags"].items() if not ok] == failed
     assert rep["collapse"] == "Page3"
     assert rep["torsion_direct"] == rep["torsion_formula"]
+    return rep, [flag for flag, ok in rep["flags"].items() if not ok]
+
+
+@pytest.mark.parametrize("b, failed", [
+    (2, ["q_antisymmetric"]), (3, ["b_parity", "q_antisymmetric"])],
+    ids=["b2", "b3"])
+def test_page3_pearl_on_a_pairing_that_is_not_antisymmetric_exits_1(
+        tmp_path, capsys, b, failed):
+    # at odd b the parity fails too
+    assert _verified_pairing_pearl(tmp_path, capsys, b)[1] == failed
+
+
+def test_page3_discs_with_a_nonzero_hessian_check_the_symmetrized_product(
+        tmp_path, capsys):
+    # on the b=2 pearl above, Q = 2 A^-1 = [[2, -2], [0, 2]].  These discs
+    # make W critical at (1, 1), so the page-3 collapse is consistent, with
+    # Hessian [[-4, 2], [2, -4]] = -(Q + Q^T) there: the symmetrized-product
+    # identity holds on a nonzero Q + Q^T, and so fails on its own when its
+    # sign is flipped, while q_antisymmetric fails
+    discs = [([1, 0], -3), ([-1, 0], -3), ([0, 1], -3), ([0, -1], -3),
+             ([1, 1], 1), ([-1, -1], 1)]
+    rep, failed = _verified_pairing_pearl(tmp_path, capsys, 2, discs)
+    assert failed == ["q_antisymmetric"]
+    for flag in ("disc_differential_match", "representation_page_consistent",
+                 "symmetrized_product_identity"):
+        assert rep["flags"][flag] is True
+    assert rep["implied"]["w_constant"] is False
 
 
 def test_spectral_verb(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_det_beside_unit_columns_is_the_complementary_minor(data):
     # det [M | E_P] read off the minor of M outside the rows P, against the
     # whole determinant and sympy's, over Q, F_3, F_7, F_101 and integer
     # matrices over Q; singular M included
-    F = data.draw(st.sampled_from([QQ, GF(3), GF(7), GF(101), "Z"]))
+    F = data.draw(st.sampled_from([QQ, GF(3), GF(5), GF(7), GF(101), "Z"]))
 
     def draw(m, n):
         return _field_or_integer_matrix(data, F, m, n)
@@ -175,11 +175,11 @@ def test_det_beside_unit_columns_is_the_complementary_minor(data):
 
 
 def _forward_case(data):
-    """A matrix over Q (denominators up to 6), F_3, F_7, F_101 or an
+    """A matrix over Q (denominators up to 6), F_3, F_5, F_7, F_101 or an
     integer matrix over Q, of shape m x n with m, n in 0..8; sometimes a
     product through a narrower middle (rank deficient), a zeroed column, or
     a zeroed leading entry (so the first pivot needs a row swap)."""
-    F = data.draw(st.sampled_from([QQ, GF(3), GF(7), GF(101), "Z"]))
+    F = data.draw(st.sampled_from([QQ, GF(3), GF(5), GF(7), GF(101), "Z"]))
 
     def draw(m, n):
         return _field_or_integer_matrix(data, F, m, n)
@@ -222,6 +222,55 @@ def test_forward_pass_matches_sympy_and_rref(data):
                      else F.one())
     # neither pass writes num
     assert A.num == before
+    _check_kept_pass(A, S)
+
+
+# the reads off a matrix's kept forward pass; det is None off square shapes
+KEPT_READS = {
+    "rank": Matrix.rank,
+    "det": lambda A: A.determinant() if A.nrows == A.ncols else None,
+    "pivots": lambda A: _image_and_section(A)[2],
+}
+
+
+def _check_kept_pass(A, S):
+    """rank, determinant and the pivots of _image_and_section, read from
+    one object in either order, equal sympy's (S is A over sympy) and the
+    same read from a fresh equal matrix; the first read runs the pass, the
+    later ones read it, and a non-square determinant still raises."""
+    F = A.field
+
+    def fresh():
+        return Matrix._make(F, [list(r) for r in A.num], A.den, A.nrows,
+                            A.ncols)
+
+    expected = {"rank": S.rank(), "pivots": list(S.rref()[1]), "det": None}
+    if A.nrows == A.ncols:
+        expected["det"] = (_sympy_scalar(S.domain, F, S.det()) if A.nrows
+                           else F.one())
+    for order in (("rank", "det", "pivots"), ("pivots", "det", "rank")):
+        B = fresh()
+        assert B._pass is None
+        got = {}
+        for name in order:
+            got[name] = KEPT_READS[name](B)
+            if name == order[0]:
+                kept = B._pass
+            assert B._pass is kept is not None
+        assert got == expected
+        assert got == {name: read(fresh()) for name, read in KEPT_READS.items()}
+    if A.nrows != A.ncols:
+        for B in (fresh(), A):  # without, and with, a kept pass
+            with pytest.raises(LinAlgError,
+                               match="^determinant of non-square matrix$"):
+                B.determinant()
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (0, 1), (1, 0)])
+def test_kept_pass_of_empty_matrices(F, m, n):
+    A = Matrix.zeros(F, m, n)
+    _check_kept_pass(A, _to_sympy(A))
 
 
 @pytest.mark.parametrize("F", [QQ, GF(3), GF(7), GF(101)], ids=repr)

@@ -26,9 +26,12 @@ from qrtorsion.schemas import (instance_from_json, instance_to_json,
 
 def _milnor_from_scratch(inst):
     """The page-1 Milnor torsion as a new complex sees it: the squares
-    checked again and every d1star eliminated anew."""
+    checked again and every d1star, copied into a matrix that keeps no
+    pass, eliminated anew."""
     pg1 = inst.spectrum.page1
-    C = BasedChainComplex(inst.field, pg1.ranks[::-1], pg1.d1star[::-1])
+    C = BasedChainComplex(inst.field, pg1.ranks[::-1], [
+        Matrix._make(d.field, d.num, d.den, d.nrows, d.ncols)
+        for d in pg1.d1star[::-1]])
     return milnor_torsion(C, [Matrix.zeros(inst.field, r, 0)
                               for r in C.ranks]).inv()
 
@@ -71,15 +74,14 @@ def test_page3_formula_matches_direct():
     for seed in range(5):
         inst = generate_instance(3, 2, GF(5), seed)
         direct = quantum_torsion(inst.pearl, random.Random(0))
-        A = inst.spectrum.page1.d1star[1]
-        assert torsion_via_page3_formula(inst, A.determinant()) == direct
+        assert torsion_via_page3_formula(inst) == direct
 
 
 def test_q_form_identity():
     F = QQ
     A = Matrix.from_int_rows(F, [[0, 1], [-1, 0]], 2, 2)
     r = F.from_int(2)
-    qf = q_form(A, r, F, A.determinant())
+    qf = q_form(A, r, F)
     assert qf.antisymmetric
     # det Q = r^b / det A
     assert qf.det == F.from_int(4)
@@ -94,7 +96,7 @@ def test_q_form_determinant_check_survives_optimize():
         Matrix.determinant = lambda self: QQ.zero()
         A = Matrix.from_int_rows(QQ, [[0, 1], [-1, 0]], 2, 2)
         try:
-            q_form(A, QQ.from_int(2), QQ, A.determinant())
+            q_form(A, QQ.from_int(2), QQ)
         except VerifierError as e:
             print(e)
     """)
@@ -108,14 +110,15 @@ def test_q_form_determinant_check_survives_optimize():
 
 def test_q_form_builds_neither_inverse_nor_determinant(monkeypatch):
     def refuse(self, *args):
-        raise AssertionError("q_form must read Q's invariants off A")
+        raise AssertionError("q_form must read Q's invariants off A's pass")
 
     F = GF(5)
     A = Matrix.from_int_rows(F, [[1, 2], [4, 1]], 2, 2)
-    A_det = A.determinant()
+    # page 1's rank count runs A's forward pass, which A keeps
+    assert A.rank() == 2
     monkeypatch.setattr(Matrix, "inverse", refuse)
-    monkeypatch.setattr(Matrix, "determinant", refuse)
-    qf = q_form(A, F.from_int(2), F, A_det)
+    monkeypatch.setattr(Matrix, "_eliminate", refuse)
+    qf = q_form(A, F.from_int(2), F)
     # Q = 2 A^{-1} = [[4, 2], [4, 4]] over F_5: det 3, not antisymmetric
     assert (qf.det, qf.antisymmetric) == (F.from_int(3), False)
 
@@ -415,27 +418,28 @@ def test_verify_eliminates_each_map_once(monkeypatch):
         return eliminate(self, reduce)
 
     monkeypatch.setattr(Matrix, "_eliminate", recorded)
-    # each boundary's image basis and section come from one elimination,
-    # each d1star is ranked once, det A is read off A's rank pass, the Q
-    # form inverts nothing, and on page 2 the Milnor cross-check reads each
-    # d1star's image and section off page 1's pass and the formula reuses
-    # the dichotomy's slice determinant
-    for inst, count in [(page2_json, 21), (page3_json, 31),
-                        # page 1, its ranks and the literal rate come with
-                        # a generated instance
-                        (page2, 10), (page3, 15)]:
+    # every matrix keeps its forward pass: each boundary's image basis and
+    # section, each d1star's rank and image, det A and d_M's pivots in the
+    # closed form's contraction are read off one pass, the Q form inverts
+    # nothing, and the page-2 formula evaluates one slice
+    for inst, count in [(page2_json, 21), (page3_json, 28),
+                        # page 1, its ranks, d_M's passes and the literal
+                        # rate come with a generated instance
+                        (page2, 10), (page3, 12)]:
         calls.clear()
         assert verify_main_theorem(inst).all_pass
         assert len(calls) == count
-        # only the callers that read R run a Gauss-Jordan pass; rank,
-        # determinant, page 1's pass over each d1star and the pivot read
-        # stop at an echelon form
+        # every forward pass enters through the kept-pass reader, and only
+        # the callers that read R run a Gauss-Jordan pass
         for caller, reduce, _ in calls:
-            if caller in ("rank", "determinant", "_forward",
-                          "_image_and_section"):
+            if caller == "_forward":
                 assert reduce is False
             else:
                 assert caller in ("solve", "kernel_basis", "inverse") and reduce
+        # no matrix is swept forward twice (calls holds each one, so no id
+        # is reused)
+        forward = [id(m) for c, _, m in calls if c == "_forward"]
+        assert len(set(forward)) == len(forward)
         # page 1's pass is the only one over each d1star: once when read
         # from JSON, and none in memory, where the lift ran it
         d1star = inst.spectrum.page1.d1star
@@ -467,11 +471,11 @@ def test_verify_multiplies_page1_squares_once(monkeypatch):
                        if L is d1star[k + 1] and R is d1star[k]) == times
 
 
+# slices counts the distinct vectors among find_slice's witness e_0 and the
+# pivot's unit vector: one where they coincide, two where the rate vanishes
+# at index 0 and the pivot is index 2 (seed 7) or 1 (seeds 10, 42)
 @pytest.mark.parametrize("field, seed, slices", [
-    # the witness e_0 is the pivot's unit vector: its determinant is reused
     (GF(5), 1, 1), (QQ, 1, 1),
-    # the witness e_0 is not: the rate vanishes at index 0, and the pivot
-    # is index 2 (seed 7) or 1 (seeds 10, 42)
     (GF(7), 7, 2), (GF(7), 10, 2), (GF(7), 42, 2), (QQ, 10, 2)], ids=repr)
 def test_page2_verify_computes_the_pivot_slice_once(monkeypatch, field, seed,
                                                     slices):
@@ -488,13 +492,16 @@ def test_page2_verify_computes_the_pivot_slice_once(monkeypatch, field, seed,
         monkeypatch.setattr(mod, "symplectic_slice", counting)
     rates = [row[0] for row in inst.spectrum.page1.d1star[0].rows]
     pivot = next(i for i, x in enumerate(rates) if not field.is_zero(x))
-    assert (pivot == 0) == (slices == 1)
     e_pivot = [int(j == pivot) for j in range(3)]
+    witness, _ = threefold.find_slice(inst.form, field)
+    assert witness == [1, 0, 0]
+    assert len({tuple(witness), tuple(e_pivot)}) == slices
     for i in (inst, back):
         calls.clear()
         report = verify_main_theorem(i)
         assert report.all_pass
-        assert calls == [[1, 0, 0]] + [e_pivot] * (slices - 1)
+        # the formula runs first, and once it holds, find_slice does not
+        assert calls == [e_pivot]
     # called alone, the formula computes its own slice at the pivot
     calls.clear()
     assert torsion_via_page2_formula(back) == report.torsion_formula
@@ -502,20 +509,30 @@ def test_page2_verify_computes_the_pivot_slice_once(monkeypatch, field, seed,
 
 
 def test_verify_page3_computes_det_A_once(monkeypatch):
-    _, inst = _generated_and_read_back(3, 2, QQ, 1, surplus=(1, 1, 1, 1))
-    calls = []  # the caller of each determinant read off a forward pass
-    determinant = Matrix._determinant
+    inst, back = _generated_and_read_back(3, 2, QQ, 1, surplus=(1, 1, 1, 1))
+    passes, dets = [], []  # the matrix of each pass, and of each det read
+    eliminate, determinant = Matrix._eliminate, Matrix.determinant
 
-    def counting(self, forward):
-        calls.append(sys._getframe(1).f_code.co_name)
-        return determinant(self, forward)
+    def eliminating(self, reduce=True):
+        passes.append(self)
+        return eliminate(self, reduce)
 
-    monkeypatch.setattr(Matrix, "_determinant", counting)
-    assert verify_main_theorem(inst).all_pass
-    # det A once for the formula, the Q form and the power identity, read
-    # off the pass page 1 ranks A with, and two in the fold's periodic
-    # torsion; det Q is r^b / det A
-    assert sorted(calls) == ["d1star_det", "determinant", "determinant"]
+    def reading(self):
+        dets.append(self)
+        return determinant(self)
+
+    monkeypatch.setattr(Matrix, "_eliminate", eliminating)
+    monkeypatch.setattr(Matrix, "determinant", reading)
+    for i, times in [(back, 1), (inst, 0)]:
+        passes.clear()
+        dets.clear()
+        assert verify_main_theorem(i).all_pass
+        # the report, the Q form and the formula each read det A off the
+        # pass A keeps from page 1's rank count: run once from JSON, and in
+        # memory by the lift; det Q is r^b / det A
+        A = i.spectrum.page1.d1star[1]
+        assert sum(m is A for m in dets) == 3
+        assert sum(m is A for m in passes) == times
 
 
 @pytest.mark.parametrize("page, b", [(2, 3), (3, 2)])
@@ -559,8 +576,8 @@ def test_verify_checks_the_pearl_once(monkeypatch):
     from qrtorsion import complexes
     defects = complexes.TwistedPearlComplex.defects.func.__code__
     inside, elsewhere = [], []  # products made in defects, and elsewhere in
-    product = Matrix.__mul__    # complexes.py (the fold and its check)
-    block = Matrix.block.__func__
+    product = Matrix.__mul__    # complexes.py (the fold and the page-1
+    block = Matrix.block.__func__  # complexes' square checks)
     folds = []
 
     def counting(self, other):
@@ -568,7 +585,7 @@ def test_verify_checks_the_pearl_once(monkeypatch):
         if caller is defects:
             inside.append((self.nrows, self.ncols, other.ncols))
         elif caller.co_filename == complexes.__file__:
-            elsewhere.append(caller.co_name)
+            elsewhere.append((caller.co_name, self, other))
         return product(self, other)
 
     def building(cls, *args):
@@ -578,6 +595,16 @@ def test_verify_checks_the_pearl_once(monkeypatch):
     inst, back = _generated_and_read_back(3, 2, QQ, 1, surplus=(1, 1, 1, 1))
     monkeypatch.setattr(Matrix, "__mul__", counting)
     monkeypatch.setattr(Matrix, "block", classmethod(building))
+    def page1_squares():
+        # the other products in complexes.py are the square checks of the
+        # page-1 complexes, whose constructor multiplies d1star maps,
+        # never a fold block
+        fold = back.pearl._fold + inst.pearl._fold
+        assert {name for name, _, _ in elsewhere} <= {"__init__"}
+        assert not any(m is f for _, L, R in elsewhere for m in (L, R)
+                       for f in fold)
+        return len(elsewhere)
+
     # a pearl read back from JSON, as `verify` sees it, has not been checked:
     # one check of d^2 = 0 takes 2 products, the fold's two squares, and the
     # direct path's fold reuses the checked blocks without another product
@@ -585,12 +612,17 @@ def test_verify_checks_the_pearl_once(monkeypatch):
     r = back.pearl.ranks
     assert inside == [(r[0] + r[2], r[1] + r[3], r[0] + r[2]),
                       (r[1] + r[3], r[0] + r[2], r[1] + r[3])]
-    assert elsewhere == [] and folds.count("_fold") == 2
-    # a generated pearl was checked, and folded, by its lift
+    assert folds.count("_fold") == 2
+    # page 1 and the closed form's own page 1 check their two squares each
+    assert page1_squares() == 4
+    # a generated pearl was checked, and folded, by its lift, which also
+    # built its page 1
     inside.clear()
+    elsewhere.clear()
     folds.clear()
     assert verify_main_theorem(inst).all_pass
-    assert inside == elsewhere == [] and "_fold" not in folds
+    assert inside == [] and "_fold" not in folds
+    assert page1_squares() == 2
 
 
 def test_disc_check_failure_is_flagged_and_size_mismatch_raises():

@@ -67,5 +67,5 @@ def test_q_form_matches_sympy(data):
     assume(expected is not None)
     b = len(rows)
     A = Matrix.from_int_rows(F, rows, b, b)
-    qf = q_form(A, F.from_int(r), F, A.determinant())
+    qf = q_form(A, F.from_int(r), F)
     assert (qf.det, qf.antisymmetric) == expected
