@@ -11,15 +11,17 @@ Each spectral object is computed once per instance by a Spectrum (a
 generated instance keeps the one its lift was checked on).  Page 1 reads d1*
 through the Contraction it is handed, or builds one: a lift hands over the
 one its projection pi came from (models._lift_chain), so each lift builds one
-Contraction.  PageOne holds the checked page-1 complex, and each d1* map
-keeps its one forward pass (linalg).
+Contraction.  PageOne holds that Contraction and the checked page-1 complex,
+and each d1* map keeps its one forward pass (linalg).
 
 Independence: the direct fold path eliminates only its own block matrices
 (TwistedPearlComplex._fold), and nothing here ranks them.  The closed-form
-rate still builds its own Contraction and its own minor inverses, but it
-reads d_M's pivots from the same kept pass as the literal rate: a
-deterministic read of the same input, which a second run could not
-contradict.
+rate reads the Contraction page 1 was read through: a second one, built
+from the same inputs, is the same deterministic object and could never
+disagree with it.  The literal rate's value reads only P's own maps
+(kernel_basis, solve); page 1 only gates the survivor pattern.  The closed
+form does not depend on the contraction it is read through: it equals the
+one read through randomized contractions (tests/test_spectral.py).
 
 Degrees are 0..3 throughout (pearl complexes of 3-folds, minimal Maslov
 number two).
@@ -51,14 +53,16 @@ NOT_NARROW = "NotNarrow"
 
 class PageOne:
     """Homology ranks of the Morse part and the induced degree +1 differential
-    d1star_k : H_k -> H_{k+1} in the chosen homology bases, and the page-1
-    complex: degree k holds H_{3-k}, d_{k+1} is d1star_{2-k}, and its
-    constructor checks that d1star squares to zero."""
+    d1star_k = pi_{k+1} d1_k H_k : H_k -> H_{k+1} in the homology bases H,
+    read through the Contraction con of P.base onto H (kept as con), and
+    the page-1 complex: degree k holds H_{3-k}, d_{k+1} is d1star_{2-k},
+    and its constructor checks that d1star squares to zero."""
 
-    def __init__(self, ranks, d1star, bases):
-        self.ranks = list(ranks)
-        self.d1star = list(d1star)
-        self.bases = list(bases)
+    def __init__(self, P: TwistedPearlComplex, H, con: Contraction):
+        self.con = con
+        self.ranks = list(con.hdims)
+        self.d1star = [con.pi(k + 1) * P.d1_map(k) * H[k] for k in range(3)]
+        self.bases = list(H)
         try:
             self.complex = BasedChainComplex(
                 self.d1star[0].field, self.ranks[::-1], self.d1star[::-1])
@@ -179,10 +183,6 @@ def _check_valid(P: TwistedPearlComplex):
         raise SpectralError("invalid pearl complex: " + "; ".join(bad))
 
 
-def _d1star(P: TwistedPearlComplex, H, con: Contraction):
-    return [con.pi(k + 1) * P.d1_map(k) * H[k] for k in range(3)]
-
-
 def _require_survivors(pg1: PageOne):
     hr = pg1.homology_ranks()
     if hr != [1, 0, 0, 1]:
@@ -199,8 +199,7 @@ def page1(P: TwistedPearlComplex, H, con: Contraction = None) -> PageOne:
     lift passes the one it built P from.
     """
     _check_valid(P)
-    d1star = _d1star(P, H, Contraction(P.base, H) if con is None else con)
-    return PageOne([H[k].ncols for k in range(4)], d1star, H)
+    return PageOne(P, H, Contraction(P.base, H) if con is None else con)
 
 
 def _rate_from_page1(P: TwistedPearlComplex, pg1: PageOne):
@@ -248,35 +247,12 @@ def page2_rate(P: TwistedPearlComplex, H, rng=None):
     return _rate_from_page1(P, page1(P, H, Contraction(P.base, H, rng)))
 
 
-def closed_form_r(P: TwistedPearlComplex, H):
-    """The same rate read off the adapted-basis block matrices: extract the
-    blocks alpha (top row of d2 at the degree-0 class), M1 (boundary rows of
-    d1 at the degree-0 class) and M6 (top row of d1 on the section columns of
-    C_2), and return alpha - M6 M1.
-
-    The page-1 ranks are checked from this path's own contraction and
-    d1* maps; only d_M's pivots are read off the pass it keeps (module
-    docstring)."""
-    _check_valid(P)
-    con = Contraction(P.base, H)
-    _require_survivors(PageOne(con.hdims, _d1star(P, H, con), H))
-    alpha = con.pi(3) * P.d2 * H[0]
-    M1 = con.b_coords(1) * P.d1_map(0) * H[0]
-    M6 = con.pi(3) * P.d1_map(2) * con.s[1]
-    val = alpha - M6 * M1
-    rate = val.rows[0][0]
-    if P.field.is_zero(rate):
-        raise WrongPageError("not narrow at page 3: the closed-form rate vanishes")
-    return rate
-
-
 class Spectrum:
     """The spectral sequence of one pearl complex in fixed homology bases:
     page 1 computed once, on construction, through the given Contraction
     con of P.base onto H (a lift's own) or else a new one; the literal
-    page-2 rate and the collapse page read from it, and the closed-form rate
-    from closed_form_r, which builds its own Contraction, each on first
-    use."""
+    page-2 rate, the collapse page and the closed-form rate read from it,
+    each on first use."""
 
     def __init__(self, P: TwistedPearlComplex, H, con: Contraction = None):
         self.P = P
@@ -301,7 +277,26 @@ class Spectrum:
 
     @cached_property
     def closed_form_rate(self):
-        return closed_form_r(self.P, self.page1.bases)
+        """The page-2 rate read off the adapted-basis block matrices of
+        page 1's Contraction: alpha (top row of d2 at the degree-0 class), M1
+        (boundary rows of d1 at the degree-0 class) and M6 (top row of d1
+        on the section columns of C_2), giving alpha - M6 M1;
+        WrongPageError off the page-3 pattern or when it vanishes."""
+        P, pg1 = self.P, self.page1
+        _require_survivors(pg1)
+        con, h0 = pg1.con, pg1.bases[0]
+        alpha = con.pi(3) * P.d2 * h0
+        M1 = con.b_coords(1) * P.d1_map(0) * h0
+        M6 = con.pi(3) * P.d1_map(2) * con.s[1]
+        rate = (alpha - M6 * M1).rows[0][0]
+        if P.field.is_zero(rate):
+            raise WrongPageError("not narrow at page 3: the closed-form rate vanishes")
+        return rate
+
+
+def closed_form_r(P: TwistedPearlComplex, H):
+    """The page-2 rate in closed form (see Spectrum.closed_form_rate)."""
+    return Spectrum(P, H).closed_form_rate
 
 
 def collapsing_page(P: TwistedPearlComplex, H) -> str:

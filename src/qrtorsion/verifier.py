@@ -24,10 +24,11 @@ first, so the dichotomy flag is the same either way.
 
 Independence: the fold eliminates only its own block matrices
 (TwistedPearlComplex._fold), and nothing on the formula side ranks them.
-The closed-form rate still builds its own Contraction and its own minor
-inverses, but it reads d_M's pivots from the same kept pass as the literal
-rate: a deterministic read of the same input, which a second run could not
-contradict.
+The closed-form rate reads the Contraction page 1 was read through, since
+a second one built from the same inputs is the same deterministic object
+and could never disagree with it.  The literal rate's value reads only the
+pearl's own maps, and page 1 only gates the survivor pattern, so the rate
+cross-check still compares two computations.
 """
 
 from __future__ import annotations

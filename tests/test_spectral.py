@@ -13,6 +13,8 @@ from qrtorsion.threefold import ThreefoldHomology, TripleForm
 from qrtorsion.models import (Page2Spec, Page3Spec, realize_morse,
                               homology_bases, lift_derivation_page2,
                               lift_derivation_page3, random_pearl)
+from qrtorsion.generate import generate_instance
+from qrtorsion.schemas import instance_from_json, instance_to_json
 
 
 def perfect_b1(field, rho, mu, lam, alpha):
@@ -104,6 +106,35 @@ def test_rate_invariant_under_internal_choices():
                                     C, F, seed=10)
     vals = {page2_rate(P, H, random.Random(s)) for s in range(4)}
     assert vals == {F.from_int(2)}
+
+
+def _closed_form_through(P, H, con):
+    """alpha - M6 M1 read off the adapted-basis blocks of the contraction
+    con, written out independently of Spectrum.closed_form_rate."""
+    alpha = con.pi(3) * P.d2 * H[0]
+    M1 = con.b_coords(1) * P.d1_map(0) * H[0]
+    M6 = con.pi(3) * P.d1_map(2) * con.s[1]
+    return (alpha - M6 * M1).rows[0][0]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7), GF(101)], ids=repr)
+@pytest.mark.parametrize("b", [2, 4])
+@pytest.mark.parametrize("surplus", [(0, 0, 0, 0), (1, 1, 1, 1),
+                                     (2, 3, 3, 2)], ids=str)
+def test_closed_form_rate_does_not_depend_on_the_contraction(field, b,
+                                                            surplus):
+    # the Spectrum's closed form reads the contraction page 1 was read
+    # through (the lift's in memory, page1's own from JSON); randomized
+    # image bases and sections give the same rate
+    for seed in range(3):
+        inst = generate_instance(3, b, field, seed, surplus=surplus)
+        back = instance_from_json(instance_to_json(inst))
+        for i in (inst, back):
+            P, H, S = i.pearl, i.bases, i.spectrum
+            assert S.closed_form_rate == S.rate
+            for s in range(3):
+                con = Contraction(P.base, H, random.Random(s))
+                assert _closed_form_through(P, H, con) == S.closed_form_rate
 
 
 def test_contraction_side_conditions():

@@ -207,6 +207,23 @@ def test_verify_page3_rate_disagreement_is_flagged():
     assert "page-2 rate disagrees with its closed form" in rep.notes
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=repr)
+@pytest.mark.parametrize("b", [2, 4])
+def test_verify_page3_closed_form_reads_page1_contraction(field, b):
+    # doubling the pi(3) rows of page 1's contraction after page 1 is read
+    # doubles the closed-form rate and leaves the literal one: exactly the
+    # rate cross-check and the two-path comparison fail
+    for seed in range(5):
+        inst = generate_instance(3, b, field, seed, surplus=(1, 1, 1, 1))
+        back = instance_from_json(instance_to_json(inst))
+        con = back.spectrum.page1.con
+        con.coords[3] = con.coords[3].scale(field.from_int(2))
+        rep = verify_main_theorem(back)
+        assert {name for name, ok in rep.flags.items() if not ok} == {
+            "rate_cross_check", "two_path_torsion"}
+        assert "page-2 rate disagrees with its closed form" in rep.notes
+
+
 def test_verify_fold_not_acyclic_is_flagged(monkeypatch):
     from qrtorsion import verifier
     from qrtorsion.torsion import NotNarrowError
@@ -316,27 +333,32 @@ def test_page3_verify_evaluates_each_disc_witness_once(monkeypatch):
 
 
 def _spectral_counters(monkeypatch):
-    """Record the Contractions built inside each page1 and closed_form_r
-    call, and every Contraction built at all."""
+    """Record the Contractions built inside each page1 call, every
+    Contraction built at all, and the Contraction of each b_coords read
+    (during a verify, only the closed-form rate reads one)."""
     from qrtorsion import spectral
-    calls = {"page1": [], "closed_form_r": [], "built": []}
+    calls = {"page1": [], "built": [], "b_coords": []}
     real_init = spectral.Contraction.__init__
+    real_b_coords = spectral.Contraction.b_coords
+    real_page1 = spectral.page1
 
     def init(self, *args, **kwargs):
         calls["built"].append(self)
         real_init(self, *args, **kwargs)
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            start = len(calls["built"])
-            out = fn(*args, **kwargs)
-            calls[name].append(calls["built"][start:])
-            return out
-        return wrapper
+    def b_coords(self, k):
+        calls["b_coords"].append(self)
+        return real_b_coords(self, k)
+
+    def page1(*args, **kwargs):
+        start = len(calls["built"])
+        out = real_page1(*args, **kwargs)
+        calls["page1"].append(calls["built"][start:])
+        return out
 
     monkeypatch.setattr(spectral.Contraction, "__init__", init)
-    for name in ("page1", "closed_form_r"):
-        monkeypatch.setattr(spectral, name, counting(name, getattr(spectral, name)))
+    monkeypatch.setattr(spectral.Contraction, "b_coords", b_coords)
+    monkeypatch.setattr(spectral, "page1", page1)
     return calls
 
 
@@ -359,25 +381,24 @@ def test_verify_computes_each_spectral_object_once(monkeypatch):
             recorded.clear()
         return verify_main_theorem(inst).all_pass
 
-    # read from JSON, verify computes page 1 itself, once
+    # read from JSON, verify computes page 1 itself, once, through the one
+    # contraction it builds
     assert verified(page2_json)
     assert len(calls["page1"]) == 1
     assert verified(page3_json)
-    assert len(calls["page1"]) == 1
-    assert len(calls["built"]) == 2
-    # the closed form builds its own contraction, independent of page 1's
-    [[behind_page1]], [[behind_closed_form]] = (calls["page1"],
-                                                calls["closed_form_r"])
-    assert behind_closed_form is not behind_page1
+    [[behind_page1]] = calls["page1"]
+    assert calls["built"] == [behind_page1]
+    # the closed form reads page 1's contraction instead of building another
+    assert page3_json.spectrum.page1.con is behind_page1
+    assert calls["b_coords"] == [behind_page1]
 
-    # generated, the instance carries the spectrum its lift was checked on:
-    # only the closed form's own contraction is built
+    # generated, the instance carries the spectrum its lift was checked on,
+    # and the closed form reads the lift's contraction: none is built
     assert verified(page2)
-    assert len(calls["page1"]) == 0 and len(calls["built"]) == 0
+    assert calls["page1"] == [] and calls["built"] == []
     assert verified(page3)
-    assert len(calls["page1"]) == 0
-    [[behind_closed_form]] = calls["closed_form_r"]
-    assert calls["built"] == [behind_closed_form]
+    assert calls["page1"] == [] and calls["built"] == []
+    assert calls["b_coords"] == [page3.spectrum.page1.con]
 
 
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
@@ -392,14 +413,10 @@ def test_generate_builds_one_contraction(monkeypatch, page, b, field):
     for recorded in calls.values():
         recorded.clear()
     assert verify_main_theorem(inst).all_pass
-    if page == 2:
-        assert calls["built"] == []
-        return
-    # the closed form, compared with the literal rate of the lift's page 1,
-    # never holds the lift's contraction
-    [[behind_closed_form]] = calls["closed_form_r"]
-    assert calls["built"] == [behind_closed_form]
-    assert behind_closed_form is not lift_contraction
+    # in memory, verify builds no contraction on either page: page 3's
+    # closed form reads the lift's
+    assert calls["built"] == []
+    assert calls["b_coords"] == ([] if page == 2 else [lift_contraction])
 
 
 def test_verify_eliminates_each_map_once(monkeypatch):
@@ -419,13 +436,14 @@ def test_verify_eliminates_each_map_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "_eliminate", recorded)
     # every matrix keeps its forward pass: each boundary's image basis and
-    # section, each d1star's rank and image, det A and d_M's pivots in the
-    # closed form's contraction are read off one pass, the Q form inverts
+    # section, each d1star's rank and image and det A are read off one pass,
+    # the closed form reads page 1's contraction, the Q form inverts
     # nothing, and the page-2 formula evaluates one slice
-    for inst, count in [(page2_json, 21), (page3_json, 28),
-                        # page 1, its ranks, d_M's passes and the literal
-                        # rate come with a generated instance
-                        (page2, 10), (page3, 12)]:
+    for inst, count in [(page2_json, 21), (page3_json, 20),
+                        # page 1 with its contraction, its ranks, d_M's
+                        # passes and the literal rate come with a generated
+                        # instance
+                        (page2, 10), (page3, 4)]:
         calls.clear()
         assert verify_main_theorem(inst).all_pass
         assert len(calls) == count
@@ -613,16 +631,17 @@ def test_verify_checks_the_pearl_once(monkeypatch):
     assert inside == [(r[0] + r[2], r[1] + r[3], r[0] + r[2]),
                       (r[1] + r[3], r[0] + r[2], r[1] + r[3])]
     assert folds.count("_fold") == 2
-    # page 1 and the closed form's own page 1 check their two squares each
-    assert page1_squares() == 4
+    # page 1 checks its two squares, and the closed form reads page 1
+    # without a page 1 of its own
+    assert page1_squares() == 2
     # a generated pearl was checked, and folded, by its lift, which also
-    # built its page 1
+    # built and checked its page 1
     inside.clear()
     elsewhere.clear()
     folds.clear()
     assert verify_main_theorem(inst).all_pass
     assert inside == [] and "_fold" not in folds
-    assert page1_squares() == 2
+    assert page1_squares() == 0
 
 
 def test_disc_check_failure_is_flagged_and_size_mismatch_raises():
