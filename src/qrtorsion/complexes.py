@@ -78,7 +78,11 @@ class BasedChainComplex:
         by the columns of V past r: the next Z.  Since d_k d_{k+1} = 0 the
         first r rows of V^-1 d_{k+1} are zero, so the next W is the rows of
         V^-1 past r times d_{k+1}.  The top degree's representatives are
-        its Z.  A complex of length n takes n passes, all on integer rows.
+        its Z.  A complex of length n takes at most n passes, all on integer
+        rows: a zero boundary gets none.  Its W is zero, of rank 0, so its
+        representatives are Z, the next Z and V^-1 are identities, and no
+        invariant factor appears, which is what its pass would return; a W
+        that is not an integer matrix is still refused.
         """
         F, n, ranks = self.field, self.top_degree, self.ranks
         free_ranks, torsion, reps = [], [], []
@@ -89,9 +93,17 @@ class BasedChainComplex:
                 # W over d_k's denominator: W is an integer matrix only if
                 # d_k is one, and the pass refuses any other
                 dk = self.boundaries[k]
-                s = smith_normal_form(Matrix._make(
-                    F, _product(Vinv[rank:], dk.num, ranks[k], 0), dk.den,
-                    zk, ranks[k]))
+                W = Matrix._make(F, _product(Vinv[rank:], dk.num, ranks[k], 0),
+                                 dk.den, zk, ranks[k])
+                if W.is_zero():
+                    W._check_integral("Smith normal form")
+                    free_ranks.append(zk)
+                    torsion.append([])
+                    reps.append(Matrix._make(F, Z, 1, ranks[k - 1], zk))
+                    Z = Vinv = _identity_rows(ranks[k])
+                    zk, rank = ranks[k], 0
+                    continue
+                s = smith_normal_form(W)
                 rank = sum(1 for a in s.diagonal if a != 0)
                 free_ranks.append(zk - rank)
                 torsion.append([a for a in s.diagonal if a > 1])

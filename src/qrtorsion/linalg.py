@@ -31,11 +31,12 @@ elimination on ``num``.  ``rank``, ``determinant`` and the pivot read of
 ``torsion._image_and_section`` need only its forward sweep to an echelon
 form, which fixes the pivots, the row swaps and det; a matrix keeps the
 pivots and det of that sweep (not its rows) from the first such read, so it
-is swept forward at most once.  ``rref``, ``solve``, ``kernel_basis`` and
-``inverse`` carry a pass of their own, not kept, to Gauss-Jordan form, and
-the last three read its rows directly, so only their own result is put in
-canonical form.  ``inverse`` eliminates [num | den I] and checks its
-product in place, building no identity or stacked matrix.
+is swept forward at most once, and an all-zero matrix is not swept at all.
+``rref``, ``solve``, ``kernel_basis`` and ``inverse`` carry a pass of their
+own, not kept, to Gauss-Jordan form, and the last three read its rows
+directly, so only their own result is put in canonical form.  ``inverse``
+eliminates [num | den I] and checks its product in place, building no
+identity or stacked matrix.
 0 x n and n x 0 matrices are legal everywhere; the determinant of the 0 x 0
 matrix is 1 (empty-product convention).
 """
@@ -429,11 +430,16 @@ class Matrix:
 
     def _forward(self):
         """(pivots, det(num)) of the forward pass, kept from the first read;
-        callers must not write the pivot list."""
+        callers must not write the pivot list.  An all-zero matrix is not
+        swept: it has no pivots, and det is 1 at 0 x 0 and 0 otherwise,
+        which is what the pass returns."""
         kept = self._pass
         if kept is None:
-            _, _, pivots, det = self._eliminate(reduce=False)
-            kept = self._pass = pivots, det
+            if self.is_zero():
+                kept = [], int(self.nrows == self.ncols == 0)
+            else:
+                kept = self._eliminate(reduce=False)[2:]
+            self._pass = kept
         return kept
 
     def rank(self):

@@ -36,7 +36,7 @@ from .linalg import LinAlgError, Matrix, _product
 from .complexes import (BasedChainComplex, TwistedPearlComplex, validate_pearl,
                         integral_homology, admissibility_error)
 from .threefold import (MAX_B, MAX_TORSION_FACTORS, ThreefoldHomology,
-                        TripleForm, unpack_row)
+                        TripleForm)
 from .spectral import Contraction, Spectrum, PAGE2, PAGE3
 
 
@@ -135,7 +135,10 @@ def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
     Torsion factors become diagonal boundary blocks; surplus ranks pair up
     into birth pairs with unit boundary entries (the surplus must decompose
     that way or the shape is infeasible).  A seeded unimodular basis change
-    per degree hides the block structure.
+    per degree hides the block structure.  With no torsion and no surplus
+    every block is zero, and conjugating a zero map gives a zero map, so
+    the complex is the zero one and no basis change is drawn: the rng is
+    this function's own and feeds nothing else.
     """
     b, tor = H.b, H.torsion
     t = len(tor)
@@ -163,17 +166,17 @@ def realize_morse(H: ThreefoldHomology, shape=(0, 0, 0, 0), seed: int = 0
     d3 = [[0] * r3 for _ in range(r2)]
     for a in range(p32):
         d3[b + t + p21 + a][1 + a] = 1
-    rng = random.Random(seed)
     ranks = [r0, r1, r2, r3]
-    U, Ui = zip(*(_unimodular(rng, n, inverse=True) for n in ranks))
-
-    def conj(d, k):
-        # Ui[k - 1] d U[k], on integer rows
-        m, n = ranks[k - 1], ranks[k]
-        return Matrix._make(QQ, _product(_product(Ui[k - 1], d, n, 0),
-                                         U[k], n, 0), 1, m, n)
-
-    C = BasedChainComplex(QQ, ranks, [conj(d1, 1), conj(d2, 2), conj(d3, 3)])
+    blocks = [d1, d2, d3]
+    if t or p10 or p21 or p32:
+        rng = random.Random(seed)
+        U, Ui = zip(*(_unimodular(rng, n, inverse=True) for n in ranks))
+        # Ui[k - 1] d_k U[k], on integer rows
+        blocks = [_product(_product(Ui[k - 1], d, ranks[k], 0), U[k],
+                           ranks[k], 0) for k, d in enumerate(blocks, 1)]
+    C = BasedChainComplex(QQ, ranks, [Matrix._make(QQ, d, 1, ranks[k - 1],
+                                                   ranks[k])
+                                      for k, d in enumerate(blocks, 1)])
     _check_spec_homology(C, H)
     return C
 
@@ -231,23 +234,40 @@ def _checked_derivation(I: TripleForm, r, c: Matrix) -> Matrix:
     sum_m I(i,m,k) C[m] = -sum_x I(x,i,k) C[x], the negated row that
     I.packed_contract(C) packs at (i, k); the form is alternating, so
     the residual at (k, i) is minus the one at (i, k) and vanishes at
-    i = k, and only the rows i < k are checked.  Each residual row is the
+    i = k, and only the rows i < k are checked.  Each residual row R is the
     packed row of I.packed_contract(C) plus d r_i at slot k less d r_k at
-    slot i, in slots with room for max|C| sum|coeff| + max|d r| (threefold
-    module docstring), so it costs O(|coeffs|) multiply-adds of b-slot
-    integers.  Over Q the signed slots of a packed integer are unique, so
-    a row vanishes when its integer is 0; over F_p each slot is reduced."""
+    slot i, in s-bit slots whose signed digits d_t have |d_t| < 2^(s-2)
+    (threefold module docstring: the slots hold max|C| sum|coeff| +
+    max|d r|, a sign bit and a spare bit), so it costs O(|coeffs|)
+    multiply-adds of b-slot integers.  The digits of R are unique among
+    digits below 2^(s-1) in size, so over Q the row vanishes iff R = 0.
+
+    Over F_p the row vanishes iff p divides every d_t, decided by two tests
+    on R instead of reading its slots: p | R, and then X = R/p + 2^(w-1)
+    sum_t 2^(s t), with w = s - bitlen(p), has no bit outside the low w
+    bits of each of the b slots.  If every d_t = p e_t, then
+    |e_t| < 2^(s-2) / 2^(bitlen(p)-1) = 2^(w-1), so X has the slots
+    e_t + 2^(w-1) in [0, 2^w) and passes.  If X passes, it is
+    sum_t u_t 2^(s t) with 0 <= u_t < 2^w, so R = sum_t p (u_t - 2^(w-1))
+    2^(s t) with each digit below p 2^(w-1) < 2^(s-1) in size; by
+    uniqueness these are the d_t, all multiples of p.  When w < 1, every
+    |d_t| < 2^(s-2) < p, so p divides them all iff R = 0: X = R/p is then
+    tested against every bit."""
     b, p = I.b, c.field.char
     C, d = c.num, c.den
     rd = [d * x for x in r]
     fail = NO_DERIVATION + ": the slice solution fails "
     acc, s = I.packed_contract(C, max(map(abs, rd), default=0))
     at = [1 << (s * t) for t in range(b)]
+    w = s - p.bit_length()
+    ones = sum(at)
+    off, outside = ((ones << (w - 1), ~(ones * ((1 << w) - 1))) if w > 0
+                    else (0, -1))
     for i in range(b):
         row = acc[i]
         for k in range(i + 1, b):
             res = row[k] + rd[i] * at[k] - rd[k] * at[i]
-            if res and (not p or any(x % p for x in unpack_row(res, s, b))):
+            if res and (not p or res % p or (res // p + off) & outside):
                 raise ModelError(fail + "the duality pairing")
     ok = c.field.is_zero
     if not all(ok(C[i][j] + C[j][i]) for i in range(b) for j in range(i, b)):

@@ -11,17 +11,18 @@ A form is stored by its coefficients on sorted triples and read straight
 from them.  Its one kernel, ``packed_contract``, sums rows W[x] against the
 form's first index with each row packed into one integer (Kronecker
 substitution): entry t of a row sits in an s-bit slot at bit s t, and s
-holds max|W| * sum|coeff| plus any slack the caller adds, and a sign bit,
-so every slot of every sum is a signed digit below 2^(s-1) in size and the
-packed sum determines its slots, which ``unpack_row`` reads back.  Each
-of the three signed terms per coefficient is then one multiply-add of
-integers.  A slice vector v is a column of integers, and so is each
-witness of the search; a slice reads the accumulated integers of the
-one-slot rows [[v_i]] (at one slot the packed row is the entry), and only
-its minor is reduced into the field.  The page-2 derivation check
-(``models._checked_derivation``) tests the packed rows of
-packed_contract(C).  The sign convention is written once, in
-``_upper_terms``; ``apply_unimodular`` reads each of its terms with its
+holds max|W| * sum|coeff| plus any slack the caller adds, a sign bit and
+one spare bit, so every slot of every sum is a signed digit below 2^(s-2)
+in size and the packed sum determines its slots, which ``unpack_row`` reads
+back; the spare bit lets ``models._checked_derivation`` test every slot
+for divisibility by p at once.  Each of the three signed terms per
+coefficient is then one multiply-add of integers.  A slice vector v is a
+column of integers, and so is each witness of the search; a slice reads
+the accumulated integers of the one-slot rows [[v_i]] (at one slot the
+packed row is the entry), and only its minor is reduced into the field.
+The page-2 derivation check (``models._checked_derivation``) tests the
+packed rows of packed_contract(C).  The sign convention is written once,
+in ``_upper_terms``; ``apply_unimodular`` reads each of its terms with its
 mirror and packs its last index the same way.
 """
 
@@ -160,7 +161,7 @@ class TripleForm:
         if n > 1:
             bound = (max(abs(x) for row in W for x in row)
                      * sum(map(abs, self.coeffs.values())) + slack)
-            s = bound.bit_length() + 1
+            s = bound.bit_length() + 2
         P = [pack_row(row, s) for row in W]
         acc = [[0] * b for _ in range(b)]
         live = {x for x, u in enumerate(P) if u}

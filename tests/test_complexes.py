@@ -51,19 +51,21 @@ def test_integral_homology_torsion():
 
 
 @pytest.mark.parametrize("field, rows", [(QQ, [[Fraction(1, 2)]]),
-                                         (GF(5), [[1]])],
-                         ids=["Q-den-2", "F5"])
+                                         (GF(5), [[1]]), (GF(5), [[0]])],
+                         ids=["Q-den-2", "F5", "F5-zero"])
 def test_integer_matrix_guards_refuse_other_matrices(field, rows):
     # an integer matrix is a Matrix over Q at denominator 1; Smith normal
     # form, reduction to a field and integral homology refuse any other
     A = Matrix(field, rows)
-    with pytest.raises(LinAlgError):
+    with pytest.raises(LinAlgError) as smith:
         smith_normal_form(A)
     with pytest.raises(LinAlgError):
         A.to_field(GF(3))
-    with pytest.raises(ComplexError):
-        # the Smith pass of d_1 = A refuses
+    with pytest.raises(ComplexError) as homology:
+        # the Smith pass of d_1 = A refuses, and a zero d_1, which gets no
+        # pass, is refused as the pass would
         BasedChainComplex(field, [1, 1], [A]).homology
+    assert str(homology.value) == f"integral homology: {smith.value}"
 
 
 def test_to_field_reduces_an_integer_matrix():
@@ -153,6 +155,80 @@ def test_integral_homology_matches_q_solve_on_morse_complexes(b):
         for seed in range(3):
             C = realize_morse(ThreefoldHomology(b, tor), shape, seed=seed)
             _check_against_q_solve(C)
+
+
+def _smith_loop_homology(C):
+    """integral_homology with one Smith pass on every boundary, zero ones
+    included, kept as the reference for the zero-boundary skip: W is the
+    rows of the last pass's V^-1 past its rank times d_k, its pass gives
+    degree k - 1's factors and (Z times its Uinv past the rank) the
+    representatives, and its V past the rank the next Z."""
+    ranks = C.ranks
+    free_ranks, torsion, reps = [], [], []
+    Z = Vinv = Matrix.identity(QQ, ranks[0])
+    zk, rank = ranks[0], 0
+    for k in range(1, C.top_degree + 1):
+        W = Matrix.from_int_rows(QQ, Vinv.num[rank:], zk,
+                                 ranks[k - 1]) * C.boundary(k)
+        s = smith_normal_form(W)
+        rank = sum(1 for a in s.diagonal if a != 0)
+        free_ranks.append(zk - rank)
+        torsion.append([a for a in s.diagonal if a > 1])
+        reps.append(Z * Matrix.from_int_rows(
+            QQ, [r[rank:] for r in s.Uinv.num], zk, zk - rank))
+        Z = Matrix.from_int_rows(QQ, [r[rank:] for r in s.V.num], ranks[k],
+                                 ranks[k] - rank)
+        Vinv, zk = s.Vinv, ranks[k] - rank
+    free_ranks.append(zk)
+    torsion.append([])
+    reps.append(Z)
+    return free_ranks, torsion, reps
+
+
+def _check_against_smith_loop(C):
+    H, reps = integral_homology(C)
+    free_ranks, torsion, want = _smith_loop_homology(C)
+    assert (H.free_ranks, H.torsion) == (free_ranks, torsion)
+    assert list(reps) == want
+
+
+def test_zero_boundaries_match_their_smith_passes():
+    # the default shape (every boundary zero) at b = 0..9 and the surplus
+    # (2,2,2,2) shapes (d_2 zero)
+    for b in range(10):
+        C = realize_morse(ThreefoldHomology(b), seed=b)
+        assert all(d.is_zero() for d in C.boundaries[1:])
+        _check_against_smith_loop(C)
+    for b in range(6):
+        for seed in range(3):
+            C = realize_morse(ThreefoldHomology(b), (2, 2, 2, 2), seed)
+            assert C.boundaries[2].is_zero()
+            _check_against_smith_loop(C)
+    # random complexes with a random set of boundaries zeroed (still
+    # complexes: a zero map composes to zero with anything)
+    rng = random.Random(40)
+    for _ in range(150):
+        C = _random_integral_complex(rng)
+        bnds = [Matrix.zeros(QQ, d.nrows, d.ncols) if rng.random() < 0.5
+                else d for d in C.boundaries[1:]]
+        _check_against_smith_loop(BasedChainComplex(QQ, C.ranks, bnds))
+
+
+def test_default_shape_morse_complex_is_its_scrambled_construction():
+    # the zero blocks conjugated by the seeded transports realize_morse
+    # drew before it returned the zero complex without drawing them
+    for b in range(10):
+        ranks = [1, b, b, 1]
+        for seed in range(20):
+            rng = random.Random(seed)
+            U, Ui = zip(*(_unimodular(rng, n, inverse=True) for n in ranks))
+            want = [Matrix.from_int_rows(QQ, Ui[k - 1], ranks[k - 1],
+                                         ranks[k - 1])
+                    * Matrix.zeros(QQ, ranks[k - 1], ranks[k])
+                    * Matrix.from_int_rows(QQ, U[k], ranks[k], ranks[k])
+                    for k in (1, 2, 3)]
+            C = realize_morse(ThreefoldHomology(b), seed=seed)
+            assert C.ranks == ranks and C.boundaries[1:] == want
 
 
 def _check_representatives_base_the_free_part(C):

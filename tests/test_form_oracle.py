@@ -327,3 +327,101 @@ def test_bumped_derivation_fails_the_pairing_at_large_denominators(b):
             _checked_derivation(I, r, Matrix(QQ, rows, b, b))
         assert str(err.value) == \
             f"{NO_DERIVATION}: the slice solution fails the duality pairing"
+
+
+def _slot_by_slot(I, r, c):
+    """_checked_derivation reading every slot of each residual row through
+    unpack_row, kept as the reference for its two tests per row over F_p."""
+    b, F = I.b, c.field
+    p, C, d = F.char, c.num, c.den
+    rd = [d * x for x in r]
+    fail = NO_DERIVATION + ": the slice solution fails "
+    acc, s = I.packed_contract(C, max(map(abs, rd), default=0))
+    for i in range(b):
+        for k in range(i + 1, b):
+            res = acc[i][k] + rd[i] * (1 << (s * k)) - rd[k] * (1 << (s * i))
+            if any(x % p if p else x for x in unpack_row(res, s, b)):
+                raise ModelError(fail + "the duality pairing")
+    if not all(F.is_zero(C[i][j] + C[j][i]) for i in range(b)
+               for j in range(i, b)):
+        raise ModelError(fail + "antisymmetry")
+    if not all(F.is_zero(sum(x * y for x, y in zip(row, r))) for row in C):
+        raise ModelError(fail + "c r = 0")
+    return c
+
+
+def _same_outcome(I, r, c):
+    """_checked_derivation and _slot_by_slot return c, or raise the same
+    message."""
+    outcomes = []
+    for check in (_checked_derivation, _slot_by_slot):
+        try:
+            outcomes.append(check(I, r, c) is c)
+        except ModelError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+DERIVATION_FIELDS = [GF(3), GF(5), GF(7), GF(101), QQ]
+
+
+@pytest.mark.parametrize("F", DERIVATION_FIELDS, ids=repr)
+@pytest.mark.parametrize("b", [3, 5, 7, 9])
+def test_checked_derivation_matches_slot_by_slot_on_perturbed_entries(F, b):
+    # the slice solution passes both, and every single-entry change by +-1
+    # fails both, at the same first equation
+    U = _unimodular(random.Random(b), b)
+    I = canonical_form(b).apply_unimodular(U)
+    r = list(U[0])
+    c = solve_leibniz_derivation(I, r, F)
+    assert _same_outcome(I, r, c) is True
+    for m, j in product(range(b), repeat=2):
+        for step in (1, -1):
+            rows = c.rows
+            rows[m][j] = F.add(rows[m][j], F.from_int(step))
+            assert _same_outcome(I, r, Matrix(F, rows, b, b)) is not True
+
+
+@pytest.mark.parametrize("F", DERIVATION_FIELDS, ids=repr)
+@pytest.mark.parametrize("b", [3, 5, 7, 9])
+def test_checked_derivation_matches_slot_by_slot_at_the_slot_bound(F, b):
+    # I(x,0,1) = sign v for x >= 2 and rows C[x] = M (the largest entry, p - 1
+    # over F_p) in every slot, with C[0] = C[1] = 0 and r = sign (R, -R, 0,
+    # ...): slots 0 and 1 of the residual row (0, 1) are both
+    # sign (M sum|coeff| + max|r|), the bound its slots are sized for, its
+    # other slots sign M sum|coeff|, and the rows (0, k), (1, k) hold +-R.
+    # Each multiple of p among v and R decides the rows either way.
+    p = F.char
+    M = p - 1 if p else BIG
+    for sign, v, R in product((1, -1), (1, 2, p or 3, 2 * p or 6),
+                              (0, 1, p or 5, p + 1, 3 * p or BIG)):
+        I = TripleForm(b, {(1, 2, x + 1): sign * v for x in range(2, b)})
+        C = [[0] * b, [0] * b] + [[M] * b for _ in range(2, b)]
+        r = [sign * R, -sign * R] + [0] * (b - 2)
+        c = Matrix.from_int_rows(F, C, b, b)
+        _same_outcome(I, r, c)
+        # C[x] = M in the top slot alone: the largest slot is the top one
+        top = [[0] * (b - 1) + [M] if x >= 2 else [0] * b for x in range(b)]
+        _same_outcome(I, r, Matrix.from_int_rows(F, top, b, b))
+    # a zero candidate with a small rate: slots narrower than p, where a
+    # residual row passes only at 0
+    for R in (0, 1, p or 1, 2 * p + 1):
+        _same_outcome(TripleForm(b), [R] + [0] * (b - 1),
+                      Matrix.zeros(F, b, b))
+
+
+@pytest.mark.parametrize("F", DERIVATION_FIELDS, ids=repr)
+def test_checked_derivation_matches_slot_by_slot_on_every_small_row(F):
+    # I(1,2,3) = v and r = 0, so the residual rows are v C[2] at (0, 1) and
+    # zero elsewhere: every residue row C[2] over F3, F5 and F7 (some have
+    # an integer that p divides though a slot is not a multiple of p), and
+    # random ones over F101 and Q
+    p = F.char
+    rng = random.Random(p)
+    rows = (product(range(p), repeat=3) if p and p < 10 else
+            ([rng.randint(-9, 100) for _ in range(3)] for _ in range(300)))
+    for row in rows:
+        for v in (1, 2, 4):
+            c = Matrix.from_int_rows(F, [[0] * 3, [0] * 3, list(row)], 3, 3)
+            _same_outcome(TripleForm(3, {(1, 2, 3): v}), [0] * 3, c)

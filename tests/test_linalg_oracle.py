@@ -10,6 +10,7 @@ them.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -267,10 +268,19 @@ def _check_kept_pass(A, S):
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
-@pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (0, 1), (1, 0)])
+@pytest.mark.parametrize("m, n", list(product((0, 1, 3), repeat=2)))
 def test_kept_pass_of_empty_matrices(F, m, n):
+    # all-zero matrices, empty or not: the kept pass skips the sweep, and
+    # must read what the sweep returns
     A = Matrix.zeros(F, m, n)
     _check_kept_pass(A, _to_sympy(A))
+    _, _, pivots, det = A._eliminate(reduce=False)
+    assert A.rank() == len(pivots) == 0
+    if m == n:
+        assert A.determinant() == (det if F.char else Fraction(det)) \
+            == (F.one() if m == 0 else F.zero())
+    B, S, P = _image_and_section(A)
+    assert P == pivots and (B.nrows, B.ncols, S.nrows, S.ncols) == (m, 0, n, 0)
 
 
 @pytest.mark.parametrize("F", [QQ, GF(3), GF(7), GF(101)], ids=repr)

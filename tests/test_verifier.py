@@ -438,12 +438,13 @@ def test_verify_eliminates_each_map_once(monkeypatch):
     # every matrix keeps its forward pass: each boundary's image basis and
     # section, each d1star's rank and image and det A are read off one pass,
     # the closed form reads page 1's contraction, the Q form inverts
-    # nothing, and the page-2 formula evaluates one slice
-    for inst, count in [(page2_json, 21), (page3_json, 20),
+    # nothing, the page-2 formula evaluates one slice, and a zero map (d_M's
+    # d_2 here, and every map with no rows or no columns) is not swept
+    for inst, count in [(page2_json, 17), (page3_json, 15),
                         # page 1 with its contraction, its ranks, d_M's
                         # passes and the literal rate come with a generated
                         # instance
-                        (page2, 10), (page3, 4)]:
+                        (page2, 8), (page3, 4)]:
         calls.clear()
         assert verify_main_theorem(inst).all_pass
         assert len(calls) == count
@@ -458,12 +459,13 @@ def test_verify_eliminates_each_map_once(monkeypatch):
         # is reused)
         forward = [id(m) for c, _, m in calls if c == "_forward"]
         assert len(set(forward)) == len(forward)
-        # page 1's pass is the only one over each d1star: once when read
-        # from JSON, and none in memory, where the lift ran it
+        # page 1's pass is the only one over each nonzero d1star (page 3's
+        # outer two are zero): once when read from JSON, and none in
+        # memory, where the lift ran it
         d1star = inst.spectrum.page1.d1star
         on_d1star = [c for c, _, m in calls if any(m is d for d in d1star)]
-        assert on_d1star == (["_forward"] * 3 if inst in (page2_json,
-                                                         page3_json) else [])
+        assert on_d1star == {page2_json: ["_forward"] * 3,
+                             page3_json: ["_forward"]}.get(inst, [])
 
 
 def test_verify_multiplies_page1_squares_once(monkeypatch):
@@ -568,6 +570,36 @@ def test_generate_computes_the_integral_homology_once(monkeypatch, page, b):
     # realize_morse's check and the lift's check share one computation: one
     # Smith pass for each of d_1, d_2 and d_3
     assert len(calls) == 3
+
+
+def test_generate_skips_the_passes_of_zero_boundaries(monkeypatch):
+    from qrtorsion import complexes, models
+    snf, transports = [], []
+    real_snf, real_unimodular = complexes.smith_normal_form, models._unimodular
+
+    def counting(A):
+        snf.append(A)
+        return real_snf(A)
+
+    def drawing(*args, **kwargs):
+        transports.append(args)
+        return real_unimodular(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", counting)
+    # models' own name is the one realize_morse calls; generate's transport
+    # of the spec calls its imported copy
+    monkeypatch.setattr(models, "_unimodular", drawing)
+    for seed in range(3):
+        # the default shape: every Morse boundary is zero, so realize_morse
+        # draws no transport and its homology takes no Smith pass
+        generate_instance(2, 9, GF(7), seed)
+        assert snf == [] and transports == []
+    for page, b in [(2, 3), (3, 2)]:
+        # surplus (2,2,2,2) without torsion: d_2 is zero, so d_1 and d_3
+        # take the only two passes
+        snf.clear()
+        generate_instance(page, b, GF(5), 1, surplus=(2, 2, 2, 2))
+        assert len(snf) == 2
 
 
 @pytest.mark.parametrize("page, b", [(2, 3), (3, 2)])
